@@ -14,8 +14,8 @@ from .errors import (DegenerateInput, DegenerateStaticSet, EmptyCloud,
                      LengthMismatch, MaskMismatch, NoStaticCluster,
                      TimestampMismatch, TransformCountMismatch,
                      UnknownClusterId)
-from .geometry import (RigidTransform, SpatialIndex, apply_transform,
-                       chamfer_distance, nearest_neighbor, weighted_kabsch)
+from .geometry import (RigidTransform, SpatialIndex, chamfer_distance,
+                       weighted_kabsch)
 from .flow import (FlowField, PointCloud, fit_transforms, init_flow,
                    refine_flow, warp)
 from .segment import (ClassifierConfig, ClusterStats, SegmentationMask,

@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
 
 import numpy as np
@@ -148,6 +149,15 @@ def _write_json(path, payload) -> None:
 
 
 def cmd_run(args) -> int:
+    """Run every frame pair; the run directory counts as complete only once
+    the manifest exists and the ``.partial`` marker is gone."""
+    os.makedirs(args.out, exist_ok=True)
+    marker = os.path.join(args.out, PARTIAL_MARKER)
+    manifest_path = os.path.join(args.out, RUN_MANIFEST)
+    with open(marker, "w", encoding="utf-8") as f:
+        f.write("run in progress\n")
+    if os.path.exists(manifest_path):
+        os.remove(manifest_path)
     records = read_sequence(args.input)
     if len(records) < 2:
         print("error: need at least 2 frames to run", file=sys.stderr)
@@ -158,30 +168,35 @@ def cmd_run(args) -> int:
         max_iters=args.max_iters,
         classifier=ClassifierConfig(strategy=args.strategy, dt=dt,
                                     theta=args.theta))
-    os.makedirs(args.out, exist_ok=True)
-    marker = os.path.join(args.out, PARTIAL_MARKER)
     pairs = list(zip(records[:-1], records[1:]))
     workers = args.workers or int(os.environ.get(WORKERS_ENV, "1"))
-    pair_index = 0
+
+    def at_pair(i, what):
+        return f"frame pair {i} -> {i + 1}: {what}"
+
+    step = at_pair(0, "pipeline")
     try:
         payloads = [(a.cloud, b.cloud, cfg) for a, b in pairs]
+        results = []
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(_process_pair, p) for p in payloads]
-                results = []
                 for pair_index, future in enumerate(futures):
+                    step = at_pair(pair_index, "pipeline")
                     results.append(future.result())
         else:
-            results = []
             for pair_index, payload in enumerate(payloads):
+                step = at_pair(pair_index, "pipeline")
                 results.append(_process_pair(payload))
         increments = []
         pair_entries = []
         for pair_index, ((rec_a, _), ssf) in enumerate(zip(pairs, results)):
             ssf_name = f"ssf_{pair_index:04d}.pcf"
             report_name = f"report_{pair_index:04d}.json"
+            step = at_pair(pair_index, f"writing {ssf_name}")
             write_frame(os.path.join(args.out, ssf_name), rec_a.cloud.points,
                         flow=ssf.flow.vectors, labels=ssf.mask.labels)
+            step = at_pair(pair_index, f"writing {report_name}")
             payload = _report_dict(ssf.report)
             payload["transforms"] = [_pose_row(t) for t in ssf.transforms]
             payload["clusters"] = [
@@ -190,39 +205,48 @@ def cmd_run(args) -> int:
                  "centroid": [float(v) for v in s.centroid]}
                 for s in ssf.stats]
             _write_json(os.path.join(args.out, report_name), payload)
+            step = at_pair(pair_index, "ego fit")
             increments.append(
                 ego_motion(rec_a.cloud, ssf.flow, ssf.mask).inverse())
             pair_entries.append(
                 {"index": pair_index, "ssf": ssf_name, "report": report_name,
                  "converged": ssf.report.converged,
                  "iterations": ssf.report.n_iterations})
+        step = "writing trajectory_est.txt"
         trajectory = accumulate(increments,
                                 [r.cloud.timestamp for r in records])
         write_trajectory(trajectory, os.path.join(args.out, "trajectory_est.txt"))
-    except (FlowsegError, OSError, ValueError) as e:
+        step = f"writing {RUN_MANIFEST}"
+        manifest = {
+            "version": __version__,
+            "input": args.input,
+            "dt": dt,
+            "n_frames": len(records),
+            "config": asdict(cfg),
+            "pairs": pair_entries,
+            "trajectory": "trajectory_est.txt",
+        }
+        _write_json(manifest_path + ".tmp", manifest)
+        os.replace(manifest_path + ".tmp", manifest_path)
+    except (FlowsegError, OSError, ValueError, BrokenProcessPool) as e:
         with open(marker, "w", encoding="utf-8") as f:
-            f.write(f"failed at frame pair {pair_index} -> {pair_index + 1}\n")
-        print(f"error: frame pair {pair_index} -> {pair_index + 1}: {e}",
-              file=sys.stderr)
+            f.write(f"failed at {step}\n")
+        print(f"error: {step}: {e}", file=sys.stderr)
         return 1
-    manifest = {
-        "version": __version__,
-        "input": args.input,
-        "dt": dt,
-        "n_frames": len(records),
-        "config": asdict(cfg),
-        "pairs": pair_entries,
-        "trajectory": "trajectory_est.txt",
-    }
-    _write_json(os.path.join(args.out, RUN_MANIFEST), manifest)
-    if os.path.exists(marker):
-        os.remove(marker)
+    os.remove(marker)
     print(f"processed {len(pairs)} frame pairs into {args.out}")
     return 0
 
 
 def _load_run(run_dir: str) -> dict:
+    """The manifest of a complete run; refuses a run that failed or is still
+    being written, whose outputs may mix old and new files."""
+    if os.path.exists(os.path.join(run_dir, PARTIAL_MARKER)):
+        raise FlowsegError(f"{run_dir} holds an incomplete run "
+                           f"({PARTIAL_MARKER} present); rerun flowseg run")
     path = os.path.join(run_dir, RUN_MANIFEST)
+    if not os.path.exists(path):
+        raise FlowsegError(f"{run_dir} is not a complete run: no {RUN_MANIFEST}")
     with open(path, "r", encoding="utf-8") as f:
         return json.load(f)
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import DegenerateInput, EmptyCloud, MaskMismatch
 from .geometry import RigidTransform, SpatialIndex, weighted_kabsch
+from .segment import members
 
 __all__ = [
     "PointCloud",
@@ -112,7 +113,7 @@ def warp(p_t: PointCloud, flow: FlowField) -> PointCloud:
 
 
 def init_flow(p_t: PointCloud, p_t1: PointCloud, *, r_consistency: float = 0.5,
-              k_fill: int = 8, d_max: float = 3.0, return_diagnostics: bool = False):
+              k_fill: int = 8, d_max: float = 3.0):
     """Coarse scene flow by nearest-neighbor matching.
 
     Each point's raw vector points to its nearest neighbor in ``p_t1``.  A
@@ -123,8 +124,7 @@ def init_flow(p_t: PointCloud, p_t1: PointCloud, *, r_consistency: float = 0.5,
     neighbor is farther than ``d_max`` have no plausible correspondence and
     get zero flow.
 
-    Returns the FlowField, or ``(FlowField, InitFlowDiagnostics)`` when
-    ``return_diagnostics`` is set.
+    Returns ``(FlowField, InitFlowDiagnostics)``.
     """
     src = p_t.points
     dst = p_t1.points
@@ -143,53 +143,52 @@ def init_flow(p_t: PointCloud, p_t1: PointCloud, *, r_consistency: float = 0.5,
         nn_ids, _ = SpatialIndex(rel_pts).query_knn(src[unreliable], k)
         vectors[unreliable] = np.median(rel_vec[nn_ids], axis=1)
     vectors[disoccluded] = 0.0
-    out = FlowField(vectors)
-    if return_diagnostics:
-        return out, InitFlowDiagnostics(unreliable=unreliable, disoccluded=disoccluded)
-    return out
+    return (FlowField(vectors),
+            InitFlowDiagnostics(unreliable=unreliable, disoccluded=disoccluded))
 
 
-def refine_flow(p_t: PointCloud, p_t1: PointCloud, mask, flow: FlowField, *,
-                return_degenerate: bool = False):
-    """Rigidify a flow field per cluster via one correspondence pass.
+def _fit_clusters(src: np.ndarray, dst: np.ndarray, groups):
+    """One rigid fit of ``src[ids] -> dst[ids]`` per group of point ids.
 
-    For each cluster the current flow warps its points toward frame t+1, each
-    warped point grabs its nearest neighbor there as a correspondence, and a
-    rigid transform is fitted to those pairs.  The cluster's output flow is
-    then exactly ``T_k(p) - p``.  Clusters too small or too flat to fit
-    (fewer than 3 points, degenerate covariance) keep their input flow and
-    report the identity transform.
-
-    Returns ``(FlowField, transforms)`` with one transform per cluster id, or
-    ``(FlowField, transforms, degenerate_ids)`` when ``return_degenerate`` is
-    set.
+    Groups too small or too flat to fit get the identity transform and are
+    listed by position.  Returns ``(transforms, degenerate_ids)``.
     """
-    labels = mask.labels
-    if labels.shape[0] != len(p_t):
-        raise MaskMismatch(f"mask covers {labels.shape[0]} points, cloud has {len(p_t)}")
-    _check_aligned(p_t, flow, "flow")
-    src = p_t.points
-    index = SpatialIndex(p_t1.points)
-    out = flow.vectors.copy()
     transforms = []
     degenerate = []
-    for k in range(mask.n_clusters):
-        sel = labels == k
-        pts = src[sel]
-        warped = pts + flow.vectors[sel]
-        ids, _ = index.query(warped)
+    for k, ids in enumerate(groups):
         try:
-            t_k = weighted_kabsch(pts, p_t1.points[ids])
+            transforms.append(weighted_kabsch(src[ids], dst[ids]))
         except DegenerateInput:
             transforms.append(RigidTransform.identity())
             degenerate.append(k)
-            continue
-        transforms.append(t_k)
-        out[sel] = t_k.apply(pts) - pts
-    refined = FlowField(out)
-    if return_degenerate:
-        return refined, transforms, degenerate
-    return refined, transforms
+    return transforms, degenerate
+
+
+def refine_flow(p_t: PointCloud, p_t1: PointCloud, mask, flow: FlowField):
+    """Rigidify a flow field per cluster via one correspondence pass.
+
+    The current flow warps every point toward frame t+1, each warped point
+    grabs its nearest neighbor there as a correspondence, and one rigid
+    transform per cluster is fitted to its points' pairs.  The cluster's
+    output flow is then exactly ``T_k(p) - p``.  Clusters too small or too
+    flat to fit (fewer than 3 points, degenerate covariance) keep their input
+    flow and report the identity transform.
+
+    Returns ``(FlowField, transforms, degenerate_ids)`` with one transform per
+    cluster id.
+    """
+    _check_aligned(p_t, mask.labels, "mask")
+    _check_aligned(p_t, flow, "flow")
+    src = p_t.points
+    ids, _ = SpatialIndex(p_t1.points).query(src + flow.vectors)
+    groups = members(mask.labels)
+    transforms, degenerate = _fit_clusters(src, p_t1.points[ids], groups)
+    out = flow.vectors.copy()
+    for k, (t_k, group) in enumerate(zip(transforms, groups)):
+        if k not in degenerate:
+            pts = src[group]
+            out[group] = t_k.apply(pts) - pts
+    return FlowField(out), transforms, degenerate
 
 
 def fit_transforms(p_t: PointCloud, flow: FlowField, mask):
@@ -199,19 +198,7 @@ def fit_transforms(p_t: PointCloud, flow: FlowField, mask):
     evaluate the motion loss on a given (flow, mask) state.  Degenerate
     clusters get the identity.  Returns ``(transforms, degenerate_ids)``.
     """
-    labels = mask.labels
-    if labels.shape[0] != len(p_t):
-        raise MaskMismatch(f"mask covers {labels.shape[0]} points, cloud has {len(p_t)}")
+    _check_aligned(p_t, mask.labels, "mask")
     _check_aligned(p_t, flow, "flow")
     src = p_t.points
-    transforms = []
-    degenerate = []
-    for k in range(mask.n_clusters):
-        sel = labels == k
-        pts = src[sel]
-        try:
-            transforms.append(weighted_kabsch(pts, pts + flow.vectors[sel]))
-        except DegenerateInput:
-            transforms.append(RigidTransform.identity())
-            degenerate.append(k)
-    return transforms, degenerate
+    return _fit_clusters(src, src + flow.vectors, members(mask.labels))

@@ -19,9 +19,7 @@ __all__ = [
     "ROTATION_TOL",
     "RigidTransform",
     "SpatialIndex",
-    "apply_transform",
     "weighted_kabsch",
-    "nearest_neighbor",
     "chamfer_distance",
 ]
 
@@ -112,11 +110,6 @@ class RigidTransform:
         """Rotation magnitude in radians (axis-angle norm)."""
         c = (np.trace(self.rotation) - 1.0) / 2.0
         return float(np.arccos(min(1.0, max(-1.0, c))))
-
-
-def apply_transform(transform: RigidTransform, point) -> np.ndarray:
-    """Apply a rigid transform to one point or a stack of points."""
-    return transform.apply(point)
 
 
 def weighted_kabsch(src, dst, weights=None) -> RigidTransform:
@@ -236,11 +229,6 @@ class SpatialIndex:
         d2 = ((point - self._points) ** 2).sum(axis=1)
         i = int(np.argmin(d2))
         return i, d2[i]
-
-
-def nearest_neighbor(index: SpatialIndex, query):
-    """Id of the closest indexed point and its Euclidean distance."""
-    return index.query(np.asarray(query, dtype=np.float64).reshape(3))
 
 
 def chamfer_distance(a, b) -> float:

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import MaskMismatch, TransformCountMismatch
 from .flow import warp
 from .geometry import chamfer_distance
+from .segment import members
 
 __all__ = [
     "LossBreakdown",
@@ -26,11 +27,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """The three loss components and their sum.
-
-    When evaluated with non-unit weights the stored components are already
-    weighted, so ``total == l_mot + l_sc + l_cd`` always holds.
-    """
+    """The three loss components and their sum (``total == l_mot + l_sc + l_cd``)."""
 
     l_mot: float
     l_sc: float
@@ -65,10 +62,9 @@ def motion_loss(p_t, flow, mask, transforms) -> float:
         raise TransformCountMismatch(
             f"got {len(transforms)} transforms for {k_total} clusters")
     acc = 0.0
-    for k in range(k_total):
-        sel = mask.labels == k
-        pts = p_t.points[sel]
-        residual = transforms[k].apply(pts) - (pts + flow.vectors[sel])
+    for t_k, ids in zip(transforms, members(mask.labels)):
+        pts = p_t.points[ids]
+        residual = t_k.apply(pts) - (pts + flow.vectors[ids])
         acc += np.sqrt((residual ** 2).sum(axis=1).mean())
     return float(acc / k_total)
 
@@ -81,14 +77,13 @@ def flow_consistency_loss(flow, mask) -> float:
     """
     if len(flow) != len(mask):
         raise MaskMismatch(f"flow covers {len(flow)} points, mask has {len(mask)}")
-    k_total = mask.n_clusters
+    groups = members(mask.labels)
     acc = 0.0
-    for k in range(k_total):
-        sel = mask.labels == k
-        vec = flow.vectors[sel]
+    for ids in groups:
+        vec = flow.vectors[ids]
         dev = vec - vec.mean(axis=0)
         acc += (dev ** 2).sum() / vec.shape[0]
-    return float(acc / k_total)
+    return float(acc / len(groups))
 
 
 def chamfer_loss(p_t, flow, p_t1) -> float:
@@ -98,17 +93,10 @@ def chamfer_loss(p_t, flow, p_t1) -> float:
     return chamfer_distance(p_t1.points, warp(p_t, flow).points)
 
 
-def total_loss(p_t, p_t1, flow, mask, transforms,
-               weights=(1.0, 1.0, 1.0)) -> LossBreakdown:
-    """All three components and their sum, optionally weighted.
-
-    Default weights are (1, 1, 1); the stored components carry the weighting.
-    """
-    w = tuple(float(x) for x in weights)
-    if len(w) != 3 or any(x < 0 for x in w):
-        raise ValueError("weights must be 3 nonnegative reals")
-    l_mot = w[0] * motion_loss(p_t, flow, mask, transforms)
-    l_sc = w[1] * flow_consistency_loss(flow, mask)
-    l_cd = w[2] * chamfer_loss(p_t, flow, p_t1)
+def total_loss(p_t, p_t1, flow, mask, transforms) -> LossBreakdown:
+    """All three components and their unweighted sum."""
+    l_mot = motion_loss(p_t, flow, mask, transforms)
+    l_sc = flow_consistency_loss(flow, mask)
+    l_cd = chamfer_loss(p_t, flow, p_t1)
     return LossBreakdown(l_mot=l_mot, l_sc=l_sc, l_cd=l_cd,
                          total=l_mot + l_sc + l_cd)

@@ -17,8 +17,8 @@ from .flow import FlowField, InitFlowDiagnostics, fit_transforms, init_flow, ref
 from .geometry import weighted_kabsch
 from .losses import LossBreakdown, total_loss
 from .segment import (ClassifierConfig, SegmentationMask, _components_within,
-                      classify, cluster, cluster_stats, relabel_static_first,
-                      resolve_strategy)
+                      classify, cluster, cluster_stats, members,
+                      relabel_static_first, resolve_strategy)
 
 __all__ = [
     "IterationConfig",
@@ -48,7 +48,6 @@ class IterationConfig:
     k_fill: int = 8
     d_max: float = 3.0
     r_static: float = 0.3
-    loss_weights: tuple = (1.0, 1.0, 1.0)
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
 
     def __post_init__(self) -> None:
@@ -177,12 +176,11 @@ def initial_mask(p_t, flow: FlowField, *, r_static: float = 0.3,
     candidates = np.nonzero(residual > r_static)[0]
     if candidates.shape[0] == 0:
         return SegmentationMask(labels)
-    n_comp, comp = _components_within(src[candidates], eps)
-    sizes = np.bincount(comp, minlength=n_comp)
+    _, comp = _components_within(src[candidates], eps)
     next_id = 1
-    for c in np.unique(comp):
-        if sizes[c] >= min_pts:
-            labels[candidates[comp == c]] = next_id
+    for ids in members(comp):
+        if ids.shape[0] >= min_pts:
+            labels[candidates[ids]] = next_id
             next_id += 1
     if not (labels == 0).any():
         labels -= 1
@@ -222,15 +220,14 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
         cfg = IterationConfig()
     flow_prev, diag = init_flow(
         p_t, p_t1, r_consistency=cfg.r_consistency, k_fill=cfg.k_fill,
-        d_max=cfg.d_max, return_diagnostics=True)
+        d_max=cfg.d_max)
     mask_prev = initial_mask(p_t, flow_prev, r_static=cfg.r_static,
                              eps=cfg.cluster_eps, min_pts=cfg.min_pts)
     records = []
     converged = False
     transforms = stats = None
     for i in range(1, cfg.max_iters + 1):
-        flow_i, _, degenerate = refine_flow(p_t, p_t1, mask_prev, flow_prev,
-                                            return_degenerate=True)
+        flow_i, _, degenerate = refine_flow(p_t, p_t1, mask_prev, flow_prev)
         raw_mask = cluster(p_t, flow_i, cfg.lambda_flow,
                            eps=cfg.cluster_eps, min_pts=cfg.min_pts)
         raw_stats = cluster_stats(p_t, flow_i, raw_mask, cfg.classifier.dt)
@@ -247,8 +244,7 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
                                      replace(cfg.classifier, strategy="quantity"))
         mask_i = relabel_static_first(raw_mask, static_ids)
         transforms, _ = fit_transforms(p_t, flow_i, mask_i)
-        losses = total_loss(p_t, p_t1, flow_i, mask_i, transforms,
-                            weights=cfg.loss_weights)
+        losses = total_loss(p_t, p_t1, flow_i, mask_i, transforms)
         fd = flow_delta(flow_i, flow_prev)
         md = mask_delta(mask_i, mask_prev)
         d_total = cfg.alpha * fd + cfg.beta * md

@@ -23,6 +23,7 @@ __all__ = [
     "SegmentationMask",
     "ClusterStats",
     "ClassifierConfig",
+    "members",
     "cluster",
     "cluster_stats",
     "classify",
@@ -111,6 +112,16 @@ class ClassifierConfig:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
 
 
+def members(labels: np.ndarray) -> list:
+    """Point ids of each label 0..K-1, ascending within each group.
+
+    One stable sort groups every label at once; indexing with a group gives
+    the same rows, in the same order, as a boolean mask selecting label k.
+    """
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
+
+
 def _components_within(features: np.ndarray, eps: float):
     """Connected components linking points at feature distance <= eps."""
     n = features.shape[0]
@@ -152,13 +163,14 @@ def cluster(p_t, flow, lambda_flow: float = 5.0, *, eps: float = 0.8,
         in_large = large[raw]
         large_feats = feats[in_large]
         large_labels = raw[in_large]
+        groups = members(raw)
         for comp in np.nonzero(~large)[0]:
-            member = feats[raw == comp]
+            member = feats[groups[comp]]
             d2 = ((member[:, None, :] - large_feats[None, :, :]) ** 2).sum(axis=2)
             # per large point, best distance to this component; argmin then
             # gives the lowest-id large point among ties
             nearest = int(np.argmin(d2.min(axis=0)))
-            labels[raw == comp] = large_labels[nearest]
+            labels[groups[comp]] = large_labels[nearest]
     return SegmentationMask(_compact(labels))
 
 
@@ -171,12 +183,11 @@ def cluster_stats(p_t, flow, mask: SegmentationMask, dt: float):
     if len(flow) != len(p_t):
         raise MaskMismatch(f"flow covers {len(flow)} points, cloud has {len(p_t)}")
     out = []
-    for k in range(mask.n_clusters):
-        sel = mask.labels == k
-        speeds = np.linalg.norm(flow.vectors[sel], axis=1)
-        out.append(ClusterStats(cluster_id=k, size=int(sel.sum()),
+    for k, ids in enumerate(members(mask.labels)):
+        speeds = np.linalg.norm(flow.vectors[ids], axis=1)
+        out.append(ClusterStats(cluster_id=k, size=ids.shape[0],
                                 mean_speed=float(speeds.mean() / dt),
-                                centroid=p_t.points[sel].mean(axis=0)))
+                                centroid=p_t.points[ids].mean(axis=0)))
     return out
 
 

@@ -4,10 +4,13 @@ import json
 import os
 import re
 import shutil
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
+from flowseg import cli
 from flowseg.cli import PARTIAL_MARKER, RUN_MANIFEST, main
 from flowseg.datagen import (FrameRecord, read_frame, read_sequence,
                              write_frame, write_sequence)
@@ -195,6 +198,50 @@ class TestRun:
             assert "frame pair 0 -> 1" in f.read()
         assert not os.path.exists(os.path.join(out, RUN_MANIFEST))
 
+    def test_failed_rerun_leaves_no_stale_manifest(self, seq_dir, tmp_path,
+                                                   capsys):
+        out = str(tmp_path / "rerun")
+        assert main(["run", "--input", seq_dir, "--out", out]) == 0
+        trajectory = os.path.join(out, "trajectory_est.txt")
+        os.remove(trajectory)
+        os.mkdir(trajectory)  # the rerun's trajectory write must fail
+        capsys.readouterr()
+        assert main(["run", "--input", seq_dir, "--out", out,
+                     "--max-iters", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "trajectory_est.txt" in err
+        assert "frame pair" not in err
+        assert not os.path.exists(os.path.join(out, RUN_MANIFEST))
+        with open(os.path.join(out, PARTIAL_MARKER), encoding="utf-8") as f:
+            assert "trajectory_est.txt" in f.read()
+        assert main(["eval", "--run", out, "--data", seq_dir]) == 1
+        assert PARTIAL_MARKER in capsys.readouterr().err
+
+    def test_killed_worker_exits_1(self, seq_dir, tmp_path, monkeypatch,
+                                   capsys):
+        class BrokenPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, payload):
+                future = Future()
+                future.set_exception(BrokenProcessPool("worker killed"))
+                return future
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", BrokenPool)
+        out = str(tmp_path / "broken")
+        assert main(["run", "--input", seq_dir, "--out", out,
+                     "--workers", "2"]) == 1
+        assert "frame pair 0 -> 1: pipeline" in capsys.readouterr().err
+        assert os.path.exists(os.path.join(out, PARTIAL_MARKER))
+        assert not os.path.exists(os.path.join(out, RUN_MANIFEST))
+
 
 class TestEval:
     def test_writes_default_report_and_prints_metrics(self, seq_dir, run_dir,
@@ -247,6 +294,17 @@ class TestEval:
         assert main(["eval", "--run", str(tmp_path / "nope"),
                      "--data", seq_dir]) == 1
 
+    def test_refuses_incomplete_run(self, seq_dir, run_dir, tmp_path, capsys):
+        partial = str(tmp_path / "partial")
+        shutil.copytree(run_dir, partial)
+        open(os.path.join(partial, PARTIAL_MARKER), "w").close()
+        assert main(["eval", "--run", partial, "--data", seq_dir]) == 1
+        assert "incomplete run" in capsys.readouterr().err
+        os.remove(os.path.join(partial, PARTIAL_MARKER))
+        os.remove(os.path.join(partial, RUN_MANIFEST))
+        assert main(["eval", "--run", partial, "--data", seq_dir]) == 1
+        assert f"no {RUN_MANIFEST}" in capsys.readouterr().err
+
 
 class TestPlot:
     def first_polyline_samples(self, path):
@@ -294,3 +352,11 @@ class TestPlot:
 
     def test_missing_run_dir_exits_1(self, tmp_path):
         assert main(["plot", "--run", str(tmp_path / "nope")]) == 1
+
+    def test_refuses_incomplete_run(self, run_dir, tmp_path, capsys):
+        partial = str(tmp_path / "partial")
+        shutil.copytree(run_dir, partial)
+        open(os.path.join(partial, PARTIAL_MARKER), "w").close()
+        assert main(["plot", "--run", partial]) == 1
+        assert "incomplete run" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(partial, "trajectory.svg"))

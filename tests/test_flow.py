@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from flowseg.errors import EmptyCloud, MaskMismatch
+from flowseg.datagen import generate, random_scene_spec
+from flowseg.errors import DegenerateInput, EmptyCloud, MaskMismatch
 from flowseg.flow import (FlowField, InitFlowDiagnostics, PointCloud,
                           fit_transforms, init_flow, refine_flow, warp)
-from flowseg.geometry import RigidTransform
+from flowseg.geometry import RigidTransform, SpatialIndex, weighted_kabsch
 from flowseg.segment import SegmentationMask
 
 
@@ -25,6 +26,61 @@ def grid_cloud(n_side=8, spacing=3.0):
     gx, gy = np.meshgrid(xs, xs)
     pts = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(n_side * n_side)])
     return cloud_of(pts)
+
+
+def refine_reference(p_t, p_t1, mask, flow):
+    """refine_flow as a per-cluster loop: a boolean mask and a
+    nearest-neighbor query per cluster."""
+    src = p_t.points
+    index = SpatialIndex(p_t1.points)
+    out = flow.vectors.copy()
+    transforms, degenerate = [], []
+    for k in range(mask.n_clusters):
+        sel = mask.labels == k
+        pts = src[sel]
+        ids, _ = index.query(pts + flow.vectors[sel])
+        try:
+            t_k = weighted_kabsch(pts, p_t1.points[ids])
+        except DegenerateInput:
+            transforms.append(RigidTransform.identity())
+            degenerate.append(k)
+            continue
+        transforms.append(t_k)
+        out[sel] = t_k.apply(pts) - pts
+    return out, transforms, degenerate
+
+
+def fit_reference(p_t, flow, mask):
+    """fit_transforms as a per-cluster boolean-mask loop."""
+    transforms, degenerate = [], []
+    for k in range(mask.n_clusters):
+        sel = mask.labels == k
+        pts = p_t.points[sel]
+        try:
+            transforms.append(weighted_kabsch(pts, pts + flow.vectors[sel]))
+        except DegenerateInput:
+            transforms.append(RigidTransform.identity())
+            degenerate.append(k)
+    return transforms, degenerate
+
+
+def multi_cluster_scene():
+    # shuffled point order interleaves the clusters; two points split off
+    # into a cluster of their own, which no rigid fit can handle
+    records = generate(random_scene_spec(5, n_points=1500, n_objects=3,
+                                         shuffle=True))
+    p_t, p_t1 = records[0].cloud, records[1].cloud
+    labels = records[0].gt_mask.labels.copy()
+    labels[[7, 900]] = labels.max() + 1
+    flow, _ = init_flow(p_t, p_t1)
+    return p_t, p_t1, SegmentationMask(labels), flow
+
+
+def assert_same_transforms(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.rotation, b.rotation)
+        assert np.array_equal(a.translation, b.translation)
 
 
 class TestPointCloud:
@@ -77,14 +133,14 @@ class TestWarp:
 class TestInitFlow:
     def test_identical_clouds_zero_flow(self):
         c = grid_cloud()
-        f = init_flow(c, c)
+        f, _ = init_flow(c, c)
         assert not f.vectors.any()
 
     def test_small_translation_exact(self):
         # displacement far below half the 3 m spacing: NN matching is exact
         c = grid_cloud()
         shifted = cloud_of(c.points + [1.0, 0.0, 0.0])
-        f = init_flow(c, shifted)
+        f, _ = init_flow(c, shifted)
         np.testing.assert_allclose(f.vectors,
                                    np.tile([1.0, 0, 0], (len(c), 1)),
                                    atol=1e-12)
@@ -93,8 +149,7 @@ class TestInitFlow:
         # last source point has no target within d_max
         pts = np.array([[0.0, 0, 0], [3.0, 0, 0], [100.0, 0, 0]])
         tgt = np.array([[0.0, 0, 0], [3.0, 0, 0]])
-        f, diag = init_flow(cloud_of(pts), cloud_of(tgt),
-                            return_diagnostics=True)
+        f, diag = init_flow(cloud_of(pts), cloud_of(tgt))
         assert isinstance(diag, InitFlowDiagnostics)
         np.testing.assert_array_equal(f.vectors[2], [0.0, 0.0, 0.0])
         assert diag.disoccluded[2]
@@ -107,15 +162,14 @@ class TestInitFlow:
                         [0.0, 1, 0], [1.0, 1, 0], [2.0, 1, 0]])
         tgt = src + [0.4, 0.0, 0.0]
         tgt = np.delete(tgt, 1, axis=0)  # point 1 lost its partner
-        f, diag = init_flow(cloud_of(src), cloud_of(tgt),
-                            return_diagnostics=True)
+        f, diag = init_flow(cloud_of(src), cloud_of(tgt))
         assert diag.n_unreliable >= 1
         # filled value comes from surrounding consistent matches
         np.testing.assert_allclose(f.vectors[1], [0.4, 0.0, 0.0], atol=1e-9)
 
     def test_duplicate_points_no_nan(self):
         pts = np.array([[0.0, 0, 0], [0.0, 0, 0], [1.0, 0, 0], [1.0, 0, 0]])
-        f = init_flow(cloud_of(pts), cloud_of(pts.copy()))
+        f, _ = init_flow(cloud_of(pts), cloud_of(pts.copy()))
         assert np.isfinite(f.vectors).all()
 
     def test_all_unreliable_keeps_raw_vectors(self):
@@ -123,7 +177,7 @@ class TestInitFlow:
         # round trips cannot fail with one point; use crossing pairs instead
         src = np.array([[0.0, 0.0, 0.0], [2.6, 0.0, 0.0], [1.3, 2.0, 0.0]])
         tgt = src + [1.3, 0.0, 0.0]
-        f = init_flow(cloud_of(src), cloud_of(tgt))
+        f, _ = init_flow(cloud_of(src), cloud_of(tgt))
         assert np.isfinite(f.vectors).all()
 
 
@@ -134,8 +188,8 @@ class TestRefineFlow:
         true = RigidTransform(rot_z(0.05), np.array([0.4, -0.2, 0.1]))
         target = cloud_of(true.apply(c.points))
         mask = SegmentationMask(np.zeros(len(c), dtype=np.int64))
-        flow0 = init_flow(c, target)
-        refined, transforms = refine_flow(c, target, mask, flow0)
+        flow0, _ = init_flow(c, target)
+        refined, transforms, _ = refine_flow(c, target, mask, flow0)
         assert len(transforms) == 1
         expect = true.apply(c.points) - c.points
         np.testing.assert_allclose(refined.vectors, expect, atol=1e-6)
@@ -152,9 +206,9 @@ class TestRefineFlow:
         p_t1 = cloud_of(np.vstack([t0.apply(base), t1.apply(far)]))
         labels = np.r_[np.zeros(len(base), dtype=np.int64),
                        np.ones(len(far), dtype=np.int64)]
-        flow0 = init_flow(p_t, p_t1)
-        refined, transforms = refine_flow(p_t, p_t1,
-                                          SegmentationMask(labels), flow0)
+        flow0, _ = init_flow(p_t, p_t1)
+        refined, transforms, _ = refine_flow(p_t, p_t1,
+                                             SegmentationMask(labels), flow0)
         expect = np.vstack([t0.apply(base) - base, t1.apply(far) - far])
         np.testing.assert_allclose(refined.vectors, expect, atol=1e-6)
         assert np.linalg.norm(transforms[1].rotation - t1.rotation) < 1e-6
@@ -165,7 +219,7 @@ class TestRefineFlow:
         tgt = pts + rng.uniform(-0.1, 0.1, size=pts.shape)
         c, c1 = cloud_of(pts), cloud_of(tgt)
         mask = SegmentationMask(np.zeros(60, dtype=np.int64))
-        refined, _ = refine_flow(c, c1, mask, init_flow(c, c1))
+        refined, _, _ = refine_flow(c, c1, mask, init_flow(c, c1)[0])
         moved = pts + refined.vectors
         d_in = np.linalg.norm(pts[:, None] - pts[None], axis=-1)
         d_out = np.linalg.norm(moved[:, None] - moved[None], axis=-1)
@@ -178,9 +232,9 @@ class TestRefineFlow:
         tgt = pts + [0.2, 0.0, 0.0]
         labels = np.r_[np.zeros(16, dtype=np.int64), [1, 1]]
         c, c1 = cloud_of(pts), cloud_of(tgt)
-        flow0 = init_flow(c, c1)
+        flow0, _ = init_flow(c, c1)
         refined, transforms, degen = refine_flow(
-            c, c1, SegmentationMask(labels), flow0, return_degenerate=True)
+            c, c1, SegmentationMask(labels), flow0)
         assert degen == [1]
         np.testing.assert_array_equal(refined.vectors[16:],
                                       flow0.vectors[16:])
@@ -193,7 +247,7 @@ class TestRefineFlow:
         target = cloud_of(true.apply(c.points))
         gt = FlowField(true.apply(c.points) - c.points)
         mask = SegmentationMask(np.zeros(len(c), dtype=np.int64))
-        refined, _ = refine_flow(c, target, mask, gt)
+        refined, _, _ = refine_flow(c, target, mask, gt)
         np.testing.assert_allclose(refined.vectors, gt.vectors, atol=1e-9)
 
     def test_mask_mismatch(self):
@@ -201,6 +255,17 @@ class TestRefineFlow:
         with pytest.raises(MaskMismatch):
             refine_flow(c, c, SegmentationMask(np.zeros(2, dtype=np.int64)),
                         FlowField.zeros(len(c)))
+
+
+    def test_matches_per_cluster_reference(self):
+        p_t, p_t1, mask, flow = multi_cluster_scene()
+        refined, transforms, degen = refine_flow(p_t, p_t1, mask, flow)
+        want_flow, want_transforms, want_degen = refine_reference(
+            p_t, p_t1, mask, flow)
+        assert mask.n_clusters >= 4
+        assert degen == want_degen == [mask.n_clusters - 1]
+        assert np.array_equal(refined.vectors, want_flow)
+        assert_same_transforms(transforms, want_transforms)
 
 
 class TestFitTransforms:
@@ -223,3 +288,10 @@ class TestFitTransforms:
                                            SegmentationMask(labels))
         assert degen == [1]
         np.testing.assert_array_equal(transforms[1].rotation, np.eye(3))
+
+    def test_matches_per_cluster_reference(self):
+        p_t, _, mask, flow = multi_cluster_scene()
+        transforms, degen = fit_transforms(p_t, flow, mask)
+        want_transforms, want_degen = fit_reference(p_t, flow, mask)
+        assert degen == want_degen == [mask.n_clusters - 1]
+        assert_same_transforms(transforms, want_transforms)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from flowseg.errors import DegenerateInput, EmptyCloud, EmptyIndex
-from flowseg.geometry import (RigidTransform, SpatialIndex, apply_transform,
-                              chamfer_distance, nearest_neighbor,
+from flowseg.geometry import (RigidTransform, SpatialIndex, chamfer_distance,
                               weighted_kabsch)
 
 
@@ -41,7 +40,7 @@ class TestRigidTransform:
 
     def test_apply_transform_single_point(self):
         t = RigidTransform(rot_z(np.pi / 2), np.array([1.0, 0.0, 0.0]))
-        np.testing.assert_allclose(apply_transform(t, [1.0, 0.0, 0.0]),
+        np.testing.assert_allclose(t.apply([1.0, 0.0, 0.0]),
                                    [1.0, 1.0, 0.0], atol=1e-15)
 
     def test_matrix_round_trip(self):
@@ -226,9 +225,9 @@ class TestSpatialIndex:
         with pytest.raises(EmptyIndex):
             SpatialIndex(np.empty((0, 3)))
 
-    def test_nearest_neighbor_helper(self):
+    def test_query_single_point(self):
         idx = SpatialIndex([[0.0, 0, 0], [10.0, 0, 0]])
-        i, d = nearest_neighbor(idx, [9.0, 0.0, 0.0])
+        i, d = idx.query([9.0, 0.0, 0.0])
         assert i == 1
         assert d == pytest.approx(1.0)
 

@@ -174,16 +174,6 @@ class TestTotalLoss:
         assert lb.total <= 1e-6
         assert max(lb.l_mot, lb.l_sc, lb.l_cd) <= 1e-6
 
-    def test_weights_scale_components(self):
-        p_t, flow, mask, true = rigid_scene()
-        p_t1 = cloud_of(p_t.points + flow.vectors + 0.05)
-        base = total_loss(p_t, p_t1, flow, mask, [true])
-        halved = total_loss(p_t, p_t1, flow, mask, [true],
-                            weights=(1.0, 1.0, 0.5))
-        assert halved.l_cd == pytest.approx(base.l_cd * 0.5)
-        assert halved.total == pytest.approx(halved.l_mot + halved.l_sc
-                                             + halved.l_cd, abs=1e-12)
-
     def test_relabel_invariance(self):
         # swapping cluster ids permutes the transform list but leaves
         # every loss value unchanged

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowseg.errors import (EmptyCloud, MaskMismatch, NoStaticCluster,
                             UnknownClusterId)
 from flowseg.flow import FlowField, PointCloud
 from flowseg.segment import (ClassifierConfig, ClusterStats, SegmentationMask,
-                             classify, cluster, cluster_stats,
+                             classify, cluster, cluster_stats, members,
                              relabel_static_first, resolve_strategy)
 
 
@@ -25,6 +27,22 @@ def stats_of(sizes=None, speeds=None):
     return [ClusterStats(cluster_id=i, size=s, mean_speed=v,
                          centroid=np.zeros(3))
             for i, (s, v) in enumerate(zip(sizes, speeds))]
+
+
+class TestMembers:
+    @settings(deadline=None)
+    @given(st.lists(st.integers(0, 9), min_size=1, max_size=300))
+    @example([0])
+    @example([2, 0, 1, 0, 2])
+    def test_matches_boolean_mask_reference(self, raw):
+        # compact to contiguous ids 0..K-1; small lists give 1-point clusters
+        labels = np.unique(raw, return_inverse=True)[1].astype(np.int64)
+        reference = [np.nonzero(labels == k)[0]
+                     for k in range(int(labels.max()) + 1)]
+        groups = members(labels)
+        assert len(groups) == len(reference)
+        for got, want in zip(groups, reference):
+            assert np.array_equal(got, want)
 
 
 class TestSegmentationMask:
