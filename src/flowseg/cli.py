@@ -13,6 +13,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
+from fnmatch import fnmatchcase
 
 import numpy as np
 
@@ -30,6 +31,10 @@ from .segment import STRATEGIES, ClassifierConfig, SegmentationMask
 
 RUN_MANIFEST = "run_manifest.json"
 PARTIAL_MARKER = ".partial"
+# every file run, eval and plot write into a run directory by default
+RUN_ARTIFACTS = ("ssf_*.pcf", "report_*.json", "trajectory_est.txt",
+                 RUN_MANIFEST, "eval.json", "trajectory.svg", "losses.svg",
+                 "deltas.svg")
 WORKERS_ENV = "FLOWSEG_WORKERS"
 
 
@@ -150,14 +155,21 @@ def _write_json(path, payload) -> None:
 
 def cmd_run(args) -> int:
     """Run every frame pair; the run directory counts as complete only once
-    the manifest exists and the ``.partial`` marker is gone."""
+    the manifest exists and the ``.partial`` marker is gone.
+
+    The artifacts of an earlier run, eval or plot in the directory are
+    deleted first, so none of them can pass for this run's; other files stay.
+    """
     os.makedirs(args.out, exist_ok=True)
     marker = os.path.join(args.out, PARTIAL_MARKER)
     manifest_path = os.path.join(args.out, RUN_MANIFEST)
     with open(marker, "w", encoding="utf-8") as f:
         f.write("run in progress\n")
-    if os.path.exists(manifest_path):
-        os.remove(manifest_path)
+    for name in os.listdir(args.out):
+        path = os.path.join(args.out, name)
+        if (any(fnmatchcase(name, pattern) for pattern in RUN_ARTIFACTS)
+                and os.path.isfile(path)):
+            os.remove(path)
     records = read_sequence(args.input)
     if len(records) < 2:
         print("error: need at least 2 frames to run", file=sys.stderr)

@@ -3,8 +3,9 @@
 ``init_flow`` produces a coarse per-point displacement field by nearest-neighbor
 matching with a bidirectional consistency check.  ``refine_flow`` upgrades a
 flow field so it is exactly rigid within each segmentation cluster, fitting one
-rigid transform per cluster against current nearest-neighbor correspondences
-(a single ICP-style pass; the outer pipeline loop supplies the iteration).
+rigid transform per cluster against given correspondences (a single ICP-style
+pass; the outer pipeline loop matches against one index over frame t+1 and
+supplies the iteration).
 
 Flow convention: vectors point from frame t to frame t+1 in the sensor frame,
 with ego motion folded in, so static points carry the apparent flow induced by
@@ -112,23 +113,23 @@ def warp(p_t: PointCloud, flow: FlowField) -> PointCloud:
                       timestamp=p_t.timestamp)
 
 
-def init_flow(p_t: PointCloud, p_t1: PointCloud, *, r_consistency: float = 0.5,
-              k_fill: int = 8, d_max: float = 3.0):
+def init_flow(p_t: PointCloud, index_t1: SpatialIndex, *,
+              r_consistency: float = 0.5, k_fill: int = 8, d_max: float = 3.0):
     """Coarse scene flow by nearest-neighbor matching.
 
-    Each point's raw vector points to its nearest neighbor in ``p_t1``.  A
-    bidirectional check (the backward nearest neighbor of the matched target
-    must land within ``r_consistency`` of the origin point) marks unreliable
-    vectors; those are replaced by the componentwise median flow of their
-    ``k_fill`` nearest reliable neighbors in ``p_t``.  Points whose nearest
-    neighbor is farther than ``d_max`` have no plausible correspondence and
-    get zero flow.
+    ``index_t1`` indexes frame t+1.  Each point's raw vector points to its
+    nearest neighbor there.  A bidirectional check (the backward nearest
+    neighbor of the matched target must land within ``r_consistency`` of the
+    origin point) marks unreliable vectors; those are replaced by the
+    componentwise median flow of their ``k_fill`` nearest reliable neighbors
+    in ``p_t``.  Points whose nearest neighbor is farther than ``d_max`` have
+    no plausible correspondence and get zero flow.
 
     Returns ``(FlowField, InitFlowDiagnostics)``.
     """
     src = p_t.points
-    dst = p_t1.points
-    ids, dist = SpatialIndex(dst).query(src)
+    dst = index_t1.points
+    ids, dist = index_t1.query(src)
     vectors = dst[ids] - src
     back_ids, _ = SpatialIndex(src).query(dst[ids])
     round_trip = np.linalg.norm(src[back_ids] - src, axis=1)
@@ -164,25 +165,25 @@ def _fit_clusters(src: np.ndarray, dst: np.ndarray, groups):
     return transforms, degenerate
 
 
-def refine_flow(p_t: PointCloud, p_t1: PointCloud, mask, flow: FlowField):
+def refine_flow(p_t: PointCloud, targets: np.ndarray, mask, flow: FlowField):
     """Rigidify a flow field per cluster via one correspondence pass.
 
-    The current flow warps every point toward frame t+1, each warped point
-    grabs its nearest neighbor there as a correspondence, and one rigid
-    transform per cluster is fitted to its points' pairs.  The cluster's
-    output flow is then exactly ``T_k(p) - p``.  Clusters too small or too
-    flat to fit (fewer than 3 points, degenerate covariance) keep their input
-    flow and report the identity transform.
+    ``targets[i]`` is point i's correspondence in frame t+1: the nearest
+    neighbor there of ``p_t[i] + flow[i]``.  One rigid transform per cluster
+    is fitted to its points' pairs, and the cluster's output flow is then
+    exactly ``T_k(p) - p``.  Clusters too small or too flat to fit (fewer
+    than 3 points, degenerate covariance) keep their input flow and report
+    the identity transform.
 
     Returns ``(FlowField, transforms, degenerate_ids)`` with one transform per
     cluster id.
     """
     _check_aligned(p_t, mask.labels, "mask")
     _check_aligned(p_t, flow, "flow")
+    _check_aligned(p_t, targets, "targets")
     src = p_t.points
-    ids, _ = SpatialIndex(p_t1.points).query(src + flow.vectors)
     groups = members(mask.labels)
-    transforms, degenerate = _fit_clusters(src, p_t1.points[ids], groups)
+    transforms, degenerate = _fit_clusters(src, targets, groups)
     out = flow.vectors.copy()
     for k, (t_k, group) in enumerate(zip(transforms, groups)):
         if k not in degenerate:

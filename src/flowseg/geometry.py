@@ -167,8 +167,13 @@ class SpatialIndex:
     point id (the same answer ``argmin`` over squared distances gives).
     """
 
-    # candidates fetched per query; ties past this bound fall back to a scan
-    _K_CANDIDATES = 4
+    # candidates fetched per query.  The tree sums squared coordinate
+    # differences in the same order as ``query`` does, (dx² + dy²) + dz², so
+    # its candidates arrive sorted by the very d² compared there: the first
+    # attains the minimum, and a tie that may reach past the fetch shows as
+    # the second tying the first, which falls back to an exhaustive scan.
+    # Two candidates are therefore exact.
+    _K_CANDIDATES = 2
 
     def __init__(self, points) -> None:
         pts = _points_array(points)
@@ -206,8 +211,8 @@ class SpatialIndex:
         tie = d2 == best[:, None]
         ids = np.where(tie, ii, n).min(axis=1)
         if k < n:
-            # candidates arrive distance-sorted, so if the farthest fetched one
-            # still ties the tie set may extend beyond it: rescan exhaustively
+            # candidates arrive sorted by d², so if the last fetched one still
+            # ties the tie set may extend beyond it: rescan exhaustively
             for row in np.nonzero(tie[:, -1])[0]:
                 ids[row], best[row] = self._exhaustive(q[row])
         dist = np.sqrt(best)

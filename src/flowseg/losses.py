@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .errors import MaskMismatch, TransformCountMismatch
 from .flow import warp
-from .geometry import chamfer_distance
 from .segment import members
 
 __all__ = [
@@ -86,17 +86,31 @@ def flow_consistency_loss(flow, mask) -> float:
     return float(acc / len(groups))
 
 
-def chamfer_loss(p_t, flow, p_t1) -> float:
-    """Chamfer distance between the observed next frame and the warped frame."""
+def chamfer_loss(p_t, flow, p_t1, forward) -> float:
+    """Chamfer distance between the observed next frame and the warped frame.
+
+    ``forward[i]`` is the distance from warped point ``p_t[i] + flow[i]`` to
+    its nearest neighbor in ``p_t1``: the distances of the match the loop
+    already made against its index over frame t+1.  Only the backward half
+    is searched here, so the value equals
+    ``chamfer_distance(p_t1.points, warp(p_t, flow).points)`` bit for bit.
+    """
     if len(flow) != len(p_t):
         raise MaskMismatch(f"flow covers {len(flow)} points, cloud has {len(p_t)}")
-    return chamfer_distance(p_t1.points, warp(p_t, flow).points)
+    if len(forward) != len(p_t):
+        raise MaskMismatch(
+            f"forward covers {len(forward)} points, cloud has {len(p_t)}")
+    # module lookup at call time, as in pipeline.run
+    index = geometry.SpatialIndex(warp(p_t, flow).points)
+    _, backward = index.query(p_t1.points)
+    return float(backward.sum() + forward.sum())
 
 
-def total_loss(p_t, p_t1, flow, mask, transforms) -> LossBreakdown:
-    """All three components and their unweighted sum."""
+def total_loss(p_t, p_t1, flow, mask, transforms, forward) -> LossBreakdown:
+    """All three components and their unweighted sum; ``forward`` as in
+    :func:`chamfer_loss`."""
     l_mot = motion_loss(p_t, flow, mask, transforms)
     l_sc = flow_consistency_loss(flow, mask)
-    l_cd = chamfer_loss(p_t, flow, p_t1)
+    l_cd = chamfer_loss(p_t, flow, p_t1, forward)
     return LossBreakdown(l_mot=l_mot, l_sc=l_sc, l_cd=l_cd,
                          total=l_mot + l_sc + l_cd)

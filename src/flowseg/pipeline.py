@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import geometry
 from .errors import DegenerateInput, LengthMismatch, NoStaticCluster
 from .flow import FlowField, InitFlowDiagnostics, fit_transforms, init_flow, refine_flow
 from .geometry import weighted_kabsch
@@ -215,19 +216,28 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
     every iteration ends with a canonical mask (static cluster 0).  A
     NoStaticCluster from the velocity rule falls back to the quantity rule
     and is recorded, never fatal.  Output is fully deterministic.
+
+    Frame t+1 is indexed once.  Each iteration matches its refined flow
+    against that index once: the distances are its Chamfer forward term,
+    the ids the next iteration's correspondences.
     """
     if cfg is None:
         cfg = IterationConfig()
+    # looked up on the module at call time, so a substituted index class
+    # (perfbench's tracer) also sees this index and its queries
+    index_t1 = geometry.SpatialIndex(p_t1.points)
     flow_prev, diag = init_flow(
-        p_t, p_t1, r_consistency=cfg.r_consistency, k_fill=cfg.k_fill,
+        p_t, index_t1, r_consistency=cfg.r_consistency, k_fill=cfg.k_fill,
         d_max=cfg.d_max)
     mask_prev = initial_mask(p_t, flow_prev, r_static=cfg.r_static,
                              eps=cfg.cluster_eps, min_pts=cfg.min_pts)
+    ids, _ = index_t1.query(p_t.points + flow_prev.vectors)
     records = []
     converged = False
     transforms = stats = None
     for i in range(1, cfg.max_iters + 1):
-        flow_i, _, degenerate = refine_flow(p_t, p_t1, mask_prev, flow_prev)
+        flow_i, _, degenerate = refine_flow(p_t, p_t1.points[ids], mask_prev,
+                                            flow_prev)
         raw_mask = cluster(p_t, flow_i, cfg.lambda_flow,
                            eps=cfg.cluster_eps, min_pts=cfg.min_pts)
         raw_stats = cluster_stats(p_t, flow_i, raw_mask, cfg.classifier.dt)
@@ -244,7 +254,8 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
                                      replace(cfg.classifier, strategy="quantity"))
         mask_i = relabel_static_first(raw_mask, static_ids)
         transforms, _ = fit_transforms(p_t, flow_i, mask_i)
-        losses = total_loss(p_t, p_t1, flow_i, mask_i, transforms)
+        ids, forward = index_t1.query(p_t.points + flow_i.vectors)
+        losses = total_loss(p_t, p_t1, flow_i, mask_i, transforms, forward)
         fd = flow_delta(flow_i, flow_prev)
         md = mask_delta(mask_i, mask_prev)
         d_total = cfg.alpha * fd + cfg.beta * md

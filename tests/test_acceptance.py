@@ -20,7 +20,8 @@ from flowseg.datagen import (generate, random_scene_spec, read_frame,
                              read_sequence, write_frame, write_sequence)
 from flowseg.errors import FormatError
 from flowseg.flow import FlowField, fit_transforms
-from flowseg.geometry import RigidTransform, chamfer_distance, weighted_kabsch
+from flowseg.geometry import (RigidTransform, SpatialIndex, chamfer_distance,
+                              weighted_kabsch)
 from flowseg.losses import total_loss
 from flowseg.metrics import flow_metrics, seg_metrics
 from flowseg.odometry import (Trajectory, accumulate, ego_motion,
@@ -118,10 +119,11 @@ def test_gate_3_loss_zero_point(verdict):
                                  object_yaw_rate=(0.0, 0.0))
         records = generate(spec)
         p_t, p_t1 = records[0].cloud, records[1].cloud
-        transforms, _ = fit_transforms(p_t, records[0].gt_flow,
-                                       records[0].gt_mask)
-        losses = total_loss(p_t, p_t1, records[0].gt_flow,
-                            records[0].gt_mask, transforms)
+        gt_flow = records[0].gt_flow
+        transforms, _ = fit_transforms(p_t, gt_flow, records[0].gt_mask)
+        _, forward = SpatialIndex(p_t1).query(p_t.points + gt_flow.vectors)
+        losses = total_loss(p_t, p_t1, gt_flow, records[0].gt_mask,
+                            transforms, forward)
         worst = max(worst, losses.total, losses.l_mot, losses.l_sc,
                     losses.l_cd)
     ok = worst <= 1e-6

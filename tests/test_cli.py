@@ -217,6 +217,24 @@ class TestRun:
         assert main(["eval", "--run", out, "--data", seq_dir]) == 1
         assert PARTIAL_MARKER in capsys.readouterr().err
 
+    def test_rerun_removes_earlier_run_artifacts(self, seq_dir, tmp_path):
+        # a 2-frame run into the directory of an evaluated and plotted
+        # 3-frame run: nothing of the old run may pass for the new one's
+        out = str(tmp_path / "rerun")
+        assert main(["run", "--input", seq_dir, "--out", out]) == 0
+        assert main(["eval", "--run", out, "--data", seq_dir]) == 0
+        assert main(["plot", "--run", out, "--data", seq_dir]) == 0
+        for name in ("notes.txt", "ssf_0001.pcf.bak"):
+            with open(os.path.join(out, name), "w", encoding="utf-8") as f:
+                f.write("kept\n")
+        os.mkdir(os.path.join(out, "eval.json.d"))
+        short = str(tmp_path / "short")
+        assert main(["gen", *GEN_FLAGS, "--frames", "2", "--out", short]) == 0
+        assert main(["run", "--input", short, "--out", out]) == 0
+        assert sorted(os.listdir(out)) == sorted(
+            ["ssf_0000.pcf", "report_0000.json", "trajectory_est.txt",
+             RUN_MANIFEST, "notes.txt", "ssf_0001.pcf.bak", "eval.json.d"])
+
     def test_killed_worker_exits_1(self, seq_dir, tmp_path, monkeypatch,
                                    capsys):
         class BrokenPool:

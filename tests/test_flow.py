@@ -28,6 +28,12 @@ def grid_cloud(n_side=8, spacing=3.0):
     return cloud_of(pts)
 
 
+def matched(p_t, p_t1, flow):
+    """Each warped point's nearest neighbor in p_t1: refine_flow's targets."""
+    ids, _ = SpatialIndex(p_t1).query(p_t.points + flow.vectors)
+    return p_t1.points[ids]
+
+
 def refine_reference(p_t, p_t1, mask, flow):
     """refine_flow as a per-cluster loop: a boolean mask and a
     nearest-neighbor query per cluster."""
@@ -72,7 +78,7 @@ def multi_cluster_scene():
     p_t, p_t1 = records[0].cloud, records[1].cloud
     labels = records[0].gt_mask.labels.copy()
     labels[[7, 900]] = labels.max() + 1
-    flow, _ = init_flow(p_t, p_t1)
+    flow, _ = init_flow(p_t, SpatialIndex(p_t1))
     return p_t, p_t1, SegmentationMask(labels), flow
 
 
@@ -133,14 +139,14 @@ class TestWarp:
 class TestInitFlow:
     def test_identical_clouds_zero_flow(self):
         c = grid_cloud()
-        f, _ = init_flow(c, c)
+        f, _ = init_flow(c, SpatialIndex(c))
         assert not f.vectors.any()
 
     def test_small_translation_exact(self):
         # displacement far below half the 3 m spacing: NN matching is exact
         c = grid_cloud()
         shifted = cloud_of(c.points + [1.0, 0.0, 0.0])
-        f, _ = init_flow(c, shifted)
+        f, _ = init_flow(c, SpatialIndex(shifted))
         np.testing.assert_allclose(f.vectors,
                                    np.tile([1.0, 0, 0], (len(c), 1)),
                                    atol=1e-12)
@@ -149,7 +155,7 @@ class TestInitFlow:
         # last source point has no target within d_max
         pts = np.array([[0.0, 0, 0], [3.0, 0, 0], [100.0, 0, 0]])
         tgt = np.array([[0.0, 0, 0], [3.0, 0, 0]])
-        f, diag = init_flow(cloud_of(pts), cloud_of(tgt))
+        f, diag = init_flow(cloud_of(pts), SpatialIndex(tgt))
         assert isinstance(diag, InitFlowDiagnostics)
         np.testing.assert_array_equal(f.vectors[2], [0.0, 0.0, 0.0])
         assert diag.disoccluded[2]
@@ -162,14 +168,14 @@ class TestInitFlow:
                         [0.0, 1, 0], [1.0, 1, 0], [2.0, 1, 0]])
         tgt = src + [0.4, 0.0, 0.0]
         tgt = np.delete(tgt, 1, axis=0)  # point 1 lost its partner
-        f, diag = init_flow(cloud_of(src), cloud_of(tgt))
+        f, diag = init_flow(cloud_of(src), SpatialIndex(tgt))
         assert diag.n_unreliable >= 1
         # filled value comes from surrounding consistent matches
         np.testing.assert_allclose(f.vectors[1], [0.4, 0.0, 0.0], atol=1e-9)
 
     def test_duplicate_points_no_nan(self):
         pts = np.array([[0.0, 0, 0], [0.0, 0, 0], [1.0, 0, 0], [1.0, 0, 0]])
-        f, _ = init_flow(cloud_of(pts), cloud_of(pts.copy()))
+        f, _ = init_flow(cloud_of(pts), SpatialIndex(pts.copy()))
         assert np.isfinite(f.vectors).all()
 
     def test_all_unreliable_keeps_raw_vectors(self):
@@ -177,7 +183,7 @@ class TestInitFlow:
         # round trips cannot fail with one point; use crossing pairs instead
         src = np.array([[0.0, 0.0, 0.0], [2.6, 0.0, 0.0], [1.3, 2.0, 0.0]])
         tgt = src + [1.3, 0.0, 0.0]
-        f, _ = init_flow(cloud_of(src), cloud_of(tgt))
+        f, _ = init_flow(cloud_of(src), SpatialIndex(tgt))
         assert np.isfinite(f.vectors).all()
 
 
@@ -188,8 +194,9 @@ class TestRefineFlow:
         true = RigidTransform(rot_z(0.05), np.array([0.4, -0.2, 0.1]))
         target = cloud_of(true.apply(c.points))
         mask = SegmentationMask(np.zeros(len(c), dtype=np.int64))
-        flow0, _ = init_flow(c, target)
-        refined, transforms, _ = refine_flow(c, target, mask, flow0)
+        flow0, _ = init_flow(c, SpatialIndex(target))
+        refined, transforms, _ = refine_flow(c, matched(c, target, flow0),
+                                             mask, flow0)
         assert len(transforms) == 1
         expect = true.apply(c.points) - c.points
         np.testing.assert_allclose(refined.vectors, expect, atol=1e-6)
@@ -206,9 +213,9 @@ class TestRefineFlow:
         p_t1 = cloud_of(np.vstack([t0.apply(base), t1.apply(far)]))
         labels = np.r_[np.zeros(len(base), dtype=np.int64),
                        np.ones(len(far), dtype=np.int64)]
-        flow0, _ = init_flow(p_t, p_t1)
-        refined, transforms, _ = refine_flow(p_t, p_t1,
-                                             SegmentationMask(labels), flow0)
+        flow0, _ = init_flow(p_t, SpatialIndex(p_t1))
+        refined, transforms, _ = refine_flow(
+            p_t, matched(p_t, p_t1, flow0), SegmentationMask(labels), flow0)
         expect = np.vstack([t0.apply(base) - base, t1.apply(far) - far])
         np.testing.assert_allclose(refined.vectors, expect, atol=1e-6)
         assert np.linalg.norm(transforms[1].rotation - t1.rotation) < 1e-6
@@ -219,7 +226,8 @@ class TestRefineFlow:
         tgt = pts + rng.uniform(-0.1, 0.1, size=pts.shape)
         c, c1 = cloud_of(pts), cloud_of(tgt)
         mask = SegmentationMask(np.zeros(60, dtype=np.int64))
-        refined, _, _ = refine_flow(c, c1, mask, init_flow(c, c1)[0])
+        flow0, _ = init_flow(c, SpatialIndex(c1))
+        refined, _, _ = refine_flow(c, matched(c, c1, flow0), mask, flow0)
         moved = pts + refined.vectors
         d_in = np.linalg.norm(pts[:, None] - pts[None], axis=-1)
         d_out = np.linalg.norm(moved[:, None] - moved[None], axis=-1)
@@ -232,9 +240,9 @@ class TestRefineFlow:
         tgt = pts + [0.2, 0.0, 0.0]
         labels = np.r_[np.zeros(16, dtype=np.int64), [1, 1]]
         c, c1 = cloud_of(pts), cloud_of(tgt)
-        flow0, _ = init_flow(c, c1)
+        flow0, _ = init_flow(c, SpatialIndex(c1))
         refined, transforms, degen = refine_flow(
-            c, c1, SegmentationMask(labels), flow0)
+            c, matched(c, c1, flow0), SegmentationMask(labels), flow0)
         assert degen == [1]
         np.testing.assert_array_equal(refined.vectors[16:],
                                       flow0.vectors[16:])
@@ -247,19 +255,21 @@ class TestRefineFlow:
         target = cloud_of(true.apply(c.points))
         gt = FlowField(true.apply(c.points) - c.points)
         mask = SegmentationMask(np.zeros(len(c), dtype=np.int64))
-        refined, _, _ = refine_flow(c, target, mask, gt)
+        refined, _, _ = refine_flow(c, matched(c, target, gt), mask, gt)
         np.testing.assert_allclose(refined.vectors, gt.vectors, atol=1e-9)
 
     def test_mask_mismatch(self):
         c = grid_cloud(3)
         with pytest.raises(MaskMismatch):
-            refine_flow(c, c, SegmentationMask(np.zeros(2, dtype=np.int64)),
+            refine_flow(c, c.points,
+                        SegmentationMask(np.zeros(2, dtype=np.int64)),
                         FlowField.zeros(len(c)))
 
 
     def test_matches_per_cluster_reference(self):
         p_t, p_t1, mask, flow = multi_cluster_scene()
-        refined, transforms, degen = refine_flow(p_t, p_t1, mask, flow)
+        refined, transforms, degen = refine_flow(
+            p_t, matched(p_t, p_t1, flow), mask, flow)
         want_flow, want_transforms, want_degen = refine_reference(
             p_t, p_t1, mask, flow)
         assert mask.n_clusters >= 4

@@ -2,10 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from flowseg.errors import DegenerateInput, EmptyCloud, EmptyIndex
 from flowseg.geometry import (RigidTransform, SpatialIndex, chamfer_distance,
                               weighted_kabsch)
+
+
+def lattice(low, high, max_rows, scale=1.0):
+    # integer coordinates (times a power of two) make every d² exact, so
+    # equal distances are exact ties; duplicate rows are common
+    shape = st.tuples(st.integers(1, max_rows), st.just(3))
+    return arrays(np.int64, shape, elements=st.integers(low, high)).map(
+        lambda a: a * scale)
 
 
 def rot_z(angle):
@@ -214,6 +225,22 @@ class TestSpatialIndex:
         idx = SpatialIndex([[3.0, 0, 0], [1.0, 1, 1], [1.0, 1, 1]])
         ids, _ = idx.query([[1.0, 1.0, 1.0]])
         assert ids[0] == 1
+
+    @settings(deadline=None, max_examples=300)
+    @given(lattice(-3, 3, 200), lattice(-7, 7, 40, scale=0.5))
+    @example(np.array([[1.0, 0, 0], [-1.0, 0, 0], [0.0, 1, 0], [0.0, -1, 0]]),
+             np.zeros((1, 3)))
+    @example(np.array([[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0)
+                       for z in (0.0, 1.0)]), np.full((1, 3), 0.5))
+    def test_matches_argmin_on_lattice_ties(self, pts, queries):
+        # half-step queries sit midway between lattice points: 2-way ties
+        # across an edge, 4-way on a face, 8-way at a cell centre, and with
+        # more points than a tree leaf holds the tree returns tied points in
+        # its own order, so only the tie rule picks the lowest id
+        ids, dists = SpatialIndex(pts).query(queries)
+        d2 = ((queries[:, None] - pts[None]) ** 2).sum(axis=2)
+        assert np.array_equal(ids, d2.argmin(axis=1))
+        assert np.array_equal(dists, np.sqrt(d2.min(axis=1)))
 
     def test_query_knn(self):
         pts = [[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [4.0, 0, 0]]

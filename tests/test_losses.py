@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from flowseg.datagen import generate, random_scene_spec
 from flowseg.errors import MaskMismatch, TransformCountMismatch
-from flowseg.flow import FlowField, PointCloud, fit_transforms, warp
-from flowseg.geometry import RigidTransform, chamfer_distance
+from flowseg.flow import FlowField, PointCloud, fit_transforms, init_flow, warp
+from flowseg.geometry import RigidTransform, SpatialIndex, chamfer_distance
 from flowseg.losses import (LossBreakdown, chamfer_loss,
                             flow_consistency_loss, motion_loss, total_loss)
+from flowseg.pipeline import run
 from flowseg.segment import SegmentationMask
 
 
@@ -18,6 +20,12 @@ def rot_z(angle):
 
 def cloud_of(points):
     return PointCloud(np.asarray(points, dtype=np.float64))
+
+
+def forward(p_t, flow, p_t1):
+    """Each warped point's distance to its nearest neighbor in p_t1."""
+    _, dist = SpatialIndex(p_t1).query(p_t.points + flow.vectors)
+    return dist
 
 
 def rigid_scene(seed=40, n=50):
@@ -125,12 +133,13 @@ class TestChamferLoss:
     def test_zero_on_exact_warp(self):
         p_t, flow, _, _ = rigid_scene()
         p_t1 = cloud_of(p_t.points + flow.vectors)
-        assert chamfer_loss(p_t, flow, p_t1) == 0.0
+        assert chamfer_loss(p_t, flow, p_t1, forward(p_t, flow, p_t1)) == 0.0
 
     def test_single_point_shift(self):
         p_t = cloud_of([[0.0, 0.0, 0.0]])
         p_t1 = cloud_of([[1.0, 0.0, 0.0]])
-        assert chamfer_loss(p_t, FlowField.zeros(1), p_t1) \
+        zero = FlowField.zeros(1)
+        assert chamfer_loss(p_t, zero, p_t1, forward(p_t, zero, p_t1)) \
             == pytest.approx(2.0)
 
     def test_composes_chamfer_and_warp(self):
@@ -139,7 +148,30 @@ class TestChamferLoss:
         p_t1 = cloud_of(rng.uniform(-3, 3, size=(70, 3)))
         flow = FlowField(rng.standard_normal((60, 3)) * 0.2)
         direct = chamfer_distance(p_t1.points, warp(p_t, flow).points)
-        assert chamfer_loss(p_t, flow, p_t1) == direct
+        assert chamfer_loss(p_t, flow, p_t1,
+                            forward(p_t, flow, p_t1)) == direct
+
+    def test_split_equals_chamfer_distance_on_shuffled_scene(self):
+        # the loop's Chamfer term: forward distances from the one match
+        # against the frame-t+1 index, plus the backward query alone
+        records = generate(random_scene_spec(9, n_points=3000, n_objects=3,
+                                             shuffle=True))
+        p_t, p_t1 = records[0].cloud, records[1].cloud
+        assert records[0].gt_mask.n_clusters >= 4
+        index_t1 = SpatialIndex(p_t1)
+        init, _ = init_flow(p_t, index_t1)
+        for flow in (init, records[0].gt_flow):
+            _, fwd = index_t1.query(p_t.points + flow.vectors)
+            assert chamfer_loss(p_t, flow, p_t1, fwd) == chamfer_distance(
+                p_t1.points, warp(p_t, flow).points)
+        ssf = run(p_t, p_t1)
+        assert ssf.report.records[-1].losses.l_cd == chamfer_distance(
+            p_t1.points, warp(p_t, ssf.flow).points)
+
+    def test_forward_length_mismatch(self):
+        p_t, flow, _, _ = rigid_scene()
+        with pytest.raises(MaskMismatch):
+            chamfer_loss(p_t, flow, p_t, np.zeros(len(p_t) - 1))
 
 
 class TestTotalLoss:
@@ -153,12 +185,14 @@ class TestTotalLoss:
         p_t1 = cloud_of(pts + rng.standard_normal((60, 3)) * 0.3)
         mask = SegmentationMask(labels)
         transforms, _ = fit_transforms(p_t, flow, mask)
-        lb = total_loss(p_t, p_t1, flow, mask, transforms)
+        lb = total_loss(p_t, p_t1, flow, mask, transforms,
+                        forward(p_t, flow, p_t1))
         assert lb.total == pytest.approx(lb.l_mot + lb.l_sc + lb.l_cd,
                                          abs=1e-12)
         assert lb.l_mot == motion_loss(p_t, flow, mask, transforms)
         assert lb.l_sc == flow_consistency_loss(flow, mask)
-        assert lb.l_cd == chamfer_loss(p_t, flow, p_t1)
+        assert lb.l_cd == chamfer_loss(p_t, flow, p_t1,
+                                       forward(p_t, flow, p_t1))
 
     def test_zero_point_on_perfect_rigid_scene(self):
         # translation only: a rotating cluster has intrinsic within-cluster
@@ -170,7 +204,8 @@ class TestTotalLoss:
         mask = SegmentationMask(np.zeros(50, dtype=np.int64))
         p_t = cloud_of(pts)
         p_t1 = cloud_of(pts + flow.vectors)
-        lb = total_loss(p_t, p_t1, flow, mask, [true])
+        lb = total_loss(p_t, p_t1, flow, mask, [true],
+                        forward(p_t, flow, p_t1))
         assert lb.total <= 1e-6
         assert max(lb.l_mot, lb.l_sc, lb.l_cd) <= 1e-6
 
@@ -190,8 +225,10 @@ class TestTotalLoss:
                                     np.zeros(30, dtype=np.int64)])
         t1, _ = fit_transforms(p_t, flow, m1)
         t2, _ = fit_transforms(p_t, flow, m2)
-        lb1 = total_loss(p_t, p_t1, flow, m1, t1)
-        lb2 = total_loss(p_t, p_t1, flow, m2, t2)
+        lb1 = total_loss(p_t, p_t1, flow, m1, t1,
+                         forward(p_t, flow, p_t1))
+        lb2 = total_loss(p_t, p_t1, flow, m2, t2,
+                         forward(p_t, flow, p_t1))
         assert lb1.l_mot == pytest.approx(lb2.l_mot, abs=1e-12)
         assert lb1.l_sc == pytest.approx(lb2.l_sc, abs=1e-12)
         assert lb1.l_cd == lb2.l_cd

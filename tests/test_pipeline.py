@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from flowseg import flow, geometry
 from flowseg.datagen import generate, random_scene_spec
 from flowseg.errors import LengthMismatch
 from flowseg.flow import FlowField, PointCloud
@@ -207,3 +208,34 @@ class TestRun:
         ssf = run(recs[0].cloud, recs[1].cloud, cfg)
         assert any(rec.static_fallback for rec in ssf.report.records)
         assert ssf.mask.n_clusters >= 1
+
+    def test_one_frame_t1_index_and_pinned_query_count(self, monkeypatch):
+        # a counting index swapped in at the names the modules look up at
+        # call time, as perfbench's tracer does
+        built, queries = [], []
+
+        class CountingIndex(geometry.SpatialIndex):
+            def __init__(self, points):
+                super().__init__(points)
+                built.append(self.points)
+
+            def query(self, q):
+                queries.append(len(np.atleast_2d(q)))
+                return super().query(q)
+
+        for module in (flow, geometry):
+            monkeypatch.setattr(module, "SpatialIndex", CountingIndex)
+        spec = random_scene_spec(69, n_points=1500, n_objects=2, shuffle=True)
+        recs = generate(spec)
+        p_t, p_t1 = recs[0].cloud, recs[1].cloud
+        ssf = run(p_t, p_t1)
+        n = ssf.report.n_iterations
+        assert n >= 2
+        # frame t+1 once; frame t for init_flow's backward check; the
+        # reliable points when init_flow fills; the warped cloud per iteration
+        assert sum(np.array_equal(pts, p_t1.points) for pts in built) == 1
+        assert len(built) == 2 + (ssf.report.n_unreliable > 0) + n
+        # init_flow's forward and backward match, iteration 1's match, then
+        # per iteration one shared match and the Chamfer backward query
+        assert len(queries) == 3 + 2 * n
+        assert queries == [len(p_t)] * 3 + [len(p_t), len(p_t1)] * n
