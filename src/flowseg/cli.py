@@ -35,7 +35,6 @@ PARTIAL_MARKER = ".partial"
 RUN_ARTIFACTS = ("ssf_*.pcf", "report_*.json", "trajectory_est.txt",
                  RUN_MANIFEST, "eval.json", "trajectory.svg", "losses.svg",
                  "deltas.svg")
-WORKERS_ENV = "FLOWSEG_WORKERS"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,8 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="static-cluster selection rule")
     r.add_argument("--theta", type=float, default=1.0,
                    help="ego-velocity tolerance for the velocity rule, m/s")
-    r.add_argument("--workers", type=int, default=0,
-                   help=f"parallel frame pairs (0 = ${WORKERS_ENV} or 1)")
+    r.add_argument("--workers", type=int, default=1,
+                   help="parallel frame pairs")
     r.set_defaults(func=cmd_run)
 
     e = sub.add_parser("eval", help="score a run against ground truth",
@@ -142,11 +141,6 @@ def _report_dict(report) -> dict:
     }
 
 
-def _pose_row(transform) -> list:
-    m = np.hstack([transform.rotation, transform.translation[:, None]])
-    return [float(v) for v in m.ravel()]
-
-
 def _write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
@@ -157,19 +151,10 @@ def cmd_run(args) -> int:
     """Run every frame pair; the run directory counts as complete only once
     the manifest exists and the ``.partial`` marker is gone.
 
-    The artifacts of an earlier run, eval or plot in the directory are
-    deleted first, so none of them can pass for this run's; other files stay.
+    Input and flags are checked before the directory is touched.  Then the
+    artifacts of an earlier run, eval or plot in it are deleted, so none of
+    them can pass for this run's; other files stay.
     """
-    os.makedirs(args.out, exist_ok=True)
-    marker = os.path.join(args.out, PARTIAL_MARKER)
-    manifest_path = os.path.join(args.out, RUN_MANIFEST)
-    with open(marker, "w", encoding="utf-8") as f:
-        f.write("run in progress\n")
-    for name in os.listdir(args.out):
-        path = os.path.join(args.out, name)
-        if (any(fnmatchcase(name, pattern) for pattern in RUN_ARTIFACTS)
-                and os.path.isfile(path)):
-            os.remove(path)
     records = read_sequence(args.input)
     if len(records) < 2:
         print("error: need at least 2 frames to run", file=sys.stderr)
@@ -180,8 +165,17 @@ def cmd_run(args) -> int:
         max_iters=args.max_iters,
         classifier=ClassifierConfig(strategy=args.strategy, dt=dt,
                                     theta=args.theta))
+    os.makedirs(args.out, exist_ok=True)
+    marker = os.path.join(args.out, PARTIAL_MARKER)
+    manifest_path = os.path.join(args.out, RUN_MANIFEST)
+    with open(marker, "w", encoding="utf-8") as f:
+        f.write("run in progress\n")
+    for name in os.listdir(args.out):
+        path = os.path.join(args.out, name)
+        if (any(fnmatchcase(name, pattern) for pattern in RUN_ARTIFACTS)
+                and os.path.isfile(path)):
+            os.remove(path)
     pairs = list(zip(records[:-1], records[1:]))
-    workers = args.workers or int(os.environ.get(WORKERS_ENV, "1"))
 
     def at_pair(i, what):
         return f"frame pair {i} -> {i + 1}: {what}"
@@ -190,8 +184,8 @@ def cmd_run(args) -> int:
     try:
         payloads = [(a.cloud, b.cloud, cfg) for a, b in pairs]
         results = []
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+        if args.workers > 1:
+            with ProcessPoolExecutor(max_workers=args.workers) as pool:
                 futures = [pool.submit(_process_pair, p) for p in payloads]
                 for pair_index, future in enumerate(futures):
                     step = at_pair(pair_index, "pipeline")
@@ -210,7 +204,8 @@ def cmd_run(args) -> int:
                         flow=ssf.flow.vectors, labels=ssf.mask.labels)
             step = at_pair(pair_index, f"writing {report_name}")
             payload = _report_dict(ssf.report)
-            payload["transforms"] = [_pose_row(t) for t in ssf.transforms]
+            payload["transforms"] = [[float(v) for v in t.matrix[:3].ravel()]
+                                     for t in ssf.transforms]
             payload["clusters"] = [
                 {"cluster_id": s.cluster_id, "size": s.size,
                  "mean_speed": s.mean_speed,

@@ -428,8 +428,7 @@ def write_sequence(records, path, dt: float = None) -> str:
         write_frame(os.path.join(path, name), rec.cloud.points,
                     flow=None if rec.gt_flow is None else rec.gt_flow.vectors,
                     labels=rec.gt_mask.labels)
-        pose = rec.gt_ego.transform
-        m = np.hstack([pose.rotation, pose.translation[:, None]])
+        m = rec.gt_ego.transform.matrix[:3]
         lines.append(name + " " + " ".join(format(v, ".17g") for v in m.ravel()))
     manifest = os.path.join(path, MANIFEST_NAME)
     with open(manifest, "w", encoding="utf-8") as f:
@@ -473,7 +472,7 @@ def read_sequence(path):
             cloud=PointCloud(pts, frame_id=i, timestamp=i * dt),
             gt_flow=None if flow is None else FlowField(flow),
             gt_mask=SegmentationMask(labels),
-            gt_ego=Pose(RigidTransform(values[:, :3], values[:, 3]), i * dt)))
+            gt_ego=Pose(RigidTransform.from_matrix(values), i * dt)))
     if not records:
         raise FormatError(f"{manifest}: sequence contains no frames")
     return records

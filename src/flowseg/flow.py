@@ -31,6 +31,11 @@ __all__ = [
     "fit_transforms",
 ]
 
+# init_flow's thresholds (distances in meters)
+R_CONSISTENCY = 0.5
+K_FILL = 8
+D_MAX = 3.0
+
 
 @dataclass(frozen=True)
 class PointCloud:
@@ -86,7 +91,7 @@ class InitFlowDiagnostics:
     """Per-point boolean flags produced by init_flow.
 
     ``unreliable``: failed the bidirectional consistency check (median-filled).
-    ``disoccluded``: no plausible correspondence within d_max (flow zeroed).
+    ``disoccluded``: no plausible correspondence within D_MAX (flow zeroed).
     """
 
     unreliable: np.ndarray
@@ -113,16 +118,15 @@ def warp(p_t: PointCloud, flow: FlowField) -> PointCloud:
                       timestamp=p_t.timestamp)
 
 
-def init_flow(p_t: PointCloud, index_t1: SpatialIndex, *,
-              r_consistency: float = 0.5, k_fill: int = 8, d_max: float = 3.0):
+def init_flow(p_t: PointCloud, index_t1: SpatialIndex):
     """Coarse scene flow by nearest-neighbor matching.
 
     ``index_t1`` indexes frame t+1.  Each point's raw vector points to its
     nearest neighbor there.  A bidirectional check (the backward nearest
-    neighbor of the matched target must land within ``r_consistency`` of the
+    neighbor of the matched target must land within ``R_CONSISTENCY`` of the
     origin point) marks unreliable vectors; those are replaced by the
-    componentwise median flow of their ``k_fill`` nearest reliable neighbors
-    in ``p_t``.  Points whose nearest neighbor is farther than ``d_max`` have
+    componentwise median flow of their ``K_FILL`` nearest reliable neighbors
+    in ``p_t``.  Points whose nearest neighbor is farther than ``D_MAX`` have
     no plausible correspondence and get zero flow.
 
     Returns ``(FlowField, InitFlowDiagnostics)``.
@@ -133,14 +137,14 @@ def init_flow(p_t: PointCloud, index_t1: SpatialIndex, *,
     vectors = dst[ids] - src
     back_ids, _ = SpatialIndex(src).query(dst[ids])
     round_trip = np.linalg.norm(src[back_ids] - src, axis=1)
-    disoccluded = dist > d_max
-    unreliable = (round_trip > r_consistency) & ~disoccluded
+    disoccluded = dist > D_MAX
+    unreliable = (round_trip > R_CONSISTENCY) & ~disoccluded
     reliable = ~(unreliable | disoccluded)
     if unreliable.any() and reliable.any():
         # fill from reliable neighbors only; if none exist the raw vectors stay
         rel_pts = src[reliable]
         rel_vec = vectors[reliable]
-        k = min(k_fill, rel_pts.shape[0])
+        k = min(K_FILL, rel_pts.shape[0])
         nn_ids, _ = SpatialIndex(rel_pts).query_knn(src[unreliable], k)
         vectors[unreliable] = np.median(rel_vec[nn_ids], axis=1)
     vectors[disoccluded] = 0.0

@@ -174,8 +174,7 @@ def write_trajectory(trajectory: Trajectory, path) -> None:
     """One pose per line: 12 reals, the row-major 3x4 [R|t] matrix."""
     lines = []
     for pose in trajectory.poses:
-        m = np.hstack([pose.transform.rotation,
-                       pose.transform.translation[:, None]])
+        m = pose.transform.matrix[:3]
         lines.append(" ".join(format(v, ".17g") for v in m.ravel()))
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
@@ -200,7 +199,7 @@ def read_trajectory(path, dt: float = 1.0, t0: float = 0.0) -> Trajectory:
                 values = np.array([float(t) for t in tokens]).reshape(3, 4)
             except ValueError as e:
                 raise FormatError(f"{path}: line {line_no}: {e}") from e
-            poses.append(Pose(RigidTransform(values[:, :3], values[:, 3]),
+            poses.append(Pose(RigidTransform.from_matrix(values),
                               t0 + len(poses) * dt))
     if not poses:
         raise FormatError(f"{path}: no poses found")

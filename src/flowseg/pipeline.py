@@ -17,9 +17,9 @@ from .errors import DegenerateInput, LengthMismatch, NoStaticCluster
 from .flow import FlowField, InitFlowDiagnostics, fit_transforms, init_flow, refine_flow
 from .geometry import weighted_kabsch
 from .losses import LossBreakdown, total_loss
-from .segment import (ClassifierConfig, SegmentationMask, _components_within,
-                      classify, cluster, cluster_stats, members,
-                      relabel_static_first, resolve_strategy)
+from .segment import (CLUSTER_EPS, MIN_PTS, ClassifierConfig, SegmentationMask,
+                      _components_within, classify, cluster, cluster_stats,
+                      members, relabel_static_first, resolve_strategy)
 
 __all__ = [
     "IterationConfig",
@@ -32,23 +32,19 @@ __all__ = [
     "run",
 ]
 
+# global-fit residual (m) above which initial_mask may take a point as dynamic
+R_STATIC = 0.3
+
 
 @dataclass(frozen=True)
 class IterationConfig:
-    """Everything the loop needs: convergence weights plus the flow,
-    clustering, and classification parameters of the inner modules."""
+    """The loop's settings: convergence weights and threshold, iteration
+    cap, and the static/dynamic classification rule."""
 
     alpha: float = 1.0
     beta: float = 1.0
     epsilon: float = 1e-3
     max_iters: int = 20
-    lambda_flow: float = 5.0
-    cluster_eps: float = 0.8
-    min_pts: int = 5
-    r_consistency: float = 0.5
-    k_fill: int = 8
-    d_max: float = 3.0
-    r_static: float = 0.3
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
 
     def __post_init__(self) -> None:
@@ -158,13 +154,12 @@ def mask_delta(curr: SegmentationMask, prev: SegmentationMask) -> float:
     return float(1.0 - matched / n)
 
 
-def initial_mask(p_t, flow: FlowField, *, r_static: float = 0.3,
-                 eps: float = 0.8, min_pts: int = 5) -> SegmentationMask:
+def initial_mask(p_t, flow: FlowField) -> SegmentationMask:
     """Preliminary mask: points that a single global rigid fit cannot explain.
 
     Fits one transform to the whole flow field; points with residual above
-    ``r_static`` are candidate dynamic points and get clustered spatially.
-    Candidate components smaller than ``min_pts`` return to the static set.
+    ``R_STATIC`` are candidate dynamic points and get clustered spatially.
+    Candidate components smaller than ``MIN_PTS`` return to the static set.
     """
     src = p_t.points
     n = src.shape[0]
@@ -174,13 +169,13 @@ def initial_mask(p_t, flow: FlowField, *, r_static: float = 0.3,
     except DegenerateInput:
         return SegmentationMask(labels)
     residual = np.linalg.norm(t.apply(src) - (src + flow.vectors), axis=1)
-    candidates = np.nonzero(residual > r_static)[0]
+    candidates = np.nonzero(residual > R_STATIC)[0]
     if candidates.shape[0] == 0:
         return SegmentationMask(labels)
-    _, comp = _components_within(src[candidates], eps)
+    _, comp = _components_within(src[candidates], CLUSTER_EPS)
     next_id = 1
     for ids in members(comp):
-        if ids.shape[0] >= min_pts:
+        if ids.shape[0] >= MIN_PTS:
             labels[candidates[ids]] = next_id
             next_id += 1
     if not (labels == 0).any():
@@ -226,11 +221,8 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
     # looked up on the module at call time, so a substituted index class
     # (perfbench's tracer) also sees this index and its queries
     index_t1 = geometry.SpatialIndex(p_t1.points)
-    flow_prev, diag = init_flow(
-        p_t, index_t1, r_consistency=cfg.r_consistency, k_fill=cfg.k_fill,
-        d_max=cfg.d_max)
-    mask_prev = initial_mask(p_t, flow_prev, r_static=cfg.r_static,
-                             eps=cfg.cluster_eps, min_pts=cfg.min_pts)
+    flow_prev, diag = init_flow(p_t, index_t1)
+    mask_prev = initial_mask(p_t, flow_prev)
     ids, _ = index_t1.query(p_t.points + flow_prev.vectors)
     records = []
     converged = False
@@ -238,8 +230,7 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
     for i in range(1, cfg.max_iters + 1):
         flow_i, _, degenerate = refine_flow(p_t, p_t1.points[ids], mask_prev,
                                             flow_prev)
-        raw_mask = cluster(p_t, flow_i, cfg.lambda_flow,
-                           eps=cfg.cluster_eps, min_pts=cfg.min_pts)
+        raw_mask = cluster(p_t, flow_i)
         raw_stats = cluster_stats(p_t, flow_i, raw_mask, cfg.classifier.dt)
         v_ego = _estimate_v_ego(p_t, flow_i, mask_prev, i, cfg.classifier.dt)
         strategy = resolve_strategy(raw_stats, cfg.classifier)

@@ -33,6 +33,14 @@ __all__ = [
 
 STRATEGIES = ("auto", "quantity", "velocity")
 
+# cluster's flow scale in the features, link radius (m) and smallest kept
+# component; initial_mask links and filters with the same radius and size
+LAMBDA_FLOW = 5.0
+CLUSTER_EPS = 0.8
+MIN_PTS = 5
+# normalized cluster-size variance below which ``auto`` picks the velocity rule
+SIZE_VARIANCE_THRESHOLD = 0.15
+
 
 @dataclass(frozen=True)
 class SegmentationMask:
@@ -94,13 +102,10 @@ class ClassifierConfig:
 
     theta: ego-velocity tolerance in m/s for the velocity rule.
     dt: frame interval in seconds (converts flow to velocity).
-    size_variance_threshold: normalized cluster-size variance below which
-        ``auto`` switches from the size rule to the velocity rule.
     """
 
     theta: float = 1.0
     dt: float = 0.1
-    size_variance_threshold: float = 0.15
     strategy: str = "auto"
 
     def __post_init__(self) -> None:
@@ -140,11 +145,11 @@ def _compact(labels: np.ndarray) -> np.ndarray:
     return rank[inverse].astype(np.int64)
 
 
-def cluster(p_t, flow, lambda_flow: float = 5.0, *, eps: float = 0.8,
-            min_pts: int = 5) -> SegmentationMask:
+def cluster(p_t, flow, lambda_flow: float = LAMBDA_FLOW, *,
+            eps: float = CLUSTER_EPS) -> SegmentationMask:
     """Segment a cloud by density connectivity over position+scaled-flow features.
 
-    Components smaller than ``min_pts`` are merged into the large component
+    Components smaller than ``MIN_PTS`` are merged into the large component
     whose nearest point (in feature space) is closest; ties go to the lowest
     point id.  Output labels are compacted to 0..K-1 in first-appearance order.
     """
@@ -155,7 +160,7 @@ def cluster(p_t, flow, lambda_flow: float = 5.0, *, eps: float = 0.8,
     feats = np.hstack([p_t.points, lambda_flow * flow.vectors])
     n_comp, raw = _components_within(feats, eps)
     sizes = np.bincount(raw, minlength=n_comp)
-    large = sizes >= min_pts
+    large = sizes >= MIN_PTS
     if not large.any():
         large = sizes == sizes.max()
     labels = raw.copy()
@@ -197,7 +202,7 @@ def resolve_strategy(stats, cfg: ClassifierConfig) -> str:
         return cfg.strategy
     sizes = np.array([s.size for s in stats], dtype=np.float64)
     normalized_variance = sizes.var() / sizes.mean() ** 2
-    return "velocity" if normalized_variance < cfg.size_variance_threshold else "quantity"
+    return "velocity" if normalized_variance < SIZE_VARIANCE_THRESHOLD else "quantity"
 
 
 def classify(stats, v_ego: float, cfg: ClassifierConfig):

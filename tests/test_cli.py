@@ -175,6 +175,25 @@ class TestRun:
         assert main(["run", "--input", seq, "--out", str(tmp_path / "o")]) == 1
         assert "at least 2 frames" in capsys.readouterr().err
 
+    def test_bad_settings_or_input_leave_out_untouched(self, seq_dir,
+                                                       tmp_path, capsys):
+        out = str(tmp_path / "complete")
+        assert main(["run", "--input", seq_dir, "--out", out]) == 0
+        before = {name: read_bytes(out, name) for name in os.listdir(out)}
+        missing = str(tmp_path / "does_not_exist")
+        for argv, message in (
+                (["--input", seq_dir, "--epsilon", "0"],
+                 "epsilon must be positive"),
+                (["--input", missing], "does_not_exist")):
+            capsys.readouterr()
+            assert main(["run", *argv, "--out", out]) == 1
+            assert message in capsys.readouterr().err
+            assert {name: read_bytes(out, name)
+                    for name in os.listdir(out)} == before
+        fresh = str(tmp_path / "fresh")
+        assert main(["run", "--input", missing, "--out", fresh]) == 1
+        assert not os.path.exists(fresh)
+
     def test_failure_leaves_marker_and_no_manifest(self, tmp_path, capsys):
         # collinear static world: the pipeline runs, but the final ego fit
         # is rank deficient, which must abort the run partway through
