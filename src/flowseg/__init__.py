@@ -17,7 +17,7 @@ from .errors import (DegenerateInput, DegenerateStaticSet, EmptyCloud,
 from .geometry import (RigidTransform, SpatialIndex, chamfer_distance,
                        weighted_kabsch)
 from .flow import (FlowField, PointCloud, fit_transforms, init_flow,
-                   refine_flow, warp)
+                   refine_flow)
 from .segment import (ClassifierConfig, ClusterStats, SegmentationMask,
                       classify, cluster, cluster_stats, relabel_static_first)
 from .losses import (LossBreakdown, chamfer_loss, flow_consistency_loss,

@@ -165,6 +165,10 @@ def cmd_run(args) -> int:
         max_iters=args.max_iters,
         classifier=ClassifierConfig(strategy=args.strategy, dt=dt,
                                     theta=args.theta))
+    if args.workers < 1:
+        print(f"error: --workers must be at least 1, got {args.workers}",
+              file=sys.stderr)
+        return 1
     os.makedirs(args.out, exist_ok=True)
     marker = os.path.join(args.out, PARTIAL_MARKER)
     manifest_path = os.path.join(args.out, RUN_MANIFEST)

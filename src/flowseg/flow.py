@@ -25,7 +25,6 @@ __all__ = [
     "PointCloud",
     "FlowField",
     "InitFlowDiagnostics",
-    "warp",
     "init_flow",
     "refine_flow",
     "fit_transforms",
@@ -109,13 +108,6 @@ class InitFlowDiagnostics:
 def _check_aligned(p_t: PointCloud, other, what: str) -> None:
     if len(other) != len(p_t):
         raise MaskMismatch(f"{what} covers {len(other)} points, cloud has {len(p_t)}")
-
-
-def warp(p_t: PointCloud, flow: FlowField) -> PointCloud:
-    """Predicted next frame: every point displaced by its flow vector."""
-    _check_aligned(p_t, flow, "flow")
-    return PointCloud(p_t.points + flow.vectors, frame_id=p_t.frame_id,
-                      timestamp=p_t.timestamp)
 
 
 def init_flow(p_t: PointCloud, index_t1: SpatialIndex):

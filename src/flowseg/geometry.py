@@ -3,8 +3,9 @@
 Everything downstream (flow refinement, segmentation, odometry) is built on
 four primitives: SE(3) transforms, the weighted Kabsch fit, an exact
 nearest-neighbor index, and the Chamfer distance.  All functions are pure;
-``SpatialIndex`` is immutable after construction and safe to query from
-multiple threads.
+``SpatialIndex`` is immutable after construction, safe to query from
+multiple threads, and answers a stack of queries with one ``(ids,
+distances)`` pair of arrays.
 """
 from __future__ import annotations
 
@@ -162,18 +163,11 @@ def weighted_kabsch(src, dst, weights=None) -> RigidTransform:
 class SpatialIndex:
     """Exact nearest-neighbor index over a fixed 3-D point set.
 
-    Backed by an axis-aligned k-d tree.  Query results are guaranteed to match
-    exhaustive search bit-for-bit, with distance ties broken toward the lowest
-    point id (the same answer ``argmin`` over squared distances gives).
+    Backed by an axis-aligned k-d tree.  ``query`` takes an (M, 3) stack and
+    returns ``(ids, distances)`` arrays that match exhaustive search
+    bit-for-bit, with distance ties broken toward the lowest point id (the
+    same answer ``argmin`` over squared distances gives).
     """
-
-    # candidates fetched per query.  The tree sums squared coordinate
-    # differences in the same order as ``query`` does, (dx² + dy²) + dz², so
-    # its candidates arrive sorted by the very d² compared there: the first
-    # attains the minimum, and a tie that may reach past the fetch shows as
-    # the second tying the first, which falls back to an exhaustive scan.
-    # Two candidates are therefore exact.
-    _K_CANDIDATES = 2
 
     def __init__(self, points) -> None:
         pts = _points_array(points)
@@ -192,32 +186,20 @@ class SpatialIndex:
         return self._points
 
     def query(self, queries):
-        """Nearest indexed point for each query.
+        """Nearest indexed point for each row of an (M, 3) stack of queries.
 
-        Accepts one point (3,) or a stack (M, 3); returns ``(id, distance)``
-        scalars or ``(ids, distances)`` arrays accordingly.
+        Returns ``(ids, distances)``, two arrays of length M.
         """
-        q = np.asarray(queries, dtype=np.float64)
-        single = q.ndim == 1
-        q = np.atleast_2d(q)
-        n = len(self)
-        k = min(self._K_CANDIDATES, n)
-        _, ii = self._tree.query(q, k=k)
-        if k == 1:
-            ii = ii[:, None]
-        diff = q[:, None, :] - self._points[ii]
-        d2 = (diff * diff).sum(axis=-1)
-        best = d2.min(axis=1)
-        tie = d2 == best[:, None]
-        ids = np.where(tie, ii, n).min(axis=1)
-        if k < n:
-            # candidates arrive sorted by d², so if the last fetched one still
-            # ties the tie set may extend beyond it: rescan exhaustively
-            for row in np.nonzero(tie[:, -1])[0]:
-                ids[row], best[row] = self._exhaustive(q[row])
-        dist = np.sqrt(best)
-        if single:
-            return int(ids[0]), float(dist[0])
+        q = _points_array(queries, "queries")
+        # the tree returns the correctly rounded sqrt of d² summed as
+        # (dx² + dy²) + dz², as ``_exhaustive`` sums it, so every d² tie for
+        # the nearest shows as equal distances and only those rows need a scan
+        dist, ids = self._tree.query(q, k=[1, 2])
+        tie = np.nonzero(dist[:, 1] == dist[:, 0])[0]
+        ids, dist = ids[:, 0].copy(), dist[:, 0].copy()
+        for row in tie:
+            ids[row], d2 = self._exhaustive(q[row])
+            dist[row] = np.sqrt(d2)
         return ids, dist
 
     def query_knn(self, queries, k: int):

@@ -98,24 +98,21 @@ def seg_metrics(pred, gt) -> SegMetrics:
         raise LengthMismatch(
             f"masks differ in length: pred {p.shape[0]}, gt {g.shape[0]}")
     accuracy = float(100.0 * ((p == 0) == (g == 0)).mean())
-    gt_sizes = np.bincount(g)
-    gt_dynamic = sorted(range(1, int(g.max()) + 1),
-                        key=lambda k: (-gt_sizes[k], k))
-    available = set(range(1, int(p.max()) + 1))
+    k_gt = gt.n_clusters
+    k_pred = pred.n_clusters
+    overlaps = np.bincount(g * k_pred + p,
+                           minlength=k_gt * k_pred).reshape(k_gt, k_pred)
+    gt_sizes = overlaps.sum(axis=1)
+    pred_sizes = overlaps.sum(axis=0)
+    available = np.arange(k_pred) > 0
     ious = []
-    for k in gt_dynamic:
-        in_gt = g == k
-        best_id = None
-        best_overlap = 0
-        for c in sorted(available):
-            overlap = int((in_gt & (p == c)).sum())
-            if overlap > best_overlap:
-                best_overlap = overlap
-                best_id = c
-        if best_id is None:
+    for k in sorted(range(1, k_gt), key=lambda k: (-gt_sizes[k], k)):
+        row = np.where(available, overlaps[k], 0)
+        c = int(row.argmax())
+        overlap = int(row[c])
+        if overlap == 0:
             ious.append(0.0)
             continue
-        available.discard(best_id)
-        union = int((in_gt | (p == best_id)).sum())
-        ious.append(best_overlap / union)
+        available[c] = False
+        ious.append(overlap / int(gt_sizes[k] + pred_sizes[c] - overlap))
     return SegMetrics(accuracy=accuracy, per_cluster_iou=tuple(ious))

@@ -184,6 +184,8 @@ class TestRun:
         for argv, message in (
                 (["--input", seq_dir, "--epsilon", "0"],
                  "epsilon must be positive"),
+                (["--input", seq_dir, "--workers", "0"], "--workers"),
+                (["--input", seq_dir, "--workers", "-3"], "--workers"),
                 (["--input", missing], "does_not_exist")):
             capsys.readouterr()
             assert main(["run", *argv, "--out", out]) == 1

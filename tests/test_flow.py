@@ -6,7 +6,7 @@ import pytest
 from flowseg.datagen import generate, random_scene_spec
 from flowseg.errors import DegenerateInput, EmptyCloud, MaskMismatch
 from flowseg.flow import (FlowField, InitFlowDiagnostics, PointCloud,
-                          fit_transforms, init_flow, refine_flow, warp)
+                          fit_transforms, init_flow, refine_flow)
 from flowseg.geometry import RigidTransform, SpatialIndex, weighted_kabsch
 from flowseg.segment import SegmentationMask
 
@@ -122,18 +122,6 @@ class TestFlowField:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             FlowField(np.array([[np.inf, 0.0, 0.0]]))
-
-
-class TestWarp:
-    def test_adds_vectors(self):
-        c = cloud_of([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
-        f = FlowField(np.array([[1.0, 0, 0], [0.0, 2, 0]]))
-        np.testing.assert_array_equal(warp(c, f).points,
-                                      [[1.0, 0, 0], [1.0, 3, 1]])
-
-    def test_length_mismatch(self):
-        with pytest.raises(MaskMismatch):
-            warp(cloud_of([[0.0, 0, 0]]), FlowField.zeros(2))
 
 
 class TestInitFlow:

@@ -230,6 +230,8 @@ class TestSpatialIndex:
     @given(lattice(-3, 3, 200), lattice(-7, 7, 40, scale=0.5))
     @example(np.array([[1.0, 0, 0], [-1.0, 0, 0], [0.0, 1, 0], [0.0, -1, 0]]),
              np.zeros((1, 3)))
+    @example(np.array([[1.0, -2.0, 0.0]]),
+             np.array([[1.0, -2.0, 0.0], [0.5, 0.0, -3.5], [-7.0, 7.0, 7.0]]))
     @example(np.array([[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0)
                        for z in (0.0, 1.0)]), np.full((1, 3), 0.5))
     def test_matches_argmin_on_lattice_ties(self, pts, queries):
@@ -241,6 +243,26 @@ class TestSpatialIndex:
         d2 = ((queries[:, None] - pts[None]) ** 2).sum(axis=2)
         assert np.array_equal(ids, d2.argmin(axis=1))
         assert np.array_equal(dists, np.sqrt(d2.min(axis=1)))
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.one_of(
+        st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 300),
+                  st.sampled_from([1e-4, 1.0, 37.0, 1e4])).map(
+            lambda a: np.split(np.random.default_rng(a[0]).normal(
+                0.3 * a[2], a[2], size=(a[1] + 20, 3)), [a[1]])),
+        st.tuples(lattice(-3, 3, 200), lattice(-7, 7, 40, scale=0.5))))
+    def test_tree_distances_are_the_scan_arithmetic(self, clouds):
+        # query trusts the tree's own distances: each must be the correctly
+        # rounded sqrt of d² summed as (dx² + dy²) + dz², as the exhaustive
+        # scan sums it, or a d² tie could hide behind unequal distances
+        pts, queries = clouds
+        dist, ids = SpatialIndex(pts)._tree.query(queries, k=[1, 2])
+        found = ids < len(pts)
+        diff = queries[:, None, :] - pts[np.where(found, ids, 0)]
+        dx, dy, dz = diff[..., 0], diff[..., 1], diff[..., 2]
+        expected = np.sqrt((dx * dx + dy * dy) + dz * dz)
+        assert found[:, 0].all()
+        assert np.array_equal(dist[found], expected[found])
 
     def test_query_knn(self):
         pts = [[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [4.0, 0, 0]]
@@ -254,9 +276,14 @@ class TestSpatialIndex:
 
     def test_query_single_point(self):
         idx = SpatialIndex([[0.0, 0, 0], [10.0, 0, 0]])
-        i, d = idx.query([9.0, 0.0, 0.0])
-        assert i == 1
-        assert d == pytest.approx(1.0)
+        ids, dists = idx.query([[9.0, 0.0, 0.0]])
+        assert ids.shape == dists.shape == (1,)
+        assert ids[0] == 1
+        assert dists[0] == pytest.approx(1.0)
+
+    def test_query_takes_only_a_stack(self):
+        with pytest.raises(ValueError):
+            SpatialIndex([[0.0, 0, 0]]).query([9.0, 0.0, 0.0])
 
 
 class TestChamferDistance:

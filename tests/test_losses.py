@@ -5,7 +5,7 @@ import pytest
 
 from flowseg.datagen import generate, random_scene_spec
 from flowseg.errors import MaskMismatch, TransformCountMismatch
-from flowseg.flow import FlowField, PointCloud, fit_transforms, init_flow, warp
+from flowseg.flow import FlowField, PointCloud, fit_transforms, init_flow
 from flowseg.geometry import RigidTransform, SpatialIndex, chamfer_distance
 from flowseg.losses import (LossBreakdown, chamfer_loss,
                             flow_consistency_loss, motion_loss, total_loss)
@@ -147,7 +147,7 @@ class TestChamferLoss:
         p_t = cloud_of(rng.uniform(-3, 3, size=(60, 3)))
         p_t1 = cloud_of(rng.uniform(-3, 3, size=(70, 3)))
         flow = FlowField(rng.standard_normal((60, 3)) * 0.2)
-        direct = chamfer_distance(p_t1.points, warp(p_t, flow).points)
+        direct = chamfer_distance(p_t1.points, p_t.points + flow.vectors)
         assert chamfer_loss(p_t, flow, p_t1,
                             forward(p_t, flow, p_t1)) == direct
 
@@ -163,10 +163,16 @@ class TestChamferLoss:
         for flow in (init, records[0].gt_flow):
             _, fwd = index_t1.query(p_t.points + flow.vectors)
             assert chamfer_loss(p_t, flow, p_t1, fwd) == chamfer_distance(
-                p_t1.points, warp(p_t, flow).points)
+                p_t1.points, p_t.points + flow.vectors)
         ssf = run(p_t, p_t1)
         assert ssf.report.records[-1].losses.l_cd == chamfer_distance(
-            p_t1.points, warp(p_t, ssf.flow).points)
+            p_t1.points, p_t.points + ssf.flow.vectors)
+
+    def test_flow_length_mismatch(self):
+        p_t, _, _, _ = rigid_scene()
+        with pytest.raises(MaskMismatch):
+            chamfer_loss(p_t, FlowField.zeros(len(p_t) + 1), p_t,
+                         np.zeros(len(p_t)))
 
     def test_forward_length_mismatch(self):
         p_t, flow, _, _ = rigid_scene()

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from flowseg.errors import LengthMismatch
 from flowseg.flow import FlowField
@@ -15,6 +18,38 @@ def field_of(vectors):
 
 def mask_of(labels):
     return SegmentationMask(np.asarray(labels, dtype=np.int64))
+
+
+def contiguous(labels):
+    return mask_of(np.unique(labels, return_inverse=True)[1])
+
+
+def seg_metrics_by_scans(pred, gt):
+    """Reference: seg_metrics written as one scan per GT x predicted cluster."""
+    p = pred.labels
+    g = gt.labels
+    accuracy = float(100.0 * ((p == 0) == (g == 0)).mean())
+    gt_sizes = np.bincount(g)
+    gt_dynamic = sorted(range(1, int(g.max()) + 1),
+                        key=lambda k: (-gt_sizes[k], k))
+    available = set(range(1, int(p.max()) + 1))
+    ious = []
+    for k in gt_dynamic:
+        in_gt = g == k
+        best_id = None
+        best_overlap = 0
+        for c in sorted(available):
+            overlap = int((in_gt & (p == c)).sum())
+            if overlap > best_overlap:
+                best_overlap = overlap
+                best_id = c
+        if best_id is None:
+            ious.append(0.0)
+            continue
+        available.discard(best_id)
+        union = int((in_gt | (p == best_id)).sum())
+        ious.append(best_overlap / union)
+    return accuracy, tuple(ious)
 
 
 class TestFlowMetrics:
@@ -151,3 +186,14 @@ class TestSegMetrics:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             seg_metrics(mask_of([0, 0]), mask_of([0]))
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(1, 120).flatmap(lambda n: st.tuples(
+        arrays(np.int64, n, elements=st.integers(0, 7)),
+        arrays(np.int64, n, elements=st.integers(0, 7)))))
+    def test_overlap_table_matches_per_cluster_scans(self, labels):
+        # few ids over few points: equal overlaps and equal GT sizes are
+        # common, so the greedy rule's tie order is exercised
+        pred, gt = (contiguous(lab) for lab in labels)
+        m = seg_metrics(pred, gt)
+        assert (m.accuracy, m.per_cluster_iou) == seg_metrics_by_scans(pred, gt)
