@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--theta", type=float, default=1.0,
                    help="ego-velocity tolerance for the velocity rule, m/s")
     r.add_argument("--workers", type=int, default=1,
-                   help="parallel frame pairs")
+                   help="parallel frame pairs (processes)")
     r.set_defaults(func=cmd_run)
 
     e = sub.add_parser("eval", help="score a run against ground truth",

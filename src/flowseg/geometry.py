@@ -203,13 +203,15 @@ class SpatialIndex:
         return ids, dist
 
     def query_knn(self, queries, k: int):
-        """Raw k-nearest-neighbor ids and distances, shaped (M, k)."""
-        q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        k = min(k, len(self))
-        dist, ids = self._tree.query(q, k=k)
-        if k == 1:
-            dist = dist[:, None]
-            ids = ids[:, None]
+        """The ``k`` nearest indexed points of each row of an (M, 3) stack,
+        nearest first, as ``(ids, distances)`` arrays shaped (M, k).
+
+        Ties keep the tree's order.  ``k`` must lie in ``1..len(self)``.
+        """
+        q = _points_array(queries, "queries")
+        if not 1 <= k <= len(self):
+            raise ValueError(f"k must lie in 1..{len(self)}, got {k}")
+        dist, ids = self._tree.query(q, k=range(1, k + 1))
         return ids, dist
 
     def _exhaustive(self, point: np.ndarray):

@@ -93,6 +93,8 @@ def chamfer_loss(p_t, flow, p_t1, forward) -> float:
     already made against its index over frame t+1.  Only the backward half
     is searched here, so the value equals
     ``chamfer_distance(p_t1.points, p_t.points + flow.vectors)`` bit for bit.
+    It reads only its arguments, so ``pipeline.run`` computes it on a helper
+    thread, next to the match, while the loop clusters.
     """
     if len(flow) != len(p_t):
         raise MaskMismatch(f"flow covers {len(flow)} points, cloud has {len(p_t)}")
@@ -105,11 +107,11 @@ def chamfer_loss(p_t, flow, p_t1, forward) -> float:
     return float(backward.sum() + forward.sum())
 
 
-def total_loss(p_t, p_t1, flow, mask, transforms, forward) -> LossBreakdown:
-    """All three components and their unweighted sum; ``forward`` as in
-    :func:`chamfer_loss`."""
+def total_loss(p_t, flow, mask, transforms, l_cd: float) -> LossBreakdown:
+    """The motion and consistency terms, the finished Chamfer term ``l_cd``
+    (from :func:`chamfer_loss`), and their unweighted sum
+    ``l_mot + l_sc + l_cd``."""
     l_mot = motion_loss(p_t, flow, mask, transforms)
     l_sc = flow_consistency_loss(flow, mask)
-    l_cd = chamfer_loss(p_t, flow, p_t1, forward)
     return LossBreakdown(l_mot=l_mot, l_sc=l_sc, l_cd=l_cd,
                          total=l_mot + l_sc + l_cd)

@@ -8,11 +8,13 @@ hit, and the whole history is kept in a ConvergenceReport.
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
-from . import geometry
+from . import geometry, losses
 from .errors import DegenerateInput, LengthMismatch, NoStaticCluster
 from .flow import FlowField, InitFlowDiagnostics, fit_transforms, init_flow, refine_flow
 from .geometry import weighted_kabsch
@@ -34,6 +36,11 @@ __all__ = [
 
 # global-fit residual (m) above which initial_mask may take a point as dynamic
 R_STATIC = 0.3
+
+# cloud size (points in frame t) from which run() hands each iteration's match
+# and Chamfer term to a helper thread; below it the hand-off over the
+# interpreter lock costs more than the overlap saves
+OVERLAP_MIN_POINTS = 8192
 
 
 @dataclass(frozen=True)
@@ -204,6 +211,15 @@ def _estimate_v_ego(p_t, flow: FlowField, mask_prev: SegmentationMask,
     return float(np.linalg.norm(t.translation) / dt)
 
 
+def _match_and_chamfer(index_t1, p_t, p_t1, flow: FlowField):
+    """The part of an iteration that reads only its refined flow: the next
+    iteration's match against frame t+1, then the Chamfer term, whose
+    forward half is that match's distances.  Returns ``(ids, l_cd)``."""
+    ids, forward = index_t1.query(p_t.points + flow.vectors)
+    # looked up on the module at call time, so perfbench's tracer sees it
+    return ids, losses.chamfer_loss(p_t, flow, p_t1, forward)
+
+
 def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
     """Alternate refine_flow and cluster until delta_total < epsilon.
 
@@ -214,10 +230,16 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
 
     Frame t+1 is indexed once.  Each iteration matches its refined flow
     against that index once: the distances are its Chamfer forward term,
-    the ids the next iteration's correspondences.
+    the ids the next iteration's correspondences.  From
+    ``OVERLAP_MIN_POINTS`` points on, that match and the Chamfer term run
+    on one helper thread while this thread clusters, classifies and fits;
+    the helper lives only for this call, and an exception on it is raised
+    here.  Smaller clouds run the same step inline.  Both give the same
+    result bit for bit.
     """
     if cfg is None:
         cfg = IterationConfig()
+    overlap = len(p_t) >= OVERLAP_MIN_POINTS
     # looked up on the module at call time, so a substituted index class
     # (perfbench's tracer) also sees this index and its queries
     index_t1 = geometry.SpatialIndex(p_t1.points)
@@ -227,38 +249,41 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
     records = []
     converged = False
     transforms = stats = None
-    for i in range(1, cfg.max_iters + 1):
-        flow_i, _, degenerate = refine_flow(p_t, p_t1.points[ids], mask_prev,
-                                            flow_prev)
-        raw_mask = cluster(p_t, flow_i)
-        raw_stats = cluster_stats(p_t, flow_i, raw_mask, cfg.classifier.dt)
-        v_ego = _estimate_v_ego(p_t, flow_i, mask_prev, i, cfg.classifier.dt)
-        strategy = resolve_strategy(raw_stats, cfg.classifier)
-        fallback = False
-        try:
-            static_ids, _ = classify(raw_stats, v_ego,
-                                     replace(cfg.classifier, strategy=strategy))
-        except NoStaticCluster:
-            strategy = "quantity"
-            fallback = True
-            static_ids, _ = classify(raw_stats, v_ego,
-                                     replace(cfg.classifier, strategy="quantity"))
-        mask_i = relabel_static_first(raw_mask, static_ids)
-        transforms, _ = fit_transforms(p_t, flow_i, mask_i)
-        ids, forward = index_t1.query(p_t.points + flow_i.vectors)
-        losses = total_loss(p_t, p_t1, flow_i, mask_i, transforms, forward)
-        fd = flow_delta(flow_i, flow_prev)
-        md = mask_delta(mask_i, mask_prev)
-        d_total = cfg.alpha * fd + cfg.beta * md
-        records.append(IterationRecord(
-            iteration=i, flow_delta=fd, mask_delta=md, delta_total=d_total,
-            losses=losses, n_clusters=mask_i.n_clusters, strategy=strategy,
-            static_fallback=fallback, degenerate_clusters=len(degenerate),
-            v_ego=v_ego))
-        flow_prev, mask_prev = flow_i, mask_i
-        if d_total < cfg.epsilon:
-            converged = True
-            break
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for i in range(1, cfg.max_iters + 1):
+            flow_i, _, degenerate = refine_flow(p_t, p_t1.points[ids], mask_prev,
+                                                flow_prev)
+            match = partial(_match_and_chamfer, index_t1, p_t, p_t1, flow_i)
+            pending = helper.submit(match) if overlap else None
+            raw_mask = cluster(p_t, flow_i)
+            raw_stats = cluster_stats(p_t, flow_i, raw_mask, cfg.classifier.dt)
+            v_ego = _estimate_v_ego(p_t, flow_i, mask_prev, i, cfg.classifier.dt)
+            strategy = resolve_strategy(raw_stats, cfg.classifier)
+            fallback = False
+            try:
+                static_ids, _ = classify(raw_stats, v_ego,
+                                         replace(cfg.classifier, strategy=strategy))
+            except NoStaticCluster:
+                strategy = "quantity"
+                fallback = True
+                static_ids, _ = classify(raw_stats, v_ego,
+                                         replace(cfg.classifier, strategy="quantity"))
+            mask_i = relabel_static_first(raw_mask, static_ids)
+            transforms, _ = fit_transforms(p_t, flow_i, mask_i)
+            fd = flow_delta(flow_i, flow_prev)
+            md = mask_delta(mask_i, mask_prev)
+            d_total = cfg.alpha * fd + cfg.beta * md
+            ids, l_cd = pending.result() if overlap else match()
+            records.append(IterationRecord(
+                iteration=i, flow_delta=fd, mask_delta=md, delta_total=d_total,
+                losses=total_loss(p_t, flow_i, mask_i, transforms, l_cd),
+                n_clusters=mask_i.n_clusters, strategy=strategy,
+                static_fallback=fallback, degenerate_clusters=len(degenerate),
+                v_ego=v_ego))
+            flow_prev, mask_prev = flow_i, mask_i
+            if d_total < cfg.epsilon:
+                converged = True
+                break
     stats = tuple(cluster_stats(p_t, flow_prev, mask_prev, cfg.classifier.dt))
     report = ConvergenceReport(
         alpha=cfg.alpha, beta=cfg.beta, epsilon=cfg.epsilon,

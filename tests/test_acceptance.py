@@ -22,7 +22,7 @@ from flowseg.errors import FormatError
 from flowseg.flow import FlowField, fit_transforms
 from flowseg.geometry import (RigidTransform, SpatialIndex, chamfer_distance,
                               weighted_kabsch)
-from flowseg.losses import total_loss
+from flowseg.losses import chamfer_loss, total_loss
 from flowseg.metrics import flow_metrics, seg_metrics
 from flowseg.odometry import (Trajectory, accumulate, ego_motion,
                               read_trajectory, rpe, write_trajectory)
@@ -122,8 +122,8 @@ def test_gate_3_loss_zero_point(verdict):
         gt_flow = records[0].gt_flow
         transforms, _ = fit_transforms(p_t, gt_flow, records[0].gt_mask)
         _, forward = SpatialIndex(p_t1).query(p_t.points + gt_flow.vectors)
-        losses = total_loss(p_t, p_t1, gt_flow, records[0].gt_mask,
-                            transforms, forward)
+        losses = total_loss(p_t, gt_flow, records[0].gt_mask, transforms,
+                            chamfer_loss(p_t, gt_flow, p_t1, forward))
         worst = max(worst, losses.total, losses.l_mot, losses.l_sc,
                     losses.l_cd)
     ok = worst <= 1e-6

@@ -1,5 +1,8 @@
 """Rigid transforms, Kabsch fitting, nearest neighbors, chamfer distance."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -269,6 +272,60 @@ class TestSpatialIndex:
         ids, dists = SpatialIndex(pts).query_knn([[0.9, 0.0, 0.0]], 2)
         assert set(ids[0]) == {0, 1}
         assert dists.shape == (1, 2)
+
+    def test_query_knn_shape_and_range(self):
+        pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [4.0, 0, 0]])
+        index = SpatialIndex(pts)
+        queries = np.array([[0.9, 0.0, 0.0], [3.5, 0.0, 0.0]])
+        d = np.abs(queries[:, None, 0] - pts[None, :, 0])
+        for k in (1, len(index)):
+            ids, dists = index.query_knn(queries, k)
+            assert ids.shape == dists.shape == (2, k)
+            assert np.array_equal(ids, np.argsort(d, axis=1)[:, :k])
+            assert np.array_equal(dists, np.sort(d, axis=1)[:, :k])
+        for k in (0, len(index) + 1):
+            with pytest.raises(ValueError):
+                index.query_knn(queries, k)
+        with pytest.raises(ValueError):
+            index.query_knn([0.9, 0.0, 0.0], 1)
+
+    def test_concurrent_queries_match_serial(self):
+        # pipeline.run queries one index from a helper thread while the
+        # caller works; half-step queries on a lattice tie, so the tie rescan
+        # runs in every thread at once.  Each thread has its own queries, more
+        # threads than cores, and a short switch interval, so the threads
+        # interleave inside each query.
+        rng = np.random.default_rng(14)
+        index = SpatialIndex(rng.integers(-8, 9, size=(3000, 3)) * 1.0)
+        n_threads, rounds = 4, 3
+        stacks = [rng.integers(-16, 17, size=(600, 3)) * 0.5
+                  for _ in range(n_threads)]
+        serial = [index.query(q) for q in stacks]
+        start = threading.Barrier(n_threads)
+        results = [[] for _ in range(n_threads)]
+
+        def worker(queries, out):
+            start.wait(timeout=30)
+            for _ in range(rounds):
+                out.append(index.query(queries))
+
+        threads = [threading.Thread(target=worker, args=args)
+                   for args in zip(stacks, results)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for (serial_ids, serial_dist), out in zip(serial, results):
+            assert len(out) == rounds
+            for ids, dist in out:
+                assert np.array_equal(ids, serial_ids)
+                assert np.array_equal(dist, serial_dist)
 
     def test_empty_raises(self):
         with pytest.raises(EmptyIndex):

@@ -191,14 +191,13 @@ class TestTotalLoss:
         p_t1 = cloud_of(pts + rng.standard_normal((60, 3)) * 0.3)
         mask = SegmentationMask(labels)
         transforms, _ = fit_transforms(p_t, flow, mask)
-        lb = total_loss(p_t, p_t1, flow, mask, transforms,
-                        forward(p_t, flow, p_t1))
+        l_cd = chamfer_loss(p_t, flow, p_t1, forward(p_t, flow, p_t1))
+        lb = total_loss(p_t, flow, mask, transforms, l_cd)
         assert lb.total == pytest.approx(lb.l_mot + lb.l_sc + lb.l_cd,
                                          abs=1e-12)
         assert lb.l_mot == motion_loss(p_t, flow, mask, transforms)
         assert lb.l_sc == flow_consistency_loss(flow, mask)
-        assert lb.l_cd == chamfer_loss(p_t, flow, p_t1,
-                                       forward(p_t, flow, p_t1))
+        assert lb.l_cd == l_cd
 
     def test_zero_point_on_perfect_rigid_scene(self):
         # translation only: a rotating cluster has intrinsic within-cluster
@@ -210,8 +209,8 @@ class TestTotalLoss:
         mask = SegmentationMask(np.zeros(50, dtype=np.int64))
         p_t = cloud_of(pts)
         p_t1 = cloud_of(pts + flow.vectors)
-        lb = total_loss(p_t, p_t1, flow, mask, [true],
-                        forward(p_t, flow, p_t1))
+        lb = total_loss(p_t, flow, mask, [true],
+                        chamfer_loss(p_t, flow, p_t1, forward(p_t, flow, p_t1)))
         assert lb.total <= 1e-6
         assert max(lb.l_mot, lb.l_sc, lb.l_cd) <= 1e-6
 
@@ -231,10 +230,9 @@ class TestTotalLoss:
                                     np.zeros(30, dtype=np.int64)])
         t1, _ = fit_transforms(p_t, flow, m1)
         t2, _ = fit_transforms(p_t, flow, m2)
-        lb1 = total_loss(p_t, p_t1, flow, m1, t1,
-                         forward(p_t, flow, p_t1))
-        lb2 = total_loss(p_t, p_t1, flow, m2, t2,
-                         forward(p_t, flow, p_t1))
+        l_cd = chamfer_loss(p_t, flow, p_t1, forward(p_t, flow, p_t1))
+        lb1 = total_loss(p_t, flow, m1, t1, l_cd)
+        lb2 = total_loss(p_t, flow, m2, t2, l_cd)
         assert lb1.l_mot == pytest.approx(lb2.l_mot, abs=1e-12)
         assert lb1.l_sc == pytest.approx(lb2.l_sc, abs=1e-12)
         assert lb1.l_cd == lb2.l_cd

@@ -1,9 +1,11 @@
 """Iterative co-refinement loop: deltas, initial mask, and the full run."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from flowseg import flow, geometry
+from flowseg import flow, geometry, losses, pipeline
 from flowseg.datagen import generate, random_scene_spec
 from flowseg.errors import LengthMismatch
 from flowseg.flow import FlowField, PointCloud
@@ -228,14 +230,75 @@ class TestRun:
         spec = random_scene_spec(69, n_points=1500, n_objects=2, shuffle=True)
         recs = generate(spec)
         p_t, p_t1 = recs[0].cloud, recs[1].cloud
-        ssf = run(p_t, p_t1)
-        n = ssf.report.n_iterations
-        assert n >= 2
-        # frame t+1 once; frame t for init_flow's backward check; the
-        # reliable points when init_flow fills; the warped cloud per iteration
-        assert sum(np.array_equal(pts, p_t1.points) for pts in built) == 1
-        assert len(built) == 2 + (ssf.report.n_unreliable > 0) + n
-        # init_flow's forward and backward match, iteration 1's match, then
-        # per iteration one shared match and the Chamfer backward query
-        assert len(queries) == 3 + 2 * n
-        assert queries == [len(p_t)] * 3 + [len(p_t), len(p_t1)] * n
+        # the same counts whether the helper thread or this one matches
+        for min_points in (0, len(p_t) + 1):
+            monkeypatch.setattr(pipeline, "OVERLAP_MIN_POINTS", min_points)
+            built.clear()
+            queries.clear()
+            ssf = run(p_t, p_t1)
+            n = ssf.report.n_iterations
+            assert n >= 2
+            # frame t+1 once; frame t for init_flow's backward check; the
+            # reliable points when init_flow fills; the warped cloud per
+            # iteration
+            assert sum(np.array_equal(pts, p_t1.points) for pts in built) == 1
+            assert len(built) == 2 + (ssf.report.n_unreliable > 0) + n
+            # init_flow's forward and backward match, iteration 1's match,
+            # then per iteration one shared match and the Chamfer backward
+            # query
+            assert len(queries) == 3 + 2 * n
+            assert queries == [len(p_t)] * 3 + [len(p_t), len(p_t1)] * n
+
+
+class TestOverlap:
+    """run() hands each iteration's match and Chamfer term to a helper
+    thread from OVERLAP_MIN_POINTS points on, and runs them inline below."""
+
+    def scene(self):
+        recs = generate(random_scene_spec(70, n_points=2000, n_objects=3,
+                                          shuffle=True))
+        return recs[0].cloud, recs[1].cloud
+
+    def test_threaded_equals_inline(self, monkeypatch):
+        p_t, p_t1 = self.scene()
+        chamfer = losses.chamfer_loss
+        threads = []
+
+        def recording_chamfer(*args):
+            threads.append(threading.current_thread())
+            return chamfer(*args)
+
+        monkeypatch.setattr(losses, "chamfer_loss", recording_chamfer)
+        out = {}
+        for min_points in (0, len(p_t) + 1):
+            monkeypatch.setattr(pipeline, "OVERLAP_MIN_POINTS", min_points)
+            threads.clear()
+            out[min_points] = run(p_t, p_t1)
+            helper = min_points == 0
+            assert threads
+            assert all((t is not threading.main_thread()) == helper
+                       for t in threads)
+        threaded, inline = out.values()
+        assert threaded.report.n_iterations >= 2
+        assert np.array_equal(threaded.flow.vectors, inline.flow.vectors)
+        assert np.array_equal(threaded.mask.labels, inline.mask.labels)
+        for a, b in zip(threaded.transforms, inline.transforms, strict=True):
+            assert np.array_equal(a.rotation, b.rotation)
+            assert np.array_equal(a.translation, b.translation)
+        assert repr(threaded.report) == repr(inline.report)
+        assert repr(threaded.stats) == repr(inline.stats)
+
+    @pytest.mark.parametrize("min_points", [0, 10**9])
+    def test_helper_exception_is_raised_and_thread_ends(self, monkeypatch,
+                                                        min_points):
+        p_t, p_t1 = self.scene()
+
+        def failing_chamfer(*args):
+            raise RuntimeError("chamfer failed")
+
+        monkeypatch.setattr(losses, "chamfer_loss", failing_chamfer)
+        monkeypatch.setattr(pipeline, "OVERLAP_MIN_POINTS", min_points)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="chamfer failed"):
+            run(p_t, p_t1)
+        assert threading.active_count() == before
