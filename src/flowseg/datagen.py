@@ -149,6 +149,9 @@ def random_scene_spec(seed: int, *, n_frames: int = 2, n_points: int = 8192,
     so total travel over the sequence stays under the wall placement margin,
     keeping movers spatially separated from the background for the whole clip.
     """
+    # checked before dt divides the travel budget below
+    if dt <= 0:
+        raise InvalidSpec("dt must be positive")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     if regime is not None:
         if regime not in ("dh", "dt"):

@@ -3,9 +3,12 @@
 Everything downstream (flow refinement, segmentation, odometry) is built on
 four primitives: SE(3) transforms, the weighted Kabsch fit, an exact
 nearest-neighbor index, and the Chamfer distance.  All functions are pure;
-``SpatialIndex`` is immutable after construction, safe to query from
-multiple threads, and answers a stack of queries with one ``(ids,
-distances)`` pair of arrays.
+``SpatialIndex`` is immutable after construction and safe to query from
+multiple threads.  It answers a stack of queries three ways, all exact and
+all through one k-d tree search: ``query`` gives ``(ids, distances)``;
+``match`` gives a :class:`Match`, which the next, slightly moved stack can
+reuse row by row wherever the triangle inequality proves the nearest point
+unchanged; ``distances`` gives the distances alone, with no tie rescan.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ from .errors import DegenerateInput, EmptyCloud, EmptyIndex
 __all__ = [
     "ROTATION_TOL",
     "RigidTransform",
+    "Match",
     "SpatialIndex",
     "weighted_kabsch",
     "chamfer_distance",
@@ -30,6 +34,10 @@ ROTATION_TOL = 1e-9
 # Relative singular-value threshold below which the Kabsch covariance is
 # treated as rank deficient (collinear or coincident source points)
 _RANK_RTOL = 1e-9
+
+# slack (m) on each side of SpatialIndex.match's reuse test, far above the
+# rounding error of the distances it compares
+TOL = 1e-9
 
 
 def _points_array(data, name: str = "points") -> np.ndarray:
@@ -160,11 +168,27 @@ def weighted_kabsch(src, dst, weights=None) -> RigidTransform:
     return RigidTransform(rot, mu_d - rot @ mu_s)
 
 
+@dataclass(frozen=True)
+class Match:
+    """The nearest indexed point of each row of a query stack.
+
+    ``ids`` and ``distances`` are what :meth:`SpatialIndex.query` returns for
+    ``queries``.  ``clearance[r]`` is a lower bound on the distance from
+    ``queries[r]`` to every indexed point other than ``ids[r]``; a row whose
+    nearest distance ties another point's has ``clearance == distances``.
+    """
+
+    ids: np.ndarray
+    distances: np.ndarray
+    queries: np.ndarray
+    clearance: np.ndarray
+
+
 class SpatialIndex:
     """Exact nearest-neighbor index over a fixed 3-D point set.
 
-    Backed by an axis-aligned k-d tree.  ``query`` takes an (M, 3) stack and
-    returns ``(ids, distances)`` arrays that match exhaustive search
+    Backed by an axis-aligned k-d tree.  ``query`` and ``match`` answer an
+    (M, 3) stack with ids and distances that match exhaustive search
     bit-for-bit, with distance ties broken toward the lowest point id (the
     same answer ``argmin`` over squared distances gives).
     """
@@ -190,17 +214,41 @@ class SpatialIndex:
 
         Returns ``(ids, distances)``, two arrays of length M.
         """
-        q = _points_array(queries, "queries")
-        # the tree returns the correctly rounded sqrt of d² summed as
-        # (dx² + dy²) + dz², as ``_exhaustive`` sums it, so every d² tie for
-        # the nearest shows as equal distances and only those rows need a scan
-        dist, ids = self._tree.query(q, k=[1, 2])
-        tie = np.nonzero(dist[:, 1] == dist[:, 0])[0]
-        ids, dist = ids[:, 0].copy(), dist[:, 0].copy()
-        for row in tie:
-            ids[row], d2 = self._exhaustive(q[row])
-            dist[row] = np.sqrt(d2)
+        ids, dist, _ = self._search(_points_array(queries, "queries"))
         return ids, dist
+
+    def match(self, queries, previous: Match = None) -> Match:
+        """Nearest indexed point for each row of an (M, 3) stack, as a
+        :class:`Match` equal to a fresh :meth:`query` of the stack.
+
+        With ``previous``, a match of M earlier queries, row r keeps
+        ``previous.ids[r]`` without a search when it is provably still the
+        nearest: its distance d and the step ``δ = |q_r - q_prev_r|`` satisfy
+        ``d + TOL < clearance_r - δ - TOL``, since by the triangle inequality
+        every other point stays at least ``clearance_r - δ`` away.  Such a
+        row gets ``d`` summed as the tree sums it and clearance
+        ``clearance_r - δ``; every other row is searched.
+        """
+        q = np.array(_points_array(queries, "queries"))
+        if previous is None:
+            ids, dist, clearance = self._search(q)
+            return Match(ids, dist, q, clearance)
+        if previous.queries.shape != q.shape:
+            raise ValueError(f"previous match covers {previous.queries.shape[0]} "
+                             f"queries, got {q.shape[0]}")
+        ids = previous.ids.copy()
+        dist = _norms(q - self._points[ids])
+        clearance = previous.clearance - _norms(q - previous.queries)
+        redo = np.nonzero(~(dist + TOL < clearance - TOL))[0]
+        ids[redo], dist[redo], clearance[redo] = self._search(q[redo])
+        return Match(ids, dist, q, clearance)
+
+    def distances(self, queries) -> np.ndarray:
+        """Distance from each row of an (M, 3) stack to its nearest indexed
+        point: the distances :meth:`query` returns, bit for bit, from one
+        nearest-only tree search, since no tie changes a distance."""
+        dist, _ = self._tree.query(_points_array(queries, "queries"), k=1)
+        return dist
 
     def query_knn(self, queries, k: int):
         """The ``k`` nearest indexed points of each row of an (M, 3) stack,
@@ -214,10 +262,29 @@ class SpatialIndex:
         dist, ids = self._tree.query(q, k=range(1, k + 1))
         return ids, dist
 
+    def _search(self, q: np.ndarray):
+        """``(ids, distances, clearance)`` of the nearest point per row."""
+        # the tree returns the correctly rounded sqrt of d² summed as
+        # (dx² + dy²) + dz², as ``_exhaustive`` sums it, so every d² tie for
+        # the nearest shows as equal distances and only those rows need a scan
+        dist, ids = self._tree.query(q, k=[1, 2])
+        tie = np.nonzero(dist[:, 1] == dist[:, 0])[0]
+        ids, nearest = ids[:, 0].copy(), dist[:, 0].copy()
+        for row in tie:
+            ids[row], d2 = self._exhaustive(q[row])
+            nearest[row] = np.sqrt(d2)
+        return ids, nearest, dist[:, 1]
+
     def _exhaustive(self, point: np.ndarray):
         d2 = ((point - self._points) ** 2).sum(axis=1)
         i = int(np.argmin(d2))
         return i, d2[i]
+
+
+def _norms(diff: np.ndarray) -> np.ndarray:
+    """Row norms of an (M, 3) array, summed as (dx² + dy²) + dz² like the tree."""
+    return np.sqrt((diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1])
+                   + diff[:, 2] * diff[:, 2])
 
 
 def chamfer_distance(a, b) -> float:
@@ -231,6 +298,5 @@ def chamfer_distance(a, b) -> float:
     pb = _points_array(b, "b")
     if pa.shape[0] == 0 or pb.shape[0] == 0:
         raise EmptyCloud("chamfer distance requires two non-empty clouds")
-    _, da = SpatialIndex(pb).query(pa)
-    _, db = SpatialIndex(pa).query(pb)
-    return float(da.sum() + db.sum())
+    return float(SpatialIndex(pb).distances(pa).sum()
+                 + SpatialIndex(pa).distances(pb).sum())

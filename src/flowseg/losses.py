@@ -91,7 +91,8 @@ def chamfer_loss(p_t, flow, p_t1, forward) -> float:
     ``forward[i]`` is the distance from warped point ``p_t[i] + flow[i]`` to
     its nearest neighbor in ``p_t1``: the distances of the match the loop
     already made against its index over frame t+1.  Only the backward half
-    is searched here, so the value equals
+    is searched here, by :meth:`SpatialIndex.distances`, which needs no ids
+    and so skips the tie rescan; the value equals
     ``chamfer_distance(p_t1.points, p_t.points + flow.vectors)`` bit for bit.
     It reads only its arguments, so ``pipeline.run`` computes it on a helper
     thread, next to the match, while the loop clusters.
@@ -103,7 +104,7 @@ def chamfer_loss(p_t, flow, p_t1, forward) -> float:
             f"forward covers {len(forward)} points, cloud has {len(p_t)}")
     # module lookup at call time, as in pipeline.run
     index = geometry.SpatialIndex(p_t.points + flow.vectors)
-    _, backward = index.query(p_t1.points)
+    backward = index.distances(p_t1.points)
     return float(backward.sum() + forward.sum())
 
 

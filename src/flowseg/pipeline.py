@@ -19,9 +19,10 @@ from .errors import DegenerateInput, LengthMismatch, NoStaticCluster
 from .flow import FlowField, InitFlowDiagnostics, fit_transforms, init_flow, refine_flow
 from .geometry import weighted_kabsch
 from .losses import LossBreakdown, total_loss
-from .segment import (CLUSTER_EPS, MIN_PTS, ClassifierConfig, SegmentationMask,
-                      _components_within, classify, cluster, cluster_stats,
-                      members, relabel_static_first, resolve_strategy)
+from .segment import (CLUSTER_EPS, MIN_PTS, ClassifierConfig, PairList,
+                      SegmentationMask, _check_eps, _components, classify,
+                      cluster, cluster_stats, members, pair_list,
+                      relabel_static_first, resolve_strategy)
 
 __all__ = [
     "IterationConfig",
@@ -37,9 +38,9 @@ __all__ = [
 # global-fit residual (m) above which initial_mask may take a point as dynamic
 R_STATIC = 0.3
 
-# cloud size (points in frame t) from which run() hands each iteration's match
-# and Chamfer term to a helper thread; below it the hand-off over the
-# interpreter lock costs more than the overlap saves
+# cloud size (points in frame t) from which run() hands init_flow and each
+# iteration's match and Chamfer term to a helper thread; below it the
+# hand-off over the interpreter lock costs more than the overlap saves
 OVERLAP_MIN_POINTS = 8192
 
 
@@ -161,12 +162,14 @@ def mask_delta(curr: SegmentationMask, prev: SegmentationMask) -> float:
     return float(1.0 - matched / n)
 
 
-def initial_mask(p_t, flow: FlowField) -> SegmentationMask:
+def initial_mask(p_t, flow: FlowField, pairs: PairList = None) -> SegmentationMask:
     """Preliminary mask: points that a single global rigid fit cannot explain.
 
     Fits one transform to the whole flow field; points with residual above
-    ``R_STATIC`` are candidate dynamic points and get clustered spatially.
-    Candidate components smaller than ``MIN_PTS`` return to the static set.
+    ``R_STATIC`` are candidate dynamic points and get clustered spatially,
+    linked by the pairs of ``pairs`` (the cloud's ``pair_list``, built here
+    when omitted) whose two ends are both candidates.  Candidate components
+    smaller than ``MIN_PTS`` return to the static set.
     """
     src = p_t.points
     n = src.shape[0]
@@ -176,10 +179,18 @@ def initial_mask(p_t, flow: FlowField) -> SegmentationMask:
     except DegenerateInput:
         return SegmentationMask(labels)
     residual = np.linalg.norm(t.apply(src) - (src + flow.vectors), axis=1)
-    candidates = np.nonzero(residual > R_STATIC)[0]
+    candidate = residual > R_STATIC
+    candidates = np.nonzero(candidate)[0]
     if candidates.shape[0] == 0:
         return SegmentationMask(labels)
-    _, comp = _components_within(src[candidates], CLUSTER_EPS)
+    if pairs is None:
+        pairs = pair_list(p_t)
+    _check_eps(pairs, CLUSTER_EPS)
+    keep = candidate[pairs.i] & candidate[pairs.j]
+    # each point's position among the candidates keeps i ascending
+    position = (np.cumsum(candidate) - 1).astype(np.int32)
+    _, comp = _components(candidates.shape[0], position[pairs.i[keep]],
+                          position[pairs.j[keep]])
     next_id = 1
     for ids in members(comp):
         if ids.shape[0] >= MIN_PTS:
@@ -211,13 +222,14 @@ def _estimate_v_ego(p_t, flow: FlowField, mask_prev: SegmentationMask,
     return float(np.linalg.norm(t.translation) / dt)
 
 
-def _match_and_chamfer(index_t1, p_t, p_t1, flow: FlowField):
+def _match_and_chamfer(index_t1, p_t, p_t1, flow: FlowField, previous):
     """The part of an iteration that reads only its refined flow: the next
-    iteration's match against frame t+1, then the Chamfer term, whose
-    forward half is that match's distances.  Returns ``(ids, l_cd)``."""
-    ids, forward = index_t1.query(p_t.points + flow.vectors)
+    iteration's match against frame t+1, reusing ``previous`` where it is
+    certified, then the Chamfer term, whose forward half is that match's
+    distances.  Returns ``(match, l_cd)``."""
+    match = index_t1.match(p_t.points + flow.vectors, previous)
     # looked up on the module at call time, so perfbench's tracer sees it
-    return ids, losses.chamfer_loss(p_t, flow, p_t1, forward)
+    return match, losses.chamfer_loss(p_t, flow, p_t1, match.distances)
 
 
 def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
@@ -228,14 +240,23 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
     NoStaticCluster from the velocity rule falls back to the quantity rule
     and is recorded, never fatal.  Output is fully deterministic.
 
-    Frame t+1 is indexed once.  Each iteration matches its refined flow
-    against that index once: the distances are its Chamfer forward term,
-    the ids the next iteration's correspondences.  From
-    ``OVERLAP_MIN_POINTS`` points on, that match and the Chamfer term run
-    on one helper thread while this thread clusters, classifies and fits;
-    the helper lives only for this call, and an exception on it is raised
-    here.  Smaller clouds run the same step inline.  Both give the same
-    result bit for bit.
+    Each pair's neighbour searches are made once and carried along:
+
+    - frame t+1 is indexed once;
+    - frame t's ``pair_list`` is built once and serves ``initial_mask`` and
+      every ``cluster`` call;
+    - each iteration matches its refined flow against the frame-t+1 index
+      once, through ``SpatialIndex.match`` with the previous iteration's
+      match, so only rows whose nearest point is not certified unchanged are
+      searched.  The distances are its Chamfer forward term, the ids the next
+      iteration's correspondences.
+
+    From ``OVERLAP_MIN_POINTS`` points on, one helper thread runs init_flow
+    while this thread builds the pair list, and then each iteration's match
+    and Chamfer term while this thread clusters, classifies and fits; the
+    helper lives only for this call, and an exception on it is raised here.
+    Smaller clouds run the same steps inline.  Both give the same result bit
+    for bit.
     """
     if cfg is None:
         cfg = IterationConfig()
@@ -243,19 +264,21 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
     # looked up on the module at call time, so a substituted index class
     # (perfbench's tracer) also sees this index and its queries
     index_t1 = geometry.SpatialIndex(p_t1.points)
-    flow_prev, diag = init_flow(p_t, index_t1)
-    mask_prev = initial_mask(p_t, flow_prev)
-    ids, _ = index_t1.query(p_t.points + flow_prev.vectors)
     records = []
     converged = False
     transforms = stats = None
     with ThreadPoolExecutor(max_workers=1) as helper:
+        pending = helper.submit(init_flow, p_t, index_t1) if overlap else None
+        pairs = pair_list(p_t)
+        flow_prev, diag = pending.result() if overlap else init_flow(p_t, index_t1)
+        mask_prev = initial_mask(p_t, flow_prev, pairs)
+        match = index_t1.match(p_t.points + flow_prev.vectors)
         for i in range(1, cfg.max_iters + 1):
-            flow_i, _, degenerate = refine_flow(p_t, p_t1.points[ids], mask_prev,
-                                                flow_prev)
-            match = partial(_match_and_chamfer, index_t1, p_t, p_t1, flow_i)
-            pending = helper.submit(match) if overlap else None
-            raw_mask = cluster(p_t, flow_i)
+            flow_i, _, degenerate = refine_flow(p_t, p_t1.points[match.ids],
+                                                mask_prev, flow_prev)
+            step = partial(_match_and_chamfer, index_t1, p_t, p_t1, flow_i, match)
+            pending = helper.submit(step) if overlap else None
+            raw_mask = cluster(p_t, flow_i, pairs=pairs)
             raw_stats = cluster_stats(p_t, flow_i, raw_mask, cfg.classifier.dt)
             v_ego = _estimate_v_ego(p_t, flow_i, mask_prev, i, cfg.classifier.dt)
             strategy = resolve_strategy(raw_stats, cfg.classifier)
@@ -273,7 +296,7 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
             fd = flow_delta(flow_i, flow_prev)
             md = mask_delta(mask_i, mask_prev)
             d_total = cfg.alpha * fd + cfg.beta * md
-            ids, l_cd = pending.result() if overlap else match()
+            match, l_cd = pending.result() if overlap else step()
             records.append(IterationRecord(
                 iteration=i, flow_delta=fd, mask_delta=md, delta_total=d_total,
                 losses=total_loss(p_t, flow_i, mask_i, transforms, l_cd),

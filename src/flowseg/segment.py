@@ -3,17 +3,20 @@
 Clustering runs density-based connected components over 6-D features
 (x, y, z, lambda*sx, lambda*sy, lambda*sz): two points join when their feature
 distance is at most eps, so spatially adjacent points separate whenever their
-flows differ enough.  Classification picks the static set either by cluster
-size (the background dominates) or by comparing cluster velocity with the ego
-velocity; ``auto`` switches to the velocity rule when cluster sizes are too
-similar for the size rule to be trustworthy.
+flows differ enough.  A feature distance is never below the 3-D distance, so
+every joined pair is within eps in 3-D: one :class:`PairList` of those pairs,
+built once per cloud, serves every clustering of it whatever the flow.
+Classification picks the static set either by cluster size (the background
+dominates) or by comparing cluster velocity with the ego velocity; ``auto``
+switches to the velocity rule when cluster sizes are too similar for the size
+rule to be trustworthy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
@@ -23,7 +26,9 @@ __all__ = [
     "SegmentationMask",
     "ClusterStats",
     "ClassifierConfig",
+    "PairList",
     "members",
+    "pair_list",
     "cluster",
     "cluster_stats",
     "classify",
@@ -127,13 +132,52 @@ def members(labels: np.ndarray) -> list:
     return np.split(order, np.cumsum(np.bincount(labels))[:-1])
 
 
-def _components_within(features: np.ndarray, eps: float):
-    """Connected components linking points at feature distance <= eps."""
-    n = features.shape[0]
-    pairs = cKDTree(features).query_pairs(eps, output_type="ndarray")
-    adj = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
-    n_comp, raw = connected_components(adj, directed=False)
-    return n_comp, raw
+@dataclass(frozen=True)
+class PairList:
+    """Every pair of points of one cloud within ``eps`` of each other in 3-D.
+
+    ``i < j`` are int32 point ids, grouped by ascending ``i``.  ``d2`` is each
+    pair's squared distance summed as (dx² + dy²) + dz², the k-d tree's
+    left-to-right order, so adding further squared coordinate differences in
+    order gives the squared distance the tree computes over longer features.
+    """
+
+    i: np.ndarray
+    j: np.ndarray
+    d2: np.ndarray
+    eps: float
+
+
+def _add_squares(d2: np.ndarray, coords: np.ndarray, i, j) -> np.ndarray:
+    """Add the squared differences of each pair's coordinates to ``d2`` in
+    place, one column at a time, in the order the k-d tree sums them."""
+    for column in coords.T:
+        diff = column[i] - column[j]
+        d2 += diff * diff
+    return d2
+
+
+def pair_list(p_t, eps: float = CLUSTER_EPS) -> PairList:
+    """The :class:`PairList` of a cloud: one k-d tree ``query_pairs`` call."""
+    pairs = cKDTree(p_t.points).query_pairs(eps, output_type="ndarray")
+    order = np.argsort(pairs[:, 0], kind="stable")
+    i = pairs[order, 0].astype(np.int32)
+    j = pairs[order, 1].astype(np.int32)
+    d2 = _add_squares(np.zeros(i.shape[0]), p_t.points, i, j)
+    return PairList(i=i, j=j, d2=d2, eps=eps)
+
+
+def _check_eps(pairs: PairList, eps: float) -> None:
+    if pairs.eps != eps:
+        raise ValueError(f"pair list links within {pairs.eps}, need {eps}")
+
+
+def _components(n: int, i: np.ndarray, j: np.ndarray):
+    """Connected components of n points linked by pairs (i, j), i ascending."""
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(i, minlength=n), out=indptr[1:])
+    adj = csr_matrix((np.ones(j.shape[0]), j, indptr), shape=(n, n))
+    return connected_components(adj, directed=False)
 
 
 def _compact(labels: np.ndarray) -> np.ndarray:
@@ -146,8 +190,13 @@ def _compact(labels: np.ndarray) -> np.ndarray:
 
 
 def cluster(p_t, flow, lambda_flow: float = LAMBDA_FLOW, *,
-            eps: float = CLUSTER_EPS) -> SegmentationMask:
+            eps: float = CLUSTER_EPS, pairs: PairList = None) -> SegmentationMask:
     """Segment a cloud by density connectivity over position+scaled-flow features.
+
+    ``pairs`` is the cloud's :func:`pair_list` at radius ``eps`` (built here
+    when omitted).  Each pair's feature distance adds the three scaled flow
+    differences to its 3-D ``d2`` in the tree's order, so the pairs kept are
+    exactly those a 6-D ``query_pairs(eps)`` finds.
 
     Components smaller than ``MIN_PTS`` are merged into the large component
     whose nearest point (in feature space) is closest; ties go to the lowest
@@ -157,14 +206,19 @@ def cluster(p_t, flow, lambda_flow: float = LAMBDA_FLOW, *,
         raise MaskMismatch(f"flow covers {len(flow)} points, cloud has {len(p_t)}")
     if lambda_flow < 0:
         raise ValueError("lambda_flow must be nonnegative")
-    feats = np.hstack([p_t.points, lambda_flow * flow.vectors])
-    n_comp, raw = _components_within(feats, eps)
+    if pairs is None:
+        pairs = pair_list(p_t, eps)
+    _check_eps(pairs, eps)
+    scaled = lambda_flow * flow.vectors
+    keep = _add_squares(pairs.d2.copy(), scaled, pairs.i, pairs.j) <= eps * eps
+    n_comp, raw = _components(len(p_t), pairs.i[keep], pairs.j[keep])
     sizes = np.bincount(raw, minlength=n_comp)
     large = sizes >= MIN_PTS
     if not large.any():
         large = sizes == sizes.max()
     labels = raw.copy()
     if not large.all():
+        feats = np.hstack([p_t.points, scaled])
         in_large = large[raw]
         large_feats = feats[in_large]
         large_labels = raw[in_large]

@@ -100,6 +100,16 @@ class TestGen:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_zero_dt_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = main(["gen", "--dt", "0", "--points", "600", "--objects", "1",
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "dt" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestRun:
     def test_outputs_and_manifest(self, seq_dir, run_dir):

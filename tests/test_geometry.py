@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from flowseg.errors import DegenerateInput, EmptyCloud, EmptyIndex
-from flowseg.geometry import (RigidTransform, SpatialIndex, chamfer_distance,
-                              weighted_kabsch)
+from flowseg.geometry import (TOL, RigidTransform, SpatialIndex,
+                              chamfer_distance, weighted_kabsch)
 
 
 def lattice(low, high, max_rows, scale=1.0):
@@ -34,6 +34,33 @@ def random_rotation(rng):
     if np.linalg.det(q) < 0:
         q[:, 2] *= -1.0
     return q
+
+
+@st.composite
+def match_chains(draw):
+    """Indexed points and a chain of 2-5 query stacks, each moved from the
+    last row by row: some rows stay put, some move a little, and some move
+    past their clearance.  Lattice clouds with half-step queries tie
+    everywhere; random clouds rarely tie."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        pts = draw(lattice(-3, 3, 200))
+        queries = draw(lattice(-7, 7, 40, scale=0.5))
+        moves = np.array([2.0**-6, 0.125, 0.5, 1.5])
+    else:
+        n, m = draw(st.integers(1, 300)), draw(st.integers(1, 60))
+        pts = rng.normal(size=(n, 3))
+        queries = rng.normal(size=(m, 3))
+        moves = np.array([1e-6, 1e-3, 0.05, 1.0])
+    stacks = [queries]
+    for _ in range(draw(st.integers(1, 4))):
+        step = rng.choice(moves, size=queries.shape) * rng.choice([-1.0, 1.0],
+                                                                  size=queries.shape)
+        step[rng.random(queries.shape[0]) < 0.4] = 0.0
+        queries = queries + step
+        stacks.append(queries)
+    return pts, stacks
 
 
 class TestRigidTransform:
@@ -267,6 +294,63 @@ class TestSpatialIndex:
         assert found[:, 0].all()
         assert np.array_equal(dist[found], expected[found])
 
+    @settings(deadline=None, max_examples=300)
+    @given(match_chains())
+    def test_match_chain_equals_fresh_query(self, chain):
+        pts, stacks = chain
+        index = SpatialIndex(pts)
+        search = index._search
+        searched = []
+
+        def counting_search(q):
+            searched.append(len(q))
+            return search(q)
+
+        index._search = counting_search
+        match = None
+        for k, queries in enumerate(stacks):
+            previous, match = match, index.match(queries, match)
+            ids, dist = index.query(queries)
+            assert np.array_equal(match.ids, ids)
+            assert np.array_equal(match.distances, dist)
+            if previous is None:
+                # a fresh search's clearance is the second nearest distance
+                d = np.sort(np.sqrt(((queries[:, None] - pts[None]) ** 2)
+                                    .sum(axis=2)), axis=1)
+                second = d[:, 1] if len(pts) > 1 else np.full(len(d), np.inf)
+                assert np.array_equal(match.clearance, second)
+            elif k == 1:
+                # rows that stayed put, with a margin the slack cannot eat,
+                # are kept without a search
+                still = (queries == previous.queries).all(axis=1)
+                kept = still & (previous.clearance - previous.distances > 2 * TOL)
+                assert searched[-2] <= len(queries) - kept.sum()
+
+    def test_match_keeps_rows_and_checks_length(self):
+        index = SpatialIndex([[0.0, 0, 0], [10.0, 0, 0]])
+        first = index.match([[1.0, 0, 0], [6.0, 0, 0]])
+        assert first.ids.tolist() == [0, 1]
+        assert first.clearance.tolist() == [9.0, 6.0]
+        # row 0 moves 2 and keeps point 0 (3 + TOL < 9 - 2 - TOL); row 1
+        # moves 4, past its clearance, and is searched again
+        second = index.match([[3.0, 0, 0], [2.0, 0, 0]], first)
+        assert second.ids.tolist() == [0, 0]
+        assert second.distances.tolist() == [3.0, 2.0]
+        assert second.clearance.tolist() == [7.0, 8.0]
+        with pytest.raises(ValueError):
+            index.match([[3.0, 0, 0]], first)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.one_of(
+        st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 300)).map(
+            lambda a: np.split(np.random.default_rng(a[0]).normal(
+                size=(a[1] + 20, 3)), [a[1]])),
+        st.tuples(lattice(-3, 3, 200), lattice(-7, 7, 40, scale=0.5))))
+    def test_distances_equal_query_distances(self, clouds):
+        pts, queries = clouds
+        index = SpatialIndex(pts)
+        assert np.array_equal(index.distances(queries), index.query(queries)[1])
+
     def test_query_knn(self):
         pts = [[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [4.0, 0, 0]]
         ids, dists = SpatialIndex(pts).query_knn([[0.9, 0.0, 0.0]], 2)
@@ -290,7 +374,7 @@ class TestSpatialIndex:
             index.query_knn([0.9, 0.0, 0.0], 1)
 
     def test_concurrent_queries_match_serial(self):
-        # pipeline.run queries one index from a helper thread while the
+        # pipeline.run searches one index from a helper thread while the
         # caller works; half-step queries on a lattice tie, so the tie rescan
         # runs in every thread at once.  Each thread has its own queries, more
         # threads than cores, and a short switch interval, so the threads
@@ -300,14 +384,22 @@ class TestSpatialIndex:
         n_threads, rounds = 4, 3
         stacks = [rng.integers(-16, 17, size=(600, 3)) * 0.5
                   for _ in range(n_threads)]
-        serial = [index.query(q) for q in stacks]
+
+        def searches(q):
+            # a query, a distances-only search, and a match that reuses one
+            # made for the stack a quarter step away
+            chained = index.match(q, index.match(q + 0.25))
+            return (*index.query(q), index.distances(q), chained.ids,
+                    chained.distances)
+
+        serial = [searches(q) for q in stacks]
         start = threading.Barrier(n_threads)
         results = [[] for _ in range(n_threads)]
 
         def worker(queries, out):
             start.wait(timeout=30)
             for _ in range(rounds):
-                out.append(index.query(queries))
+                out.append(searches(queries))
 
         threads = [threading.Thread(target=worker, args=args)
                    for args in zip(stacks, results)]
@@ -321,11 +413,11 @@ class TestSpatialIndex:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        for (serial_ids, serial_dist), out in zip(serial, results):
+        for expected, out in zip(serial, results):
             assert len(out) == rounds
-            for ids, dist in out:
-                assert np.array_equal(ids, serial_ids)
-                assert np.array_equal(dist, serial_dist)
+            for found in out:
+                for a, b in zip(found, expected, strict=True):
+                    assert np.array_equal(a, b)
 
     def test_empty_raises(self):
         with pytest.raises(EmptyIndex):

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from flowseg import flow, geometry, losses, pipeline
+from flowseg import flow, geometry, losses, pipeline, segment
 from flowseg.datagen import generate, random_scene_spec
 from flowseg.errors import LengthMismatch
 from flowseg.flow import FlowField, PointCloud
@@ -214,7 +214,7 @@ class TestRun:
     def test_one_frame_t1_index_and_pinned_query_count(self, monkeypatch):
         # a counting index swapped in at the names the modules look up at
         # call time, as perfbench's tracer does
-        built, queries = [], []
+        built, queries, matches, distances, pair_lists = [], [], [], [], []
 
         class CountingIndex(geometry.SpatialIndex):
             def __init__(self, points):
@@ -222,19 +222,35 @@ class TestRun:
                 built.append(self.points)
 
             def query(self, q):
-                queries.append(len(np.atleast_2d(q)))
+                queries.append(len(q))
                 return super().query(q)
+
+            def match(self, q, previous=None):
+                matches.append((len(q), previous is not None))
+                return super().match(q, previous)
+
+            def distances(self, q):
+                distances.append(len(q))
+                return super().distances(q)
+
+        build_pairs = segment.pair_list
+
+        def counting_pair_list(*args):
+            pair_lists.append(args)
+            return build_pairs(*args)
 
         for module in (flow, geometry):
             monkeypatch.setattr(module, "SpatialIndex", CountingIndex)
+        for module in (pipeline, segment):
+            monkeypatch.setattr(module, "pair_list", counting_pair_list)
         spec = random_scene_spec(69, n_points=1500, n_objects=2, shuffle=True)
         recs = generate(spec)
         p_t, p_t1 = recs[0].cloud, recs[1].cloud
         # the same counts whether the helper thread or this one matches
         for min_points in (0, len(p_t) + 1):
             monkeypatch.setattr(pipeline, "OVERLAP_MIN_POINTS", min_points)
-            built.clear()
-            queries.clear()
+            for log in (built, queries, matches, distances, pair_lists):
+                log.clear()
             ssf = run(p_t, p_t1)
             n = ssf.report.n_iterations
             assert n >= 2
@@ -243,11 +259,15 @@ class TestRun:
             # iteration
             assert sum(np.array_equal(pts, p_t1.points) for pts in built) == 1
             assert len(built) == 2 + (ssf.report.n_unreliable > 0) + n
-            # init_flow's forward and backward match, iteration 1's match,
-            # then per iteration one shared match and the Chamfer backward
-            # query
-            assert len(queries) == 3 + 2 * n
-            assert queries == [len(p_t)] * 3 + [len(p_t), len(p_t1)] * n
+            # only init_flow queries: its forward and backward match
+            assert queries == [len(p_t)] * 2
+            # iteration 1's match from scratch, then per iteration one match
+            # that reuses the last and one distances-only Chamfer backward
+            # search
+            assert matches == [(len(p_t), False)] + [(len(p_t), True)] * n
+            assert distances == [len(p_t1)] * n
+            # frame t's pair list once, shared by initial_mask and cluster
+            assert len(pair_lists) == 1
 
 
 class TestOverlap:

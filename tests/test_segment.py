@@ -4,12 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
-from flowseg.errors import (EmptyCloud, MaskMismatch, NoStaticCluster,
-                            UnknownClusterId)
+from flowseg.errors import (DegenerateInput, EmptyCloud, MaskMismatch,
+                            NoStaticCluster, UnknownClusterId)
 from flowseg.flow import FlowField, PointCloud
-from flowseg.segment import (ClassifierConfig, ClusterStats, SegmentationMask,
-                             classify, cluster, cluster_stats, members,
+from flowseg.geometry import weighted_kabsch
+from flowseg.pipeline import R_STATIC, initial_mask
+from flowseg.segment import (CLUSTER_EPS, LAMBDA_FLOW, MIN_PTS, ClassifierConfig,
+                             ClusterStats, SegmentationMask, _compact, classify,
+                             cluster, cluster_stats, members, pair_list,
                              relabel_static_first, resolve_strategy)
 
 
@@ -114,6 +121,147 @@ class TestCluster:
         sizes = mask.cluster_sizes()
         assert sizes.sum() == 80
         assert (sizes > 0).all()
+
+
+def components_within(features, eps):
+    """Connected components of points at feature distance <= eps, from one
+    k-d tree over the features themselves: the clustering before pair lists."""
+    n = features.shape[0]
+    pairs = cKDTree(features).query_pairs(eps, output_type="ndarray")
+    adj = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                     shape=(n, n))
+    return connected_components(adj, directed=False)
+
+
+def reference_cluster(p_t, flow, lambda_flow, eps):
+    feats = np.hstack([p_t.points, lambda_flow * flow.vectors])
+    n_comp, raw = components_within(feats, eps)
+    sizes = np.bincount(raw, minlength=n_comp)
+    large = sizes >= MIN_PTS
+    if not large.any():
+        large = sizes == sizes.max()
+    labels = raw.copy()
+    for comp in np.nonzero(~large)[0]:
+        member = feats[raw == comp]
+        d2 = ((member[:, None, :] - feats[large[raw]][None]) ** 2).sum(axis=2)
+        labels[raw == comp] = raw[large[raw]][int(np.argmin(d2.min(axis=0)))]
+    return _compact(labels)
+
+
+def reference_initial_mask(p_t, flow):
+    src = p_t.points
+    labels = np.zeros(len(src), dtype=np.int64)
+    try:
+        t = weighted_kabsch(src, src + flow.vectors)
+    except DegenerateInput:
+        return labels
+    residual = np.linalg.norm(t.apply(src) - (src + flow.vectors), axis=1)
+    candidates = np.nonzero(residual > R_STATIC)[0]
+    if candidates.shape[0] == 0:
+        return labels
+    _, comp = components_within(src[candidates], CLUSTER_EPS)
+    next_id = 1
+    for ids in members(comp):
+        if ids.shape[0] >= MIN_PTS:
+            labels[candidates[ids]] = next_id
+            next_id += 1
+    if not (labels == 0).any():
+        labels -= 1
+    return labels
+
+
+@st.composite
+def boundary_scenes(draw, step):
+    """A cloud and flow on a lattice of pitch ``step``, with flow steps of
+    ``step / 2``: with eps a multiple of the pitch, many position and
+    feature distances equal eps to the last bit, or miss it by one."""
+    pts = draw(arrays(np.int64, st.tuples(st.integers(2, 60), st.just(3)),
+                      elements=st.integers(-3, 3)))
+    vec = draw(arrays(np.int64, pts.shape, elements=st.integers(-2, 2)))
+    return cloud_of(pts * step), FlowField(vec * (step / 2))
+
+
+class TestPairList:
+    """One 3-D pair list per cloud gives the clusters a 6-D tree over
+    position and scaled flow gives, and initial_mask's candidate clusters."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.sampled_from([1.0, 0.8, 0.1]).flatmap(
+               lambda step: st.tuples(boundary_scenes(step), st.just(step))),
+           st.sampled_from([0.0, 1.0, 2.0, 5.0]),
+           st.sampled_from([1.0, 2.0, np.sqrt(2.0), np.sqrt(3.0)]))
+    def test_cluster_equals_six_d_query_pairs(self, scene_step, lambda_flow,
+                                              radius):
+        (p_t, flow), step = scene_step
+        eps = radius * step
+        expected = reference_cluster(p_t, flow, lambda_flow, eps)
+        pairs = pair_list(p_t, eps)
+        assert np.array_equal(
+            cluster(p_t, flow, lambda_flow, eps=eps, pairs=pairs).labels, expected)
+        assert np.array_equal(
+            cluster(p_t, flow, lambda_flow, eps=eps).labels, expected)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(0, 2**32 - 1), st.integers(-2, 2),
+           st.sampled_from([1.0, 5.0]))
+    def test_cluster_at_the_rounding_boundary(self, seed, nudge, lambda_flow):
+        # eps from the first two points' own 6-D squared distance, a few
+        # ulps either way: only the tree's summation order links them or not
+        # exactly as the 6-D tree does
+        rng = np.random.default_rng(seed)
+        p_t = cloud_of(rng.uniform(-0.3, 0.3, size=(6, 3)))
+        flow = FlowField(rng.uniform(-0.05, 0.05, size=(6, 3)))
+        feats = np.hstack([p_t.points, lambda_flow * flow.vectors])
+        diff = feats[0] - feats[1]
+        d2 = 0.0
+        for x in diff:
+            d2 += x * x
+        eps = np.sqrt(d2)
+        for _ in range(abs(nudge)):
+            eps = np.nextafter(eps, np.sign(nudge) * np.inf)
+        assert np.array_equal(cluster(p_t, flow, lambda_flow, eps=eps).labels,
+                              reference_cluster(p_t, flow, lambda_flow, eps))
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 400))
+    def test_cluster_equals_reference_on_random_clouds(self, seed, n):
+        rng = np.random.default_rng(seed)
+        p_t = cloud_of(rng.uniform(-4, 4, size=(n, 3)))
+        flow = FlowField(rng.normal(0, 0.1, size=(n, 3)))
+        assert np.array_equal(cluster(p_t, flow).labels,
+                              reference_cluster(p_t, flow, LAMBDA_FLOW,
+                                                CLUSTER_EPS))
+
+    @settings(deadline=None, max_examples=150)
+    @given(boundary_scenes(CLUSTER_EPS), st.integers(0, 2**32 - 1))
+    def test_initial_mask_equals_per_candidate_tree(self, scene, seed):
+        p_t, flow = scene
+        # movers far outside the residual gate make the candidates
+        rng = np.random.default_rng(seed)
+        vec = flow.vectors + np.where(rng.random((len(p_t), 1)) < 0.4,
+                                      [3.0, 0.0, 0.0], 0.0)
+        flow = FlowField(vec)
+        expected = reference_initial_mask(p_t, flow)
+        assert np.array_equal(initial_mask(p_t, flow, pair_list(p_t)).labels,
+                              expected)
+        assert np.array_equal(initial_mask(p_t, flow).labels, expected)
+
+    def test_pair_list_layout(self):
+        rng = np.random.default_rng(36)
+        pts = rng.uniform(-2, 2, size=(300, 3))
+        pairs = pair_list(cloud_of(pts), 0.5)
+        assert pairs.i.dtype == pairs.j.dtype == np.int32
+        assert (np.diff(pairs.i) >= 0).all() and (pairs.i < pairs.j).all()
+        found = {(int(a), int(b)) for a, b in zip(pairs.i, pairs.j)}
+        assert found == cKDTree(pts).query_pairs(0.5)
+        diff = pts[pairs.i] - pts[pairs.j]
+        assert np.array_equal(pairs.d2, (diff[:, 0] ** 2 + diff[:, 1] ** 2)
+                              + diff[:, 2] ** 2)
+
+    def test_pair_list_radius_must_match(self):
+        p_t = cloud_of(np.random.default_rng(37).uniform(size=(20, 3)))
+        with pytest.raises(ValueError):
+            cluster(p_t, FlowField.zeros(20), eps=1.0, pairs=pair_list(p_t, 0.5))
 
 
 class TestClusterStats:
