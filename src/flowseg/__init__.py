@@ -20,8 +20,8 @@ from .flow import (FlowField, PointCloud, fit_transforms, init_flow,
                    refine_flow)
 from .segment import (ClassifierConfig, ClusterStats, SegmentationMask,
                       classify, cluster, cluster_stats, relabel_static_first)
-from .losses import (LossBreakdown, chamfer_loss, flow_consistency_loss,
-                     motion_loss, total_loss)
+from .losses import (ChamferTerm, LossBreakdown, chamfer_loss,
+                     flow_consistency_loss, motion_loss, total_loss)
 from .pipeline import (ConvergenceReport, IterationConfig, SemanticSceneFlow,
                        flow_delta, initial_mask, mask_delta, run)
 from .odometry import (ErrorStats, Pose, Trajectory, TrajectoryErrorReport,

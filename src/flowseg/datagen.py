@@ -91,12 +91,13 @@ class SceneSpec:
             raise InvalidSpec("object_motions must be RigidTransform instances")
         if not isinstance(self.ego_motion, RigidTransform):
             raise InvalidSpec("ego_motion must be a RigidTransform")
-        if self.noise_sigma < 0:
-            raise InvalidSpec("noise_sigma must be nonnegative")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise InvalidSpec(
+                f"noise_sigma must be finite and nonnegative, got {self.noise_sigma}")
         if self.n_frames < 1:
             raise InvalidSpec("n_frames must be at least 1")
-        if self.dt <= 0:
-            raise InvalidSpec("dt must be positive")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise InvalidSpec(f"dt must be positive and finite, got {self.dt}")
 
 
 @dataclass(frozen=True)
@@ -150,8 +151,8 @@ def random_scene_spec(seed: int, *, n_frames: int = 2, n_points: int = 8192,
     keeping movers spatially separated from the background for the whole clip.
     """
     # checked before dt divides the travel budget below
-    if dt <= 0:
-        raise InvalidSpec("dt must be positive")
+    if not (np.isfinite(dt) and dt > 0):
+        raise InvalidSpec(f"dt must be positive and finite, got {dt}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     if regime is not None:
         if regime not in ("dh", "dt"):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, EmptyCloud, MaskMismatch
-from .geometry import RigidTransform, SpatialIndex, weighted_kabsch
+from .geometry import TOL, RigidTransform, SpatialIndex, weighted_kabsch
 from .segment import members
 
 __all__ = [
@@ -121,16 +121,29 @@ def init_flow(p_t: PointCloud, index_t1: SpatialIndex):
     in ``p_t``.  Points whose nearest neighbor is farther than ``D_MAX`` have
     no plausible correspondence and get zero flow.
 
-    Returns ``(FlowField, InitFlowDiagnostics)``.
+    The backward check searches only the rows a bound cannot settle: the
+    origin point lies ``d`` from its target, so the target's nearest
+    frame-t point lies within ``d`` too and the round trip is at most
+    ``2 d``; a row with ``2 d + TOL < R_CONSISTENCY`` is consistent without
+    a search, and frame t is indexed only when some row is not.
+
+    Returns ``(FlowField, InitFlowDiagnostics, Match)``; the ``Match`` is
+    the forward search of ``p_t``'s points, which a later
+    ``index_t1.match(p_t.points + flow.vectors, forward)`` reuses wherever
+    it is certified.
     """
     src = p_t.points
     dst = index_t1.points
-    ids, dist = index_t1.query(src)
+    forward = index_t1.match(src)
+    ids, dist = forward.ids, forward.distances
     vectors = dst[ids] - src
-    back_ids, _ = SpatialIndex(src).query(dst[ids])
-    round_trip = np.linalg.norm(src[back_ids] - src, axis=1)
     disoccluded = dist > D_MAX
-    unreliable = (round_trip > R_CONSISTENCY) & ~disoccluded
+    unreliable = np.zeros(src.shape[0], dtype=bool)
+    check = np.nonzero(~disoccluded & ~(2.0 * dist + TOL < R_CONSISTENCY))[0]
+    if check.shape[0]:
+        back_ids, _ = SpatialIndex(src).query(dst[ids[check]])
+        round_trip = np.linalg.norm(src[back_ids] - src[check], axis=1)
+        unreliable[check] = round_trip > R_CONSISTENCY
     reliable = ~(unreliable | disoccluded)
     if unreliable.any() and reliable.any():
         # fill from reliable neighbors only; if none exist the raw vectors stay
@@ -141,7 +154,8 @@ def init_flow(p_t: PointCloud, index_t1: SpatialIndex):
         vectors[unreliable] = np.median(rel_vec[nn_ids], axis=1)
     vectors[disoccluded] = 0.0
     return (FlowField(vectors),
-            InitFlowDiagnostics(unreliable=unreliable, disoccluded=disoccluded))
+            InitFlowDiagnostics(unreliable=unreliable, disoccluded=disoccluded),
+            forward)
 
 
 def _fit_clusters(src: np.ndarray, dst: np.ndarray, groups):

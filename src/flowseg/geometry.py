@@ -200,7 +200,10 @@ class SpatialIndex:
         if not np.isfinite(pts).all():
             raise ValueError("indexed points must be finite")
         self._points = np.ascontiguousarray(pts)
-        self._tree = cKDTree(self._points)
+        # sliding-midpoint splits: at 32768 points the tree builds in about
+        # half the time of median splits and answers no slower; an exact
+        # search finds the same distances whatever the splits
+        self._tree = cKDTree(self._points, balanced_tree=False)
 
     def __len__(self) -> int:
         return self._points.shape[0]

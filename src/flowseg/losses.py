@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
+from .geometry import TOL, _norms
 from .errors import MaskMismatch, TransformCountMismatch
 from .segment import members
 
@@ -19,6 +20,7 @@ __all__ = [
     "LossBreakdown",
     "motion_loss",
     "flow_consistency_loss",
+    "ChamferTerm",
     "chamfer_loss",
     "total_loss",
 ]
@@ -85,32 +87,77 @@ def flow_consistency_loss(flow, mask) -> float:
     return float(acc / len(groups))
 
 
-def chamfer_loss(p_t, flow, p_t1, forward) -> float:
+@dataclass(frozen=True)
+class ChamferTerm:
+    """One Chamfer term and the backward search the next term can carry.
+
+    ``value`` is the term.  ``warped`` is the warped cloud it was measured
+    on.  For frame-t+1 point j, ``nearest[j]`` is the id of a nearest
+    warped point and ``clearance[j]`` a lower bound on its distance to every
+    other warped point: the second nearest distance after a search, so a
+    tied row has none to spare and its id may be any of the tied ones.
+    """
+
+    value: float
+    warped: np.ndarray
+    nearest: np.ndarray
+    clearance: np.ndarray
+
+
+def chamfer_loss(p_t, flow, p_t1, forward, previous: ChamferTerm = None
+                 ) -> ChamferTerm:
     """Chamfer distance between the observed next frame and the warped frame.
 
     ``forward[i]`` is the distance from warped point ``p_t[i] + flow[i]`` to
     its nearest neighbor in ``p_t1``: the distances of the match the loop
     already made against its index over frame t+1.  Only the backward half
-    is searched here, by :meth:`SpatialIndex.distances`, which needs no ids
-    and so skips the tie rescan; the value equals
-    ``chamfer_distance(p_t1.points, p_t.points + flow.vectors)`` bit for bit.
-    It reads only its arguments, so ``pipeline.run`` computes it on a helper
-    thread, next to the match, while the loop clusters.
+    is searched here.  Given the ``previous`` term of the same two frames,
+    frame-t+1 point j keeps its nearest warped point unsearched when its
+    new distance d satisfies ``d + TOL < clearance_j - S - TOL``, where S is
+    the largest step of any warped point since ``previous``: by the triangle
+    inequality every other warped point stays at least ``clearance_j - S``
+    away.  Its clearance drops by S.  Every other row is searched for its
+    two nearest warped points in one index over the warped cloud, built
+    only when some row needs it.  The value equals
+    ``chamfer_distance(p_t1.points, p_t.points + flow.vectors)`` bit for
+    bit.  It reads only its arguments, so ``pipeline.run`` computes it on a
+    helper thread while the loop clusters.
     """
     if len(flow) != len(p_t):
         raise MaskMismatch(f"flow covers {len(flow)} points, cloud has {len(p_t)}")
     if len(forward) != len(p_t):
         raise MaskMismatch(
             f"forward covers {len(forward)} points, cloud has {len(p_t)}")
-    # module lookup at call time, as in pipeline.run
-    index = geometry.SpatialIndex(p_t.points + flow.vectors)
-    backward = index.distances(p_t1.points)
-    return float(backward.sum() + forward.sum())
+    warped = p_t.points + flow.vectors
+    q = p_t1.points
+    if previous is None:
+        nearest = np.zeros(len(q), dtype=np.intp)
+        backward = np.zeros(len(q))
+        clearance = np.full(len(q), -np.inf)
+    else:
+        if (previous.warped.shape != warped.shape
+                or previous.nearest.shape[0] != len(q)):
+            raise MaskMismatch("previous Chamfer term covers other clouds")
+        step = _norms(warped - previous.warped).max()
+        nearest = previous.nearest.copy()
+        backward = _norms(q - warped[nearest])
+        clearance = previous.clearance - step
+    redo = np.nonzero(~(backward + TOL < clearance - TOL))[0]
+    if redo.shape[0]:
+        # module lookup at call time, as in pipeline.run
+        index = geometry.SpatialIndex(warped)
+        k = min(2, len(index))
+        ids, dist = index.query_knn(q if redo.shape[0] == len(q) else q[redo], k)
+        nearest[redo] = ids[:, 0]
+        backward[redo] = dist[:, 0]
+        clearance[redo] = dist[:, 1] if k == 2 else np.inf
+    return ChamferTerm(float(backward.sum() + forward.sum()), warped, nearest,
+                       clearance)
 
 
 def total_loss(p_t, flow, mask, transforms, l_cd: float) -> LossBreakdown:
     """The motion and consistency terms, the finished Chamfer term ``l_cd``
-    (from :func:`chamfer_loss`), and their unweighted sum
+    (the ``value`` of a :func:`chamfer_loss`), and their unweighted sum
     ``l_mot + l_sc + l_cd``."""
     l_mot = motion_loss(p_t, flow, mask, transforms)
     l_sc = flow_consistency_loss(flow, mask)

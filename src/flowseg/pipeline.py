@@ -8,9 +8,8 @@ hit, and the whole history is kept in a ConvergenceReport.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -39,8 +38,8 @@ __all__ = [
 R_STATIC = 0.3
 
 # cloud size (points in frame t) from which run() hands init_flow and each
-# iteration's match and Chamfer term to a helper thread; below it the
-# hand-off over the interpreter lock costs more than the overlap saves
+# iteration's loss jobs to a helper thread; below it the hand-off over the
+# interpreter lock costs more than the overlap saves
 OVERLAP_MIN_POINTS = 8192
 
 
@@ -56,12 +55,14 @@ class IterationConfig:
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be nonnegative")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         if self.alpha == 0 and self.beta == 0:
             raise ValueError("alpha and beta cannot both be zero")
 
@@ -222,14 +223,21 @@ def _estimate_v_ego(p_t, flow: FlowField, mask_prev: SegmentationMask,
     return float(np.linalg.norm(t.translation) / dt)
 
 
-def _match_and_chamfer(index_t1, p_t, p_t1, flow: FlowField, previous):
-    """The part of an iteration that reads only its refined flow: the next
-    iteration's match against frame t+1, reusing ``previous`` where it is
-    certified, then the Chamfer term, whose forward half is that match's
-    distances.  Returns ``(match, l_cd)``."""
-    match = index_t1.match(p_t.points + flow.vectors, previous)
-    # looked up on the module at call time, so perfbench's tracer sees it
-    return match, losses.chamfer_loss(p_t, flow, p_t1, match.distances)
+def _losses(p_t, flow: FlowField, mask: SegmentationMask, chamfer: Future):
+    """The rest of an iteration's report-only work: the per-cluster fits and
+    the loss breakdown, whose Chamfer term is ``chamfer``, a job submitted
+    before this one.  Returns ``(transforms, breakdown)``."""
+    # looked up at call time, so perfbench's tracer sees them
+    transforms, _ = fit_transforms(p_t, flow, mask)
+    return transforms, total_loss(p_t, flow, mask, transforms,
+                                  chamfer.result().value)
+
+
+def _ran(fn, *args) -> Future:
+    """A finished future holding ``fn(*args)``: the inline path's submit."""
+    done = Future()
+    done.set_result(fn(*args))
+    return done
 
 
 def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
@@ -245,18 +253,24 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
     - frame t+1 is indexed once;
     - frame t's ``pair_list`` is built once and serves ``initial_mask`` and
       every ``cluster`` call;
-    - each iteration matches its refined flow against the frame-t+1 index
-      once, through ``SpatialIndex.match`` with the previous iteration's
-      match, so only rows whose nearest point is not certified unchanged are
-      searched.  The distances are its Chamfer forward term, the ids the next
-      iteration's correspondences.
+    - every match against the frame-t+1 index goes through
+      ``SpatialIndex.match`` with the one before it, starting from
+      init_flow's forward search, so only rows whose nearest point is not
+      certified unchanged are searched.  Each iteration's match gives its
+      Chamfer forward term and the next iteration's correspondences;
+    - each Chamfer term carries the last one's backward search.
 
-    From ``OVERLAP_MIN_POINTS`` points on, one helper thread runs init_flow
-    while this thread builds the pair list, and then each iteration's match
-    and Chamfer term while this thread clusters, classifies and fits; the
-    helper lives only for this call, and an exception on it is raised here.
-    Smaller clouds run the same steps inline.  Both give the same result bit
-    for bit.
+    The loop's decisions read only the flow, the masks and the matches, so
+    each iteration hands its report-only work on as two jobs: its Chamfer
+    term once its match is made, then ``fit_transforms`` and ``total_loss``
+    once its mask is known.  The next iteration joins both before it
+    submits its own, so at most one iteration's jobs are pending, and the
+    records are built after the loop.  From ``OVERLAP_MIN_POINTS`` points
+    on, one helper thread runs init_flow while this thread builds the pair
+    list, and then the jobs while this thread clusters and goes on with the
+    next iteration; an exception on the helper is raised here within one
+    iteration.  The helper lives only for this call.  Smaller clouds run
+    the same jobs inline.  Both give the same result bit for bit.
     """
     if cfg is None:
         cfg = IterationConfig()
@@ -264,20 +278,29 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
     # looked up on the module at call time, so a substituted index class
     # (perfbench's tracer) also sees this index and its queries
     index_t1 = geometry.SpatialIndex(p_t1.points)
-    records = []
+    steps = []
+    breakdowns = []
     converged = False
-    transforms = stats = None
+    chamfer = pending = None
     with ThreadPoolExecutor(max_workers=1) as helper:
-        pending = helper.submit(init_flow, p_t, index_t1) if overlap else None
+        submit = helper.submit if overlap else _ran
+        start = submit(init_flow, p_t, index_t1)
         pairs = pair_list(p_t)
-        flow_prev, diag = pending.result() if overlap else init_flow(p_t, index_t1)
+        flow_prev, diag, match = start.result()
         mask_prev = initial_mask(p_t, flow_prev, pairs)
-        match = index_t1.match(p_t.points + flow_prev.vectors)
+        match = index_t1.match(p_t.points + flow_prev.vectors, match)
         for i in range(1, cfg.max_iters + 1):
             flow_i, _, degenerate = refine_flow(p_t, p_t1.points[match.ids],
                                                 mask_prev, flow_prev)
-            step = partial(_match_and_chamfer, index_t1, p_t, p_t1, flow_i, match)
-            pending = helper.submit(step) if overlap else None
+            match = index_t1.match(p_t.points + flow_i.vectors, match)
+            if pending is not None:
+                transforms, breakdown = pending.result()
+                breakdowns.append(breakdown)
+            # the Chamfer term needs only the flow and the match, so it runs
+            # beside clustering, carrying the last term's backward search
+            chamfer = submit(losses.chamfer_loss, p_t, flow_i, p_t1,
+                             match.distances,
+                             None if chamfer is None else chamfer.result())
             raw_mask = cluster(p_t, flow_i, pairs=pairs)
             raw_stats = cluster_stats(p_t, flow_i, raw_mask, cfg.classifier.dt)
             v_ego = _estimate_v_ego(p_t, flow_i, mask_prev, i, cfg.classifier.dt)
@@ -292,25 +315,27 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
                 static_ids, _ = classify(raw_stats, v_ego,
                                          replace(cfg.classifier, strategy="quantity"))
             mask_i = relabel_static_first(raw_mask, static_ids)
-            transforms, _ = fit_transforms(p_t, flow_i, mask_i)
             fd = flow_delta(flow_i, flow_prev)
             md = mask_delta(mask_i, mask_prev)
             d_total = cfg.alpha * fd + cfg.beta * md
-            match, l_cd = pending.result() if overlap else step()
-            records.append(IterationRecord(
+            steps.append(dict(
                 iteration=i, flow_delta=fd, mask_delta=md, delta_total=d_total,
-                losses=total_loss(p_t, flow_i, mask_i, transforms, l_cd),
                 n_clusters=mask_i.n_clusters, strategy=strategy,
                 static_fallback=fallback, degenerate_clusters=len(degenerate),
                 v_ego=v_ego))
+            pending = submit(_losses, p_t, flow_i, mask_i, chamfer)
             flow_prev, mask_prev = flow_i, mask_i
             if d_total < cfg.epsilon:
                 converged = True
                 break
+        transforms, breakdown = pending.result()
+        breakdowns.append(breakdown)
+    records = tuple(IterationRecord(losses=lb, **step)
+                    for step, lb in zip(steps, breakdowns, strict=True))
     stats = tuple(cluster_stats(p_t, flow_prev, mask_prev, cfg.classifier.dt))
     report = ConvergenceReport(
         alpha=cfg.alpha, beta=cfg.beta, epsilon=cfg.epsilon,
-        records=tuple(records), converged=converged,
+        records=records, converged=converged,
         n_unreliable=diag.n_unreliable, n_disoccluded=diag.n_disoccluded)
     return SemanticSceneFlow(flow=flow_prev, mask=mask_prev,
                              transforms=tuple(transforms), stats=stats,

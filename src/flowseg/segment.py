@@ -114,10 +114,10 @@ class ClassifierConfig:
     strategy: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        for name in ("theta", "dt"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
 

@@ -110,6 +110,20 @@ class TestGen:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--noise", "nan", "noise_sigma"), ("--noise", "inf", "noise_sigma"),
+        ("--dt", "nan", "dt"), ("--dt", "inf", "dt")])
+    def test_non_finite_setting_exits_1_and_writes_nothing(
+            self, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "x"
+        rc = main(["gen", flag, value, "--points", "600", "--objects", "1",
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: {field} must be" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestRun:
     def test_outputs_and_manifest(self, seq_dir, run_dir):
@@ -205,6 +219,24 @@ class TestRun:
         fresh = str(tmp_path / "fresh")
         assert main(["run", "--input", missing, "--out", fresh]) == 1
         assert not os.path.exists(fresh)
+
+    def test_non_finite_settings_leave_out_untouched(self, seq_dir, tmp_path,
+                                                     capsys):
+        out = str(tmp_path / "complete")
+        assert main(["run", "--input", seq_dir, "--out", out]) == 0
+        before = {name: read_bytes(out, name) for name in os.listdir(out)}
+        for flag, value, field in (("--epsilon", "nan", "epsilon"),
+                                   ("--epsilon", "inf", "epsilon"),
+                                   ("--alpha", "nan", "alpha"),
+                                   ("--beta", "inf", "beta"),
+                                   ("--theta", "nan", "theta"),
+                                   ("--theta", "inf", "theta")):
+            capsys.readouterr()
+            rc = main(["run", "--input", seq_dir, flag, value, "--out", out])
+            assert rc == 1, flag
+            assert f"error: {field} must be" in capsys.readouterr().err
+            assert {name: read_bytes(out, name)
+                    for name in os.listdir(out)} == before
 
     def test_failure_leaves_marker_and_no_manifest(self, tmp_path, capsys):
         # collinear static world: the pipeline runs, but the final ego fit

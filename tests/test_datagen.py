@@ -39,6 +39,17 @@ class TestSceneSpec:
                       ego_motion=RigidTransform.identity(),
                       object_motions=(), noise_sigma=-0.1, n_frames=2, dt=0.1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("noise_sigma", float("nan")), ("noise_sigma", float("inf")),
+        ("dt", float("nan")), ("dt", float("inf"))])
+    def test_rejects_non_finite_setting(self, field, value):
+        kw = dict(seed=0, n_background=100, n_objects=0, points_per_object=0,
+                  ego_motion=RigidTransform.identity(), object_motions=(),
+                  noise_sigma=0.0, n_frames=2, dt=0.1)
+        kw[field] = value
+        with pytest.raises(InvalidSpec, match=field):
+            SceneSpec(**kw)
+
     def test_motion_count_must_match(self):
         with pytest.raises(InvalidSpec):
             SceneSpec(seed=0, n_background=100, n_objects=2,

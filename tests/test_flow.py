@@ -1,13 +1,19 @@
 """Point clouds, flow fields, flow initialization and rigid refinement."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flowseg import flow as flow_module
 from flowseg.datagen import generate, random_scene_spec
 from flowseg.errors import DegenerateInput, EmptyCloud, MaskMismatch
-from flowseg.flow import (FlowField, InitFlowDiagnostics, PointCloud,
-                          fit_transforms, init_flow, refine_flow)
-from flowseg.geometry import RigidTransform, SpatialIndex, weighted_kabsch
+from flowseg.flow import (D_MAX, R_CONSISTENCY, FlowField, InitFlowDiagnostics,
+                          PointCloud, fit_transforms, init_flow, refine_flow)
+from flowseg.geometry import (TOL, RigidTransform, SpatialIndex,
+                              weighted_kabsch)
 from flowseg.segment import SegmentationMask
 
 
@@ -70,6 +76,62 @@ def fit_reference(p_t, flow, mask):
     return transforms, degenerate
 
 
+def ulps_from(x, n):
+    """``x`` moved ``n`` representable doubles up (n > 0) or down."""
+    for _ in range(abs(n)):
+        x = np.nextafter(x, np.inf if n > 0 else -np.inf)
+    return x
+
+
+@st.composite
+def consistency_scenes(draw):
+    """Frame t and frame t+1 for init_flow's backward check: a jittered
+    cloud with dropped and extra targets and far (disoccluded) points, plus
+    rows whose target lies within a few ulps of the bound's edge
+    (``2 d + TOL = R_CONSISTENCY``) or of ``2 d = R_CONSISTENCY``, some
+    with a second frame-t point just past the target that wins, ties or
+    loses the backward search."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 120))
+    src = rng.uniform(-4.0, 4.0, size=(n, 3))
+    dst = src + rng.normal(scale=draw(st.sampled_from([0.05, 0.3, 1.0])),
+                           size=src.shape)
+    dst = np.vstack([dst[rng.random(n) < 0.8],
+                     rng.uniform(-4.0, 4.0, size=(draw(st.integers(0, 20)), 3))])
+    if dst.shape[0] == 0:
+        dst = src[:1] + 0.1
+    far = rng.uniform(-4.0, 4.0, size=(draw(st.integers(0, 3)), 3)) + [0, 0, 60.0]
+    src_rows, dst_rows = [src, far], [dst]
+    for k in range(draw(st.integers(0, 6))):
+        # the row sits at x = 0, so the tree's distance to its target is d
+        edge = draw(st.sampled_from([(R_CONSISTENCY - TOL) / 2,
+                                     R_CONSISTENCY / 2]))
+        d = ulps_from(edge, draw(st.integers(-4, 4)))
+        y = 100.0 + 10.0 * k
+        src_rows.append([[0.0, y, 0.0]])
+        dst_rows.append([[d, y, 0.0]])
+        # a second point at 2d wins the backward search by an ulp, ties
+        # (and loses to the lower id) or loses, with a round trip of ~2d
+        beyond = draw(st.sampled_from([None, -0.01, -2, -1, 0, 1, 0.01]))
+        if isinstance(beyond, int):
+            src_rows.append([[ulps_from(2 * d, beyond), y, 0.0]])
+        elif beyond is not None:
+            src_rows.append([[2 * d + beyond, y, 0.0]])
+    src = np.vstack(src_rows)
+    order = rng.permutation(src.shape[0])
+    return src[order], np.vstack(dst_rows)
+
+
+class RecordingIndex(SpatialIndex):
+    """A SpatialIndex that logs every stack ``query`` searches."""
+
+    log = []
+
+    def query(self, queries):
+        self.log.append(np.array(queries))
+        return super().query(queries)
+
+
 def multi_cluster_scene():
     # shuffled point order interleaves the clusters; two points split off
     # into a cluster of their own, which no rigid fit can handle
@@ -78,7 +140,7 @@ def multi_cluster_scene():
     p_t, p_t1 = records[0].cloud, records[1].cloud
     labels = records[0].gt_mask.labels.copy()
     labels[[7, 900]] = labels.max() + 1
-    flow, _ = init_flow(p_t, SpatialIndex(p_t1))
+    flow, _, _ = init_flow(p_t, SpatialIndex(p_t1))
     return p_t, p_t1, SegmentationMask(labels), flow
 
 
@@ -127,14 +189,14 @@ class TestFlowField:
 class TestInitFlow:
     def test_identical_clouds_zero_flow(self):
         c = grid_cloud()
-        f, _ = init_flow(c, SpatialIndex(c))
+        f, _, _ = init_flow(c, SpatialIndex(c))
         assert not f.vectors.any()
 
     def test_small_translation_exact(self):
         # displacement far below half the 3 m spacing: NN matching is exact
         c = grid_cloud()
         shifted = cloud_of(c.points + [1.0, 0.0, 0.0])
-        f, _ = init_flow(c, SpatialIndex(shifted))
+        f, _, _ = init_flow(c, SpatialIndex(shifted))
         np.testing.assert_allclose(f.vectors,
                                    np.tile([1.0, 0, 0], (len(c), 1)),
                                    atol=1e-12)
@@ -143,7 +205,7 @@ class TestInitFlow:
         # last source point has no target within d_max
         pts = np.array([[0.0, 0, 0], [3.0, 0, 0], [100.0, 0, 0]])
         tgt = np.array([[0.0, 0, 0], [3.0, 0, 0]])
-        f, diag = init_flow(cloud_of(pts), SpatialIndex(tgt))
+        f, diag, _ = init_flow(cloud_of(pts), SpatialIndex(tgt))
         assert isinstance(diag, InitFlowDiagnostics)
         np.testing.assert_array_equal(f.vectors[2], [0.0, 0.0, 0.0])
         assert diag.disoccluded[2]
@@ -156,14 +218,14 @@ class TestInitFlow:
                         [0.0, 1, 0], [1.0, 1, 0], [2.0, 1, 0]])
         tgt = src + [0.4, 0.0, 0.0]
         tgt = np.delete(tgt, 1, axis=0)  # point 1 lost its partner
-        f, diag = init_flow(cloud_of(src), SpatialIndex(tgt))
+        f, diag, _ = init_flow(cloud_of(src), SpatialIndex(tgt))
         assert diag.n_unreliable >= 1
         # filled value comes from surrounding consistent matches
         np.testing.assert_allclose(f.vectors[1], [0.4, 0.0, 0.0], atol=1e-9)
 
     def test_duplicate_points_no_nan(self):
         pts = np.array([[0.0, 0, 0], [0.0, 0, 0], [1.0, 0, 0], [1.0, 0, 0]])
-        f, _ = init_flow(cloud_of(pts), SpatialIndex(pts.copy()))
+        f, _, _ = init_flow(cloud_of(pts), SpatialIndex(pts.copy()))
         assert np.isfinite(f.vectors).all()
 
     def test_all_unreliable_keeps_raw_vectors(self):
@@ -171,8 +233,72 @@ class TestInitFlow:
         # round trips cannot fail with one point; use crossing pairs instead
         src = np.array([[0.0, 0.0, 0.0], [2.6, 0.0, 0.0], [1.3, 2.0, 0.0]])
         tgt = src + [1.3, 0.0, 0.0]
-        f, _ = init_flow(cloud_of(src), SpatialIndex(tgt))
+        f, _, _ = init_flow(cloud_of(src), SpatialIndex(tgt))
         assert np.isfinite(f.vectors).all()
+
+
+    @settings(deadline=None, max_examples=300)
+    @given(consistency_scenes())
+    def test_unreliable_equals_brute_force_backward_check(self, scene):
+        src, dst = scene
+        ids, dist = SpatialIndex(dst).query(src)
+        disoccluded = dist > D_MAX
+        unreliable = np.zeros(len(src), dtype=bool)
+        for i in np.nonzero(~disoccluded)[0]:
+            back = int(np.argmin(((dst[ids[i]] - src) ** 2).sum(axis=1)))
+            unreliable[i] = np.linalg.norm(src[back] - src[i]) > R_CONSISTENCY
+        RecordingIndex.log = []
+        with mock.patch.object(flow_module, "SpatialIndex", RecordingIndex):
+            _, diag, forward = init_flow(cloud_of(src), SpatialIndex(dst))
+        assert np.array_equal(diag.unreliable, unreliable)
+        assert np.array_equal(diag.disoccluded, disoccluded)
+        assert np.array_equal(forward.ids, ids)
+        assert np.array_equal(forward.distances, dist)
+        # the backward search covers exactly the rows the 2 d bound leaves
+        # open, in row order; frame t is not searched when there are none
+        open_rows = ~disoccluded & ~(2.0 * dist + TOL < R_CONSISTENCY)
+        searched = RecordingIndex.log[:1] if open_rows.any() else []
+        assert len(searched) == int(open_rows.any())
+        for q in searched:
+            assert np.array_equal(q, dst[ids[open_rows]])
+
+    @settings(deadline=None, max_examples=200)
+    @given(consistency_scenes())
+    def test_first_match_from_init_equals_fresh_query(self, scene):
+        src, dst = scene
+        index = SpatialIndex(dst)
+        p_t = cloud_of(src)
+        flow, diag, forward = init_flow(p_t, index)
+        warped = p_t.points + flow.vectors
+        match = index.match(warped, forward)
+        ids, dist = index.query(warped)
+        assert np.array_equal(match.ids, ids)
+        assert np.array_equal(match.distances, dist)
+
+    def test_first_match_searches_only_filled_rows(self):
+        # reliable rows sit on their target and disoccluded rows did not
+        # move: the forward search certifies both, and only median-filled
+        # rows can be left to search
+        recs = generate(random_scene_spec(3, n_points=4000, n_objects=3,
+                                          occlusion=True, shuffle=True))
+        p_t, p_t1 = recs[0].cloud, recs[1].cloud
+        index = SpatialIndex(p_t1)
+        flow, diag, forward = init_flow(p_t, index)
+        assert diag.n_unreliable > 0
+        searched = []
+        search = index._search
+
+        def recording_search(q):
+            searched.append(q)
+            return search(q)
+
+        index._search = recording_search
+        warped = p_t.points + flow.vectors
+        index.match(warped, forward)
+        filled = {tuple(row) for row in warped[diag.unreliable]}
+        assert len(searched) == 1
+        assert 0 < len(searched[0]) <= diag.n_unreliable
+        assert all(tuple(row) in filled for row in searched[0])
 
 
 class TestRefineFlow:
@@ -182,7 +308,7 @@ class TestRefineFlow:
         true = RigidTransform(rot_z(0.05), np.array([0.4, -0.2, 0.1]))
         target = cloud_of(true.apply(c.points))
         mask = SegmentationMask(np.zeros(len(c), dtype=np.int64))
-        flow0, _ = init_flow(c, SpatialIndex(target))
+        flow0, _, _ = init_flow(c, SpatialIndex(target))
         refined, transforms, _ = refine_flow(c, matched(c, target, flow0),
                                              mask, flow0)
         assert len(transforms) == 1
@@ -201,7 +327,7 @@ class TestRefineFlow:
         p_t1 = cloud_of(np.vstack([t0.apply(base), t1.apply(far)]))
         labels = np.r_[np.zeros(len(base), dtype=np.int64),
                        np.ones(len(far), dtype=np.int64)]
-        flow0, _ = init_flow(p_t, SpatialIndex(p_t1))
+        flow0, _, _ = init_flow(p_t, SpatialIndex(p_t1))
         refined, transforms, _ = refine_flow(
             p_t, matched(p_t, p_t1, flow0), SegmentationMask(labels), flow0)
         expect = np.vstack([t0.apply(base) - base, t1.apply(far) - far])
@@ -214,7 +340,7 @@ class TestRefineFlow:
         tgt = pts + rng.uniform(-0.1, 0.1, size=pts.shape)
         c, c1 = cloud_of(pts), cloud_of(tgt)
         mask = SegmentationMask(np.zeros(60, dtype=np.int64))
-        flow0, _ = init_flow(c, SpatialIndex(c1))
+        flow0, _, _ = init_flow(c, SpatialIndex(c1))
         refined, _, _ = refine_flow(c, matched(c, c1, flow0), mask, flow0)
         moved = pts + refined.vectors
         d_in = np.linalg.norm(pts[:, None] - pts[None], axis=-1)
@@ -228,7 +354,7 @@ class TestRefineFlow:
         tgt = pts + [0.2, 0.0, 0.0]
         labels = np.r_[np.zeros(16, dtype=np.int64), [1, 1]]
         c, c1 = cloud_of(pts), cloud_of(tgt)
-        flow0, _ = init_flow(c, SpatialIndex(c1))
+        flow0, _, _ = init_flow(c, SpatialIndex(c1))
         refined, transforms, degen = refine_flow(
             c, matched(c, c1, flow0), SegmentationMask(labels), flow0)
         assert degen == [1]

@@ -1,12 +1,18 @@
 """Motion, flow-consistency, and chamfer losses plus their sum."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flowseg import geometry
 from flowseg.datagen import generate, random_scene_spec
 from flowseg.errors import MaskMismatch, TransformCountMismatch
 from flowseg.flow import FlowField, PointCloud, fit_transforms, init_flow
-from flowseg.geometry import RigidTransform, SpatialIndex, chamfer_distance
+from flowseg.geometry import (TOL, RigidTransform, SpatialIndex,
+                              chamfer_distance)
 from flowseg.losses import (LossBreakdown, chamfer_loss,
                             flow_consistency_loss, motion_loss, total_loss)
 from flowseg.pipeline import run
@@ -35,6 +41,45 @@ def rigid_scene(seed=40, n=50):
     flow = FlowField(true.apply(pts) - pts)
     mask = SegmentationMask(np.zeros(n, dtype=np.int64))
     return cloud_of(pts), flow, mask, true
+
+
+@st.composite
+def warp_chains(draw):
+    """Frame t, frame t+1 and a chain of 2-5 flows over frame t, each
+    moved from the last: not at all, by sub-millimetre steps, or by one
+    cluster jumping past the clearance.  Lattice clouds with half-step
+    frame-t+1 points tie everywhere; random clouds rarely tie."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        src = rng.integers(-3, 4, size=(draw(st.integers(1, 80)), 3)) * 1.0
+        obs = rng.integers(-7, 8, size=(draw(st.integers(1, 40)), 3)) * 0.5
+        flow = np.zeros_like(src)
+    else:
+        src = rng.normal(size=(draw(st.integers(1, 200)), 3))
+        obs = rng.normal(size=(draw(st.integers(1, 80)), 3))
+        flow = rng.normal(scale=0.1, size=src.shape)
+    flows = [flow]
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["still", "sub-mm", "jump"]))
+        step = np.zeros_like(src)
+        if kind == "sub-mm":
+            step = rng.uniform(-5e-4, 5e-4, size=src.shape)
+        elif kind == "jump":
+            jumper = rng.random(src.shape[0]) < 0.2
+            step[jumper] = rng.choice([0.5, 1.0, 2.0]) * rng.choice([-1.0, 1.0], 3)
+        flow = flow + step
+        flows.append(flow)
+    return cloud_of(src), cloud_of(obs), [FlowField(f) for f in flows]
+
+
+class RecordingIndex(SpatialIndex):
+    """A SpatialIndex that logs how many rows each ``query_knn`` searches."""
+
+    log = []
+
+    def query_knn(self, queries, k):
+        self.log.append(len(queries))
+        return super().query_knn(queries, k)
 
 
 class TestMotionLoss:
@@ -133,13 +178,13 @@ class TestChamferLoss:
     def test_zero_on_exact_warp(self):
         p_t, flow, _, _ = rigid_scene()
         p_t1 = cloud_of(p_t.points + flow.vectors)
-        assert chamfer_loss(p_t, flow, p_t1, forward(p_t, flow, p_t1)) == 0.0
+        assert chamfer_loss(p_t, flow, p_t1, forward(p_t, flow, p_t1)).value == 0.0
 
     def test_single_point_shift(self):
         p_t = cloud_of([[0.0, 0.0, 0.0]])
         p_t1 = cloud_of([[1.0, 0.0, 0.0]])
         zero = FlowField.zeros(1)
-        assert chamfer_loss(p_t, zero, p_t1, forward(p_t, zero, p_t1)) \
+        assert chamfer_loss(p_t, zero, p_t1, forward(p_t, zero, p_t1)).value \
             == pytest.approx(2.0)
 
     def test_composes_chamfer_and_warp(self):
@@ -149,7 +194,7 @@ class TestChamferLoss:
         flow = FlowField(rng.standard_normal((60, 3)) * 0.2)
         direct = chamfer_distance(p_t1.points, p_t.points + flow.vectors)
         assert chamfer_loss(p_t, flow, p_t1,
-                            forward(p_t, flow, p_t1)) == direct
+                            forward(p_t, flow, p_t1)).value == direct
 
     def test_split_equals_chamfer_distance_on_shuffled_scene(self):
         # the loop's Chamfer term: forward distances from the one match
@@ -159,14 +204,53 @@ class TestChamferLoss:
         p_t, p_t1 = records[0].cloud, records[1].cloud
         assert records[0].gt_mask.n_clusters >= 4
         index_t1 = SpatialIndex(p_t1)
-        init, _ = init_flow(p_t, index_t1)
+        init, _, _ = init_flow(p_t, index_t1)
         for flow in (init, records[0].gt_flow):
             _, fwd = index_t1.query(p_t.points + flow.vectors)
-            assert chamfer_loss(p_t, flow, p_t1, fwd) == chamfer_distance(
+            assert chamfer_loss(p_t, flow, p_t1, fwd).value == chamfer_distance(
                 p_t1.points, p_t.points + flow.vectors)
         ssf = run(p_t, p_t1)
         assert ssf.report.records[-1].losses.l_cd == chamfer_distance(
             p_t1.points, p_t.points + ssf.flow.vectors)
+
+    @settings(deadline=None, max_examples=300)
+    @given(warp_chains())
+    def test_carried_backward_half_equals_chamfer_distance(self, chain):
+        p_t, p_t1, flows = chain
+        term = None
+        for flow in flows:
+            previous = term
+            warped = p_t.points + flow.vectors
+            RecordingIndex.log = []
+            with mock.patch.object(geometry, "SpatialIndex", RecordingIndex):
+                term = chamfer_loss(p_t, flow, p_t1, forward(p_t, flow, p_t1),
+                                    previous)
+            assert term.value == chamfer_distance(p_t1.points, warped)
+            d = np.sqrt(((p_t1.points[:, None] - warped[None]) ** 2).sum(axis=2))
+            rows = np.arange(len(p_t1))
+            assert np.array_equal(d[rows, term.nearest], d.min(axis=1))
+            # clearance bounds the distance to every other warped point
+            d[rows, term.nearest] = np.inf
+            assert (term.clearance <= d.min(axis=1) + 1e-12).all()
+            if previous is None:
+                assert RecordingIndex.log == [len(p_t1)]
+                continue
+            # a row with margin left after the largest step is not searched,
+            # and no index is built when every row has one
+            step = np.sqrt(((warped - previous.warped) ** 2).sum(axis=1)).max()
+            new = np.sqrt(((p_t1.points - warped[previous.nearest]) ** 2)
+                          .sum(axis=1))
+            kept = new + TOL < previous.clearance - step - TOL
+            open_rows = len(p_t1) - int(kept.sum())
+            assert RecordingIndex.log == ([open_rows] if open_rows else [])
+
+    def test_carried_term_checks_its_clouds(self):
+        p_t, flow, _, _ = rigid_scene()
+        first = chamfer_loss(p_t, flow, p_t, forward(p_t, flow, p_t))
+        other = cloud_of(p_t.points[:-1])
+        with pytest.raises(MaskMismatch):
+            chamfer_loss(other, FlowField(flow.vectors[:-1]), p_t,
+                         np.zeros(len(other)), first)
 
     def test_flow_length_mismatch(self):
         p_t, _, _, _ = rigid_scene()
@@ -191,7 +275,7 @@ class TestTotalLoss:
         p_t1 = cloud_of(pts + rng.standard_normal((60, 3)) * 0.3)
         mask = SegmentationMask(labels)
         transforms, _ = fit_transforms(p_t, flow, mask)
-        l_cd = chamfer_loss(p_t, flow, p_t1, forward(p_t, flow, p_t1))
+        l_cd = chamfer_loss(p_t, flow, p_t1, forward(p_t, flow, p_t1)).value
         lb = total_loss(p_t, flow, mask, transforms, l_cd)
         assert lb.total == pytest.approx(lb.l_mot + lb.l_sc + lb.l_cd,
                                          abs=1e-12)
@@ -210,7 +294,7 @@ class TestTotalLoss:
         p_t = cloud_of(pts)
         p_t1 = cloud_of(pts + flow.vectors)
         lb = total_loss(p_t, flow, mask, [true],
-                        chamfer_loss(p_t, flow, p_t1, forward(p_t, flow, p_t1)))
+                        chamfer_loss(p_t, flow, p_t1, forward(p_t, flow, p_t1)).value)
         assert lb.total <= 1e-6
         assert max(lb.l_mot, lb.l_sc, lb.l_cd) <= 1e-6
 
@@ -230,7 +314,7 @@ class TestTotalLoss:
                                     np.zeros(30, dtype=np.int64)])
         t1, _ = fit_transforms(p_t, flow, m1)
         t2, _ = fit_transforms(p_t, flow, m2)
-        l_cd = chamfer_loss(p_t, flow, p_t1, forward(p_t, flow, p_t1))
+        l_cd = chamfer_loss(p_t, flow, p_t1, forward(p_t, flow, p_t1)).value
         lb1 = total_loss(p_t, flow, m1, t1, l_cd)
         lb2 = total_loss(p_t, flow, m2, t2, l_cd)
         assert lb1.l_mot == pytest.approx(lb2.l_mot, abs=1e-12)

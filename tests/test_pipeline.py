@@ -105,6 +105,18 @@ class TestIterationConfig:
         with pytest.raises(ValueError):
             IterationConfig(epsilon=0.0)
 
+    @pytest.mark.parametrize("field", ["alpha", "beta", "epsilon"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_setting(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            IterationConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["theta", "dt"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_classifier_rejects_non_finite_setting(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ClassifierConfig(**{field: value})
+
     def test_rejects_zero_weights(self):
         with pytest.raises(ValueError):
             IterationConfig(alpha=0.0, beta=0.0)
@@ -214,7 +226,8 @@ class TestRun:
     def test_one_frame_t1_index_and_pinned_query_count(self, monkeypatch):
         # a counting index swapped in at the names the modules look up at
         # call time, as perfbench's tracer does
-        built, queries, matches, distances, pair_lists = [], [], [], [], []
+        built, queries, matches, knn, distances, pair_lists = ([], [], [], [],
+                                                               [], [])
 
         class CountingIndex(geometry.SpatialIndex):
             def __init__(self, points):
@@ -228,6 +241,10 @@ class TestRun:
             def match(self, q, previous=None):
                 matches.append((len(q), previous is not None))
                 return super().match(q, previous)
+
+            def query_knn(self, q, k):
+                knn.append((len(q), k))
+                return super().query_knn(q, k)
 
             def distances(self, q):
                 distances.append(len(q))
@@ -246,33 +263,53 @@ class TestRun:
         spec = random_scene_spec(69, n_points=1500, n_objects=2, shuffle=True)
         recs = generate(spec)
         p_t, p_t1 = recs[0].cloud, recs[1].cloud
+        # init_flow's backward check searches the rows its 2 d bound leaves
+        # open; this scene has some
+        _, dist = geometry.SpatialIndex(p_t1.points).query(p_t.points)
+        n_open = int((~(dist > flow.D_MAX)
+                      & ~(2.0 * dist + geometry.TOL < flow.R_CONSISTENCY)).sum())
+        assert 0 < n_open < len(p_t)
         # the same counts whether the helper thread or this one matches
         for min_points in (0, len(p_t) + 1):
             monkeypatch.setattr(pipeline, "OVERLAP_MIN_POINTS", min_points)
-            for log in (built, queries, matches, distances, pair_lists):
+            for log in (built, queries, matches, knn, distances, pair_lists):
                 log.clear()
             ssf = run(p_t, p_t1)
             n = ssf.report.n_iterations
             assert n >= 2
-            # frame t+1 once; frame t for init_flow's backward check; the
-            # reliable points when init_flow fills; the warped cloud per
-            # iteration
+            filled = ssf.report.n_unreliable > 0
+            # init_flow's fill asks for K_FILL neighbours, the Chamfer
+            # backward search for two
+            assert knn[:filled] == [(ssf.report.n_unreliable, flow.K_FILL)]
+            on_warped = knn[filled:]
+            # frame t+1 once, first; frame t for the open rows of
+            # init_flow's backward check; the reliable points when
+            # init_flow fills; the warped cloud in each iteration where some
+            # frame-t+1 row has no Chamfer margin left (always the first)
+            assert np.array_equal(built[0], p_t1.points)
             assert sum(np.array_equal(pts, p_t1.points) for pts in built) == 1
-            assert len(built) == 2 + (ssf.report.n_unreliable > 0) + n
-            # only init_flow queries: its forward and backward match
-            assert queries == [len(p_t)] * 2
-            # iteration 1's match from scratch, then per iteration one match
-            # that reuses the last and one distances-only Chamfer backward
-            # search
-            assert matches == [(len(p_t), False)] + [(len(p_t), True)] * n
-            assert distances == [len(p_t1)] * n
+            assert sum(np.array_equal(pts, p_t.points) for pts in built) == 1
+            assert 1 <= len(on_warped) <= n
+            assert len(built) == 2 + filled + len(on_warped)
+            # only init_flow's backward check queries, on its open rows
+            assert queries == [n_open]
+            # all on frame t+1: init_flow's forward match, iteration 1's
+            # match reusing it, then one per iteration reusing the last
+            assert matches == [(len(p_t), False)] + [(len(p_t), True)] * (n + 1)
+            # one backward search per warped index: every row in iteration
+            # 1, the rows without margin after that
+            assert on_warped[0] == (len(p_t1), 2)
+            assert all(0 < rows <= len(p_t1) and k == 2
+                       for rows, k in on_warped)
+            assert distances == []
             # frame t's pair list once, shared by initial_mask and cluster
             assert len(pair_lists) == 1
 
 
 class TestOverlap:
-    """run() hands each iteration's match and Chamfer term to a helper
-    thread from OVERLAP_MIN_POINTS points on, and runs them inline below."""
+    """run() hands each iteration's loss jobs (the Chamfer term, then
+    fit_transforms and total_loss) to a helper thread from
+    OVERLAP_MIN_POINTS points on, and runs them inline below."""
 
     def scene(self):
         recs = generate(random_scene_spec(70, n_points=2000, n_objects=3,
@@ -281,23 +318,32 @@ class TestOverlap:
 
     def test_threaded_equals_inline(self, monkeypatch):
         p_t, p_t1 = self.scene()
-        chamfer = losses.chamfer_loss
-        threads = []
+        threads = {}
 
-        def recording_chamfer(*args):
-            threads.append(threading.current_thread())
-            return chamfer(*args)
+        def recording(name, fn):
+            def record(*args):
+                threads[name].append(threading.current_thread())
+                return fn(*args)
+            return record
 
-        monkeypatch.setattr(losses, "chamfer_loss", recording_chamfer)
+        # the loss jobs' three steps, by the names run() calls them
+        for module, name in ((losses, "chamfer_loss"),
+                             (pipeline, "fit_transforms"),
+                             (pipeline, "total_loss")):
+            monkeypatch.setattr(module, name,
+                                recording(name, getattr(module, name)))
         out = {}
         for min_points in (0, len(p_t) + 1):
             monkeypatch.setattr(pipeline, "OVERLAP_MIN_POINTS", min_points)
-            threads.clear()
+            for name in ("chamfer_loss", "fit_transforms", "total_loss"):
+                threads[name] = []
             out[min_points] = run(p_t, p_t1)
             helper = min_points == 0
-            assert threads
-            assert all((t is not threading.main_thread()) == helper
-                       for t in threads)
+            n = out[min_points].report.n_iterations
+            for name, seen in threads.items():
+                assert len(seen) == n, name
+                assert all((t is not threading.main_thread()) == helper
+                           for t in seen), name
         threaded, inline = out.values()
         assert threaded.report.n_iterations >= 2
         assert np.array_equal(threaded.flow.vectors, inline.flow.vectors)
