@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
 from fnmatch import fnmatchcase
@@ -121,6 +121,12 @@ def _process_pair(payload):
     return run_pipeline(p_t, p_t1, cfg)
 
 
+def _evaluated(ssf):
+    """``ssf`` with its loss history computed: reading the transforms does it."""
+    ssf.transforms
+    return ssf
+
+
 def _report_dict(report) -> dict:
     return {
         "alpha": report.alpha,
@@ -195,9 +201,18 @@ def cmd_run(args) -> int:
                     step = at_pair(pair_index, "pipeline")
                     results.append(future.result())
         else:
-            for pair_index, payload in enumerate(payloads):
-                step = at_pair(pair_index, "pipeline")
-                results.append(_process_pair(payload))
+            # one thread computes pair k's loss history while this one runs
+            # pair k+1; a process pool's results arrive computed, as
+            # pickling a result computes it in the worker
+            with ThreadPoolExecutor(max_workers=1) as reports:
+                evaluated = []
+                for pair_index, payload in enumerate(payloads):
+                    step = at_pair(pair_index, "pipeline")
+                    evaluated.append(reports.submit(_evaluated,
+                                                    _process_pair(payload)))
+                for pair_index, future in enumerate(evaluated):
+                    step = at_pair(pair_index, "pipeline")
+                    results.append(future.result())
         increments = []
         pair_entries = []
         for pair_index, ((rec_a, _), ssf) in enumerate(zip(pairs, results)):

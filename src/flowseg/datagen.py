@@ -164,6 +164,10 @@ def random_scene_spec(seed: int, *, n_frames: int = 2, n_points: int = 8192,
     else:
         ppo = 150 if n_objects > 0 else 0
     n_background = n_points - n_objects * ppo
+    if n_background < 3:
+        raise InvalidSpec(
+            f"n_points must be at least {n_objects * ppo + 3} for {n_objects} "
+            f"movers of {ppo} points plus a background of 3, got {n_points}")
     v = rng.uniform(*ego_speed)
     w = rng.uniform(*ego_yaw_rate)
     ego = RigidTransform(_yaw(w * dt), np.array([v * dt, 0.0, 0.0]))

@@ -186,20 +186,33 @@ def refine_flow(p_t: PointCloud, targets: np.ndarray, mask, flow: FlowField):
     the identity transform.
 
     Returns ``(FlowField, transforms, degenerate_ids)`` with one transform per
-    cluster id.
+    cluster id.  The flow is :func:`apply_fit` of the fit, so ``mask.labels``
+    and the two lists rebuild it from ``flow``, and ``segment.cluster`` can
+    take them as the fit behind it.
     """
     _check_aligned(p_t, mask.labels, "mask")
     _check_aligned(p_t, flow, "flow")
     _check_aligned(p_t, targets, "targets")
-    src = p_t.points
     groups = members(mask.labels)
-    transforms, degenerate = _fit_clusters(src, targets, groups)
+    transforms, degenerate = _fit_clusters(p_t.points, targets, groups)
+    out = apply_fit(p_t, groups, flow, transforms, degenerate)
+    return out, transforms, degenerate
+
+
+def apply_fit(p_t: PointCloud, groups, flow: FlowField, transforms,
+              degenerate) -> FlowField:
+    """``flow`` with each fitted group's points set to exactly ``T_k(p) - p``.
+
+    ``groups`` are the point ids of each cluster (:func:`members` of the
+    fitted labels); groups listed in ``degenerate`` keep their flow.
+    """
+    src = p_t.points
     out = flow.vectors.copy()
     for k, (t_k, group) in enumerate(zip(transforms, groups)):
         if k not in degenerate:
             pts = src[group]
             out[group] = t_k.apply(pts) - pts
-    return FlowField(out), transforms, degenerate
+    return FlowField(out)
 
 
 def fit_transforms(p_t: PointCloud, flow: FlowField, mask):

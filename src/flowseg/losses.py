@@ -104,30 +104,32 @@ class ChamferTerm:
     clearance: np.ndarray
 
 
-def chamfer_loss(p_t, flow, p_t1, forward, previous: ChamferTerm = None
+def chamfer_loss(p_t, flow, p_t1, forward: float, previous: ChamferTerm = None
                  ) -> ChamferTerm:
     """Chamfer distance between the observed next frame and the warped frame.
 
-    ``forward[i]`` is the distance from warped point ``p_t[i] + flow[i]`` to
-    its nearest neighbor in ``p_t1``: the distances of the match the loop
-    already made against its index over frame t+1.  Only the backward half
-    is searched here.  Given the ``previous`` term of the same two frames,
-    frame-t+1 point j keeps its nearest warped point unsearched when its
-    new distance d satisfies ``d + TOL < clearance_j - S - TOL``, where S is
-    the largest step of any warped point since ``previous``: by the triangle
-    inequality every other warped point stays at least ``clearance_j - S``
-    away.  Its clearance drops by S.  Every other row is searched for its
-    two nearest warped points in one index over the warped cloud, built
-    only when some row needs it.  The value equals
-    ``chamfer_distance(p_t1.points, p_t.points + flow.vectors)`` bit for
-    bit.  It reads only its arguments, so ``pipeline.run`` computes it on a
-    helper thread while the loop clusters.
+    ``forward`` is the forward half, the sum over warped points
+    ``p_t[i] + flow[i]`` of the distance to their nearest neighbor in
+    ``p_t1``: the sum of the distances of the match the loop already made
+    against its index over frame t+1.  Only the backward half is searched
+    here.  Given the ``previous`` term of the same two frames, frame-t+1
+    point j keeps its nearest warped point unsearched when its new distance
+    d satisfies ``d + TOL < clearance_j - S - TOL``, where S is the largest
+    step of any warped point since ``previous``: by the triangle inequality
+    every other warped point stays at least ``clearance_j - S`` away.  Its
+    clearance drops by S.  Every other row is searched for its two nearest
+    warped points in one index over the warped cloud, built only when some
+    row needs it.  The value equals
+    ``chamfer_distance(p_t1.points, p_t.points + flow.vectors)`` bit for bit
+    when ``forward`` is that sum as numpy adds the distances.  It reads only
+    its arguments; ``pipeline.run`` leaves it to the first read of the loss
+    history.
     """
     if len(flow) != len(p_t):
         raise MaskMismatch(f"flow covers {len(flow)} points, cloud has {len(p_t)}")
-    if len(forward) != len(p_t):
-        raise MaskMismatch(
-            f"forward covers {len(forward)} points, cloud has {len(p_t)}")
+    if np.ndim(forward) != 0:
+        raise ValueError("forward must be the sum of the forward distances, "
+                         f"got an array of shape {np.shape(forward)}")
     warped = p_t.points + flow.vectors
     q = p_t1.points
     if previous is None:
@@ -151,7 +153,7 @@ def chamfer_loss(p_t, flow, p_t1, forward, previous: ChamferTerm = None
         nearest[redo] = ids[:, 0]
         backward[redo] = dist[:, 0]
         clearance[redo] = dist[:, 1] if k == 2 else np.inf
-    return ChamferTerm(float(backward.sum() + forward.sum()), warped, nearest,
+    return ChamferTerm(float(backward.sum() + forward), warped, nearest,
                        clearance)
 
 

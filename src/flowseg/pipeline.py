@@ -4,18 +4,21 @@ Each iteration rigidifies the flow per current cluster, re-clusters on the
 refined flow, classifies static vs. dynamic, and measures how much the state
 moved (delta_total = alpha * flow RMS change + beta * aligned mask change).
 The loop stops when delta_total drops below epsilon or the iteration cap is
-hit, and the whole history is kept in a ConvergenceReport.
+hit, and the whole history is kept in a ConvergenceReport.  The loss history
+and the final transforms, which no decision reads, are computed on first
+read by a LossHistory.
 """
 from __future__ import annotations
 
-from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import geometry, losses
 from .errors import DegenerateInput, LengthMismatch, NoStaticCluster
-from .flow import FlowField, InitFlowDiagnostics, fit_transforms, init_flow, refine_flow
+from .flow import FlowField, apply_fit, fit_transforms, init_flow, refine_flow
 from .geometry import weighted_kabsch
 from .losses import LossBreakdown, total_loss
 from .segment import (CLUSTER_EPS, MIN_PTS, ClassifierConfig, PairList,
@@ -25,6 +28,7 @@ from .segment import (CLUSTER_EPS, MIN_PTS, ClassifierConfig, PairList,
 
 __all__ = [
     "IterationConfig",
+    "LossHistory",
     "IterationRecord",
     "ConvergenceReport",
     "SemanticSceneFlow",
@@ -37,8 +41,8 @@ __all__ = [
 # global-fit residual (m) above which initial_mask may take a point as dynamic
 R_STATIC = 0.3
 
-# cloud size (points in frame t) from which run() hands init_flow and each
-# iteration's loss jobs to a helper thread; below it the hand-off over the
+# cloud size (points in frame t) from which run() hands init_flow to a helper
+# thread while it builds the pair list; below it the hand-off over the
 # interpreter lock costs more than the overlap saves
 OVERLAP_MIN_POINTS = 8192
 
@@ -67,20 +71,113 @@ class IterationConfig:
             raise ValueError("alpha and beta cannot both be zero")
 
 
-@dataclass(frozen=True)
+def _narrow(labels: np.ndarray) -> np.ndarray:
+    """Labels in the narrowest unsigned integer dtype that holds them."""
+    return labels.astype(np.min_scalar_type(int(labels.max())))
+
+
+class LossHistory:
+    """The loss breakdown of every iteration of one :func:`run` and the final
+    per-cluster transforms, computed together on first read.
+
+    ``run`` keeps only what that needs: init_flow's flow, the initial mask's
+    labels and, per iteration, the transforms and degenerate ids
+    ``refine_flow`` returned, the canonical labels in the narrowest integer
+    dtype and the sum of the match distances (the Chamfer forward half).  So
+    an unread history holds one flow field and about N bytes per iteration.
+    The first read of :attr:`losses` or :attr:`transforms` replays the
+    iterations once, under a lock: it rebuilds each flow with
+    :func:`~flowseg.flow.apply_fit`, runs the carried Chamfer term,
+    ``fit_transforms`` and ``total_loss``, and then drops the kept state.
+    An exception from that work is raised by the read, and by every later
+    read, which replays again.  Pickling or copying reads first and carries
+    only the values, so a worker process does the work, not its parent.
+    """
+
+    def __init__(self, p_t, p_t1, flow: FlowField, labels: np.ndarray) -> None:
+        self._lock = threading.Lock()
+        self._values = None
+        self._state = (p_t, p_t1, flow, _narrow(labels), [])
+
+    def add(self, transforms, degenerate, labels: np.ndarray,
+            forward: float) -> None:
+        """Keep one iteration: its fit, its canonical labels and the sum of
+        its match distances."""
+        self._state[4].append((transforms, degenerate, _narrow(labels), forward))
+
+    @property
+    def losses(self) -> tuple:
+        """One :class:`~flowseg.losses.LossBreakdown` per iteration."""
+        return self._read()[0]
+
+    @property
+    def transforms(self) -> tuple:
+        """The final mask's per-cluster rigid fit of the final flow."""
+        return self._read()[1]
+
+    def _read(self):
+        values = self._values
+        if values is None:
+            with self._lock:
+                if self._values is None:
+                    self._values = self._replay()
+                    self._state = None
+                values = self._values
+        return values
+
+    def _replay(self):
+        p_t, p_t1, flow, fit_labels, steps = self._state
+        chamfer = None
+        breakdowns = []
+        for transforms, degenerate, labels, forward in steps:
+            flow = apply_fit(p_t, members(fit_labels), flow, transforms,
+                             degenerate)
+            # looked up at call time, so perfbench's tracer sees all three
+            chamfer = losses.chamfer_loss(p_t, flow, p_t1, forward, chamfer)
+            mask = SegmentationMask(labels)
+            fitted, _ = fit_transforms(p_t, flow, mask)
+            breakdowns.append(total_loss(p_t, flow, mask, fitted, chamfer.value))
+            fit_labels = labels
+        return tuple(breakdowns), tuple(fitted)
+
+    def __getstate__(self):
+        return self._read()
+
+    def __setstate__(self, values) -> None:
+        self._lock = threading.Lock()
+        self._values = values
+        self._state = None
+
+
+@dataclass(frozen=True, repr=False)
 class IterationRecord:
-    """State-change and quality measurements for one loop iteration."""
+    """State-change and quality measurements for one loop iteration.
+
+    ``losses`` is read from the run's :class:`LossHistory`.
+    """
 
     iteration: int
     flow_delta: float
     mask_delta: float
     delta_total: float
-    losses: LossBreakdown
     n_clusters: int
     strategy: str
     static_fallback: bool
     degenerate_clusters: int
     v_ego: float
+    history: LossHistory = field(compare=False)
+
+    @property
+    def losses(self) -> LossBreakdown:
+        return self.history.losses[self.iteration - 1]
+
+    def __repr__(self) -> str:
+        # the losses after delta_total, so a report's repr compares equal
+        # with those of releases that stored them as a field
+        shown = [(f.name, getattr(self, f.name)) for f in fields(self)
+                 if f.name != "history"]
+        shown.insert(4, ("losses", self.losses))
+        return f"IterationRecord({', '.join(f'{k}={v!r}' for k, v in shown)})"
 
 
 @dataclass(frozen=True)
@@ -110,21 +207,27 @@ class ConvergenceReport:
 
 @dataclass(frozen=True)
 class SemanticSceneFlow:
-    """Pipeline output: flow + canonical mask + per-cluster transforms/stats."""
+    """Pipeline output: flow + canonical mask + per-cluster transforms/stats.
+
+    ``transforms`` is read from ``history``, the run's :class:`LossHistory`.
+    """
 
     flow: FlowField
     mask: SegmentationMask
-    transforms: tuple
     stats: tuple
     report: ConvergenceReport
+    history: LossHistory = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.mask) != len(self.flow):
             raise ValueError("flow and mask must cover the same points")
-        if len(self.transforms) != self.mask.n_clusters:
-            raise ValueError("one transform per cluster required")
         if len(self.stats) != self.mask.n_clusters:
             raise ValueError("one stats record per cluster required")
+
+    @property
+    def transforms(self) -> tuple:
+        """One rigid transform per cluster of the mask, fitted to the flow."""
+        return self.history.transforms
 
 
 def flow_delta(curr: FlowField, prev: FlowField) -> float:
@@ -223,23 +326,6 @@ def _estimate_v_ego(p_t, flow: FlowField, mask_prev: SegmentationMask,
     return float(np.linalg.norm(t.translation) / dt)
 
 
-def _losses(p_t, flow: FlowField, mask: SegmentationMask, chamfer: Future):
-    """The rest of an iteration's report-only work: the per-cluster fits and
-    the loss breakdown, whose Chamfer term is ``chamfer``, a job submitted
-    before this one.  Returns ``(transforms, breakdown)``."""
-    # looked up at call time, so perfbench's tracer sees them
-    transforms, _ = fit_transforms(p_t, flow, mask)
-    return transforms, total_loss(p_t, flow, mask, transforms,
-                                  chamfer.result().value)
-
-
-def _ran(fn, *args) -> Future:
-    """A finished future holding ``fn(*args)``: the inline path's submit."""
-    done = Future()
-    done.set_result(fn(*args))
-    return done
-
-
 def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
     """Alternate refine_flow and cluster until delta_total < epsilon.
 
@@ -252,91 +338,76 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
 
     - frame t+1 is indexed once;
     - frame t's ``pair_list`` is built once and serves ``initial_mask`` and
-      every ``cluster`` call;
+      every ``cluster`` call, each of which also takes the fit behind its
+      flow to skip the pair tests that fit proves;
     - every match against the frame-t+1 index goes through
       ``SpatialIndex.match`` with the one before it, starting from
       init_flow's forward search, so only rows whose nearest point is not
-      certified unchanged are searched.  Each iteration's match gives its
-      Chamfer forward term and the next iteration's correspondences;
-    - each Chamfer term carries the last one's backward search.
+      certified unchanged are searched.  Each iteration's match gives the
+      next iteration's correspondences and the sum its Chamfer term needs.
 
-    The loop's decisions read only the flow, the masks and the matches, so
-    each iteration hands its report-only work on as two jobs: its Chamfer
-    term once its match is made, then ``fit_transforms`` and ``total_loss``
-    once its mask is known.  The next iteration joins both before it
-    submits its own, so at most one iteration's jobs are pending, and the
-    records are built after the loop.  From ``OVERLAP_MIN_POINTS`` points
-    on, one helper thread runs init_flow while this thread builds the pair
-    list, and then the jobs while this thread clusters and goes on with the
-    next iteration; an exception on the helper is raised here within one
-    iteration.  The helper lives only for this call.  Smaller clouds run
-    the same jobs inline.  Both give the same result bit for bit.
+    The loop does only the work its decisions read.  The loss history and
+    the final transforms are left to the result's :class:`LossHistory`,
+    computed on first read of ``record.losses`` or ``transforms``; an
+    exception in that work is raised by the read, not here.  From
+    ``OVERLAP_MIN_POINTS`` points on, one helper thread runs init_flow while
+    this thread builds the pair list; it lives only until then.  Smaller
+    clouds run both here, with the same result bit for bit.
     """
     if cfg is None:
         cfg = IterationConfig()
-    overlap = len(p_t) >= OVERLAP_MIN_POINTS
     # looked up on the module at call time, so a substituted index class
     # (perfbench's tracer) also sees this index and its queries
     index_t1 = geometry.SpatialIndex(p_t1.points)
-    steps = []
-    breakdowns = []
-    converged = False
-    chamfer = pending = None
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        submit = helper.submit if overlap else _ran
-        start = submit(init_flow, p_t, index_t1)
+    if len(p_t) >= OVERLAP_MIN_POINTS:
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            start = helper.submit(init_flow, p_t, index_t1)
+            pairs = pair_list(p_t)
+            flow_prev, diag, match = start.result()
+    else:
+        flow_prev, diag, match = init_flow(p_t, index_t1)
         pairs = pair_list(p_t)
-        flow_prev, diag, match = start.result()
-        mask_prev = initial_mask(p_t, flow_prev, pairs)
-        match = index_t1.match(p_t.points + flow_prev.vectors, match)
-        for i in range(1, cfg.max_iters + 1):
-            flow_i, _, degenerate = refine_flow(p_t, p_t1.points[match.ids],
-                                                mask_prev, flow_prev)
-            match = index_t1.match(p_t.points + flow_i.vectors, match)
-            if pending is not None:
-                transforms, breakdown = pending.result()
-                breakdowns.append(breakdown)
-            # the Chamfer term needs only the flow and the match, so it runs
-            # beside clustering, carrying the last term's backward search
-            chamfer = submit(losses.chamfer_loss, p_t, flow_i, p_t1,
-                             match.distances,
-                             None if chamfer is None else chamfer.result())
-            raw_mask = cluster(p_t, flow_i, pairs=pairs)
-            raw_stats = cluster_stats(p_t, flow_i, raw_mask, cfg.classifier.dt)
-            v_ego = _estimate_v_ego(p_t, flow_i, mask_prev, i, cfg.classifier.dt)
-            strategy = resolve_strategy(raw_stats, cfg.classifier)
-            fallback = False
-            try:
-                static_ids, _ = classify(raw_stats, v_ego,
-                                         replace(cfg.classifier, strategy=strategy))
-            except NoStaticCluster:
-                strategy = "quantity"
-                fallback = True
-                static_ids, _ = classify(raw_stats, v_ego,
-                                         replace(cfg.classifier, strategy="quantity"))
-            mask_i = relabel_static_first(raw_mask, static_ids)
-            fd = flow_delta(flow_i, flow_prev)
-            md = mask_delta(mask_i, mask_prev)
-            d_total = cfg.alpha * fd + cfg.beta * md
-            steps.append(dict(
-                iteration=i, flow_delta=fd, mask_delta=md, delta_total=d_total,
-                n_clusters=mask_i.n_clusters, strategy=strategy,
-                static_fallback=fallback, degenerate_clusters=len(degenerate),
-                v_ego=v_ego))
-            pending = submit(_losses, p_t, flow_i, mask_i, chamfer)
-            flow_prev, mask_prev = flow_i, mask_i
-            if d_total < cfg.epsilon:
-                converged = True
-                break
-        transforms, breakdown = pending.result()
-        breakdowns.append(breakdown)
-    records = tuple(IterationRecord(losses=lb, **step)
-                    for step, lb in zip(steps, breakdowns, strict=True))
+    mask_prev = initial_mask(p_t, flow_prev, pairs)
+    history = LossHistory(p_t, p_t1, flow_prev, mask_prev.labels)
+    match = index_t1.match(p_t.points + flow_prev.vectors, match)
+    records = []
+    converged = False
+    for i in range(1, cfg.max_iters + 1):
+        flow_i, transforms, degenerate = refine_flow(
+            p_t, p_t1.points[match.ids], mask_prev, flow_prev)
+        match = index_t1.match(p_t.points + flow_i.vectors, match)
+        raw_mask = cluster(p_t, flow_i, pairs=pairs,
+                           fit=(mask_prev.labels, transforms, degenerate))
+        raw_stats = cluster_stats(p_t, flow_i, raw_mask, cfg.classifier.dt)
+        v_ego = _estimate_v_ego(p_t, flow_i, mask_prev, i, cfg.classifier.dt)
+        strategy = resolve_strategy(raw_stats, cfg.classifier)
+        fallback = False
+        try:
+            static_ids, _ = classify(raw_stats, v_ego,
+                                     replace(cfg.classifier, strategy=strategy))
+        except NoStaticCluster:
+            strategy = "quantity"
+            fallback = True
+            static_ids, _ = classify(raw_stats, v_ego,
+                                     replace(cfg.classifier, strategy="quantity"))
+        mask_i = relabel_static_first(raw_mask, static_ids)
+        fd = flow_delta(flow_i, flow_prev)
+        md = mask_delta(mask_i, mask_prev)
+        d_total = cfg.alpha * fd + cfg.beta * md
+        history.add(transforms, degenerate, mask_i.labels, match.distances.sum())
+        records.append(IterationRecord(
+            iteration=i, flow_delta=fd, mask_delta=md, delta_total=d_total,
+            n_clusters=mask_i.n_clusters, strategy=strategy,
+            static_fallback=fallback, degenerate_clusters=len(degenerate),
+            v_ego=v_ego, history=history))
+        flow_prev, mask_prev = flow_i, mask_i
+        if d_total < cfg.epsilon:
+            converged = True
+            break
     stats = tuple(cluster_stats(p_t, flow_prev, mask_prev, cfg.classifier.dt))
     report = ConvergenceReport(
         alpha=cfg.alpha, beta=cfg.beta, epsilon=cfg.epsilon,
-        records=records, converged=converged,
+        records=tuple(records), converged=converged,
         n_unreliable=diag.n_unreliable, n_disoccluded=diag.n_disoccluded)
-    return SemanticSceneFlow(flow=flow_prev, mask=mask_prev,
-                             transforms=tuple(transforms), stats=stats,
-                             report=report)
+    return SemanticSceneFlow(flow=flow_prev, mask=mask_prev, stats=stats,
+                             report=report, history=history)

@@ -13,7 +13,8 @@ rule to be trustworthy.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -21,6 +22,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .errors import MaskMismatch, NoStaticCluster, UnknownClusterId
+from .geometry import TOL
 
 __all__ = [
     "SegmentationMask",
@@ -45,6 +47,9 @@ CLUSTER_EPS = 0.8
 MIN_PTS = 5
 # normalized cluster-size variance below which ``auto`` picks the velocity rule
 SIZE_VARIANCE_THRESHOLD = 0.15
+
+# unit roundoff of float64
+_U = np.finfo(np.float64).eps / 2
 
 
 @dataclass(frozen=True)
@@ -140,12 +145,15 @@ class PairList:
     pair's squared distance summed as (dx² + dy²) + dz², the k-d tree's
     left-to-right order, so adding further squared coordinate differences in
     order gives the squared distance the tree computes over longer features.
+    ``tree`` is the k-d tree over the cloud that found the pairs; ``cluster``
+    searches it again to merge its small components.
     """
 
     i: np.ndarray
     j: np.ndarray
     d2: np.ndarray
     eps: float
+    tree: cKDTree = field(repr=False)
 
 
 def _add_squares(d2: np.ndarray, coords: np.ndarray, i, j) -> np.ndarray:
@@ -159,12 +167,13 @@ def _add_squares(d2: np.ndarray, coords: np.ndarray, i, j) -> np.ndarray:
 
 def pair_list(p_t, eps: float = CLUSTER_EPS) -> PairList:
     """The :class:`PairList` of a cloud: one k-d tree ``query_pairs`` call."""
-    pairs = cKDTree(p_t.points).query_pairs(eps, output_type="ndarray")
+    tree = cKDTree(p_t.points)
+    pairs = tree.query_pairs(eps, output_type="ndarray")
     order = np.argsort(pairs[:, 0], kind="stable")
     i = pairs[order, 0].astype(np.int32)
     j = pairs[order, 1].astype(np.int32)
     d2 = _add_squares(np.zeros(i.shape[0]), p_t.points, i, j)
-    return PairList(i=i, j=j, d2=d2, eps=eps)
+    return PairList(i=i, j=j, d2=d2, eps=eps, tree=tree)
 
 
 def _check_eps(pairs: PairList, eps: float) -> None:
@@ -189,8 +198,60 @@ def _compact(labels: np.ndarray) -> np.ndarray:
     return rank[inverse].astype(np.int64)
 
 
+def _proven(p_t, pairs: PairList, fit, lambda_flow: float, eps: float):
+    """Which pairs a rigid fit proves to lie within ``eps`` in feature space.
+
+    ``fit`` is ``(labels, transforms, degenerate_ids)``: the mask a
+    :func:`~flowseg.flow.refine_flow` call fitted, and what it returned.  A
+    pair of one non-degenerate group k has flow ``T_k(p) - p`` at both ends,
+    so its scaled flow difference is ``λ (R_k - I) d`` with ``d = p_i - p_j``
+    and its squared feature distance is at most ``d2 (1 + c_k)``,
+    ``c_k = λ² ‖R_k - I‖_F²``.  The pair is proven when
+    ``d2 (1 + c_k) + slack_k <= eps²``, tested as ``d2 <= (eps² - slack_k) /
+    (1 + c_k)``.  Without a fit nothing is proven.
+    """
+    proven = np.zeros(pairs.i.shape[0], dtype=bool)
+    if fit is None:
+        return proven
+    labels, transforms, degenerate = fit
+    # slack_k bounds the rounding, to first order in the unit roundoff u, for
+    # coordinates of magnitude at most P and translation components at most
+    # T_k.  apply() computes f = fl(fl(fl(p Rᵀ) + t) - p): the product errs
+    # by at most γ₃ √3 P (rows of R have unit norm), the sums by u (√3 P + T)
+    # and u ((√3 + 1) P + T), so each flow component is off by at most
+    # e = 11 u (P + T) and is at most 3 (P + T) in size.  Scaling by λ adds
+    # 3 u λ (P + T), so each scaled difference is off from λ((R - I) d)_a by
+    # at most 28 u λ (P + T), and after its own rounding the difference
+    # vector δ satisfies ‖δ‖ ≤ (1 + u) (λ ‖(R - I) d‖ + B), B = 50 u λ (P + T)
+    # (49 = 28 √3, rounded up).  With ‖(R - I) d‖ ≤ ‖R - I‖_F ‖d‖,
+    # ‖d‖² ≤ (1 + 6u) d2 (d2 sums rounded differences) and ‖d‖ ≤ eps (1 + 4u):
+    #   ‖δ‖² ≤ (1 + 9u) c d2 + (1 + 5u) (2 √c eps B + B²).
+    # The exact test's sum of d2 and the three rounded squares is at most
+    # (1 + 4u) (d2 + ‖δ‖²), and c computed from the stored R is within 16u of
+    # the exact one.  Passing the limit test gives d2 (1 + c) + slack ≤
+    # eps² (1 + 6u).  Together the exact sum is at most
+    #   eps² + 36u eps² + (1 + 20u) (2 √c eps B + B²) - slack ≤ eps²
+    # for the slack below: 64u eps² covers the relative terms, the factor 2
+    # the cross and B² terms with their rounding.
+    eps2 = eps * eps
+    scale = float(np.abs(p_t.points).max())
+    limit = np.full(len(transforms), -1.0)
+    for k, t_k in enumerate(transforms):
+        if k in degenerate:
+            continue  # keeps its input flow, which need not be rigid
+        dev = t_k.rotation - np.eye(3)
+        c = lambda_flow * lambda_flow * float((dev * dev).sum())
+        b = 50.0 * _U * lambda_flow * (scale + float(np.abs(t_k.translation).max()))
+        slack = 64.0 * _U * eps2 + 2.0 * (np.sqrt(c) * eps * b + b * b)
+        limit[k] = (eps2 - slack) / (1.0 + c)
+    group = labels[pairs.i]
+    np.logical_and(group == labels[pairs.j], pairs.d2 <= limit[group], out=proven)
+    return proven
+
+
 def cluster(p_t, flow, lambda_flow: float = LAMBDA_FLOW, *,
-            eps: float = CLUSTER_EPS, pairs: PairList = None) -> SegmentationMask:
+            eps: float = CLUSTER_EPS, pairs: PairList = None,
+            fit=None) -> SegmentationMask:
     """Segment a cloud by density connectivity over position+scaled-flow features.
 
     ``pairs`` is the cloud's :func:`pair_list` at radius ``eps`` (built here
@@ -198,9 +259,21 @@ def cluster(p_t, flow, lambda_flow: float = LAMBDA_FLOW, *,
     differences to its 3-D ``d2`` in the tree's order, so the pairs kept are
     exactly those a 6-D ``query_pairs(eps)`` finds.
 
+    ``fit`` is ``(labels, transforms, degenerate_ids)``: the mask and the
+    per-cluster fit of the :func:`~flowseg.flow.refine_flow` call that made
+    ``flow``.  A pair within one fitted cluster whose rigid motion bounds its
+    feature distance below ``eps`` with room for rounding is kept without the
+    exact sum; every other pair, and every pair when ``fit`` is omitted, is
+    summed exactly.  The labels are the same either way.
+
     Components smaller than ``MIN_PTS`` are merged into the large component
     whose nearest point (in feature space) is closest; ties go to the lowest
-    point id.  Output labels are compacted to 0..K-1 in first-appearance order.
+    point id.  The candidates are the large-component points within 3-D
+    radius r of a member, from ``pairs.tree``, with r = eps doubled until the
+    best feature distance is below r by ``TOL`` or every large point is a
+    candidate: a point outside the radius is farther than r in 3-D, so
+    farther in feature space too, and cannot be nearer or tie.  Output
+    labels are compacted to 0..K-1 in first-appearance order.
     """
     if len(flow) != len(p_t):
         raise MaskMismatch(f"flow covers {len(flow)} points, cloud has {len(p_t)}")
@@ -210,7 +283,10 @@ def cluster(p_t, flow, lambda_flow: float = LAMBDA_FLOW, *,
         pairs = pair_list(p_t, eps)
     _check_eps(pairs, eps)
     scaled = lambda_flow * flow.vectors
-    keep = _add_squares(pairs.d2.copy(), scaled, pairs.i, pairs.j) <= eps * eps
+    keep = _proven(p_t, pairs, fit, lambda_flow, eps)
+    rest = np.nonzero(~keep)[0]
+    keep[rest] = _add_squares(pairs.d2[rest], scaled, pairs.i[rest],
+                              pairs.j[rest]) <= eps * eps
     n_comp, raw = _components(len(p_t), pairs.i[keep], pairs.j[keep])
     sizes = np.bincount(raw, minlength=n_comp)
     large = sizes >= MIN_PTS
@@ -220,16 +296,26 @@ def cluster(p_t, flow, lambda_flow: float = LAMBDA_FLOW, *,
     if not large.all():
         feats = np.hstack([p_t.points, scaled])
         in_large = large[raw]
-        large_feats = feats[in_large]
-        large_labels = raw[in_large]
+        n_large = int(in_large.sum())
         groups = members(raw)
         for comp in np.nonzero(~large)[0]:
-            member = feats[groups[comp]]
-            d2 = ((member[:, None, :] - large_feats[None, :, :]) ** 2).sum(axis=2)
-            # per large point, best distance to this component; argmin then
-            # gives the lowest-id large point among ties
-            nearest = int(np.argmin(d2.min(axis=0)))
-            labels[groups[comp]] = large_labels[nearest]
+            ids = groups[comp]
+            member = feats[ids]
+            r = eps
+            while True:
+                balls = pairs.tree.query_ball_point(p_t.points[ids], r)
+                near = np.unique(np.fromiter(chain.from_iterable(balls),
+                                             dtype=np.intp))
+                near = near[in_large[near]]
+                if near.shape[0]:
+                    d2 = ((member[:, None, :] - feats[near][None, :, :]) ** 2
+                          ).sum(axis=2).min(axis=0)
+                    # argmin gives the lowest id among ties, near ascending
+                    best = int(np.argmin(d2))
+                    if d2[best] + TOL < r * r or near.shape[0] == n_large:
+                        labels[ids] = raw[near[best]]
+                        break
+                r *= 2.0
     return SegmentationMask(_compact(labels))
 
 

@@ -123,7 +123,7 @@ def test_gate_3_loss_zero_point(verdict):
         transforms, _ = fit_transforms(p_t, gt_flow, records[0].gt_mask)
         _, forward = SpatialIndex(p_t1).query(p_t.points + gt_flow.vectors)
         losses = total_loss(p_t, gt_flow, records[0].gt_mask, transforms,
-                            chamfer_loss(p_t, gt_flow, p_t1, forward).value)
+                            chamfer_loss(p_t, gt_flow, p_t1, forward.sum()).value)
         worst = max(worst, losses.total, losses.l_mot, losses.l_sc,
                     losses.l_cd)
     ok = worst <= 1e-6

@@ -94,11 +94,17 @@ class TestGen:
         assert abs(int(np.count_nonzero(labels)) - 100) <= 4
 
     def test_impossible_point_budget_exits_1(self, tmp_path, capsys):
-        # 3 movers at the default 150 points each cannot fit in 10 points
-        rc = main(["gen", "--points", "10", "--objects", "3",
-                   "--out", str(tmp_path / "x")])
-        assert rc == 1
-        assert "error:" in capsys.readouterr().err
+        # 3 movers at the default 150 points each cannot fit in 10 points,
+        # nor in 0; the message names the flag's quantity and its minimum
+        for points in ("10", "0"):
+            out = tmp_path / f"x{points}"
+            rc = main(["gen", "--points", points, "--objects", "3",
+                       "--out", str(out)])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert "error: n_points must be at least 453" in err
+            assert f"got {points}" in err and "n_background" not in err
+            assert not out.exists()
 
     def test_zero_dt_exits_1_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "x"
@@ -175,11 +181,32 @@ class TestRun:
             assert read_bytes(again, name) == read_bytes(run_dir, name), name
 
     def test_worker_pool_matches_serial(self, seq_dir, run_dir, tmp_path):
+        # the serial path computes each pair's report on a thread, the pool
+        # in its workers: the same files either way, manifest included
         par = str(tmp_path / "par")
         assert main(["run", "--input", seq_dir, "--out", par,
                      "--workers", "2"]) == 0
-        for name in RUN_FILES[:-1]:  # manifest differs only if outputs do
+        assert sorted(os.listdir(par)) == sorted(RUN_FILES)
+        for name in RUN_FILES:
             assert read_bytes(par, name) == read_bytes(run_dir, name), name
+
+    def test_report_failure_marks_its_pair(self, seq_dir, tmp_path,
+                                           monkeypatch, capsys):
+        # a pair's loss history is computed after run() returns, beside the
+        # next pair; its failure still fails the run at that pair
+        from flowseg import losses
+
+        def failing_chamfer(*args):
+            raise ValueError("chamfer failed")
+
+        monkeypatch.setattr(losses, "chamfer_loss", failing_chamfer)
+        out = str(tmp_path / "failed")
+        assert main(["run", "--input", seq_dir, "--out", out]) == 1
+        assert ("frame pair 0 -> 1: pipeline: chamfer failed"
+                in capsys.readouterr().err)
+        with open(os.path.join(out, PARTIAL_MARKER), encoding="utf-8") as f:
+            assert f.read() == "failed at frame pair 0 -> 1: pipeline\n"
+        assert not os.path.exists(os.path.join(out, RUN_MANIFEST))
 
     def test_max_iters_caps_iterations(self, seq_dir, tmp_path):
         out = str(tmp_path / "capped")

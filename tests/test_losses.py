@@ -29,9 +29,10 @@ def cloud_of(points):
 
 
 def forward(p_t, flow, p_t1):
-    """Each warped point's distance to its nearest neighbor in p_t1."""
+    """The Chamfer forward half: the sum of each warped point's distance to
+    its nearest neighbor in p_t1."""
     _, dist = SpatialIndex(p_t1).query(p_t.points + flow.vectors)
-    return dist
+    return dist.sum()
 
 
 def rigid_scene(seed=40, n=50):
@@ -207,7 +208,7 @@ class TestChamferLoss:
         init, _, _ = init_flow(p_t, index_t1)
         for flow in (init, records[0].gt_flow):
             _, fwd = index_t1.query(p_t.points + flow.vectors)
-            assert chamfer_loss(p_t, flow, p_t1, fwd).value == chamfer_distance(
+            assert chamfer_loss(p_t, flow, p_t1, fwd.sum()).value == chamfer_distance(
                 p_t1.points, p_t.points + flow.vectors)
         ssf = run(p_t, p_t1)
         assert ssf.report.records[-1].losses.l_cd == chamfer_distance(
@@ -249,19 +250,17 @@ class TestChamferLoss:
         first = chamfer_loss(p_t, flow, p_t, forward(p_t, flow, p_t))
         other = cloud_of(p_t.points[:-1])
         with pytest.raises(MaskMismatch):
-            chamfer_loss(other, FlowField(flow.vectors[:-1]), p_t,
-                         np.zeros(len(other)), first)
+            chamfer_loss(other, FlowField(flow.vectors[:-1]), p_t, 0.0, first)
 
     def test_flow_length_mismatch(self):
         p_t, _, _, _ = rigid_scene()
         with pytest.raises(MaskMismatch):
-            chamfer_loss(p_t, FlowField.zeros(len(p_t) + 1), p_t,
-                         np.zeros(len(p_t)))
+            chamfer_loss(p_t, FlowField.zeros(len(p_t) + 1), p_t, 0.0)
 
-    def test_forward_length_mismatch(self):
+    def test_forward_must_be_a_sum(self):
         p_t, flow, _, _ = rigid_scene()
-        with pytest.raises(MaskMismatch):
-            chamfer_loss(p_t, flow, p_t, np.zeros(len(p_t) - 1))
+        with pytest.raises(ValueError, match="sum"):
+            chamfer_loss(p_t, flow, p_t, np.zeros(len(p_t)))
 
 
 class TestTotalLoss:

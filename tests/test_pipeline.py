@@ -1,6 +1,11 @@
 """Iterative co-refinement loop: deltas, initial mask, and the full run."""
 
+import copy
+import gc
+import pickle
+import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,14 +127,13 @@ class TestIterationConfig:
             IterationConfig(alpha=0.0, beta=0.0)
 
     def test_report_checks_delta_identity(self):
-        from flowseg.losses import LossBreakdown
         from flowseg.pipeline import IterationRecord
+        # the check reads no losses, so the record needs no history
         bad = IterationRecord(iteration=1, flow_delta=1.0, mask_delta=1.0,
                               delta_total=5.0,  # != alpha*1 + beta*1
-                              losses=LossBreakdown(0.0, 0.0, 0.0, 0.0),
                               n_clusters=1, strategy="quantity",
                               static_fallback=False, degenerate_clusters=0,
-                              v_ego=0.0)
+                              v_ego=0.0, history=None)
         with pytest.raises(ValueError):
             ConvergenceReport(alpha=1.0, beta=1.0, epsilon=1e-3,
                               records=(bad,), converged=True,
@@ -269,7 +273,7 @@ class TestRun:
         n_open = int((~(dist > flow.D_MAX)
                       & ~(2.0 * dist + geometry.TOL < flow.R_CONSISTENCY)).sum())
         assert 0 < n_open < len(p_t)
-        # the same counts whether the helper thread or this one matches
+        # the same counts whether the helper thread runs init_flow or not
         for min_points in (0, len(p_t) + 1):
             monkeypatch.setattr(pipeline, "OVERLAP_MIN_POINTS", min_points)
             for log in (built, queries, matches, knn, distances, pair_lists):
@@ -278,93 +282,217 @@ class TestRun:
             n = ssf.report.n_iterations
             assert n >= 2
             filled = ssf.report.n_unreliable > 0
-            # init_flow's fill asks for K_FILL neighbours, the Chamfer
-            # backward search for two
-            assert knn[:filled] == [(ssf.report.n_unreliable, flow.K_FILL)]
-            on_warped = knn[filled:]
-            # frame t+1 once, first; frame t for the open rows of
-            # init_flow's backward check; the reliable points when
-            # init_flow fills; the warped cloud in each iteration where some
-            # frame-t+1 row has no Chamfer margin left (always the first)
+            # run() itself: frame t+1 once, first; frame t for the open rows
+            # of init_flow's backward check; the reliable points when
+            # init_flow fills, with K_FILL neighbours each
             assert np.array_equal(built[0], p_t1.points)
             assert sum(np.array_equal(pts, p_t1.points) for pts in built) == 1
             assert sum(np.array_equal(pts, p_t.points) for pts in built) == 1
-            assert 1 <= len(on_warped) <= n
-            assert len(built) == 2 + filled + len(on_warped)
+            assert len(built) == 2 + filled
+            assert knn == [(ssf.report.n_unreliable, flow.K_FILL)] * filled
             # only init_flow's backward check queries, on its open rows
             assert queries == [n_open]
             # all on frame t+1: init_flow's forward match, iteration 1's
             # match reusing it, then one per iteration reusing the last
             assert matches == [(len(p_t), False)] + [(len(p_t), True)] * (n + 1)
-            # one backward search per warped index: every row in iteration
-            # 1, the rows without margin after that
-            assert on_warped[0] == (len(p_t1), 2)
-            assert all(0 < rows <= len(p_t1) and k == 2
-                       for rows, k in on_warped)
             assert distances == []
             # frame t's pair list once, shared by initial_mask and cluster
             assert len(pair_lists) == 1
+            built_by_run, knn_by_run = len(built), len(knn)
+            ssf.report.records[0].losses
+            # the first read: the warped cloud indexed in each iteration
+            # where some frame-t+1 row has no Chamfer margin left (always
+            # the first), with one two-nearest search of the open rows
+            on_warped = knn[knn_by_run:]
+            assert 1 <= len(on_warped) <= n
+            assert len(built) == built_by_run + len(on_warped)
+            assert on_warped[0] == (len(p_t1), 2)
+            assert all(0 < rows <= len(p_t1) and k == 2
+                       for rows, k in on_warped)
+            assert queries == [n_open] and distances == []
+            assert len(matches) == n + 2 and len(pair_lists) == 1
+
+
+# the report work and the names run()'s loss history calls it by
+REPORT_WORK = ((losses, "chamfer_loss"), (pipeline, "fit_transforms"),
+               (pipeline, "total_loss"))
+
+
+def recording(monkeypatch, fail=None):
+    """Wrap the report work to log the thread of every call; ``fail`` makes
+    ``chamfer_loss`` raise it instead."""
+    calls = {name: [] for _, name in REPORT_WORK}
+
+    def wrap(name, fn):
+        def record(*args):
+            calls[name].append(threading.current_thread())
+            if fail is not None and name == "chamfer_loss":
+                raise fail
+            return fn(*args)
+        return record
+
+    for module, name in REPORT_WORK:
+        monkeypatch.setattr(module, name, wrap(name, getattr(module, name)))
+    return calls
+
+
+def scene():
+    recs = generate(random_scene_spec(70, n_points=2000, n_objects=3,
+                                      shuffle=True))
+    return recs[0].cloud, recs[1].cloud
+
+
+def same_transforms(a, b):
+    return len(a) == len(b) and all(
+        np.array_equal(x.rotation, y.rotation)
+        and np.array_equal(x.translation, y.translation)
+        for x, y in zip(a, b))
 
 
 class TestOverlap:
-    """run() hands each iteration's loss jobs (the Chamfer term, then
-    fit_transforms and total_loss) to a helper thread from
-    OVERLAP_MIN_POINTS points on, and runs them inline below."""
-
-    def scene(self):
-        recs = generate(random_scene_spec(70, n_points=2000, n_objects=3,
-                                          shuffle=True))
-        return recs[0].cloud, recs[1].cloud
+    """run() hands init_flow to a helper thread from OVERLAP_MIN_POINTS
+    points on, while it builds the pair list, and runs it inline below."""
 
     def test_threaded_equals_inline(self, monkeypatch):
-        p_t, p_t1 = self.scene()
-        threads = {}
-
-        def recording(name, fn):
-            def record(*args):
-                threads[name].append(threading.current_thread())
-                return fn(*args)
-            return record
-
-        # the loss jobs' three steps, by the names run() calls them
-        for module, name in ((losses, "chamfer_loss"),
-                             (pipeline, "fit_transforms"),
-                             (pipeline, "total_loss")):
-            monkeypatch.setattr(module, name,
-                                recording(name, getattr(module, name)))
+        p_t, p_t1 = scene()
+        calls = recording(monkeypatch)
         out = {}
         for min_points in (0, len(p_t) + 1):
             monkeypatch.setattr(pipeline, "OVERLAP_MIN_POINTS", min_points)
-            for name in ("chamfer_loss", "fit_transforms", "total_loss"):
-                threads[name] = []
             out[min_points] = run(p_t, p_t1)
-            helper = min_points == 0
-            n = out[min_points].report.n_iterations
-            for name, seen in threads.items():
-                assert len(seen) == n, name
-                assert all((t is not threading.main_thread()) == helper
-                           for t in seen), name
         threaded, inline = out.values()
-        assert threaded.report.n_iterations >= 2
+        # the report work waits for the first read, on the reading thread
+        assert all(seen == [] for seen in calls.values())
+        assert same_transforms(threaded.transforms, inline.transforms)
+        n = threaded.report.n_iterations
+        assert n >= 2
+        for name, seen in calls.items():
+            assert len(seen) == 2 * n, name
+            assert all(t is threading.main_thread() for t in seen), name
         assert np.array_equal(threaded.flow.vectors, inline.flow.vectors)
         assert np.array_equal(threaded.mask.labels, inline.mask.labels)
-        for a, b in zip(threaded.transforms, inline.transforms, strict=True):
-            assert np.array_equal(a.rotation, b.rotation)
-            assert np.array_equal(a.translation, b.translation)
         assert repr(threaded.report) == repr(inline.report)
         assert repr(threaded.stats) == repr(inline.stats)
 
     @pytest.mark.parametrize("min_points", [0, 10**9])
     def test_helper_exception_is_raised_and_thread_ends(self, monkeypatch,
                                                         min_points):
-        p_t, p_t1 = self.scene()
+        p_t, p_t1 = scene()
 
-        def failing_chamfer(*args):
-            raise RuntimeError("chamfer failed")
+        def failing_init_flow(*args):
+            raise RuntimeError("init_flow failed")
 
-        monkeypatch.setattr(losses, "chamfer_loss", failing_chamfer)
+        monkeypatch.setattr(pipeline, "init_flow", failing_init_flow)
         monkeypatch.setattr(pipeline, "OVERLAP_MIN_POINTS", min_points)
         before = threading.active_count()
-        with pytest.raises(RuntimeError, match="chamfer failed"):
+        with pytest.raises(RuntimeError, match="init_flow failed"):
             run(p_t, p_t1)
         assert threading.active_count() == before
+
+
+class TestLossHistory:
+    """The loss history and the final transforms are computed on first read,
+    from the compact state the loop keeps."""
+
+    def test_computed_once_on_first_read(self, monkeypatch):
+        p_t, p_t1 = scene()
+        calls = recording(monkeypatch)
+        ssf = run(p_t, p_t1)
+        n = ssf.report.n_iterations
+        assert n >= 2
+        assert all(seen == [] for seen in calls.values())
+        ssf.report.records[-1].losses
+        assert all(len(seen) == n for seen in calls.values())
+        ssf.transforms
+        [rec.losses for rec in ssf.report.records]
+        repr(ssf.report)
+        assert all(len(seen) == n for seen in calls.values())
+
+    def test_matches_the_terms_of_the_final_state(self):
+        p_t, p_t1 = scene()
+        ssf = run(p_t, p_t1)
+        fitted, _ = flow.fit_transforms(p_t, ssf.flow, ssf.mask)
+        assert same_transforms(ssf.transforms, tuple(fitted))
+        index_t1 = geometry.SpatialIndex(p_t1.points)
+        forward = index_t1.query(p_t.points + ssf.flow.vectors)[1].sum()
+        # the carried Chamfer term equals a fresh one bit for bit
+        fresh = losses.chamfer_loss(p_t, ssf.flow, p_t1, forward).value
+        last = ssf.report.records[-1].losses
+        assert last.l_cd == fresh
+        assert last == losses.total_loss(p_t, ssf.flow, ssf.mask, fitted, fresh)
+
+    def test_concurrent_first_reads_compute_once_and_agree(self, monkeypatch):
+        p_t, p_t1 = scene()
+        calls = recording(monkeypatch)
+        ssf = run(p_t, p_t1)
+        n = ssf.report.n_iterations
+        barrier = threading.Barrier(4)
+        seen = [None] * 4
+
+        def read(slot):
+            barrier.wait(timeout=30)
+            seen[slot] = (repr(ssf.report), ssf.transforms)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=read, args=(slot,))
+                       for slot in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(len(c) == n for c in calls.values())
+        assert len({text for text, _ in seen}) == 1
+        assert all(transforms is seen[0][1] for _, transforms in seen)
+
+    @pytest.mark.parametrize("copy_fn", [
+        lambda ssf: pickle.loads(pickle.dumps(ssf)), copy.deepcopy],
+        ids=["pickle", "deepcopy"])
+    def test_pickle_and_copy_carry_plain_values(self, monkeypatch, copy_fn):
+        p_t, p_t1 = scene()
+        direct = run(p_t, p_t1)
+        expected = repr(direct.report), direct.transforms
+        carried = copy_fn(run(p_t, p_t1))
+        # the copy was computed before it was made: reading it does no work
+        calls = recording(monkeypatch)
+        assert repr(carried.report) == expected[0]
+        assert same_transforms(carried.transforms, expected[1])
+        assert all(seen == [] for seen in calls.values())
+        assert carried.history._state is None
+
+    def test_unread_result_keeps_compact_state(self):
+        # fast ego yaw: this pair runs to the cap
+        spec = random_scene_spec(71, n_points=4000, n_objects=3,
+                                 ego_yaw_rate=(0.3, 0.3))
+        recs = generate(spec)
+        p_t, p_t1 = recs[0].cloud, recs[1].cloud
+        cfg = IterationConfig(max_iters=12)
+        run(p_t, p_t1, cfg)  # warm-up: imports and caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ssf = run(p_t, p_t1, cfg)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        n, iters = len(p_t), ssf.report.n_iterations
+        assert iters == cfg.max_iters
+        # the result's own flow, mask and stats, then the history: one flow
+        # field and about n bytes per iteration, plus small objects
+        own = ssf.flow.vectors.nbytes + ssf.mask.labels.nbytes
+        assert kept <= own + 24 * n + (iters + 1) * n + 200_000
+
+    def test_failure_surfaces_at_every_read(self, monkeypatch):
+        p_t, p_t1 = scene()
+        recording(monkeypatch, fail=RuntimeError("chamfer failed"))
+        ssf = run(p_t, p_t1)
+        for read in (lambda: ssf.report.records[0].losses,
+                     lambda: ssf.transforms, lambda: repr(ssf.report)):
+            with pytest.raises(RuntimeError, match="chamfer failed"):
+                read()

@@ -9,10 +9,11 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
+from flowseg import segment
 from flowseg.errors import (DegenerateInput, EmptyCloud, MaskMismatch,
                             NoStaticCluster, UnknownClusterId)
-from flowseg.flow import FlowField, PointCloud
-from flowseg.geometry import weighted_kabsch
+from flowseg.flow import FlowField, PointCloud, apply_fit
+from flowseg.geometry import RigidTransform, weighted_kabsch
 from flowseg.pipeline import R_STATIC, initial_mask
 from flowseg.segment import (CLUSTER_EPS, LAMBDA_FLOW, MIN_PTS, ClassifierConfig,
                              ClusterStats, SegmentationMask, _compact, classify,
@@ -262,6 +263,171 @@ class TestPairList:
         p_t = cloud_of(np.random.default_rng(37).uniform(size=(20, 3)))
         with pytest.raises(ValueError):
             cluster(p_t, FlowField.zeros(20), eps=1.0, pairs=pair_list(p_t, 0.5))
+
+
+def rotation(axis, angle):
+    """Rodrigues rotation about ``axis`` by ``angle`` radians."""
+    k = np.asarray(axis, dtype=np.float64)
+    k = k / np.linalg.norm(k)
+    cross = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]],
+                      [-k[1], k[0], 0.0]])
+    return np.eye(3) + np.sin(angle) * cross + (1 - np.cos(angle)) * cross @ cross
+
+
+@st.composite
+def fitted_scenes(draw):
+    """A lattice cloud at pitch ``step``, far from the origin, split into
+    groups with a rigid fit each (some degenerate), and the flow that fit
+    gives, as refine_flow would return it."""
+    step = draw(st.sampled_from([1.0, 0.8, 0.1]))
+    grid = draw(arrays(np.int64, st.tuples(st.integers(2, 60), st.just(3)),
+                       elements=st.integers(-3, 3)))
+    offset = draw(st.sampled_from([0.0, 1.0, 37.5, 1e3]))
+    p_t = cloud_of(grid * step + offset * np.array([1.0, -0.7, 0.3]))
+    n = len(p_t)
+    k = draw(st.integers(1, min(4, n)))
+    labels = _compact((np.arange(n) % k)[draw(st.permutations(range(n)))])
+    n_groups = int(labels.max()) + 1
+    transforms = []
+    for _ in range(n_groups):
+        angle = draw(st.sampled_from([0.0, 1e-9, 1e-4, 0.01, 0.1, 0.5]))
+        axis = draw(st.sampled_from([[0, 0, 1], [1, 0, 0], [1, 2, 3]]))
+        shift = draw(st.sampled_from([0.0, 0.05, 1.0, 123.456, 1e3]))
+        transforms.append(RigidTransform(rotation(axis, angle),
+                                         shift * np.array([0.6, -0.8, 0.1])))
+    degenerate = sorted(draw(st.sets(st.integers(0, n_groups - 1),
+                                     max_size=n_groups)))
+    # degenerate groups keep this input flow, on the same lattice
+    base = draw(arrays(np.int64, (n, 3), elements=st.integers(-2, 2))) * step / 2
+    flow = apply_fit(p_t, members(labels), FlowField(base), transforms,
+                     degenerate)
+    return p_t, flow, (labels, transforms, degenerate), step
+
+
+class TestProvenPairs:
+    """cluster() keeps the same-group pairs a rigid fit proves without the
+    exact sum, and gives the labels it gives without the fit."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(fitted_scenes(), st.sampled_from([0.0, 1.0, 5.0, 1e6]),
+           st.sampled_from([1.0, np.sqrt(2.0), np.sqrt(3.0), 2.0]),
+           st.one_of(st.none(), st.integers(-56, 4)))
+    def test_labels_with_a_fit_equal_labels_without(self, scene, lambda_flow,
+                                                    radius, room):
+        # eps at a lattice distance, or above it by 2**room relative: pairs
+        # at that distance lie within a few ulps of the proof's bound (room
+        # about -52) or up to far inside it
+        p_t, flow, fit, step = scene
+        eps = radius * step * (1.0 if room is None else 1.0 + 2.0 ** room)
+        pairs = pair_list(p_t, eps)
+        exact = cluster(p_t, flow, lambda_flow, eps=eps, pairs=pairs)
+        proven = cluster(p_t, flow, lambda_flow, eps=eps, pairs=pairs, fit=fit)
+        assert np.array_equal(proven.labels, exact.labels)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 64))
+    @example(seed=0, ulps=0)
+    def test_translations_at_the_rounding_limit(self, seed, ulps):
+        # a pure translation far from the origin: the flow differences are
+        # rounding alone, which a huge lambda makes visible, and the pairs
+        # at the lattice pitch sit within ulps of eps
+        rng = np.random.default_rng(seed)
+        grid = rng.integers(-2, 3, size=(40, 3))
+        p_t = cloud_of(grid * 0.8 + 1e3 * np.array([0.9, -0.6, 0.2]))
+        labels = np.zeros(40, dtype=np.int64)
+        t = RigidTransform(np.eye(3), rng.uniform(-1e3, 1e3, size=3))
+        flow = apply_fit(p_t, members(labels), FlowField.zeros(40), [t], [])
+        pairs = pair_list(p_t, 0.8)
+        eps = np.sqrt(pairs.d2.max())
+        for _ in range(ulps):
+            eps = np.nextafter(eps, np.inf)
+        pairs = pair_list(p_t, eps)
+        assert np.array_equal(
+            cluster(p_t, flow, 1e6, eps=eps, pairs=pairs,
+                    fit=(labels, [t], [])).labels,
+            cluster(p_t, flow, 1e6, eps=eps, pairs=pairs).labels)
+
+    def test_fit_skips_the_pairs_it_proves(self, monkeypatch):
+        # two rigid groups turned 0.02 rad: every same-group pair whose
+        # bound d2 (1 + lambda^2 ||R - I||^2) clears eps^2 by a margin far
+        # above rounding is kept without the exact sum
+        rng = np.random.default_rng(38)
+        pts = rng.uniform(-3, 3, size=(600, 3))
+        labels = (pts[:, 0] > 0).astype(np.int64)
+        p_t = cloud_of(pts)
+        transforms = [RigidTransform(rotation([0, 0, 1], 0.02), [0.3, 0, 0]),
+                      RigidTransform(rotation([1, 1, 0], -0.02), [0, 0.4, 0])]
+        flow = apply_fit(p_t, members(labels), FlowField.zeros(600),
+                         transforms, [])
+        pairs = pair_list(p_t)
+        c = [LAMBDA_FLOW ** 2 * ((t.rotation - np.eye(3)) ** 2).sum()
+             for t in transforms]
+        group = labels[pairs.i]
+        clear = ((group == labels[pairs.j])
+                 & (pairs.d2 * (1 + np.take(c, group)) * (1 + 1e-9)
+                    < CLUSTER_EPS ** 2))
+        assert clear.mean() > 0.4
+        rows = []
+
+        def counting(d2, coords, i, j):
+            rows.append(len(i))
+            return add_squares(d2, coords, i, j)
+
+        add_squares = segment._add_squares
+        monkeypatch.setattr(segment, "_add_squares", counting)
+        proven = cluster(p_t, flow, pairs=pairs,
+                         fit=(labels, transforms, []))
+        assert len(rows) == 1 and rows[0] <= (~clear).sum()
+        rows.clear()
+        exact = cluster(p_t, flow, pairs=pairs)
+        assert rows == [len(pairs.i)]
+        assert np.array_equal(proven.labels, exact.labels)
+
+
+@st.composite
+def merge_scenes(draw):
+    """Large lattice blocks and small components at integer positions:
+    distances tie often, and a small component may lie far beyond eps from
+    every large point."""
+    block = np.array([[x, y, 0] for x in range(3) for y in range(2)])
+    parts, flows = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        corner = draw(arrays(np.int64, 3, elements=st.integers(-6, 6))) * 4
+        parts.append(block + corner)
+        flows.append(np.tile(draw(arrays(np.int64, 3, elements=st.integers(-1, 1))),
+                             (len(block), 1)))
+    for _ in range(draw(st.integers(1, 4))):
+        size = draw(st.integers(1, MIN_PTS - 1))
+        start = draw(arrays(np.int64, 3, elements=st.integers(-30, 30)))
+        parts.append(start + np.arange(size)[:, None] * [1, 0, 0])
+        flows.append(draw(arrays(np.int64, (size, 3), elements=st.integers(-1, 1))))
+    pts = np.vstack(parts).astype(np.float64)
+    vec = np.vstack(flows) * 0.5
+    order = draw(st.permutations(range(len(pts))))
+    return cloud_of(pts[order]), FlowField(vec[order])
+
+
+class TestSmallComponentMerge:
+    """The bounded merge gives the dense reference's labels: nearest large
+    point in feature space, ties to the lowest id."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(merge_scenes(), st.sampled_from([0.0, 1.0, 5.0]))
+    @example(scene=(cloud_of([[-3, 0, 0], [-4, 0, 0], [-5, 0, 0], [-6, 0, 0],
+                              [-7, 0, 0], [0, 0, 0], [3, 0, 0], [4, 0, 0],
+                              [5, 0, 0], [6, 0, 0], [7, 0, 0]]),
+                    FlowField.zeros(11)), lambda_flow=1.0)
+    def test_equals_dense_reference(self, scene, lambda_flow):
+        p_t, flow = scene
+        assert np.array_equal(cluster(p_t, flow, lambda_flow, eps=1.0).labels,
+                              reference_cluster(p_t, flow, lambda_flow, 1.0))
+
+    def test_tie_goes_to_the_lowest_id(self):
+        # the middle point is 3 m from both blocks, far beyond eps
+        pts = ([[3.0 + k, 0, 0] for k in range(5)] + [[0.0, 0, 0]]
+               + [[-3.0 - k, 0, 0] for k in range(5)])
+        mask = cluster(cloud_of(pts), FlowField.zeros(11), eps=1.0)
+        assert mask.labels[5] == mask.labels[0] != mask.labels[6]
 
 
 class TestClusterStats:
