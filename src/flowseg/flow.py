@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, EmptyCloud, MaskMismatch
-from .geometry import TOL, RigidTransform, SpatialIndex, weighted_kabsch
+from .geometry import (TOL, RigidTransform, SpatialIndex, _fields_equal,
+                       weighted_kabsch)
 from .segment import members
 
 __all__ = [
@@ -66,6 +67,8 @@ class FlowField:
     """
 
     vectors: np.ndarray
+
+    __eq__ = _fields_equal
 
     def __post_init__(self) -> None:
         vec = np.asarray(self.vectors, dtype=np.float64)

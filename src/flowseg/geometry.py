@@ -12,7 +12,7 @@ unchanged; ``distances`` gives the distances alone, with no tie rescan.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -49,6 +49,16 @@ def _points_array(data, name: str = "points") -> np.ndarray:
     return arr
 
 
+def _fields_equal(self, other):
+    """Value equality for a dataclass holding arrays: same type, and every
+    compared field ``np.array_equal``, so arrays compare by shape and
+    contents where the generated ``__eq__`` would raise."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+               for f in fields(self) if f.compare)
+
+
 @dataclass(frozen=True)
 class RigidTransform:
     """A proper rigid motion of 3-space: ``p -> rotation @ p + translation``.
@@ -60,6 +70,8 @@ class RigidTransform:
 
     rotation: np.ndarray
     translation: np.ndarray
+
+    __eq__ = _fields_equal
 
     def __post_init__(self) -> None:
         rot = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)

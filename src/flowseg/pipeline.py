@@ -4,14 +4,15 @@ Each iteration rigidifies the flow per current cluster, re-clusters on the
 refined flow, classifies static vs. dynamic, and measures how much the state
 moved (delta_total = alpha * flow RMS change + beta * aligned mask change).
 The loop stops when delta_total drops below epsilon or the iteration cap is
-hit, and the whole history is kept in a ConvergenceReport.  The loss history
-and the final transforms, which no decision reads, are computed on first
-read by a LossHistory.
+hit, and the whole history is kept in a ConvergenceReport.  The loss history,
+the final transforms and the ego speed of every iteration whose decision did
+not read it are computed on first read by a LossHistory.
 """
 from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -22,9 +23,9 @@ from .flow import FlowField, apply_fit, fit_transforms, init_flow, refine_flow
 from .geometry import weighted_kabsch
 from .losses import LossBreakdown, total_loss
 from .segment import (CLUSTER_EPS, MIN_PTS, ClassifierConfig, PairList,
-                      SegmentationMask, _check_eps, _components, classify,
-                      cluster, cluster_stats, members, pair_list,
-                      relabel_static_first, resolve_strategy)
+                      SegmentationMask, _check_eps, _components, _largest,
+                      _narrow, _size_strategy, classify, cluster,
+                      cluster_stats, members, pair_list, relabel_static_first)
 
 __all__ = [
     "IterationConfig",
@@ -41,8 +42,8 @@ __all__ = [
 # global-fit residual (m) above which initial_mask may take a point as dynamic
 R_STATIC = 0.3
 
-# cloud size (points in frame t) from which run() hands init_flow to a helper
-# thread while it builds the pair list; below it the hand-off over the
+# cloud size (points in frame t) from which run() hands init_flow and every
+# match against frame t+1 to a helper thread; below it the hand-off over the
 # interpreter lock costs more than the overlap saves
 OVERLAP_MIN_POINTS = 8192
 
@@ -71,39 +72,39 @@ class IterationConfig:
             raise ValueError("alpha and beta cannot both be zero")
 
 
-def _narrow(labels: np.ndarray) -> np.ndarray:
-    """Labels in the narrowest unsigned integer dtype that holds them."""
-    return labels.astype(np.min_scalar_type(int(labels.max())))
-
-
 class LossHistory:
-    """The loss breakdown of every iteration of one :func:`run` and the final
-    per-cluster transforms, computed together on first read.
+    """The loss breakdown and the ego speed of every iteration of one
+    :func:`run` and the final per-cluster transforms, computed together on
+    first read.
 
     ``run`` keeps only what that needs: init_flow's flow, the initial mask's
-    labels and, per iteration, the transforms and degenerate ids
-    ``refine_flow`` returned, the canonical labels in the narrowest integer
-    dtype and the sum of the match distances (the Chamfer forward half).  So
-    an unread history holds one flow field and about N bytes per iteration.
-    The first read of :attr:`losses` or :attr:`transforms` replays the
-    iterations once, under a lock: it rebuilds each flow with
-    :func:`~flowseg.flow.apply_fit`, runs the carried Chamfer term,
-    ``fit_transforms`` and ``total_loss``, and then drops the kept state.
+    labels, the frame interval and, per iteration, the transforms and
+    degenerate ids ``refine_flow`` returned, the canonical labels in the
+    narrowest integer dtype, the sum of the match distances (the Chamfer
+    forward half) and the ego speed if the velocity rule was tried, else
+    ``None``.  So an unread history holds one flow field and about N bytes
+    per iteration.  The first read of :attr:`losses`, :attr:`v_ego` or
+    :attr:`transforms` replays the iterations once, under a lock: it
+    rebuilds each flow with :func:`~flowseg.flow.apply_fit`, runs the
+    carried Chamfer term, ``fit_transforms``, ``total_loss`` and, where the
+    loop left it out, the ego-speed fit, and then drops the kept state.
     An exception from that work is raised by the read, and by every later
     read, which replays again.  Pickling or copying reads first and carries
     only the values, so a worker process does the work, not its parent.
     """
 
-    def __init__(self, p_t, p_t1, flow: FlowField, labels: np.ndarray) -> None:
+    def __init__(self, p_t, p_t1, flow: FlowField, labels: np.ndarray,
+                 dt: float) -> None:
         self._lock = threading.Lock()
         self._values = None
-        self._state = (p_t, p_t1, flow, _narrow(labels), [])
+        self._state = (p_t, p_t1, flow, _narrow(labels), dt, [])
 
     def add(self, transforms, degenerate, labels: np.ndarray,
-            forward: float) -> None:
-        """Keep one iteration: its fit, its canonical labels and the sum of
-        its match distances."""
-        self._state[4].append((transforms, degenerate, _narrow(labels), forward))
+            forward: float, v_ego) -> None:
+        """Keep one iteration: its fit, its canonical labels, the sum of its
+        match distances and its ego speed, ``None`` if not yet computed."""
+        self._state[5].append((transforms, degenerate, _narrow(labels),
+                               forward, v_ego))
 
     @property
     def losses(self) -> tuple:
@@ -114,6 +115,11 @@ class LossHistory:
     def transforms(self) -> tuple:
         """The final mask's per-cluster rigid fit of the final flow."""
         return self._read()[1]
+
+    @property
+    def v_ego(self) -> tuple:
+        """One ego speed (m/s) per iteration, as ``_estimate_v_ego`` gives it."""
+        return self._read()[2]
 
     def _read(self):
         values = self._values
@@ -126,19 +132,25 @@ class LossHistory:
         return values
 
     def _replay(self):
-        p_t, p_t1, flow, fit_labels, steps = self._state
+        p_t, p_t1, flow, fit_labels, dt, steps = self._state
+        mask_prev = SegmentationMask(fit_labels)
         chamfer = None
         breakdowns = []
-        for transforms, degenerate, labels, forward in steps:
-            flow = apply_fit(p_t, members(fit_labels), flow, transforms,
+        speeds = []
+        for i, (transforms, degenerate, labels, forward, v_ego) in enumerate(
+                steps, start=1):
+            flow = apply_fit(p_t, members(mask_prev.labels), flow, transforms,
                              degenerate)
+            if v_ego is None:
+                v_ego = _estimate_v_ego(p_t, flow, mask_prev, i, dt)
+            speeds.append(v_ego)
             # looked up at call time, so perfbench's tracer sees all three
             chamfer = losses.chamfer_loss(p_t, flow, p_t1, forward, chamfer)
             mask = SegmentationMask(labels)
             fitted, _ = fit_transforms(p_t, flow, mask)
             breakdowns.append(total_loss(p_t, flow, mask, fitted, chamfer.value))
-            fit_labels = labels
-        return tuple(breakdowns), tuple(fitted)
+            mask_prev = mask
+        return tuple(breakdowns), tuple(fitted), tuple(speeds)
 
     def __getstate__(self):
         return self._read()
@@ -153,7 +165,9 @@ class LossHistory:
 class IterationRecord:
     """State-change and quality measurements for one loop iteration.
 
-    ``losses`` is read from the run's :class:`LossHistory`.
+    ``losses`` and ``v_ego`` are read from the run's :class:`LossHistory`,
+    which keeps each iteration's ego speed, or what its replay needs for it.
+    ``==`` compares the fields, not those two.
     """
 
     iteration: int
@@ -164,19 +178,24 @@ class IterationRecord:
     strategy: str
     static_fallback: bool
     degenerate_clusters: int
-    v_ego: float
     history: LossHistory = field(compare=False)
 
     @property
     def losses(self) -> LossBreakdown:
         return self.history.losses[self.iteration - 1]
 
+    @property
+    def v_ego(self) -> float:
+        """The ego speed (m/s) from the global fit over the working static set."""
+        return self.history.v_ego[self.iteration - 1]
+
     def __repr__(self) -> str:
-        # the losses after delta_total, so a report's repr compares equal
-        # with those of releases that stored them as a field
+        # the losses after delta_total and v_ego last, so a report's repr
+        # compares equal with those of releases that stored them as fields
         shown = [(f.name, getattr(self, f.name)) for f in fields(self)
                  if f.name != "history"]
         shown.insert(4, ("losses", self.losses))
+        shown.append(("v_ego", self.v_ego))
         return f"IterationRecord({', '.join(f'{k}={v!r}' for k, v in shown)})"
 
 
@@ -326,6 +345,16 @@ def _estimate_v_ego(p_t, flow: FlowField, mask_prev: SegmentationMask,
     return float(np.linalg.norm(t.translation) / dt)
 
 
+def _later(helper, fn, *args):
+    """Start ``fn(*args)`` on ``helper``, a one-thread executor, or with no
+    helper run it here and now.  The callable returned gives its result or
+    raises its exception."""
+    if helper is None:
+        value = fn(*args)
+        return lambda: value
+    return helper.submit(fn, *args).result
+
+
 def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
     """Alternate refine_flow and cluster until delta_total < epsilon.
 
@@ -346,65 +375,79 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
       certified unchanged are searched.  Each iteration's match gives the
       next iteration's correspondences and the sum its Chamfer term needs.
 
-    The loop does only the work its decisions read.  The loss history and
-    the final transforms are left to the result's :class:`LossHistory`,
-    computed on first read of ``record.losses`` or ``transforms``; an
-    exception in that work is raised by the read, not here.  From
-    ``OVERLAP_MIN_POINTS`` points on, one helper thread runs init_flow while
-    this thread builds the pair list; it lives only until then.  Smaller
-    clouds run both here, with the same result bit for bit.
+    The loop waits only on what its next decision reads: ``refine_flow``,
+    ``cluster`` (given the fit), the rule and the static set, the deltas
+    and the next match.  The rule reads only cluster sizes, so the cluster
+    statistics and the ego speed are computed in the loop only when the
+    velocity rule is tried.  The loss history, the final transforms and
+    every other ego speed are left to the result's :class:`LossHistory`,
+    computed on first read of ``record.losses``, ``record.v_ego`` or
+    ``transforms``; an exception in that work is raised by the read, not
+    here.  From ``OVERLAP_MIN_POINTS`` points on, one helper thread lives
+    for the call: it runs init_flow while this thread builds the pair list,
+    then makes each match while this thread runs the initial mask or
+    ``cluster``, the classification and the deltas; this thread joins each
+    match before it records the iteration.  An exception on the helper is
+    raised here, and the helper ends before ``run`` returns or raises.
+    Smaller clouds make every step here, with the same result bit for bit.
     """
     if cfg is None:
         cfg = IterationConfig()
+    dt = cfg.classifier.dt
     # looked up on the module at call time, so a substituted index class
     # (perfbench's tracer) also sees this index and its queries
     index_t1 = geometry.SpatialIndex(p_t1.points)
-    if len(p_t) >= OVERLAP_MIN_POINTS:
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            start = helper.submit(init_flow, p_t, index_t1)
-            pairs = pair_list(p_t)
-            flow_prev, diag, match = start.result()
-    else:
-        flow_prev, diag, match = init_flow(p_t, index_t1)
+    threaded = len(p_t) >= OVERLAP_MIN_POINTS
+    with ThreadPoolExecutor(max_workers=1) if threaded else nullcontext() as helper:
+        started = _later(helper, init_flow, p_t, index_t1)
         pairs = pair_list(p_t)
-    mask_prev = initial_mask(p_t, flow_prev, pairs)
-    history = LossHistory(p_t, p_t1, flow_prev, mask_prev.labels)
-    match = index_t1.match(p_t.points + flow_prev.vectors, match)
-    records = []
-    converged = False
-    for i in range(1, cfg.max_iters + 1):
-        flow_i, transforms, degenerate = refine_flow(
-            p_t, p_t1.points[match.ids], mask_prev, flow_prev)
-        match = index_t1.match(p_t.points + flow_i.vectors, match)
-        raw_mask = cluster(p_t, flow_i, pairs=pairs,
-                           fit=(mask_prev.labels, transforms, degenerate))
-        raw_stats = cluster_stats(p_t, flow_i, raw_mask, cfg.classifier.dt)
-        v_ego = _estimate_v_ego(p_t, flow_i, mask_prev, i, cfg.classifier.dt)
-        strategy = resolve_strategy(raw_stats, cfg.classifier)
-        fallback = False
-        try:
-            static_ids, _ = classify(raw_stats, v_ego,
-                                     replace(cfg.classifier, strategy=strategy))
-        except NoStaticCluster:
-            strategy = "quantity"
-            fallback = True
-            static_ids, _ = classify(raw_stats, v_ego,
-                                     replace(cfg.classifier, strategy="quantity"))
-        mask_i = relabel_static_first(raw_mask, static_ids)
-        fd = flow_delta(flow_i, flow_prev)
-        md = mask_delta(mask_i, mask_prev)
-        d_total = cfg.alpha * fd + cfg.beta * md
-        history.add(transforms, degenerate, mask_i.labels, match.distances.sum())
-        records.append(IterationRecord(
-            iteration=i, flow_delta=fd, mask_delta=md, delta_total=d_total,
-            n_clusters=mask_i.n_clusters, strategy=strategy,
-            static_fallback=fallback, degenerate_clusters=len(degenerate),
-            v_ego=v_ego, history=history))
-        flow_prev, mask_prev = flow_i, mask_i
-        if d_total < cfg.epsilon:
-            converged = True
-            break
-    stats = tuple(cluster_stats(p_t, flow_prev, mask_prev, cfg.classifier.dt))
+        flow_prev, diag, match = started()
+        matched = _later(helper, index_t1.match,
+                         p_t.points + flow_prev.vectors, match)
+        mask_prev = initial_mask(p_t, flow_prev, pairs)
+        history = LossHistory(p_t, p_t1, flow_prev, mask_prev.labels, dt)
+        match = matched()
+        records = []
+        converged = False
+        for i in range(1, cfg.max_iters + 1):
+            flow_i, transforms, degenerate = refine_flow(
+                p_t, p_t1.points[match.ids], mask_prev, flow_prev)
+            matched = _later(helper, index_t1.match,
+                             p_t.points + flow_i.vectors, match)
+            raw_mask = cluster(p_t, flow_i, pairs=pairs,
+                               fit=(mask_prev.labels, transforms, degenerate))
+            sizes = raw_mask.cluster_sizes()
+            strategy = _size_strategy(sizes, cfg.classifier)
+            fallback = False
+            v_ego = None
+            if strategy == "velocity":
+                raw_stats = cluster_stats(p_t, flow_i, raw_mask, dt)
+                v_ego = _estimate_v_ego(p_t, flow_i, mask_prev, i, dt)
+                try:
+                    static_ids, _ = classify(
+                        raw_stats, v_ego, replace(cfg.classifier, strategy=strategy))
+                except NoStaticCluster:
+                    strategy = "quantity"
+                    fallback = True
+            if strategy == "quantity":
+                static_ids = {_largest(sizes)}
+            mask_i = relabel_static_first(raw_mask, static_ids)
+            fd = flow_delta(flow_i, flow_prev)
+            md = mask_delta(mask_i, mask_prev)
+            d_total = cfg.alpha * fd + cfg.beta * md
+            match = matched()
+            history.add(transforms, degenerate, mask_i.labels,
+                        match.distances.sum(), v_ego)
+            records.append(IterationRecord(
+                iteration=i, flow_delta=fd, mask_delta=md, delta_total=d_total,
+                n_clusters=mask_i.n_clusters, strategy=strategy,
+                static_fallback=fallback, degenerate_clusters=len(degenerate),
+                history=history))
+            flow_prev, mask_prev = flow_i, mask_i
+            if d_total < cfg.epsilon:
+                converged = True
+                break
+    stats = tuple(cluster_stats(p_t, flow_prev, mask_prev, dt))
     report = ConvergenceReport(
         alpha=cfg.alpha, beta=cfg.beta, epsilon=cfg.epsilon,
         records=tuple(records), converged=converged,

@@ -22,7 +22,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .errors import MaskMismatch, NoStaticCluster, UnknownClusterId
-from .geometry import TOL
+from .geometry import TOL, _fields_equal
 
 __all__ = [
     "SegmentationMask",
@@ -62,6 +62,8 @@ class SegmentationMask:
 
     labels: np.ndarray
 
+    __eq__ = _fields_equal
+
     def __post_init__(self) -> None:
         lab = np.asarray(self.labels)
         if lab.ndim != 1 or lab.shape[0] == 0:
@@ -97,6 +99,8 @@ class ClusterStats:
     mean_speed: float
     centroid: np.ndarray
 
+    __eq__ = _fields_equal
+
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ValueError("cluster size must be at least 1")
@@ -127,13 +131,20 @@ class ClassifierConfig:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
 
 
+def _narrow(labels: np.ndarray) -> np.ndarray:
+    """Nonnegative integers in the narrowest unsigned dtype that holds them."""
+    return labels.astype(np.min_scalar_type(int(labels.max(initial=0))))
+
+
 def members(labels: np.ndarray) -> list:
     """Point ids of each label 0..K-1, ascending within each group.
 
     One stable sort groups every label at once; indexing with a group gives
     the same rows, in the same order, as a boolean mask selecting label k.
+    The sort runs on the labels in their narrowest unsigned dtype, which
+    numpy sorts by radix up to 16 bits, in the same stable order.
     """
-    order = np.argsort(labels, kind="stable")
+    order = np.argsort(_narrow(labels), kind="stable")
     return np.split(order, np.cumsum(np.bincount(labels))[:-1])
 
 
@@ -166,10 +177,14 @@ def _add_squares(d2: np.ndarray, coords: np.ndarray, i, j) -> np.ndarray:
 
 
 def pair_list(p_t, eps: float = CLUSTER_EPS) -> PairList:
-    """The :class:`PairList` of a cloud: one k-d tree ``query_pairs`` call."""
-    tree = cKDTree(p_t.points)
+    """The :class:`PairList` of a cloud: one k-d tree ``query_pairs`` call.
+
+    The tree uses sliding-midpoint splits, as ``SpatialIndex`` does, and the
+    pairs are grouped by a stable sort of ``i`` in its narrowest dtype.
+    """
+    tree = cKDTree(p_t.points, balanced_tree=False)
     pairs = tree.query_pairs(eps, output_type="ndarray")
-    order = np.argsort(pairs[:, 0], kind="stable")
+    order = np.argsort(_narrow(pairs[:, 0]), kind="stable")
     i = pairs[order, 0].astype(np.int32)
     j = pairs[order, 1].astype(np.int32)
     d2 = _add_squares(np.zeros(i.shape[0]), p_t.points, i, j)
@@ -336,31 +351,51 @@ def cluster_stats(p_t, flow, mask: SegmentationMask, dt: float):
     return out
 
 
-def resolve_strategy(stats, cfg: ClassifierConfig) -> str:
-    """The concrete rule ``auto`` would pick for these clusters."""
+def _size_strategy(sizes, cfg: ClassifierConfig) -> str:
+    """The concrete rule ``cfg.strategy`` picks for clusters of these sizes:
+    ``auto`` takes the velocity rule when their normalized variance, in
+    float64, is below ``SIZE_VARIANCE_THRESHOLD``."""
     if cfg.strategy != "auto":
         return cfg.strategy
-    sizes = np.array([s.size for s in stats], dtype=np.float64)
+    sizes = np.asarray(sizes, dtype=np.float64)
     normalized_variance = sizes.var() / sizes.mean() ** 2
     return "velocity" if normalized_variance < SIZE_VARIANCE_THRESHOLD else "quantity"
+
+
+def _largest(sizes) -> int:
+    """Position of the largest size; ties go to the lowest position."""
+    return int(np.argmax(sizes))
+
+
+def resolve_strategy(stats, cfg: ClassifierConfig) -> str:
+    """The concrete rule ``auto`` would pick for these clusters.
+
+    It reads only their sizes, through the helper ``pipeline.run`` applies
+    to a mask's ``cluster_sizes()``.
+    """
+    return _size_strategy([s.size for s in stats], cfg)
 
 
 def classify(stats, v_ego: float, cfg: ClassifierConfig):
     """Split cluster ids into (static_ids, dynamic_ids).
 
+    ``stats`` holds one record per cluster in id order, as
+    :func:`cluster_stats` gives them.
     ``quantity``: the single largest cluster is static (ties to lowest id).
     ``velocity``: every cluster whose mean speed is within theta of the ego
     speed is static; raises NoStaticCluster when none qualifies, and the
-    caller is expected to fall back to the quantity rule.
+    caller is expected to fall back to the quantity rule.  The rule and the
+    largest cluster come from the size helpers ``pipeline.run`` uses, so
+    both pick the same static set.
     """
     if not stats:
         raise ValueError("stats must be non-empty")
     if v_ego < 0:
         raise ValueError("v_ego must be nonnegative")
-    strategy = resolve_strategy(stats, cfg)
+    sizes = [s.size for s in stats]
+    strategy = _size_strategy(sizes, cfg)
     if strategy == "quantity":
-        best = max(stats, key=lambda s: (s.size, -s.cluster_id))
-        static = {best.cluster_id}
+        static = {stats[_largest(sizes)].cluster_id}
     else:
         static = {s.cluster_id for s in stats
                   if abs(s.mean_speed - v_ego) < cfg.theta}

@@ -144,13 +144,6 @@ def multi_cluster_scene():
     return p_t, p_t1, SegmentationMask(labels), flow
 
 
-def assert_same_transforms(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert np.array_equal(a.rotation, b.rotation)
-        assert np.array_equal(a.translation, b.translation)
-
-
 class TestPointCloud:
     def test_basic_fields(self):
         c = cloud_of([[1.0, 2.0, 3.0]], frame_id=4, timestamp=0.4)
@@ -184,6 +177,18 @@ class TestFlowField:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             FlowField(np.array([[np.inf, 0.0, 0.0]]))
+
+    def test_equality_compares_values(self):
+        vec = np.random.default_rng(5).standard_normal((4, 3))
+        f = FlowField(vec)
+        assert f == FlowField(vec.copy())
+        assert not f != FlowField(vec.copy())
+        moved = vec.copy()
+        moved[2, 1] += 1e-12
+        assert f != FlowField(moved)
+        assert f != FlowField(vec[:3])
+        assert not f == FlowField.zeros(4)
+        assert f != None  # noqa: E711
 
 
 class TestInitFlow:
@@ -389,7 +394,7 @@ class TestRefineFlow:
         assert mask.n_clusters >= 4
         assert degen == want_degen == [mask.n_clusters - 1]
         assert np.array_equal(refined.vectors, want_flow)
-        assert_same_transforms(transforms, want_transforms)
+        assert transforms == want_transforms
 
 
 class TestFitTransforms:
@@ -418,4 +423,4 @@ class TestFitTransforms:
         transforms, degen = fit_transforms(p_t, flow, mask)
         want_transforms, want_degen = fit_reference(p_t, flow, mask)
         assert degen == want_degen == [mask.n_clusters - 1]
-        assert_same_transforms(transforms, want_transforms)
+        assert transforms == want_transforms

@@ -127,6 +127,18 @@ class TestRigidTransform:
         assert not t.is_rigid()
         assert t.orthonormality_error() > 1e-3
 
+    def test_equality_compares_values(self):
+        rng = np.random.default_rng(4)
+        rot, shift = random_rotation(rng), rng.standard_normal(3)
+        t = RigidTransform(rot, shift)
+        assert t == RigidTransform(rot.copy(), shift.copy())
+        assert not t != RigidTransform(rot.copy(), shift.copy())
+        assert t != RigidTransform(rot, shift + [0.0, 0.0, 1e-12])
+        assert t != RigidTransform(rot @ rot_z(1e-9), shift)
+        assert not t == RigidTransform.identity()
+        assert t != None  # noqa: E711
+        assert [RigidTransform.identity()] == [RigidTransform(np.eye(3), [0, 0, 0])]
+
     def test_apply_preserves_pairwise_distances(self):
         rng = np.random.default_rng(3)
         pts = rng.standard_normal((40, 3)) * 5.0

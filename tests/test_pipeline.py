@@ -6,6 +6,7 @@ import pickle
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -128,12 +129,13 @@ class TestIterationConfig:
 
     def test_report_checks_delta_identity(self):
         from flowseg.pipeline import IterationRecord
-        # the check reads no losses, so the record needs no history
+        # the check reads no losses or ego speed, so the record needs no
+        # history
         bad = IterationRecord(iteration=1, flow_delta=1.0, mask_delta=1.0,
                               delta_total=5.0,  # != alpha*1 + beta*1
                               n_clusters=1, strategy="quantity",
                               static_fallback=False, degenerate_clusters=0,
-                              v_ego=0.0, history=None)
+                              history=None)
         with pytest.raises(ValueError):
             ConvergenceReport(alpha=1.0, beta=1.0, epsilon=1e-3,
                               records=(bad,), converged=True,
@@ -342,11 +344,44 @@ def scene():
     return recs[0].cloud, recs[1].cloud
 
 
-def same_transforms(a, b):
-    return len(a) == len(b) and all(
-        np.array_equal(x.rotation, y.rotation)
-        and np.array_equal(x.translation, y.translation)
-        for x, y in zip(a, b))
+def velocity_scene(seed=74):
+    """A shuffled scene whose one mover is about as large as the background,
+    so ``auto`` tries the velocity rule: at seed 74 only from the seventh
+    iteration on, at seed 72 in every iteration."""
+    recs = generate(random_scene_spec(seed, n_points=2000, n_objects=1,
+                                      points_per_object=900, shuffle=True))
+    return recs[0].cloud, recs[1].cloud
+
+
+# the ego-speed fit and the cluster statistics, as run() calls them
+ESTIMATE_V_EGO = pipeline._estimate_v_ego
+FITS = ("_estimate_v_ego", "cluster_stats")
+
+
+def recording_fits(monkeypatch):
+    """Wrap the ego-speed fit and the cluster statistics to log the thread
+    of every call."""
+    calls = {name: [] for name in FITS}
+
+    def wrap(name, fn):
+        def record(*args):
+            calls[name].append(threading.current_thread())
+            return fn(*args)
+        return record
+
+    for name in FITS:
+        monkeypatch.setattr(pipeline, name, wrap(name, getattr(pipeline, name)))
+    return calls
+
+
+def eager_v_ego(p_t, p_t1, cfg, n):
+    """Each iteration's ego speed, fitted to the state of runs cut after
+    1..n iterations, as a loop computing it every iteration would."""
+    states = [run(p_t, p_t1, replace(cfg, max_iters=k)) for k in range(1, n + 1)]
+    # iteration 1 fits every point and reads no previous mask
+    previous = [None] + [state.mask for state in states[:-1]]
+    return [ESTIMATE_V_EGO(p_t, state.flow, prev, k, cfg.classifier.dt)
+            for k, (state, prev) in enumerate(zip(states, previous), start=1)]
 
 
 class TestOverlap:
@@ -354,25 +389,78 @@ class TestOverlap:
     points on, while it builds the pair list, and runs it inline below."""
 
     def test_threaded_equals_inline(self, monkeypatch):
-        p_t, p_t1 = scene()
         calls = recording(monkeypatch)
-        out = {}
+        # the size rule throughout, then a scene that tries both rules
+        for p_t, p_t1 in (scene(), velocity_scene()):
+            out = {}
+            for min_points in (0, len(p_t) + 1):
+                monkeypatch.setattr(pipeline, "OVERLAP_MIN_POINTS", min_points)
+                out[min_points] = run(p_t, p_t1)
+            threaded, inline = out.values()
+            # the report work waits for the first read, on the reading thread
+            assert all(seen == [] for seen in calls.values())
+            assert threaded.transforms == inline.transforms
+            n = threaded.report.n_iterations
+            assert n >= 2
+            for name, seen in calls.items():
+                assert len(seen) == 2 * n, name
+                assert all(t is threading.main_thread() for t in seen), name
+                seen.clear()
+            assert threaded == inline
+            assert np.array_equal(threaded.flow.vectors, inline.flow.vectors)
+            assert np.array_equal(threaded.mask.labels, inline.mask.labels)
+            assert ([rec.v_ego for rec in threaded.report.records]
+                    == [rec.v_ego for rec in inline.report.records])
+            assert repr(threaded.report) == repr(inline.report)
+            assert repr(threaded.stats) == repr(inline.stats)
+        assert {rec.strategy for rec in threaded.report.records} == {
+            "quantity", "velocity"}
+
+    def test_every_match_on_the_helper_only_when_threaded(self, monkeypatch):
+        p_t, p_t1 = scene()
+        threads = []
+
+        class RecordingIndex(geometry.SpatialIndex):
+            def match(self, q, previous=None):
+                threads.append(threading.current_thread())
+                return super().match(q, previous)
+
+        monkeypatch.setattr(geometry, "SpatialIndex", RecordingIndex)
+        main = threading.main_thread()
         for min_points in (0, len(p_t) + 1):
             monkeypatch.setattr(pipeline, "OVERLAP_MIN_POINTS", min_points)
-            out[min_points] = run(p_t, p_t1)
-        threaded, inline = out.values()
-        # the report work waits for the first read, on the reading thread
-        assert all(seen == [] for seen in calls.values())
-        assert same_transforms(threaded.transforms, inline.transforms)
-        n = threaded.report.n_iterations
-        assert n >= 2
-        for name, seen in calls.items():
-            assert len(seen) == 2 * n, name
-            assert all(t is threading.main_thread() for t in seen), name
-        assert np.array_equal(threaded.flow.vectors, inline.flow.vectors)
-        assert np.array_equal(threaded.mask.labels, inline.mask.labels)
-        assert repr(threaded.report) == repr(inline.report)
-        assert repr(threaded.stats) == repr(inline.stats)
+            threads.clear()
+            n = run(p_t, p_t1).report.n_iterations
+            # init_flow's forward search, iteration 1's match, then one per
+            # iteration
+            assert len(threads) == n + 2
+            if min_points == 0:
+                # one helper thread, alive for the whole call
+                assert len(set(threads)) == 1 and threads[0] is not main
+            else:
+                assert all(t is main for t in threads)
+
+    @pytest.mark.parametrize("min_points", [0, 10**9])
+    def test_raising_match_is_raised_and_thread_ends(self, monkeypatch,
+                                                     min_points):
+        p_t, p_t1 = scene()
+        calls = []
+
+        class FailingIndex(geometry.SpatialIndex):
+            def match(self, q, previous=None):
+                calls.append(previous is not None)
+                # the third is made beside iteration 1's cluster()
+                if len(calls) == 3:
+                    raise RuntimeError("match failed")
+                return super().match(q, previous)
+
+        monkeypatch.setattr(geometry, "SpatialIndex", FailingIndex)
+        monkeypatch.setattr(pipeline, "OVERLAP_MIN_POINTS", min_points)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="match failed"):
+            run(p_t, p_t1)
+        assert calls == [False, True, True]
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("min_points", [0, 10**9])
     def test_helper_exception_is_raised_and_thread_ends(self, monkeypatch,
@@ -412,7 +500,7 @@ class TestLossHistory:
         p_t, p_t1 = scene()
         ssf = run(p_t, p_t1)
         fitted, _ = flow.fit_transforms(p_t, ssf.flow, ssf.mask)
-        assert same_transforms(ssf.transforms, tuple(fitted))
+        assert ssf.transforms == tuple(fitted)
         index_t1 = geometry.SpatialIndex(p_t1.points)
         forward = index_t1.query(p_t.points + ssf.flow.vectors)[1].sum()
         # the carried Chamfer term equals a fresh one bit for bit
@@ -455,13 +543,18 @@ class TestLossHistory:
     def test_pickle_and_copy_carry_plain_values(self, monkeypatch, copy_fn):
         p_t, p_t1 = scene()
         direct = run(p_t, p_t1)
-        expected = repr(direct.report), direct.transforms
+        expected = (repr(direct.report), direct.transforms,
+                    [rec.v_ego for rec in direct.report.records])
         carried = copy_fn(run(p_t, p_t1))
         # the copy was computed before it was made: reading it does no work
         calls = recording(monkeypatch)
+        fits = recording_fits(monkeypatch)
         assert repr(carried.report) == expected[0]
-        assert same_transforms(carried.transforms, expected[1])
+        assert carried.transforms == expected[1]
+        assert [rec.v_ego for rec in carried.report.records] == expected[2]
+        assert carried == direct
         assert all(seen == [] for seen in calls.values())
+        assert all(seen == [] for seen in fits.values())
         assert carried.history._state is None
 
     def test_unread_result_keeps_compact_state(self):
@@ -496,3 +589,49 @@ class TestLossHistory:
                      lambda: ssf.transforms, lambda: repr(ssf.report)):
             with pytest.raises(RuntimeError, match="chamfer failed"):
                 read()
+
+
+class TestEgoSpeedOnFirstRead:
+    """run() fits the ego speed only where the velocity rule reads it; the
+    result's LossHistory fits the others on first read."""
+
+    @pytest.mark.parametrize("case", ["size rule", "velocity rule", "both"])
+    def test_fitted_in_the_loop_only_where_the_velocity_rule_is_tried(
+            self, monkeypatch, case):
+        p_t, p_t1, cfg = {
+            "size rule": (*scene(), IterationConfig()),
+            "velocity rule": (*velocity_scene(72), IterationConfig(
+                classifier=ClassifierConfig(strategy="velocity"))),
+            "both": (*velocity_scene(74), IterationConfig()),
+        }[case]
+        n = run(p_t, p_t1, cfg).report.n_iterations
+        eager = eager_v_ego(p_t, p_t1, cfg, n)
+        calls = recording_fits(monkeypatch)
+        ssf = run(p_t, p_t1, cfg)
+        records = ssf.report.records
+        assert len(records) == n
+        tried = sum(rec.strategy == "velocity" or rec.static_fallback
+                    for rec in records)
+        assert tried == {"size rule": 0, "velocity rule": n, "both": 5}[case]
+        main = threading.main_thread()
+        # in the loop: one fit and one set of statistics per tried iteration,
+        # then the final statistics
+        assert len(calls["_estimate_v_ego"]) == tried
+        assert len(calls["cluster_stats"]) == tried + 1
+        assert all(t is main for seen in calls.values() for t in seen)
+        for seen in calls.values():
+            seen.clear()
+        # the first read fits every other iteration, once, on its thread
+        speeds = []
+        reader = threading.Thread(
+            target=lambda: speeds.extend(rec.v_ego for rec in records[::-1]))
+        reader.start()
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert len(calls["_estimate_v_ego"]) == n - tried
+        assert all(t is reader for t in calls["_estimate_v_ego"])
+        assert speeds[::-1] == eager
+        assert [rec.v_ego for rec in records] == eager
+        repr(ssf.report), ssf.transforms
+        assert len(calls["_estimate_v_ego"]) == n - tried
+        assert calls["cluster_stats"] == []

@@ -52,6 +52,20 @@ class TestMembers:
         for got, want in zip(groups, reference):
             assert np.array_equal(got, want)
 
+    @settings(deadline=None, max_examples=100)
+    @given(st.sampled_from([1, 255, 256, 65535, 65536, 2**17]).flatmap(
+        lambda top: st.lists(st.integers(0, top), min_size=1, max_size=400)))
+    @example([65536, 0, 65535, 65536, 0])
+    def test_narrow_sort_equals_int64_stable_argsort(self, raw):
+        # labels need not be contiguous here: every id up to the largest
+        # gets a group, empty or not, as a split of the int64 sort would
+        labels = np.asarray(raw, dtype=np.int64)
+        groups = members(labels)
+        sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
+        assert np.array_equal(sizes, np.bincount(labels))
+        assert np.array_equal(np.concatenate(groups),
+                              np.argsort(labels, kind="stable"))
+
 
 class TestSegmentationMask:
     def test_basic(self):
@@ -259,6 +273,29 @@ class TestPairList:
         assert np.array_equal(pairs.d2, (diff[:, 0] ** 2 + diff[:, 1] ** 2)
                               + diff[:, 2] ** 2)
 
+    @settings(deadline=None, max_examples=300)
+    @given(st.sampled_from([1.0, 0.8, 0.1, 0.3]).flatmap(
+               lambda step: st.tuples(boundary_scenes(step), st.just(step))),
+           st.sampled_from([0.0, 1.0, 37.5, 1e3]),
+           st.sampled_from([1.0, 2.0, np.sqrt(2.0), np.sqrt(3.0)]))
+    def test_pair_list_equals_brute_force_on_lattices(self, scene_step, offset,
+                                                      radius):
+        # many pairs lie at eps to the last bit, or miss it by one; the
+        # tree's splits must not change which are found
+        (p_t, _), step = scene_step
+        pts = p_t.points + offset * np.array([1.0, -0.7, 0.3])
+        eps = radius * step
+        diff = pts[:, None, :] - pts[None, :, :]
+        d2 = ((diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1])
+              + diff[..., 2] * diff[..., 2])
+        want = set(zip(*(ids.tolist() for ids in np.nonzero(
+            np.triu(d2 <= eps * eps, 1)))))
+        pairs = pair_list(cloud_of(pts), eps)
+        assert {(int(a), int(b)) for a, b in zip(pairs.i, pairs.j)} == want
+        assert len(pairs.i) == len(want)
+        assert (np.diff(pairs.i) >= 0).all()
+        assert np.array_equal(pairs.d2, d2[pairs.i, pairs.j])
+
     def test_pair_list_radius_must_match(self):
         p_t = cloud_of(np.random.default_rng(37).uniform(size=(20, 3)))
         with pytest.raises(ValueError):
@@ -428,6 +465,36 @@ class TestSmallComponentMerge:
                + [[-3.0 - k, 0, 0] for k in range(5)])
         mask = cluster(cloud_of(pts), FlowField.zeros(11), eps=1.0)
         assert mask.labels[5] == mask.labels[0] != mask.labels[6]
+
+
+class TestValueEquality:
+    """Masks and cluster statistics compare by value, arrays included."""
+
+    def test_masks(self):
+        a = SegmentationMask(np.array([0, 1, 0]))
+        assert a == SegmentationMask(np.array([0, 1, 0], dtype=np.int32))
+        assert not a != SegmentationMask(np.array([0, 1, 0]))
+        assert a != SegmentationMask(np.array([0, 1, 1]))
+        assert a != SegmentationMask(np.array([0, 1, 0, 0]))
+        assert a != None  # noqa: E711
+
+    def test_cluster_stats(self):
+        def stats(cluster_id=0, size=3, mean_speed=1.5, centroid=(1.0, 2.0, 3.0)):
+            return ClusterStats(cluster_id=cluster_id, size=size,
+                                mean_speed=mean_speed, centroid=centroid)
+
+        assert stats() == stats()
+        assert not stats() != stats()
+        for changed in (stats(cluster_id=1), stats(size=4),
+                        stats(mean_speed=1.25), stats(centroid=(1.0, 2.0, 3.5))):
+            assert stats() != changed
+            assert not stats() == changed
+        # the records cluster_stats returns compare as tuples
+        pts = np.array([[0.0, 0, 0], [2.0, 0, 0], [10.0, 0, 0]])
+        mask = SegmentationMask(np.array([0, 0, 1]))
+        first = cluster_stats(cloud_of(pts), FlowField.zeros(3), mask, 0.1)
+        again = cluster_stats(cloud_of(pts), FlowField.zeros(3), mask, 0.1)
+        assert tuple(first) == tuple(again)
 
 
 class TestClusterStats:
