@@ -11,15 +11,15 @@ __version__ = "0.1.0"
 
 from .errors import (DegenerateInput, DegenerateStaticSet, EmptyCloud,
                      EmptyIndex, FlowsegError, FormatError, InvalidSpec,
-                     LengthMismatch, MaskMismatch, NoStaticCluster,
-                     TimestampMismatch, TransformCountMismatch,
-                     UnknownClusterId)
+                     LengthMismatch, MaskMismatch, TimestampMismatch,
+                     TransformCountMismatch, UnknownClusterId)
 from .geometry import (RigidTransform, SpatialIndex, chamfer_distance,
                        weighted_kabsch)
 from .flow import (FlowField, PointCloud, fit_transforms, init_flow,
                    refine_flow)
 from .segment import (ClassifierConfig, ClusterStats, SegmentationMask,
-                      classify, cluster, cluster_stats, relabel_static_first)
+                      StaticSet, classify, cluster, cluster_stats,
+                      relabel_static_first)
 from .losses import (ChamferTerm, LossBreakdown, chamfer_loss,
                      flow_consistency_loss, motion_loss, total_loss)
 from .pipeline import (ConvergenceReport, IterationConfig, SemanticSceneFlow,

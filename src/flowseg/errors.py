@@ -33,10 +33,6 @@ class TimestampMismatch(FlowsegError):
     """Two trajectories that must share timestamps do not."""
 
 
-class NoStaticCluster(FlowsegError):
-    """Velocity-based classification found no cluster moving with the ego vehicle."""
-
-
 class DegenerateStaticSet(FlowsegError):
     """The static cluster is too small or degenerate to support an ego-motion fit."""
 

@@ -4,11 +4,11 @@ Everything downstream (flow refinement, segmentation, odometry) is built on
 four primitives: SE(3) transforms, the weighted Kabsch fit, an exact
 nearest-neighbor index, and the Chamfer distance.  All functions are pure;
 ``SpatialIndex`` is immutable after construction and safe to query from
-multiple threads.  It answers a stack of queries three ways, all exact and
-all through one k-d tree search: ``query`` gives ``(ids, distances)``;
+multiple threads.  It answers a stack of queries two ways, both exact and
+both through one k-d tree search: ``query`` gives ``(ids, distances)``;
 ``match`` gives a :class:`Match`, which the next, slightly moved stack can
 reuse row by row wherever the triangle inequality proves the nearest point
-unchanged; ``distances`` gives the distances alone, with no tie rescan.
+unchanged.
 """
 from __future__ import annotations
 
@@ -258,13 +258,6 @@ class SpatialIndex:
         ids[redo], dist[redo], clearance[redo] = self._search(q[redo])
         return Match(ids, dist, q, clearance)
 
-    def distances(self, queries) -> np.ndarray:
-        """Distance from each row of an (M, 3) stack to its nearest indexed
-        point: the distances :meth:`query` returns, bit for bit, from one
-        nearest-only tree search, since no tie changes a distance."""
-        dist, _ = self._tree.query(_points_array(queries, "queries"), k=1)
-        return dist
-
     def query_knn(self, queries, k: int):
         """The ``k`` nearest indexed points of each row of an (M, 3) stack,
         nearest first, as ``(ids, distances)`` arrays shaped (M, k).
@@ -313,5 +306,5 @@ def chamfer_distance(a, b) -> float:
     pb = _points_array(b, "b")
     if pa.shape[0] == 0 or pb.shape[0] == 0:
         raise EmptyCloud("chamfer distance requires two non-empty clouds")
-    return float(SpatialIndex(pb).distances(pa).sum()
-                 + SpatialIndex(pa).distances(pb).sum())
+    return float(SpatialIndex(pb).query(pa)[1].sum()
+                 + SpatialIndex(pa).query(pb)[1].sum())

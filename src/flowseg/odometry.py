@@ -64,9 +64,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.poses)
 
-    def positions(self) -> np.ndarray:
-        return np.array([p.transform.translation for p in self.poses])
-
 
 @dataclass(frozen=True)
 class ErrorStats:

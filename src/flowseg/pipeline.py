@@ -13,19 +13,19 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import geometry, losses
-from .errors import DegenerateInput, LengthMismatch, NoStaticCluster
+from .errors import DegenerateInput, DegenerateStaticSet, LengthMismatch
 from .flow import FlowField, apply_fit, fit_transforms, init_flow, refine_flow
 from .geometry import weighted_kabsch
 from .losses import LossBreakdown, total_loss
-from .segment import (CLUSTER_EPS, MIN_PTS, ClassifierConfig, PairList,
-                      SegmentationMask, _check_eps, _components, _largest,
-                      _narrow, _size_strategy, classify, cluster,
-                      cluster_stats, members, pair_list, relabel_static_first)
+from .odometry import ego_motion
+from .segment import (MIN_PTS, ClassifierConfig, PairList, SegmentationMask,
+                      _components, _narrow, classify, cluster, cluster_stats,
+                      members, pair_list, relabel_static_first)
 
 __all__ = [
     "IterationConfig",
@@ -291,8 +291,9 @@ def initial_mask(p_t, flow: FlowField, pairs: PairList = None) -> SegmentationMa
     Fits one transform to the whole flow field; points with residual above
     ``R_STATIC`` are candidate dynamic points and get clustered spatially,
     linked by the pairs of ``pairs`` (the cloud's ``pair_list``, built here
-    when omitted) whose two ends are both candidates.  Candidate components
-    smaller than ``MIN_PTS`` return to the static set.
+    at ``CLUSTER_EPS`` when omitted, so its radius is the link radius) whose
+    two ends are both candidates.  Candidate components smaller than
+    ``MIN_PTS`` return to the static set.
     """
     src = p_t.points
     n = src.shape[0]
@@ -308,7 +309,6 @@ def initial_mask(p_t, flow: FlowField, pairs: PairList = None) -> SegmentationMa
         return SegmentationMask(labels)
     if pairs is None:
         pairs = pair_list(p_t)
-    _check_eps(pairs, CLUSTER_EPS)
     keep = candidate[pairs.i] & candidate[pairs.j]
     # each point's position among the candidates keeps i ascending
     position = (np.cumsum(candidate) - 1).astype(np.int32)
@@ -326,21 +326,17 @@ def initial_mask(p_t, flow: FlowField, pairs: PairList = None) -> SegmentationMa
 
 def _estimate_v_ego(p_t, flow: FlowField, mask_prev: SegmentationMask,
                     iteration: int, dt: float) -> float:
-    """Ego speed from a global rigid fit over the working static set.
+    """Ego speed from the :func:`~flowseg.odometry.ego_motion` fit over the
+    working static set, 0.0 when that set cannot carry a fit.
 
     Iteration 1 has no trusted static set yet and fits over all points;
     later iterations use the previous canonical mask's cluster 0.
     """
     if iteration == 1:
-        pts = p_t.points
-        vec = flow.vectors
-    else:
-        sel = mask_prev.labels == 0
-        pts = p_t.points[sel]
-        vec = flow.vectors[sel]
+        mask_prev = SegmentationMask(np.zeros(len(p_t), dtype=np.int64))
     try:
-        t = weighted_kabsch(pts, pts + vec)
-    except DegenerateInput:
+        t = ego_motion(p_t, flow, mask_prev)
+    except DegenerateStaticSet:
         return 0.0
     return float(np.linalg.norm(t.translation) / dt)
 
@@ -359,9 +355,9 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
     """Alternate refine_flow and cluster until delta_total < epsilon.
 
     Iteration 1 starts from init_flow and the residual-gated initial mask;
-    every iteration ends with a canonical mask (static cluster 0).  A
-    NoStaticCluster from the velocity rule falls back to the quantity rule
-    and is recorded, never fatal.  Output is fully deterministic.
+    every iteration ends with a canonical mask (static cluster 0), whose
+    static set :func:`~flowseg.segment.classify` picks.  Output is fully
+    deterministic.
 
     Each pair's neighbour searches are made once and carried along:
 
@@ -376,20 +372,20 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
       next iteration's correspondences and the sum its Chamfer term needs.
 
     The loop waits only on what its next decision reads: ``refine_flow``,
-    ``cluster`` (given the fit), the rule and the static set, the deltas
-    and the next match.  The rule reads only cluster sizes, so the cluster
-    statistics and the ego speed are computed in the loop only when the
-    velocity rule is tried.  The loss history, the final transforms and
-    every other ego speed are left to the result's :class:`LossHistory`,
-    computed on first read of ``record.losses``, ``record.v_ego`` or
-    ``transforms``; an exception in that work is raised by the read, not
-    here.  From ``OVERLAP_MIN_POINTS`` points on, one helper thread lives
-    for the call: it runs init_flow while this thread builds the pair list,
-    then makes each match while this thread runs the initial mask or
-    ``cluster``, the classification and the deltas; this thread joins each
-    match before it records the iteration.  An exception on the helper is
-    raised here, and the helper ends before ``run`` returns or raises.
-    Smaller clouds make every step here, with the same result bit for bit.
+    ``cluster`` (given the fit), ``classify``, the deltas and the next
+    match.  ``classify`` asks for the cluster statistics and the ego speed
+    only when it tries the velocity rule, so only then does the loop compute
+    them.  The loss history, the final transforms and every other ego speed
+    are left to the result's :class:`LossHistory`, computed on first read of
+    ``record.losses``, ``record.v_ego`` or ``transforms``; an exception in
+    that work is raised by the read, not here.  From ``OVERLAP_MIN_POINTS``
+    points on, one helper thread lives for the call: it runs init_flow while
+    this thread builds the pair list, then makes each match while this
+    thread runs the initial mask or ``cluster``, the classification and the
+    deltas; this thread joins each match before it records the iteration.
+    An exception on the helper is raised here, and the helper ends before
+    ``run`` returns or raises.  Smaller clouds make every step here, with
+    the same result bit for bit.
     """
     if cfg is None:
         cfg = IterationConfig()
@@ -416,32 +412,21 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
                              p_t.points + flow_i.vectors, match)
             raw_mask = cluster(p_t, flow_i, pairs=pairs,
                                fit=(mask_prev.labels, transforms, degenerate))
-            sizes = raw_mask.cluster_sizes()
-            strategy = _size_strategy(sizes, cfg.classifier)
-            fallback = False
-            v_ego = None
-            if strategy == "velocity":
-                raw_stats = cluster_stats(p_t, flow_i, raw_mask, dt)
-                v_ego = _estimate_v_ego(p_t, flow_i, mask_prev, i, dt)
-                try:
-                    static_ids, _ = classify(
-                        raw_stats, v_ego, replace(cfg.classifier, strategy=strategy))
-                except NoStaticCluster:
-                    strategy = "quantity"
-                    fallback = True
-            if strategy == "quantity":
-                static_ids = {_largest(sizes)}
-            mask_i = relabel_static_first(raw_mask, static_ids)
+            static = classify(raw_mask, cfg.classifier, lambda: (
+                cluster_stats(p_t, flow_i, raw_mask, dt),
+                _estimate_v_ego(p_t, flow_i, mask_prev, i, dt)))
+            mask_i = relabel_static_first(raw_mask, static.ids)
             fd = flow_delta(flow_i, flow_prev)
             md = mask_delta(mask_i, mask_prev)
             d_total = cfg.alpha * fd + cfg.beta * md
             match = matched()
             history.add(transforms, degenerate, mask_i.labels,
-                        match.distances.sum(), v_ego)
+                        match.distances.sum(), static.v_ego)
             records.append(IterationRecord(
                 iteration=i, flow_delta=fd, mask_delta=md, delta_total=d_total,
-                n_clusters=mask_i.n_clusters, strategy=strategy,
-                static_fallback=fallback, degenerate_clusters=len(degenerate),
+                n_clusters=mask_i.n_clusters, strategy=static.strategy,
+                static_fallback=static.fallback,
+                degenerate_clusters=len(degenerate),
                 history=history))
             flow_prev, mask_prev = flow_i, mask_i
             if d_total < cfg.epsilon:

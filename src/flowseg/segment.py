@@ -6,10 +6,10 @@ distance is at most eps, so spatially adjacent points separate whenever their
 flows differ enough.  A feature distance is never below the 3-D distance, so
 every joined pair is within eps in 3-D: one :class:`PairList` of those pairs,
 built once per cloud, serves every clustering of it whatever the flow.
-Classification picks the static set either by cluster size (the background
-dominates) or by comparing cluster velocity with the ego velocity; ``auto``
-switches to the velocity rule when cluster sizes are too similar for the size
-rule to be trustworthy.
+:func:`classify` alone picks the static set: the largest cluster (the
+background dominates), or the clusters moving with the ego vehicle, else the
+largest; ``auto`` takes the velocity rule when cluster sizes are too similar
+for the size rule to be trustworthy.
 """
 from __future__ import annotations
 
@@ -21,20 +21,20 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .errors import MaskMismatch, NoStaticCluster, UnknownClusterId
+from .errors import MaskMismatch, UnknownClusterId
 from .geometry import TOL, _fields_equal
 
 __all__ = [
     "SegmentationMask",
     "ClusterStats",
     "ClassifierConfig",
+    "StaticSet",
     "PairList",
     "members",
     "pair_list",
     "cluster",
     "cluster_stats",
     "classify",
-    "resolve_strategy",
     "relabel_static_first",
 ]
 
@@ -191,11 +191,6 @@ def pair_list(p_t, eps: float = CLUSTER_EPS) -> PairList:
     return PairList(i=i, j=j, d2=d2, eps=eps, tree=tree)
 
 
-def _check_eps(pairs: PairList, eps: float) -> None:
-    if pairs.eps != eps:
-        raise ValueError(f"pair list links within {pairs.eps}, need {eps}")
-
-
 def _components(n: int, i: np.ndarray, j: np.ndarray):
     """Connected components of n points linked by pairs (i, j), i ascending."""
     indptr = np.zeros(n + 1, dtype=np.int32)
@@ -265,14 +260,14 @@ def _proven(p_t, pairs: PairList, fit, lambda_flow: float, eps: float):
 
 
 def cluster(p_t, flow, lambda_flow: float = LAMBDA_FLOW, *,
-            eps: float = CLUSTER_EPS, pairs: PairList = None,
-            fit=None) -> SegmentationMask:
+            pairs: PairList = None, fit=None) -> SegmentationMask:
     """Segment a cloud by density connectivity over position+scaled-flow features.
 
-    ``pairs`` is the cloud's :func:`pair_list` at radius ``eps`` (built here
-    when omitted).  Each pair's feature distance adds the three scaled flow
-    differences to its 3-D ``d2`` in the tree's order, so the pairs kept are
-    exactly those a 6-D ``query_pairs(eps)`` finds.
+    ``pairs`` is the cloud's :func:`pair_list`, built here at ``CLUSTER_EPS``
+    when omitted; its radius ``eps = pairs.eps`` is the link radius.  Each
+    pair's feature distance adds the three scaled flow differences to its 3-D
+    ``d2`` in the tree's order, so the pairs kept are exactly those a 6-D
+    ``query_pairs(eps)`` finds.
 
     ``fit`` is ``(labels, transforms, degenerate_ids)``: the mask and the
     per-cluster fit of the :func:`~flowseg.flow.refine_flow` call that made
@@ -295,8 +290,8 @@ def cluster(p_t, flow, lambda_flow: float = LAMBDA_FLOW, *,
     if lambda_flow < 0:
         raise ValueError("lambda_flow must be nonnegative")
     if pairs is None:
-        pairs = pair_list(p_t, eps)
-    _check_eps(pairs, eps)
+        pairs = pair_list(p_t)
+    eps = pairs.eps
     scaled = lambda_flow * flow.vectors
     keep = _proven(p_t, pairs, fit, lambda_flow, eps)
     rest = np.nonzero(~keep)[0]
@@ -351,59 +346,48 @@ def cluster_stats(p_t, flow, mask: SegmentationMask, dt: float):
     return out
 
 
-def _size_strategy(sizes, cfg: ClassifierConfig) -> str:
-    """The concrete rule ``cfg.strategy`` picks for clusters of these sizes:
-    ``auto`` takes the velocity rule when their normalized variance, in
-    float64, is below ``SIZE_VARIANCE_THRESHOLD``."""
-    if cfg.strategy != "auto":
-        return cfg.strategy
-    sizes = np.asarray(sizes, dtype=np.float64)
-    normalized_variance = sizes.var() / sizes.mean() ** 2
-    return "velocity" if normalized_variance < SIZE_VARIANCE_THRESHOLD else "quantity"
+@dataclass(frozen=True)
+class StaticSet:
+    """The static cluster ``ids`` :func:`classify` picked; the ``strategy``
+    that picked them, ``quantity`` or ``velocity``; ``fallback``, set when
+    the velocity rule found none and the largest was taken; and the ego speed
+    ``v_ego`` (m/s) that rule compared against, ``None`` if not tried."""
+
+    ids: frozenset
+    strategy: str
+    fallback: bool
+    v_ego: float = None
 
 
-def _largest(sizes) -> int:
-    """Position of the largest size; ties go to the lowest position."""
-    return int(np.argmax(sizes))
+def classify(mask: SegmentationMask, cfg: ClassifierConfig,
+             velocities) -> StaticSet:
+    """Pick the static clusters of ``mask`` by the rule ``cfg.strategy`` names.
 
-
-def resolve_strategy(stats, cfg: ClassifierConfig) -> str:
-    """The concrete rule ``auto`` would pick for these clusters.
-
-    It reads only their sizes, through the helper ``pipeline.run`` applies
-    to a mask's ``cluster_sizes()``.
+    ``auto`` takes the velocity rule when the normalized variance of the
+    cluster sizes, in float64, is below ``SIZE_VARIANCE_THRESHOLD``, and the
+    quantity rule otherwise.  ``quantity``: the single largest cluster is
+    static, ties to the lowest id.  ``velocity``: ``velocities()`` is called
+    once for ``(stats, v_ego)``, the :func:`cluster_stats` of the mask in id
+    order and the ego speed, and every cluster whose mean speed is within
+    ``theta`` of ``v_ego`` is static; when none is, the largest cluster is,
+    with ``fallback`` set.  So the statistics and the ego speed are computed
+    only when the velocity rule is tried.
     """
-    return _size_strategy([s.size for s in stats], cfg)
-
-
-def classify(stats, v_ego: float, cfg: ClassifierConfig):
-    """Split cluster ids into (static_ids, dynamic_ids).
-
-    ``stats`` holds one record per cluster in id order, as
-    :func:`cluster_stats` gives them.
-    ``quantity``: the single largest cluster is static (ties to lowest id).
-    ``velocity``: every cluster whose mean speed is within theta of the ego
-    speed is static; raises NoStaticCluster when none qualifies, and the
-    caller is expected to fall back to the quantity rule.  The rule and the
-    largest cluster come from the size helpers ``pipeline.run`` uses, so
-    both pick the same static set.
-    """
-    if not stats:
-        raise ValueError("stats must be non-empty")
-    if v_ego < 0:
-        raise ValueError("v_ego must be nonnegative")
-    sizes = [s.size for s in stats]
-    strategy = _size_strategy(sizes, cfg)
+    sizes = mask.cluster_sizes()
+    strategy = cfg.strategy
+    if strategy == "auto":
+        spread = sizes.astype(np.float64)
+        strategy = ("velocity" if spread.var() / spread.mean() ** 2
+                    < SIZE_VARIANCE_THRESHOLD else "quantity")
+    largest = frozenset({int(np.argmax(sizes))})
     if strategy == "quantity":
-        static = {stats[_largest(sizes)].cluster_id}
-    else:
-        static = {s.cluster_id for s in stats
-                  if abs(s.mean_speed - v_ego) < cfg.theta}
-        if not static:
-            raise NoStaticCluster(
-                f"no cluster within {cfg.theta} m/s of ego speed {v_ego:.3f}")
-    dynamic = {s.cluster_id for s in stats} - static
-    return static, dynamic
+        return StaticSet(largest, "quantity", False)
+    stats, v_ego = velocities()
+    ids = frozenset(s.cluster_id for s in stats
+                    if abs(s.mean_speed - v_ego) < cfg.theta)
+    if ids:
+        return StaticSet(ids, "velocity", False, v_ego)
+    return StaticSet(largest, "quantity", True, v_ego)
 
 
 def relabel_static_first(mask: SegmentationMask, static_ids) -> SegmentationMask:

@@ -352,17 +352,6 @@ class TestSpatialIndex:
         with pytest.raises(ValueError):
             index.match([[3.0, 0, 0]], first)
 
-    @settings(deadline=None, max_examples=100)
-    @given(st.one_of(
-        st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 300)).map(
-            lambda a: np.split(np.random.default_rng(a[0]).normal(
-                size=(a[1] + 20, 3)), [a[1]])),
-        st.tuples(lattice(-3, 3, 200), lattice(-7, 7, 40, scale=0.5))))
-    def test_distances_equal_query_distances(self, clouds):
-        pts, queries = clouds
-        index = SpatialIndex(pts)
-        assert np.array_equal(index.distances(queries), index.query(queries)[1])
-
     def test_query_knn(self):
         pts = [[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [4.0, 0, 0]]
         ids, dists = SpatialIndex(pts).query_knn([[0.9, 0.0, 0.0]], 2)
@@ -398,11 +387,10 @@ class TestSpatialIndex:
                   for _ in range(n_threads)]
 
         def searches(q):
-            # a query, a distances-only search, and a match that reuses one
-            # made for the stack a quarter step away
+            # a query, and a match that reuses one made for the stack a
+            # quarter step away
             chained = index.match(q, index.match(q + 0.25))
-            return (*index.query(q), index.distances(q), chained.ids,
-                    chained.distances)
+            return (*index.query(q), chained.ids, chained.distances)
 
         serial = [searches(q) for q in stacks]
         start = threading.Barrier(n_threads)

@@ -6,6 +6,8 @@ import importlib
 import os
 import sys
 
+from flowseg.geometry import SpatialIndex
+
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
 
@@ -30,3 +32,11 @@ def test_instrumented_swaps_and_close_restores_every_name(monkeypatch):
     assert len(swapped) == len(originals)
     for (mod, attr), fn in originals.items():
         assert getattr(mod, attr) is fn, f"{mod.__name__}.{attr} not restored"
+    # the traced index class overrides methods by name, so each must exist
+    traced = spans._traced_index_class(spans.Tracer(), SpatialIndex)
+    overridden = [name for name, value in vars(traced).items() if callable(value)]
+    assert "query" in overridden
+    for name in overridden:
+        assert callable(getattr(SpatialIndex, name, None)), \
+            f"the tracer overrides SpatialIndex.{name}, which does not exist"
+

@@ -10,11 +10,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowseg import flow, geometry, losses, pipeline, segment
 from flowseg.datagen import generate, random_scene_spec
-from flowseg.errors import LengthMismatch
+from flowseg.errors import DegenerateInput, LengthMismatch
 from flowseg.flow import FlowField, PointCloud
+from flowseg.geometry import RigidTransform, weighted_kabsch
 from flowseg.metrics import flow_metrics, seg_metrics
 from flowseg.pipeline import (ConvergenceReport, IterationConfig,
                               flow_delta, initial_mask, mask_delta, run)
@@ -232,8 +235,7 @@ class TestRun:
     def test_one_frame_t1_index_and_pinned_query_count(self, monkeypatch):
         # a counting index swapped in at the names the modules look up at
         # call time, as perfbench's tracer does
-        built, queries, matches, knn, distances, pair_lists = ([], [], [], [],
-                                                               [], [])
+        built, queries, matches, knn, pair_lists = [], [], [], [], []
 
         class CountingIndex(geometry.SpatialIndex):
             def __init__(self, points):
@@ -251,10 +253,6 @@ class TestRun:
             def query_knn(self, q, k):
                 knn.append((len(q), k))
                 return super().query_knn(q, k)
-
-            def distances(self, q):
-                distances.append(len(q))
-                return super().distances(q)
 
         build_pairs = segment.pair_list
 
@@ -278,7 +276,7 @@ class TestRun:
         # the same counts whether the helper thread runs init_flow or not
         for min_points in (0, len(p_t) + 1):
             monkeypatch.setattr(pipeline, "OVERLAP_MIN_POINTS", min_points)
-            for log in (built, queries, matches, knn, distances, pair_lists):
+            for log in (built, queries, matches, knn, pair_lists):
                 log.clear()
             ssf = run(p_t, p_t1)
             n = ssf.report.n_iterations
@@ -297,7 +295,6 @@ class TestRun:
             # all on frame t+1: init_flow's forward match, iteration 1's
             # match reusing it, then one per iteration reusing the last
             assert matches == [(len(p_t), False)] + [(len(p_t), True)] * (n + 1)
-            assert distances == []
             # frame t's pair list once, shared by initial_mask and cluster
             assert len(pair_lists) == 1
             built_by_run, knn_by_run = len(built), len(knn)
@@ -311,7 +308,7 @@ class TestRun:
             assert on_warped[0] == (len(p_t1), 2)
             assert all(0 < rows <= len(p_t1) and k == 2
                        for rows, k in on_warped)
-            assert queries == [n_open] and distances == []
+            assert queries == [n_open]
             assert len(matches) == n + 2 and len(pair_lists) == 1
 
 
@@ -635,3 +632,58 @@ class TestEgoSpeedOnFirstRead:
         repr(ssf.report), ssf.transforms
         assert len(calls["_estimate_v_ego"]) == n - tried
         assert calls["cluster_stats"] == []
+
+
+def reference_v_ego(p_t, flow_i, mask_prev, iteration, dt):
+    """The ego speed as run() fitted it inline, before the fit went through
+    ``odometry.ego_motion``."""
+    if iteration == 1:
+        pts, vec = p_t.points, flow_i.vectors
+    else:
+        sel = mask_prev.labels == 0
+        pts, vec = p_t.points[sel], flow_i.vectors[sel]
+    try:
+        t = weighted_kabsch(pts, pts + vec)
+    except DegenerateInput:
+        return 0.0
+    return float(np.linalg.norm(t.translation) / dt)
+
+
+class TestEgoSpeedFit:
+    """_estimate_v_ego fits through ego_motion and gives the inline fit's
+    speed bit for bit."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 500), st.integers(1, 3))
+    def test_equals_the_inline_fit(self, seed, n, iteration):
+        # a rigid motion of the whole cloud, plus a mover on some points
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-30, 30, size=(n, 3))
+        yaw = rng.uniform(-0.05, 0.05)
+        t = RigidTransform([[np.cos(yaw), -np.sin(yaw), 0.0],
+                            [np.sin(yaw), np.cos(yaw), 0.0], [0.0, 0.0, 1.0]],
+                           rng.uniform(-2, 2, size=3))
+        vec = t.apply(pts) - pts + rng.normal(0, 0.01, size=(n, 3))
+        moving = rng.random(n) < 0.3
+        vec[moving] += [1.5, 0.0, 0.0]
+        labels = moving.astype(np.int64)
+        labels[0] = 0
+        p_t, flow_i = cloud_of(pts), FlowField(vec)
+        mask_prev = mask_of(labels)
+        assert (pipeline._estimate_v_ego(p_t, flow_i, mask_prev, iteration, 0.1)
+                == reference_v_ego(p_t, flow_i, mask_prev, iteration, 0.1))
+
+    @pytest.mark.parametrize("static", ["two points", "collinear"])
+    def test_a_static_set_that_cannot_carry_a_fit_gives_zero(self, static):
+        rng = np.random.default_rng(76)
+        pts = rng.uniform(-5, 5, size=(40, 3))
+        labels = np.ones(40, dtype=np.int64)
+        if static == "two points":
+            labels[:2] = 0
+        else:
+            labels[:10] = 0
+            pts[:10] = np.outer(np.arange(10), [1.0, 2.0, 0.5])
+        p_t, flow_i = cloud_of(pts), FlowField(np.full((40, 3), 0.2))
+        mask_prev = mask_of(labels)
+        assert pipeline._estimate_v_ego(p_t, flow_i, mask_prev, 2, 0.1) == 0.0
+        assert reference_v_ego(p_t, flow_i, mask_prev, 2, 0.1) == 0.0

@@ -11,14 +11,16 @@ from scipy.spatial import cKDTree
 
 from flowseg import segment
 from flowseg.errors import (DegenerateInput, EmptyCloud, MaskMismatch,
-                            NoStaticCluster, UnknownClusterId)
+                            UnknownClusterId)
 from flowseg.flow import FlowField, PointCloud, apply_fit
 from flowseg.geometry import RigidTransform, weighted_kabsch
 from flowseg.pipeline import R_STATIC, initial_mask
-from flowseg.segment import (CLUSTER_EPS, LAMBDA_FLOW, MIN_PTS, ClassifierConfig,
-                             ClusterStats, SegmentationMask, _compact, classify,
-                             cluster, cluster_stats, members, pair_list,
-                             relabel_static_first, resolve_strategy)
+from flowseg.segment import (CLUSTER_EPS, LAMBDA_FLOW, MIN_PTS,
+                             SIZE_VARIANCE_THRESHOLD, STRATEGIES,
+                             ClassifierConfig, ClusterStats, SegmentationMask,
+                             StaticSet, _compact, classify, cluster,
+                             cluster_stats, members, pair_list,
+                             relabel_static_first)
 
 
 def cloud_of(points):
@@ -29,12 +31,33 @@ def blob(center, n, rng, scale=0.2):
     return np.asarray(center) + rng.standard_normal((n, 3)) * scale
 
 
-def stats_of(sizes=None, speeds=None):
-    sizes = sizes if sizes is not None else [1] * len(speeds)
-    speeds = speeds if speeds is not None else [0.0] * len(sizes)
-    return [ClusterStats(cluster_id=i, size=s, mean_speed=v,
-                         centroid=np.zeros(3))
-            for i, (s, v) in enumerate(zip(sizes, speeds))]
+def mask_of_sizes(sizes, seed=None):
+    """A mask whose cluster k has ``sizes[k]`` points, shuffled by ``seed``."""
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    if seed is not None:
+        np.random.default_rng(seed).shuffle(labels)
+    return SegmentationMask(labels)
+
+
+def velocities_of(sizes, speeds, v_ego, calls):
+    """``classify``'s ``velocities``: clusters of these sizes and mean speeds
+    and the ego speed, logging each call in ``calls``."""
+    def velocities():
+        calls.append(None)
+        return [ClusterStats(cluster_id=k, size=n, mean_speed=v,
+                             centroid=np.zeros(3))
+                for k, (n, v) in enumerate(zip(sizes, speeds))], v_ego
+    return velocities
+
+
+def classify_sizes(sizes, cfg, speeds=None, v_ego=0.0):
+    """``classify`` on a mask of these sizes, and how often it asked for the
+    velocities."""
+    calls = []
+    speeds = [0.0] * len(sizes) if speeds is None else speeds
+    static = classify(mask_of_sizes(sizes), cfg,
+                      velocities_of(sizes, speeds, v_ego, calls))
+    return static, len(calls)
 
 
 class TestMembers:
@@ -109,7 +132,8 @@ class TestCluster:
         pts = np.vstack([blob([0, 0, 0], 30, rng), blob([0.3, 0, 0], 30, rng)])
         vec = np.zeros((60, 3))
         vec[30:, 0] = 2.0
-        mask = cluster(cloud_of(pts), FlowField(vec), 5.0, eps=1.0)
+        p_t = cloud_of(pts)
+        mask = cluster(p_t, FlowField(vec), 5.0, pairs=pair_list(p_t, 1.0))
         assert mask.n_clusters == 2
 
     def test_zero_lambda_ignores_flow(self):
@@ -210,11 +234,9 @@ class TestPairList:
         (p_t, flow), step = scene_step
         eps = radius * step
         expected = reference_cluster(p_t, flow, lambda_flow, eps)
-        pairs = pair_list(p_t, eps)
         assert np.array_equal(
-            cluster(p_t, flow, lambda_flow, eps=eps, pairs=pairs).labels, expected)
-        assert np.array_equal(
-            cluster(p_t, flow, lambda_flow, eps=eps).labels, expected)
+            cluster(p_t, flow, lambda_flow, pairs=pair_list(p_t, eps)).labels,
+            expected)
 
     @settings(deadline=None, max_examples=300)
     @given(st.integers(0, 2**32 - 1), st.integers(-2, 2),
@@ -234,8 +256,9 @@ class TestPairList:
         eps = np.sqrt(d2)
         for _ in range(abs(nudge)):
             eps = np.nextafter(eps, np.sign(nudge) * np.inf)
-        assert np.array_equal(cluster(p_t, flow, lambda_flow, eps=eps).labels,
-                              reference_cluster(p_t, flow, lambda_flow, eps))
+        assert np.array_equal(
+            cluster(p_t, flow, lambda_flow, pairs=pair_list(p_t, eps)).labels,
+            reference_cluster(p_t, flow, lambda_flow, eps))
 
     @settings(deadline=None, max_examples=50)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 400))
@@ -296,11 +319,6 @@ class TestPairList:
         assert (np.diff(pairs.i) >= 0).all()
         assert np.array_equal(pairs.d2, d2[pairs.i, pairs.j])
 
-    def test_pair_list_radius_must_match(self):
-        p_t = cloud_of(np.random.default_rng(37).uniform(size=(20, 3)))
-        with pytest.raises(ValueError):
-            cluster(p_t, FlowField.zeros(20), eps=1.0, pairs=pair_list(p_t, 0.5))
-
 
 def rotation(axis, angle):
     """Rodrigues rotation about ``axis`` by ``angle`` radians."""
@@ -357,8 +375,8 @@ class TestProvenPairs:
         p_t, flow, fit, step = scene
         eps = radius * step * (1.0 if room is None else 1.0 + 2.0 ** room)
         pairs = pair_list(p_t, eps)
-        exact = cluster(p_t, flow, lambda_flow, eps=eps, pairs=pairs)
-        proven = cluster(p_t, flow, lambda_flow, eps=eps, pairs=pairs, fit=fit)
+        exact = cluster(p_t, flow, lambda_flow, pairs=pairs)
+        proven = cluster(p_t, flow, lambda_flow, pairs=pairs, fit=fit)
         assert np.array_equal(proven.labels, exact.labels)
 
     @settings(deadline=None, max_examples=200)
@@ -380,9 +398,8 @@ class TestProvenPairs:
             eps = np.nextafter(eps, np.inf)
         pairs = pair_list(p_t, eps)
         assert np.array_equal(
-            cluster(p_t, flow, 1e6, eps=eps, pairs=pairs,
-                    fit=(labels, [t], [])).labels,
-            cluster(p_t, flow, 1e6, eps=eps, pairs=pairs).labels)
+            cluster(p_t, flow, 1e6, pairs=pairs, fit=(labels, [t], [])).labels,
+            cluster(p_t, flow, 1e6, pairs=pairs).labels)
 
     def test_fit_skips_the_pairs_it_proves(self, monkeypatch):
         # two rigid groups turned 0.02 rad: every same-group pair whose
@@ -456,14 +473,16 @@ class TestSmallComponentMerge:
                     FlowField.zeros(11)), lambda_flow=1.0)
     def test_equals_dense_reference(self, scene, lambda_flow):
         p_t, flow = scene
-        assert np.array_equal(cluster(p_t, flow, lambda_flow, eps=1.0).labels,
-                              reference_cluster(p_t, flow, lambda_flow, 1.0))
+        assert np.array_equal(
+            cluster(p_t, flow, lambda_flow, pairs=pair_list(p_t, 1.0)).labels,
+            reference_cluster(p_t, flow, lambda_flow, 1.0))
 
     def test_tie_goes_to_the_lowest_id(self):
         # the middle point is 3 m from both blocks, far beyond eps
         pts = ([[3.0 + k, 0, 0] for k in range(5)] + [[0.0, 0, 0]]
                + [[-3.0 - k, 0, 0] for k in range(5)])
-        mask = cluster(cloud_of(pts), FlowField.zeros(11), eps=1.0)
+        p_t = cloud_of(pts)
+        mask = cluster(p_t, FlowField.zeros(11), pairs=pair_list(p_t, 1.0))
         assert mask.labels[5] == mask.labels[0] != mask.labels[6]
 
 
@@ -528,57 +547,115 @@ class TestClusterStats:
         assert st[1].size == 1
 
 
+def reference_static_set(sizes, speeds, v_ego, cfg):
+    """The static set as run()'s loop picked it before ``classify`` owned the
+    rule: ``(ids, strategy, fallback, v_ego)``, ``v_ego`` None unless the
+    velocity rule was tried."""
+    strategy = cfg.strategy
+    if strategy == "auto":
+        spread = np.asarray(sizes, dtype=np.float64)
+        normalized_variance = spread.var() / spread.mean() ** 2
+        strategy = ("velocity" if normalized_variance < SIZE_VARIANCE_THRESHOLD
+                    else "quantity")
+    fallback, seen = False, None
+    if strategy == "velocity":
+        seen = v_ego
+        ids = {k for k, v in enumerate(speeds) if abs(v - v_ego) < cfg.theta}
+        if not ids:
+            strategy, fallback = "quantity", True
+    if strategy == "quantity":
+        ids = {int(np.argmax(sizes))}
+    return ids, strategy, fallback, seen
+
+
+# cluster sizes: any, with ties, or all within 25% of each other, where auto
+# takes the velocity rule
+SIZES = st.one_of(
+    st.lists(st.one_of(st.integers(1, 5000), st.sampled_from([1, 7, 300, 5000])),
+             min_size=1, max_size=8),
+    st.tuples(st.integers(1, 8), st.integers(1, 4000)).flatmap(
+        lambda a: st.lists(st.integers(a[1], a[1] + a[1] // 4),
+                           min_size=a[0], max_size=a[0])))
+SPEEDS = st.floats(0.0, 30.0, allow_nan=False)
+
+
 class TestClassify:
     def test_quantity_picks_largest(self):
         cfg = ClassifierConfig(strategy="quantity")
-        static, dynamic = classify(stats_of(sizes=[5000, 100, 50]), 0.0, cfg)
-        assert static == {0}
-        assert dynamic == {1, 2}
+        static, calls = classify_sizes([5000, 100, 50], cfg)
+        assert static == StaticSet(frozenset({0}), "quantity", False, None)
+        assert calls == 0
 
     def test_quantity_tie_lowest_id(self):
         cfg = ClassifierConfig(strategy="quantity")
-        static, _ = classify(stats_of(sizes=[100, 100]), 0.0, cfg)
-        assert static == {0}
+        static, _ = classify_sizes([100, 100], cfg)
+        assert static.ids == {0}
 
     def test_velocity_threshold(self):
         cfg = ClassifierConfig(strategy="velocity", theta=0.5)
-        static, dynamic = classify(stats_of(speeds=[10.1, 2.0, 25.0]),
-                                   10.0, cfg)
-        assert static == {0}
-        assert dynamic == {1, 2}
+        static, calls = classify_sizes([1, 1, 1], cfg, [10.1, 2.0, 25.0], 10.0)
+        assert static == StaticSet(frozenset({0}), "velocity", False, 10.0)
+        assert calls == 1
 
-    def test_velocity_no_match_raises(self):
+    def test_velocity_no_match_falls_back_to_the_largest(self):
         cfg = ClassifierConfig(strategy="velocity", theta=0.5)
-        with pytest.raises(NoStaticCluster):
-            classify(stats_of(speeds=[5.0, 7.0]), 20.0, cfg)
+        static, calls = classify_sizes([10, 30], cfg, [5.0, 7.0], 20.0)
+        assert static == StaticSet(frozenset({1}), "quantity", True, 20.0)
+        assert calls == 1
 
     def test_auto_equal_sizes_takes_velocity(self):
         cfg = ClassifierConfig(strategy="auto", theta=1.0)
-        assert resolve_strategy(stats_of(sizes=[100, 100, 100]), cfg) \
-            == "velocity"
+        static, calls = classify_sizes([100, 100, 100], cfg, [3.0, 0.5, 9.0],
+                                       0.0)
+        assert static == StaticSet(frozenset({1}), "velocity", False, 0.0)
+        assert calls == 1
 
     def test_auto_skewed_sizes_takes_quantity(self):
         cfg = ClassifierConfig(strategy="auto")
-        assert resolve_strategy(stats_of(sizes=[5000, 50, 50]), cfg) \
-            == "quantity"
+        static, calls = classify_sizes([5000, 50, 50], cfg)
+        assert static.strategy == "quantity" and static.v_ego is None
+        assert calls == 0
 
     def test_quantity_static_is_maximal_and_unique(self):
         rng = np.random.default_rng(37)
         cfg = ClassifierConfig(strategy="quantity")
         for _ in range(20):
             sizes = rng.integers(1, 1000, size=rng.integers(1, 8)).tolist()
-            static, dynamic = classify(stats_of(sizes=sizes), 0.0, cfg)
-            assert len(static) == 1
-            sid = next(iter(static))
+            static, _ = classify_sizes(sizes, cfg)
+            assert len(static.ids) == 1
+            sid = next(iter(static.ids))
             assert sizes[sid] == max(sizes)
-            assert static | dynamic == set(range(len(sizes)))
+            assert 0 <= sid < len(sizes)
 
     def test_quantity_scale_invariant(self):
         cfg = ClassifierConfig(strategy="quantity")
         sizes = [30, 400, 70]
-        a, _ = classify(stats_of(sizes=sizes), 0.0, cfg)
-        b, _ = classify(stats_of(sizes=[s * 7 for s in sizes]), 0.0, cfg)
+        a, _ = classify_sizes(sizes, cfg)
+        b, _ = classify_sizes([s * 7 for s in sizes], cfg)
         assert a == b
+
+    @settings(deadline=None, max_examples=300)
+    @given(SIZES.flatmap(lambda sizes: st.tuples(
+               st.just(sizes),
+               st.lists(SPEEDS, min_size=len(sizes), max_size=len(sizes)))),
+           SPEEDS, st.floats(0.01, 5.0), st.sampled_from(STRATEGIES),
+           st.integers(0, 2**32 - 1))
+    @example(([100, 100], [2.0, 1.0]), 1.5, 0.5, "velocity", 0)
+    @example(([4, 4, 4], [1.0, 1.0, 1.0]), 1.0, 1e-9, "auto", 0)
+    def test_equals_the_loop_rule(self, sizes_speeds, v_ego, theta, strategy,
+                                  seed):
+        # the examples: speeds exactly theta from v_ego, which are not static
+        sizes, speeds = sizes_speeds
+        cfg = ClassifierConfig(theta=theta, strategy=strategy)
+        calls = []
+        static = classify(mask_of_sizes(sizes, seed), cfg,
+                          velocities_of(sizes, speeds, v_ego, calls))
+        ids, rule, fallback, seen = reference_static_set(sizes, speeds, v_ego,
+                                                         cfg)
+        assert isinstance(static.ids, frozenset)
+        assert (static.ids, static.strategy, static.fallback, static.v_ego) \
+            == (ids, rule, fallback, seen)
+        assert len(calls) == (seen is not None)
 
 
 class TestRelabelStaticFirst:
