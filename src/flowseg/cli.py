@@ -195,7 +195,8 @@ def cmd_run(args) -> int:
         payloads = [(a.cloud, b.cloud, cfg) for a, b in pairs]
         results = []
         if args.workers > 1:
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
+            # the pool forks every worker at its first submit
+            with ProcessPoolExecutor(min(args.workers, len(payloads))) as pool:
                 futures = [pool.submit(_process_pair, p) for p in payloads]
                 for pair_index, future in enumerate(futures):
                     step = at_pair(pair_index, "pipeline")

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import FormatError, InvalidSpec
 from .flow import FlowField, PointCloud
 from .geometry import RigidTransform
-from .odometry import Pose
+from .odometry import Pose, _parse_pose, _pose_line
 from .segment import SegmentationMask
 
 __all__ = [
@@ -427,8 +427,8 @@ def write_sequence(records, path, dt: float = None) -> str:
             dt = records[1].cloud.timestamp - records[0].cloud.timestamp
         else:
             dt = 0.1
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     os.makedirs(path, exist_ok=True)
     lines = ["PCSEQ1", f"dt={dt:.17g}"]
     for i, rec in enumerate(records):
@@ -436,8 +436,7 @@ def write_sequence(records, path, dt: float = None) -> str:
         write_frame(os.path.join(path, name), rec.cloud.points,
                     flow=None if rec.gt_flow is None else rec.gt_flow.vectors,
                     labels=rec.gt_mask.labels)
-        m = rec.gt_ego.transform.matrix[:3]
-        lines.append(name + " " + " ".join(format(v, ".17g") for v in m.ravel()))
+        lines.append(f"{name} {_pose_line(rec.gt_ego.transform)}")
     manifest = os.path.join(path, MANIFEST_NAME)
     with open(manifest, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
@@ -459,8 +458,9 @@ def read_sequence(path):
         dt = float(lines[1][3:])
     except ValueError as e:
         raise FormatError(f"{manifest}: bad dt value: {e}") from e
-    if dt <= 0:
-        raise FormatError(f"{manifest}: dt must be positive, got {dt}")
+    if not (np.isfinite(dt) and dt > 0):
+        raise FormatError(f"{manifest}: dt must be positive and finite, "
+                          f"got {dt}")
     records = []
     for i, line in enumerate(lines[2:]):
         tokens = line.split()
@@ -468,10 +468,7 @@ def read_sequence(path):
             raise FormatError(
                 f"{manifest}: frame line {i}: expected name + 12 pose values, "
                 f"got {len(tokens)} tokens")
-        try:
-            values = np.array([float(t) for t in tokens[1:]]).reshape(3, 4)
-        except ValueError as e:
-            raise FormatError(f"{manifest}: frame line {i}: {e}") from e
+        pose = _parse_pose(tokens[1:], f"{manifest}: frame line {i}")
         pts, flow, labels = read_frame(os.path.join(base, tokens[0]))
         if labels is None:
             raise FormatError(
@@ -480,7 +477,7 @@ def read_sequence(path):
             cloud=PointCloud(pts, frame_id=i, timestamp=i * dt),
             gt_flow=None if flow is None else FlowField(flow),
             gt_mask=SegmentationMask(labels),
-            gt_ego=Pose(RigidTransform.from_matrix(values), i * dt)))
+            gt_ego=Pose(pose, i * dt)))
     if not records:
         raise FormatError(f"{manifest}: sequence contains no frames")
     return records

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, EmptyCloud, MaskMismatch
-from .geometry import (TOL, RigidTransform, SpatialIndex, _fields_equal,
-                       weighted_kabsch)
+from .errors import DegenerateInput, EmptyCloud
+from .geometry import (TOL, RigidTransform, SpatialIndex, _check_aligned,
+                       _fields_equal, weighted_kabsch)
 from .segment import members
 
 __all__ = [
@@ -108,34 +108,30 @@ class InitFlowDiagnostics:
         return int(self.disoccluded.sum())
 
 
-def _check_aligned(p_t: PointCloud, other, what: str) -> None:
-    if len(other) != len(p_t):
-        raise MaskMismatch(f"{what} covers {len(other)} points, cloud has {len(p_t)}")
-
-
-def init_flow(p_t: PointCloud, index_t1: SpatialIndex):
+def init_flow(index_t: SpatialIndex, index_t1: SpatialIndex):
     """Coarse scene flow by nearest-neighbor matching.
 
-    ``index_t1`` indexes frame t+1.  Each point's raw vector points to its
-    nearest neighbor there.  A bidirectional check (the backward nearest
-    neighbor of the matched target must land within ``R_CONSISTENCY`` of the
-    origin point) marks unreliable vectors; those are replaced by the
-    componentwise median flow of their ``K_FILL`` nearest reliable neighbors
-    in ``p_t``.  Points whose nearest neighbor is farther than ``D_MAX`` have
-    no plausible correspondence and get zero flow.
+    ``index_t`` and ``index_t1`` index frames t and t+1.  Each frame-t
+    point's raw vector points to its nearest neighbor in frame t+1.  A
+    bidirectional check (the backward nearest neighbor of the matched target
+    must land within ``R_CONSISTENCY`` of the origin point) marks unreliable
+    vectors; those are replaced by the componentwise median flow of their
+    ``K_FILL`` nearest reliable neighbors in frame t.  Points whose nearest
+    neighbor is farther than ``D_MAX`` have no plausible correspondence and
+    get zero flow.
 
     The backward check searches only the rows a bound cannot settle: the
     origin point lies ``d`` from its target, so the target's nearest
     frame-t point lies within ``d`` too and the round trip is at most
     ``2 d``; a row with ``2 d + TOL < R_CONSISTENCY`` is consistent without
-    a search, and frame t is indexed only when some row is not.
+    a search, and only the others query ``index_t``.
 
     Returns ``(FlowField, InitFlowDiagnostics, Match)``; the ``Match`` is
-    the forward search of ``p_t``'s points, which a later
-    ``index_t1.match(p_t.points + flow.vectors, forward)`` reuses wherever
-    it is certified.
+    the forward search of frame t's points, which a later
+    ``index_t1.match(src + flow.vectors, forward)`` reuses wherever it is
+    certified.
     """
-    src = p_t.points
+    src = index_t.points
     dst = index_t1.points
     forward = index_t1.match(src)
     ids, dist = forward.ids, forward.distances
@@ -144,7 +140,7 @@ def init_flow(p_t: PointCloud, index_t1: SpatialIndex):
     unreliable = np.zeros(src.shape[0], dtype=bool)
     check = np.nonzero(~disoccluded & ~(2.0 * dist + TOL < R_CONSISTENCY))[0]
     if check.shape[0]:
-        back_ids, _ = SpatialIndex(src).query(dst[ids[check]])
+        back_ids, _ = index_t.query(dst[ids[check]])
         round_trip = np.linalg.norm(src[back_ids] - src[check], axis=1)
         unreliable[check] = round_trip > R_CONSISTENCY
     reliable = ~(unreliable | disoccluded)
@@ -193,9 +189,7 @@ def refine_flow(p_t: PointCloud, targets: np.ndarray, mask, flow: FlowField):
     and the two lists rebuild it from ``flow``, and ``segment.cluster`` can
     take them as the fit behind it.
     """
-    _check_aligned(p_t, mask.labels, "mask")
-    _check_aligned(p_t, flow, "flow")
-    _check_aligned(p_t, targets, "targets")
+    _check_aligned(p_t, mask=mask.labels, flow=flow, targets=targets)
     groups = members(mask.labels)
     transforms, degenerate = _fit_clusters(p_t.points, targets, groups)
     out = apply_fit(p_t, groups, flow, transforms, degenerate)
@@ -225,7 +219,6 @@ def fit_transforms(p_t: PointCloud, flow: FlowField, mask):
     evaluate the motion loss on a given (flow, mask) state.  Degenerate
     clusters get the identity.  Returns ``(transforms, degenerate_ids)``.
     """
-    _check_aligned(p_t, mask.labels, "mask")
-    _check_aligned(p_t, flow, "flow")
+    _check_aligned(p_t, mask=mask.labels, flow=flow)
     src = p_t.points
     return _fit_clusters(src, src + flow.vectors, members(mask.labels))

@@ -3,21 +3,22 @@
 Everything downstream (flow refinement, segmentation, odometry) is built on
 four primitives: SE(3) transforms, the weighted Kabsch fit, an exact
 nearest-neighbor index, and the Chamfer distance.  All functions are pure;
-``SpatialIndex`` is immutable after construction and safe to query from
+``SpatialIndex``, the only k-d tree, is immutable and safe to query from
 multiple threads.  It answers a stack of queries two ways, both exact and
-both through one k-d tree search: ``query`` gives ``(ids, distances)``;
-``match`` gives a :class:`Match`, which the next, slightly moved stack can
-reuse row by row wherever the triangle inequality proves the nearest point
-unchanged.
+both through one tree search: ``query`` gives ``(ids, distances)``; ``match``
+gives a :class:`Match`, which the next stack, or the same one against moved
+points, reuses row by row wherever the triangle inequality proves the
+nearest point unchanged.  ``pairs`` and ``within`` are its radius searches.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateInput, EmptyCloud, EmptyIndex
+from .errors import DegenerateInput, EmptyCloud, EmptyIndex, MaskMismatch
 
 __all__ = [
     "ROTATION_TOL",
@@ -47,6 +48,14 @@ def _points_array(data, name: str = "points") -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError(f"{name} must have shape (N, 3), got {arr.shape}")
     return arr
+
+
+def _check_aligned(reference, of: str = "cloud", **parts) -> None:
+    """Raise MaskMismatch unless each named part has ``reference``'s length."""
+    for name, part in parts.items():
+        if len(part) != len(reference):
+            raise MaskMismatch(f"{name} covers {len(part)} points, "
+                               f"{of} has {len(reference)}")
 
 
 def _fields_equal(self, other):
@@ -232,17 +241,19 @@ class SpatialIndex:
         ids, dist, _ = self._search(_points_array(queries, "queries"))
         return ids, dist
 
-    def match(self, queries, previous: Match = None) -> Match:
+    def match(self, queries, previous: Match = None,
+              moved: float = 0.0) -> Match:
         """Nearest indexed point for each row of an (M, 3) stack, as a
         :class:`Match` equal to a fresh :meth:`query` of the stack.
 
-        With ``previous``, a match of M earlier queries, row r keeps
-        ``previous.ids[r]`` without a search when it is provably still the
-        nearest: its distance d and the step ``δ = |q_r - q_prev_r|`` satisfy
-        ``d + TOL < clearance_r - δ - TOL``, since by the triangle inequality
-        every other point stays at least ``clearance_r - δ`` away.  Such a
-        row gets ``d`` summed as the tree sums it and clearance
-        ``clearance_r - δ``; every other row is searched.
+        With ``previous``, a match of M earlier queries against the same
+        points in the same order, each since moved by at most ``moved``, row
+        r keeps ``previous.ids[r]`` unsearched when it is provably nearest:
+        its distance d and step ``δ = |q_r - q_prev_r|`` satisfy
+        ``d + TOL < clearance_r - δ - moved - TOL``, as by the triangle
+        inequality every other point stays at least that clearance away.
+        Such a row gets ``d`` summed as the tree sums it and that clearance;
+        every other row is searched.
         """
         q = np.array(_points_array(queries, "queries"))
         if previous is None:
@@ -253,7 +264,7 @@ class SpatialIndex:
                              f"queries, got {q.shape[0]}")
         ids = previous.ids.copy()
         dist = _norms(q - self._points[ids])
-        clearance = previous.clearance - _norms(q - previous.queries)
+        clearance = previous.clearance - _norms(q - previous.queries) - moved
         redo = np.nonzero(~(dist + TOL < clearance - TOL))[0]
         ids[redo], dist[redo], clearance[redo] = self._search(q[redo])
         return Match(ids, dist, q, clearance)
@@ -269,6 +280,16 @@ class SpatialIndex:
             raise ValueError(f"k must lie in 1..{len(self)}, got {k}")
         dist, ids = self._tree.query(q, k=range(1, k + 1))
         return ids, dist
+
+    def pairs(self, eps: float) -> np.ndarray:
+        """The (P, 2) ``i < j`` pairs within ``eps``, in the tree's order."""
+        return self._tree.query_pairs(eps, output_type="ndarray")
+
+    def within(self, queries, r: float) -> np.ndarray:
+        """The ascending unique ids of the indexed points within ``r`` of
+        some row of an (M, 3) stack of queries."""
+        balls = self._tree.query_ball_point(_points_array(queries, "queries"), r)
+        return np.unique(np.fromiter(chain.from_iterable(balls), dtype=np.intp))
 
     def _search(self, q: np.ndarray):
         """``(ids, distances, clearance)`` of the nearest point per row."""

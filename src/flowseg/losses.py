@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .geometry import TOL, _norms
+from .geometry import Match, _check_aligned, _norms
 from .errors import MaskMismatch, TransformCountMismatch
 from .segment import members
 
@@ -44,20 +44,13 @@ class LossBreakdown:
             raise ValueError("total must equal the sum of the components")
 
 
-def _check_sizes(p_t, flow, mask) -> None:
-    if len(mask) != len(p_t):
-        raise MaskMismatch(f"mask covers {len(mask)} points, cloud has {len(p_t)}")
-    if len(flow) != len(p_t):
-        raise MaskMismatch(f"flow covers {len(flow)} points, cloud has {len(p_t)}")
-
-
 def motion_loss(p_t, flow, mask, transforms) -> float:
     """Rigid-motion consistency: how far each cluster's flow is from its transform.
 
     Per cluster, the RMS over its points of ``||T_k(p_i) - (p_i + s_i)||``,
     averaged over the K clusters.  Units: meters.
     """
-    _check_sizes(p_t, flow, mask)
+    _check_aligned(p_t, mask=mask, flow=flow)
     k_total = mask.n_clusters
     if len(transforms) != k_total:
         raise TransformCountMismatch(
@@ -76,8 +69,7 @@ def flow_consistency_loss(flow, mask) -> float:
     Zero when every cluster's flow is uniform; positive for any rotating
     cluster, because a rigid rotation moves points by different vectors.
     """
-    if len(flow) != len(mask):
-        raise MaskMismatch(f"flow covers {len(flow)} points, mask has {len(mask)}")
+    _check_aligned(mask, "mask", flow=flow)
     groups = members(mask.labels)
     acc = 0.0
     for ids in groups:
@@ -92,16 +84,13 @@ class ChamferTerm:
     """One Chamfer term and the backward search the next term can carry.
 
     ``value`` is the term.  ``warped`` is the warped cloud it was measured
-    on.  For frame-t+1 point j, ``nearest[j]`` is the id of a nearest
-    warped point and ``clearance[j]`` a lower bound on its distance to every
-    other warped point: the second nearest distance after a search, so a
-    tied row has none to spare and its id may be any of the tied ones.
+    on.  ``backward`` is the :class:`~flowseg.geometry.Match` of frame
+    t+1's points against an index over ``warped``.
     """
 
     value: float
     warped: np.ndarray
-    nearest: np.ndarray
-    clearance: np.ndarray
+    backward: Match
 
 
 def chamfer_loss(p_t, flow, p_t1, forward: float, previous: ChamferTerm = None
@@ -112,49 +101,32 @@ def chamfer_loss(p_t, flow, p_t1, forward: float, previous: ChamferTerm = None
     ``p_t[i] + flow[i]`` of the distance to their nearest neighbor in
     ``p_t1``: the sum of the distances of the match the loop already made
     against its index over frame t+1.  Only the backward half is searched
-    here.  Given the ``previous`` term of the same two frames, frame-t+1
-    point j keeps its nearest warped point unsearched when its new distance
-    d satisfies ``d + TOL < clearance_j - S - TOL``, where S is the largest
-    step of any warped point since ``previous``: by the triangle inequality
-    every other warped point stays at least ``clearance_j - S`` away.  Its
-    clearance drops by S.  Every other row is searched for its two nearest
-    warped points in one index over the warped cloud, built only when some
-    row needs it.  The value equals
+    here, by ``SpatialIndex.match`` of frame t+1's points in a new index
+    over the warped cloud.  Given the ``previous`` term of the same two
+    frames, that match carries ``previous.backward`` with ``moved`` the
+    largest step of any warped point since, so only the rows ``match``
+    cannot certify are searched.  The value equals
     ``chamfer_distance(p_t1.points, p_t.points + flow.vectors)`` bit for bit
     when ``forward`` is that sum as numpy adds the distances.  It reads only
     its arguments; ``pipeline.run`` leaves it to the first read of the loss
     history.
     """
-    if len(flow) != len(p_t):
-        raise MaskMismatch(f"flow covers {len(flow)} points, cloud has {len(p_t)}")
+    _check_aligned(p_t, flow=flow)
     if np.ndim(forward) != 0:
         raise ValueError("forward must be the sum of the forward distances, "
                          f"got an array of shape {np.shape(forward)}")
     warped = p_t.points + flow.vectors
-    q = p_t1.points
-    if previous is None:
-        nearest = np.zeros(len(q), dtype=np.intp)
-        backward = np.zeros(len(q))
-        clearance = np.full(len(q), -np.inf)
-    else:
+    carried, moved = None, 0.0
+    if previous is not None:
         if (previous.warped.shape != warped.shape
-                or previous.nearest.shape[0] != len(q)):
+                or previous.backward.queries.shape != p_t1.points.shape):
             raise MaskMismatch("previous Chamfer term covers other clouds")
-        step = _norms(warped - previous.warped).max()
-        nearest = previous.nearest.copy()
-        backward = _norms(q - warped[nearest])
-        clearance = previous.clearance - step
-    redo = np.nonzero(~(backward + TOL < clearance - TOL))[0]
-    if redo.shape[0]:
-        # module lookup at call time, as in pipeline.run
-        index = geometry.SpatialIndex(warped)
-        k = min(2, len(index))
-        ids, dist = index.query_knn(q if redo.shape[0] == len(q) else q[redo], k)
-        nearest[redo] = ids[:, 0]
-        backward[redo] = dist[:, 0]
-        clearance[redo] = dist[:, 1] if k == 2 else np.inf
-    return ChamferTerm(float(backward.sum() + forward), warped, nearest,
-                       clearance)
+        carried = previous.backward
+        moved = _norms(warped - previous.warped).max()
+    # module lookup at call time, as in pipeline.run
+    backward = geometry.SpatialIndex(warped).match(p_t1.points, carried, moved)
+    return ChamferTerm(float(backward.distances.sum() + forward), warped,
+                       backward)
 
 
 def total_loss(p_t, flow, mask, transforms, l_cd: float) -> LossBreakdown:

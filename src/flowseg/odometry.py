@@ -167,12 +167,25 @@ def rpe(estimated: Trajectory, ground_truth: Trajectory) -> TrajectoryErrorRepor
                                  rotational=_stats(r_err), count=n - 1)
 
 
+def _pose_line(transform: RigidTransform) -> str:
+    """The row-major 3x4 [R|t] matrix as 12 round-tripping reals."""
+    return " ".join(format(v, ".17g") for v in transform.matrix[:3].ravel())
+
+
+def _parse_pose(tokens, where: str) -> RigidTransform:
+    """The transform of 12 [R|t] tokens, or a FormatError at ``where``."""
+    try:
+        values = np.array([float(t) for t in tokens]).reshape(3, 4)
+    except ValueError as e:
+        raise FormatError(f"{where}: {e}") from e
+    if not np.isfinite(values).all():
+        raise FormatError(f"{where}: pose values must be finite")
+    return RigidTransform.from_matrix(values)
+
+
 def write_trajectory(trajectory: Trajectory, path) -> None:
     """One pose per line: 12 reals, the row-major 3x4 [R|t] matrix."""
-    lines = []
-    for pose in trajectory.poses:
-        m = pose.transform.matrix[:3]
-        lines.append(" ".join(format(v, ".17g") for v in m.ravel()))
+    lines = [_pose_line(pose.transform) for pose in trajectory.poses]
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -192,11 +205,7 @@ def read_trajectory(path, dt: float = 1.0, t0: float = 0.0) -> Trajectory:
             if len(tokens) != 12:
                 raise FormatError(
                     f"{path}: line {line_no}: expected 12 values, got {len(tokens)}")
-            try:
-                values = np.array([float(t) for t in tokens]).reshape(3, 4)
-            except ValueError as e:
-                raise FormatError(f"{path}: line {line_no}: {e}") from e
-            poses.append(Pose(RigidTransform.from_matrix(values),
+            poses.append(Pose(_parse_pose(tokens, f"{path}: line {line_no}"),
                               t0 + len(poses) * dt))
     if not poses:
         raise FormatError(f"{path}: no poses found")

@@ -291,9 +291,9 @@ def initial_mask(p_t, flow: FlowField, pairs: PairList = None) -> SegmentationMa
     Fits one transform to the whole flow field; points with residual above
     ``R_STATIC`` are candidate dynamic points and get clustered spatially,
     linked by the pairs of ``pairs`` (the cloud's ``pair_list``, built here
-    at ``CLUSTER_EPS`` when omitted, so its radius is the link radius) whose
-    two ends are both candidates.  Candidate components smaller than
-    ``MIN_PTS`` return to the static set.
+    over a new ``SpatialIndex`` at ``CLUSTER_EPS`` when omitted, so its
+    radius is the link radius) whose two ends are both candidates.
+    Candidate components smaller than ``MIN_PTS`` return to the static set.
     """
     src = p_t.points
     n = src.shape[0]
@@ -308,7 +308,7 @@ def initial_mask(p_t, flow: FlowField, pairs: PairList = None) -> SegmentationMa
     if candidates.shape[0] == 0:
         return SegmentationMask(labels)
     if pairs is None:
-        pairs = pair_list(p_t)
+        pairs = pair_list(geometry.SpatialIndex(p_t.points))
     keep = candidate[pairs.i] & candidate[pairs.j]
     # each point's position among the candidates keeps i ascending
     position = (np.cumsum(candidate) - 1).astype(np.int32)
@@ -361,10 +361,10 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
 
     Each pair's neighbour searches are made once and carried along:
 
-    - frame t+1 is indexed once;
-    - frame t's ``pair_list`` is built once and serves ``initial_mask`` and
-      every ``cluster`` call, each of which also takes the fit behind its
-      flow to skip the pair tests that fit proves;
+    - each frame is indexed once; init_flow searches both indexes;
+    - frame t's ``pair_list`` is found once in its index and serves
+      ``initial_mask`` and every ``cluster`` call, each of which also takes
+      the fit behind its flow to skip the pair tests that fit proves;
     - every match against the frame-t+1 index goes through
       ``SpatialIndex.match`` with the one before it, starting from
       init_flow's forward search, so only rows whose nearest point is not
@@ -380,7 +380,7 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
     ``record.losses``, ``record.v_ego`` or ``transforms``; an exception in
     that work is raised by the read, not here.  From ``OVERLAP_MIN_POINTS``
     points on, one helper thread lives for the call: it runs init_flow while
-    this thread builds the pair list, then makes each match while this
+    this thread finds the pair list, then makes each match while this
     thread runs the initial mask or ``cluster``, the classification and the
     deltas; this thread joins each match before it records the iteration.
     An exception on the helper is raised here, and the helper ends before
@@ -391,12 +391,13 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
         cfg = IterationConfig()
     dt = cfg.classifier.dt
     # looked up on the module at call time, so a substituted index class
-    # (perfbench's tracer) also sees this index and its queries
+    # (perfbench's tracer) also sees these indexes and their queries
     index_t1 = geometry.SpatialIndex(p_t1.points)
+    index_t = geometry.SpatialIndex(p_t.points)
     threaded = len(p_t) >= OVERLAP_MIN_POINTS
     with ThreadPoolExecutor(max_workers=1) if threaded else nullcontext() as helper:
-        started = _later(helper, init_flow, p_t, index_t1)
-        pairs = pair_list(p_t)
+        started = _later(helper, init_flow, index_t, index_t1)
+        pairs = pair_list(index_t)
         flow_prev, diag, match = started()
         matched = _later(helper, index_t1.match,
                          p_t.points + flow_prev.vectors, match)

@@ -5,7 +5,7 @@ Clustering runs density-based connected components over 6-D features
 distance is at most eps, so spatially adjacent points separate whenever their
 flows differ enough.  A feature distance is never below the 3-D distance, so
 every joined pair is within eps in 3-D: one :class:`PairList` of those pairs,
-built once per cloud, serves every clustering of it whatever the flow.
+found once in the cloud's ``SpatialIndex``, serves every clustering of it.
 :func:`classify` alone picks the static set: the largest cluster (the
 background dominates), or the clusters moving with the ego vehicle, else the
 largest; ``auto`` takes the velocity rule when cluster sizes are too similar
@@ -14,15 +14,13 @@ for the size rule to be trustworthy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
-from .errors import MaskMismatch, UnknownClusterId
-from .geometry import TOL, _fields_equal
+from .errors import UnknownClusterId
+from .geometry import TOL, SpatialIndex, _check_aligned, _fields_equal
 
 __all__ = [
     "SegmentationMask",
@@ -156,15 +154,16 @@ class PairList:
     pair's squared distance summed as (dx² + dy²) + dz², the k-d tree's
     left-to-right order, so adding further squared coordinate differences in
     order gives the squared distance the tree computes over longer features.
-    ``tree`` is the k-d tree over the cloud that found the pairs; ``cluster``
-    searches it again to merge its small components.
+    ``index`` is the cloud's :class:`~flowseg.geometry.SpatialIndex` that
+    found the pairs; ``cluster`` searches it again to merge its small
+    components.
     """
 
     i: np.ndarray
     j: np.ndarray
     d2: np.ndarray
     eps: float
-    tree: cKDTree = field(repr=False)
+    index: SpatialIndex = field(repr=False)
 
 
 def _add_squares(d2: np.ndarray, coords: np.ndarray, i, j) -> np.ndarray:
@@ -176,19 +175,16 @@ def _add_squares(d2: np.ndarray, coords: np.ndarray, i, j) -> np.ndarray:
     return d2
 
 
-def pair_list(p_t, eps: float = CLUSTER_EPS) -> PairList:
-    """The :class:`PairList` of a cloud: one k-d tree ``query_pairs`` call.
-
-    The tree uses sliding-midpoint splits, as ``SpatialIndex`` does, and the
-    pairs are grouped by a stable sort of ``i`` in its narrowest dtype.
-    """
-    tree = cKDTree(p_t.points, balanced_tree=False)
-    pairs = tree.query_pairs(eps, output_type="ndarray")
+def pair_list(index: SpatialIndex, eps: float = CLUSTER_EPS) -> PairList:
+    """The :class:`PairList` of the cloud ``index`` holds: one
+    ``index.pairs(eps)`` call, grouped by a stable sort of ``i`` in its
+    narrowest dtype."""
+    pairs = index.pairs(eps)
     order = np.argsort(_narrow(pairs[:, 0]), kind="stable")
     i = pairs[order, 0].astype(np.int32)
     j = pairs[order, 1].astype(np.int32)
-    d2 = _add_squares(np.zeros(i.shape[0]), p_t.points, i, j)
-    return PairList(i=i, j=j, d2=d2, eps=eps, tree=tree)
+    d2 = _add_squares(np.zeros(i.shape[0]), index.points, i, j)
+    return PairList(i=i, j=j, d2=d2, eps=eps, index=index)
 
 
 def _components(n: int, i: np.ndarray, j: np.ndarray):
@@ -263,11 +259,12 @@ def cluster(p_t, flow, lambda_flow: float = LAMBDA_FLOW, *,
             pairs: PairList = None, fit=None) -> SegmentationMask:
     """Segment a cloud by density connectivity over position+scaled-flow features.
 
-    ``pairs`` is the cloud's :func:`pair_list`, built here at ``CLUSTER_EPS``
-    when omitted; its radius ``eps = pairs.eps`` is the link radius.  Each
-    pair's feature distance adds the three scaled flow differences to its 3-D
-    ``d2`` in the tree's order, so the pairs kept are exactly those a 6-D
-    ``query_pairs(eps)`` finds.
+    ``pairs`` is the cloud's :func:`pair_list`, built here over a new
+    ``SpatialIndex`` at ``CLUSTER_EPS`` when omitted; its radius
+    ``eps = pairs.eps`` is the link radius.  Each pair's feature distance
+    adds the three scaled flow differences to its 3-D ``d2`` in the tree's
+    order, so the pairs kept are exactly those a 6-D ``query_pairs(eps)``
+    finds.
 
     ``fit`` is ``(labels, transforms, degenerate_ids)``: the mask and the
     per-cluster fit of the :func:`~flowseg.flow.refine_flow` call that made
@@ -279,18 +276,17 @@ def cluster(p_t, flow, lambda_flow: float = LAMBDA_FLOW, *,
     Components smaller than ``MIN_PTS`` are merged into the large component
     whose nearest point (in feature space) is closest; ties go to the lowest
     point id.  The candidates are the large-component points within 3-D
-    radius r of a member, from ``pairs.tree``, with r = eps doubled until the
-    best feature distance is below r by ``TOL`` or every large point is a
-    candidate: a point outside the radius is farther than r in 3-D, so
-    farther in feature space too, and cannot be nearer or tie.  Output
-    labels are compacted to 0..K-1 in first-appearance order.
+    radius r of a member, ``pairs.index.within(members, r)``, with r = eps
+    doubled until the best feature distance is below r by ``TOL`` or every
+    large point is a candidate: a point outside the radius is farther than r
+    in 3-D, so farther in feature space too, and cannot be nearer or tie.
+    Output labels are compacted to 0..K-1 in first-appearance order.
     """
-    if len(flow) != len(p_t):
-        raise MaskMismatch(f"flow covers {len(flow)} points, cloud has {len(p_t)}")
+    _check_aligned(p_t, flow=flow)
     if lambda_flow < 0:
         raise ValueError("lambda_flow must be nonnegative")
     if pairs is None:
-        pairs = pair_list(p_t)
+        pairs = pair_list(SpatialIndex(p_t.points))
     eps = pairs.eps
     scaled = lambda_flow * flow.vectors
     keep = _proven(p_t, pairs, fit, lambda_flow, eps)
@@ -313,9 +309,7 @@ def cluster(p_t, flow, lambda_flow: float = LAMBDA_FLOW, *,
             member = feats[ids]
             r = eps
             while True:
-                balls = pairs.tree.query_ball_point(p_t.points[ids], r)
-                near = np.unique(np.fromiter(chain.from_iterable(balls),
-                                             dtype=np.intp))
+                near = pairs.index.within(p_t.points[ids], r)
                 near = near[in_large[near]]
                 if near.shape[0]:
                     d2 = ((member[:, None, :] - feats[near][None, :, :]) ** 2
@@ -333,10 +327,7 @@ def cluster_stats(p_t, flow, mask: SegmentationMask, dt: float):
     """Per-cluster size, mean speed (mean flow norm / dt), and centroid."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if len(mask) != len(p_t):
-        raise MaskMismatch(f"mask covers {len(mask)} points, cloud has {len(p_t)}")
-    if len(flow) != len(p_t):
-        raise MaskMismatch(f"flow covers {len(flow)} points, cloud has {len(p_t)}")
+    _check_aligned(p_t, mask=mask, flow=flow)
     out = []
     for k, ids in enumerate(members(mask.labels)):
         speeds = np.linalg.norm(flow.vectors[ids], axis=1)

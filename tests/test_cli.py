@@ -190,6 +190,35 @@ class TestRun:
         for name in RUN_FILES:
             assert read_bytes(par, name) == read_bytes(run_dir, name), name
 
+    def test_pool_forks_no_more_workers_than_pairs(self, seq_dir, run_dir,
+                                                   tmp_path, monkeypatch):
+        # a process pool forks all its workers at the first submit, so it is
+        # sized to the pairs; this one runs each pair inline and forks none
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, payload):
+                future = Future()
+                future.set_result(fn(payload))
+                return future
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        out = str(tmp_path / "wide")
+        assert main(["run", "--input", seq_dir, "--out", out,
+                     "--workers", "64"]) == 0
+        assert sizes == [2]
+        for name in RUN_FILES:
+            assert read_bytes(out, name) == read_bytes(run_dir, name), name
+
     def test_report_failure_marks_its_pair(self, seq_dir, tmp_path,
                                            monkeypatch, capsys):
         # a pair's loss history is computed after run() returns, beside the

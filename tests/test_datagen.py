@@ -334,6 +334,30 @@ class TestSequenceFormat:
         with pytest.raises(FormatError, match="tokens"):
             read_sequence(tmp_path / "seq")
 
+    @pytest.mark.parametrize("value", ["dt=nan", "dt=inf", "pose nan"])
+    def test_non_finite_manifest_value(self, tmp_path, value):
+        recs = generate(plain_spec(18, n_objects=0))
+        manifest = write_sequence(recs, tmp_path / "seq")
+        lines = open(manifest).read().splitlines()
+        if value.startswith("dt="):
+            lines[1] = value
+            where = "dt must be positive and finite"
+        else:
+            tokens = lines[2].split()
+            tokens[4] = "nan"
+            lines[2] = " ".join(tokens)
+            where = "frame line 0"
+        open(manifest, "w").write("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=where):
+            read_sequence(tmp_path / "seq")
+
+    @pytest.mark.parametrize("dt", [0.0, float("nan"), float("inf")])
+    def test_write_rejects_bad_dt(self, tmp_path, dt):
+        recs = generate(plain_spec(18, n_objects=0))
+        with pytest.raises(ValueError, match="positive and finite"):
+            write_sequence(recs, tmp_path / "seq", dt=dt)
+        assert not (tmp_path / "seq").exists()
+
     def test_missing_labels_rejected(self, tmp_path):
         recs = generate(plain_spec(19, n_objects=0))
         out = tmp_path / "seq"

@@ -1,13 +1,10 @@
 """Point clouds, flow fields, flow initialization and rigid refinement."""
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowseg import flow as flow_module
 from flowseg.datagen import generate, random_scene_spec
 from flowseg.errors import DegenerateInput, EmptyCloud, MaskMismatch
 from flowseg.flow import (D_MAX, R_CONSISTENCY, FlowField, InitFlowDiagnostics,
@@ -140,7 +137,7 @@ def multi_cluster_scene():
     p_t, p_t1 = records[0].cloud, records[1].cloud
     labels = records[0].gt_mask.labels.copy()
     labels[[7, 900]] = labels.max() + 1
-    flow, _, _ = init_flow(p_t, SpatialIndex(p_t1))
+    flow, _, _ = init_flow(SpatialIndex(p_t), SpatialIndex(p_t1))
     return p_t, p_t1, SegmentationMask(labels), flow
 
 
@@ -194,14 +191,14 @@ class TestFlowField:
 class TestInitFlow:
     def test_identical_clouds_zero_flow(self):
         c = grid_cloud()
-        f, _, _ = init_flow(c, SpatialIndex(c))
+        f, _, _ = init_flow(SpatialIndex(c), SpatialIndex(c))
         assert not f.vectors.any()
 
     def test_small_translation_exact(self):
         # displacement far below half the 3 m spacing: NN matching is exact
         c = grid_cloud()
         shifted = cloud_of(c.points + [1.0, 0.0, 0.0])
-        f, _, _ = init_flow(c, SpatialIndex(shifted))
+        f, _, _ = init_flow(SpatialIndex(c), SpatialIndex(shifted))
         np.testing.assert_allclose(f.vectors,
                                    np.tile([1.0, 0, 0], (len(c), 1)),
                                    atol=1e-12)
@@ -210,7 +207,7 @@ class TestInitFlow:
         # last source point has no target within d_max
         pts = np.array([[0.0, 0, 0], [3.0, 0, 0], [100.0, 0, 0]])
         tgt = np.array([[0.0, 0, 0], [3.0, 0, 0]])
-        f, diag, _ = init_flow(cloud_of(pts), SpatialIndex(tgt))
+        f, diag, _ = init_flow(SpatialIndex(pts), SpatialIndex(tgt))
         assert isinstance(diag, InitFlowDiagnostics)
         np.testing.assert_array_equal(f.vectors[2], [0.0, 0.0, 0.0])
         assert diag.disoccluded[2]
@@ -223,14 +220,14 @@ class TestInitFlow:
                         [0.0, 1, 0], [1.0, 1, 0], [2.0, 1, 0]])
         tgt = src + [0.4, 0.0, 0.0]
         tgt = np.delete(tgt, 1, axis=0)  # point 1 lost its partner
-        f, diag, _ = init_flow(cloud_of(src), SpatialIndex(tgt))
+        f, diag, _ = init_flow(SpatialIndex(src), SpatialIndex(tgt))
         assert diag.n_unreliable >= 1
         # filled value comes from surrounding consistent matches
         np.testing.assert_allclose(f.vectors[1], [0.4, 0.0, 0.0], atol=1e-9)
 
     def test_duplicate_points_no_nan(self):
         pts = np.array([[0.0, 0, 0], [0.0, 0, 0], [1.0, 0, 0], [1.0, 0, 0]])
-        f, _, _ = init_flow(cloud_of(pts), SpatialIndex(pts.copy()))
+        f, _, _ = init_flow(SpatialIndex(pts), SpatialIndex(pts.copy()))
         assert np.isfinite(f.vectors).all()
 
     def test_all_unreliable_keeps_raw_vectors(self):
@@ -238,7 +235,7 @@ class TestInitFlow:
         # round trips cannot fail with one point; use crossing pairs instead
         src = np.array([[0.0, 0.0, 0.0], [2.6, 0.0, 0.0], [1.3, 2.0, 0.0]])
         tgt = src + [1.3, 0.0, 0.0]
-        f, _, _ = init_flow(cloud_of(src), SpatialIndex(tgt))
+        f, _, _ = init_flow(SpatialIndex(src), SpatialIndex(tgt))
         assert np.isfinite(f.vectors).all()
 
 
@@ -253,8 +250,7 @@ class TestInitFlow:
             back = int(np.argmin(((dst[ids[i]] - src) ** 2).sum(axis=1)))
             unreliable[i] = np.linalg.norm(src[back] - src[i]) > R_CONSISTENCY
         RecordingIndex.log = []
-        with mock.patch.object(flow_module, "SpatialIndex", RecordingIndex):
-            _, diag, forward = init_flow(cloud_of(src), SpatialIndex(dst))
+        _, diag, forward = init_flow(RecordingIndex(src), SpatialIndex(dst))
         assert np.array_equal(diag.unreliable, unreliable)
         assert np.array_equal(diag.disoccluded, disoccluded)
         assert np.array_equal(forward.ids, ids)
@@ -262,7 +258,7 @@ class TestInitFlow:
         # the backward search covers exactly the rows the 2 d bound leaves
         # open, in row order; frame t is not searched when there are none
         open_rows = ~disoccluded & ~(2.0 * dist + TOL < R_CONSISTENCY)
-        searched = RecordingIndex.log[:1] if open_rows.any() else []
+        searched = RecordingIndex.log
         assert len(searched) == int(open_rows.any())
         for q in searched:
             assert np.array_equal(q, dst[ids[open_rows]])
@@ -273,7 +269,7 @@ class TestInitFlow:
         src, dst = scene
         index = SpatialIndex(dst)
         p_t = cloud_of(src)
-        flow, diag, forward = init_flow(p_t, index)
+        flow, diag, forward = init_flow(SpatialIndex(p_t), index)
         warped = p_t.points + flow.vectors
         match = index.match(warped, forward)
         ids, dist = index.query(warped)
@@ -288,7 +284,7 @@ class TestInitFlow:
                                           occlusion=True, shuffle=True))
         p_t, p_t1 = recs[0].cloud, recs[1].cloud
         index = SpatialIndex(p_t1)
-        flow, diag, forward = init_flow(p_t, index)
+        flow, diag, forward = init_flow(SpatialIndex(p_t), index)
         assert diag.n_unreliable > 0
         searched = []
         search = index._search
@@ -313,7 +309,7 @@ class TestRefineFlow:
         true = RigidTransform(rot_z(0.05), np.array([0.4, -0.2, 0.1]))
         target = cloud_of(true.apply(c.points))
         mask = SegmentationMask(np.zeros(len(c), dtype=np.int64))
-        flow0, _, _ = init_flow(c, SpatialIndex(target))
+        flow0, _, _ = init_flow(SpatialIndex(c), SpatialIndex(target))
         refined, transforms, _ = refine_flow(c, matched(c, target, flow0),
                                              mask, flow0)
         assert len(transforms) == 1
@@ -332,7 +328,7 @@ class TestRefineFlow:
         p_t1 = cloud_of(np.vstack([t0.apply(base), t1.apply(far)]))
         labels = np.r_[np.zeros(len(base), dtype=np.int64),
                        np.ones(len(far), dtype=np.int64)]
-        flow0, _, _ = init_flow(p_t, SpatialIndex(p_t1))
+        flow0, _, _ = init_flow(SpatialIndex(p_t), SpatialIndex(p_t1))
         refined, transforms, _ = refine_flow(
             p_t, matched(p_t, p_t1, flow0), SegmentationMask(labels), flow0)
         expect = np.vstack([t0.apply(base) - base, t1.apply(far) - far])
@@ -345,7 +341,7 @@ class TestRefineFlow:
         tgt = pts + rng.uniform(-0.1, 0.1, size=pts.shape)
         c, c1 = cloud_of(pts), cloud_of(tgt)
         mask = SegmentationMask(np.zeros(60, dtype=np.int64))
-        flow0, _, _ = init_flow(c, SpatialIndex(c1))
+        flow0, _, _ = init_flow(SpatialIndex(c), SpatialIndex(c1))
         refined, _, _ = refine_flow(c, matched(c, c1, flow0), mask, flow0)
         moved = pts + refined.vectors
         d_in = np.linalg.norm(pts[:, None] - pts[None], axis=-1)
@@ -359,7 +355,7 @@ class TestRefineFlow:
         tgt = pts + [0.2, 0.0, 0.0]
         labels = np.r_[np.zeros(16, dtype=np.int64), [1, 1]]
         c, c1 = cloud_of(pts), cloud_of(tgt)
-        flow0, _, _ = init_flow(c, SpatialIndex(c1))
+        flow0, _, _ = init_flow(SpatialIndex(c), SpatialIndex(c1))
         refined, transforms, degen = refine_flow(
             c, matched(c, c1, flow0), SegmentationMask(labels), flow0)
         assert degen == [1]

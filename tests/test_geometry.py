@@ -1,5 +1,7 @@
 """Rigid transforms, Kabsch fitting, nearest neighbors, chamfer distance."""
 
+import importlib
+import pkgutil
 import sys
 import threading
 
@@ -8,7 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.spatial import cKDTree
 
+import flowseg
 from flowseg.errors import DegenerateInput, EmptyCloud, EmptyIndex
 from flowseg.geometry import (TOL, RigidTransform, SpatialIndex,
                               chamfer_distance, weighted_kabsch)
@@ -349,8 +353,29 @@ class TestSpatialIndex:
         assert second.ids.tolist() == [0, 0]
         assert second.distances.tolist() == [3.0, 2.0]
         assert second.clearance.tolist() == [7.0, 8.0]
+        # with the indexed points moved by up to ``moved``, row 0's margin of
+        # 4 (7 - 3) keeps it at 3.5; at 4.5 it is searched, which finds
+        # clearance 7
+        kept = index.match([[3.0, 0, 0], [2.0, 0, 0]], first, moved=3.5)
+        searched = index.match([[3.0, 0, 0], [2.0, 0, 0]], first, moved=4.5)
+        assert kept.ids.tolist() == searched.ids.tolist() == [0, 0]
+        assert kept.clearance.tolist() == [3.5, 8.0]
+        assert searched.clearance.tolist() == [7.0, 8.0]
         with pytest.raises(ValueError):
             index.match([[3.0, 0, 0]], first)
+
+    def test_pairs_and_within_equal_brute_force(self):
+        rng = np.random.default_rng(15)
+        pts = rng.integers(-3, 4, size=(200, 3)) * 0.5
+        queries = rng.uniform(-2, 2, size=(5, 3))
+        index = SpatialIndex(pts)
+        d = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=2))
+        i, j = np.nonzero(np.triu(d <= 0.6, k=1))
+        found = index.pairs(0.6)
+        assert sorted(map(tuple, found.tolist())) == list(zip(i, j))
+        near = np.sqrt(((queries[:, None] - pts[None]) ** 2).sum(axis=2))
+        assert np.array_equal(index.within(queries, 0.8),
+                              np.nonzero((near <= 0.8).any(axis=0))[0])
 
     def test_query_knn(self):
         pts = [[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [4.0, 0, 0]]
@@ -379,7 +404,9 @@ class TestSpatialIndex:
         # caller works; half-step queries on a lattice tie, so the tie rescan
         # runs in every thread at once.  Each thread has its own queries, more
         # threads than cores, and a short switch interval, so the threads
-        # interleave inside each query.
+        # interleave inside each query.  One more thread finds the pair list
+        # and a merge's candidates, as run() does on frame t's index while
+        # the helper queries it.
         rng = np.random.default_rng(14)
         index = SpatialIndex(rng.integers(-8, 9, size=(3000, 3)) * 1.0)
         n_threads, rounds = 4, 3
@@ -392,17 +419,21 @@ class TestSpatialIndex:
             chained = index.match(q, index.match(q + 0.25))
             return (*index.query(q), chained.ids, chained.distances)
 
-        serial = [searches(q) for q in stacks]
-        start = threading.Barrier(n_threads)
-        results = [[] for _ in range(n_threads)]
+        def radius_searches():
+            return index.pairs(1.0), index.within(stacks[0][:100], 1.5)
 
-        def worker(queries, out):
+        jobs = [lambda q=q: searches(q) for q in stacks] + [radius_searches]
+        serial = [job() for job in jobs]
+        start = threading.Barrier(len(jobs))
+        results = [[] for _ in jobs]
+
+        def worker(job, out):
             start.wait(timeout=30)
             for _ in range(rounds):
-                out.append(searches(queries))
+                out.append(job())
 
         threads = [threading.Thread(target=worker, args=args)
-                   for args in zip(stacks, results)]
+                   for args in zip(jobs, results)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -468,3 +499,13 @@ class TestChamferDistance:
             chamfer_distance(np.empty((0, 3)), [[0.0, 0.0, 0.0]])
         with pytest.raises(EmptyCloud):
             chamfer_distance([[0.0, 0.0, 0.0]], np.empty((0, 3)))
+
+
+def test_only_geometry_holds_a_kd_tree():
+    # SpatialIndex is the one k-d tree: a module that imports cKDTree itself
+    # builds a second one beside it
+    names = ["flowseg"] + [f"flowseg.{m.name}"
+                           for m in pkgutil.iter_modules(flowseg.__path__)]
+    holders = [name for name in names if any(
+        v is cKDTree for v in vars(importlib.import_module(name)).values())]
+    assert holders == ["flowseg.geometry"]

@@ -74,13 +74,13 @@ def warp_chains(draw):
 
 
 class RecordingIndex(SpatialIndex):
-    """A SpatialIndex that logs how many rows each ``query_knn`` searches."""
+    """A SpatialIndex that logs the rows each of its searches covers."""
 
     log = []
 
-    def query_knn(self, queries, k):
-        self.log.append(len(queries))
-        return super().query_knn(queries, k)
+    def _search(self, q):
+        self.log.append(np.array(q))
+        return super()._search(q)
 
 
 class TestMotionLoss:
@@ -205,7 +205,7 @@ class TestChamferLoss:
         p_t, p_t1 = records[0].cloud, records[1].cloud
         assert records[0].gt_mask.n_clusters >= 4
         index_t1 = SpatialIndex(p_t1)
-        init, _, _ = init_flow(p_t, index_t1)
+        init, _, _ = init_flow(SpatialIndex(p_t), index_t1)
         for flow in (init, records[0].gt_flow):
             _, fwd = index_t1.query(p_t.points + flow.vectors)
             assert chamfer_loss(p_t, flow, p_t1, fwd.sum()).value == chamfer_distance(
@@ -227,23 +227,25 @@ class TestChamferLoss:
                 term = chamfer_loss(p_t, flow, p_t1, forward(p_t, flow, p_t1),
                                     previous)
             assert term.value == chamfer_distance(p_t1.points, warped)
-            d = np.sqrt(((p_t1.points[:, None] - warped[None]) ** 2).sum(axis=2))
-            rows = np.arange(len(p_t1))
-            assert np.array_equal(d[rows, term.nearest], d.min(axis=1))
+            backward = term.backward
+            d2 = ((p_t1.points[:, None] - warped[None]) ** 2).sum(axis=2)
+            # the nearest warped point, ties to the lowest id
+            assert np.array_equal(backward.ids, d2.argmin(axis=1))
             # clearance bounds the distance to every other warped point
-            d[rows, term.nearest] = np.inf
-            assert (term.clearance <= d.min(axis=1) + 1e-12).all()
+            d = np.sqrt(d2)
+            d[np.arange(len(p_t1)), backward.ids] = np.inf
+            assert (backward.clearance <= d.min(axis=1) + 1e-12).all()
             if previous is None:
-                assert RecordingIndex.log == [len(p_t1)]
+                assert len(RecordingIndex.log) == 1
+                assert np.array_equal(RecordingIndex.log[0], p_t1.points)
                 continue
-            # a row with margin left after the largest step is not searched,
-            # and no index is built when every row has one
+            # a row with margin left after the largest step is not searched
             step = np.sqrt(((warped - previous.warped) ** 2).sum(axis=1)).max()
-            new = np.sqrt(((p_t1.points - warped[previous.nearest]) ** 2)
+            new = np.sqrt(((p_t1.points - warped[previous.backward.ids]) ** 2)
                           .sum(axis=1))
-            kept = new + TOL < previous.clearance - step - TOL
-            open_rows = len(p_t1) - int(kept.sum())
-            assert RecordingIndex.log == ([open_rows] if open_rows else [])
+            kept = new + TOL < previous.backward.clearance - step - TOL
+            assert len(RecordingIndex.log) == 1
+            assert np.array_equal(RecordingIndex.log[0], p_t1.points[~kept])
 
     def test_carried_term_checks_its_clouds(self):
         p_t, flow, _, _ = rigid_scene()

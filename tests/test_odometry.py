@@ -228,10 +228,11 @@ class TestTrajectoryIO:
         with pytest.raises(FormatError):
             read_trajectory(path)
 
-    def test_bad_float(self, tmp_path):
+    @pytest.mark.parametrize("bad", ["x", "nan", "inf"])
+    def test_bad_float(self, tmp_path, bad):
         path = tmp_path / "traj.txt"
-        path.write_text(" ".join(["x"] + ["0"] * 11) + "\n")
-        with pytest.raises(FormatError):
+        path.write_text("# header\n" + " ".join([bad] + ["0"] * 11) + "\n")
+        with pytest.raises(FormatError, match="traj.txt: line 2"):
             read_trajectory(path)
 
     def test_empty_file(self, tmp_path):

@@ -246,9 +246,9 @@ class TestRun:
                 queries.append(len(q))
                 return super().query(q)
 
-            def match(self, q, previous=None):
+            def match(self, q, previous=None, moved=0.0):
                 matches.append((len(q), previous is not None))
-                return super().match(q, previous)
+                return super().match(q, previous, moved)
 
             def query_knn(self, q, k):
                 knn.append((len(q), k))
@@ -282,9 +282,9 @@ class TestRun:
             n = ssf.report.n_iterations
             assert n >= 2
             filled = ssf.report.n_unreliable > 0
-            # run() itself: frame t+1 once, first; frame t for the open rows
-            # of init_flow's backward check; the reliable points when
-            # init_flow fills, with K_FILL neighbours each
+            # run() itself: frame t+1 once, first; frame t once, queried
+            # for the open rows of init_flow's backward check; the reliable
+            # points when init_flow fills, with K_FILL neighbours each
             assert np.array_equal(built[0], p_t1.points)
             assert sum(np.array_equal(pts, p_t1.points) for pts in built) == 1
             assert sum(np.array_equal(pts, p_t.points) for pts in built) == 1
@@ -298,18 +298,15 @@ class TestRun:
             # frame t's pair list once, shared by initial_mask and cluster
             assert len(pair_lists) == 1
             built_by_run, knn_by_run = len(built), len(knn)
+            matched_by_run = list(matches)
             ssf.report.records[0].losses
-            # the first read: the warped cloud indexed in each iteration
-            # where some frame-t+1 row has no Chamfer margin left (always
-            # the first), with one two-nearest search of the open rows
-            on_warped = knn[knn_by_run:]
-            assert 1 <= len(on_warped) <= n
-            assert len(built) == built_by_run + len(on_warped)
-            assert on_warped[0] == (len(p_t1), 2)
-            assert all(0 < rows <= len(p_t1) and k == 2
-                       for rows, k in on_warped)
-            assert queries == [n_open]
-            assert len(matches) == n + 2 and len(pair_lists) == 1
+            # the first read: the warped cloud indexed in each iteration and
+            # frame t+1 matched against it, each match carrying the last
+            assert len(built) == built_by_run + n
+            assert len(knn) == knn_by_run
+            assert matches == matched_by_run + (
+                [(len(p_t1), False)] + [(len(p_t1), True)] * (n - 1))
+            assert queries == [n_open] and len(pair_lists) == 1
 
 
 # the report work and the names run()'s loss history calls it by

@@ -13,7 +13,7 @@ from flowseg import segment
 from flowseg.errors import (DegenerateInput, EmptyCloud, MaskMismatch,
                             UnknownClusterId)
 from flowseg.flow import FlowField, PointCloud, apply_fit
-from flowseg.geometry import RigidTransform, weighted_kabsch
+from flowseg.geometry import RigidTransform, SpatialIndex, weighted_kabsch
 from flowseg.pipeline import R_STATIC, initial_mask
 from flowseg.segment import (CLUSTER_EPS, LAMBDA_FLOW, MIN_PTS,
                              SIZE_VARIANCE_THRESHOLD, STRATEGIES,
@@ -133,7 +133,8 @@ class TestCluster:
         vec = np.zeros((60, 3))
         vec[30:, 0] = 2.0
         p_t = cloud_of(pts)
-        mask = cluster(p_t, FlowField(vec), 5.0, pairs=pair_list(p_t, 1.0))
+        mask = cluster(p_t, FlowField(vec), 5.0,
+                       pairs=pair_list(SpatialIndex(p_t), 1.0))
         assert mask.n_clusters == 2
 
     def test_zero_lambda_ignores_flow(self):
@@ -235,7 +236,8 @@ class TestPairList:
         eps = radius * step
         expected = reference_cluster(p_t, flow, lambda_flow, eps)
         assert np.array_equal(
-            cluster(p_t, flow, lambda_flow, pairs=pair_list(p_t, eps)).labels,
+            cluster(p_t, flow, lambda_flow,
+                    pairs=pair_list(SpatialIndex(p_t), eps)).labels,
             expected)
 
     @settings(deadline=None, max_examples=300)
@@ -257,7 +259,8 @@ class TestPairList:
         for _ in range(abs(nudge)):
             eps = np.nextafter(eps, np.sign(nudge) * np.inf)
         assert np.array_equal(
-            cluster(p_t, flow, lambda_flow, pairs=pair_list(p_t, eps)).labels,
+            cluster(p_t, flow, lambda_flow,
+                    pairs=pair_list(SpatialIndex(p_t), eps)).labels,
             reference_cluster(p_t, flow, lambda_flow, eps))
 
     @settings(deadline=None, max_examples=50)
@@ -280,14 +283,14 @@ class TestPairList:
                                       [3.0, 0.0, 0.0], 0.0)
         flow = FlowField(vec)
         expected = reference_initial_mask(p_t, flow)
-        assert np.array_equal(initial_mask(p_t, flow, pair_list(p_t)).labels,
-                              expected)
+        pairs = pair_list(SpatialIndex(p_t))
+        assert np.array_equal(initial_mask(p_t, flow, pairs).labels, expected)
         assert np.array_equal(initial_mask(p_t, flow).labels, expected)
 
     def test_pair_list_layout(self):
         rng = np.random.default_rng(36)
         pts = rng.uniform(-2, 2, size=(300, 3))
-        pairs = pair_list(cloud_of(pts), 0.5)
+        pairs = pair_list(SpatialIndex(pts), 0.5)
         assert pairs.i.dtype == pairs.j.dtype == np.int32
         assert (np.diff(pairs.i) >= 0).all() and (pairs.i < pairs.j).all()
         found = {(int(a), int(b)) for a, b in zip(pairs.i, pairs.j)}
@@ -313,7 +316,7 @@ class TestPairList:
               + diff[..., 2] * diff[..., 2])
         want = set(zip(*(ids.tolist() for ids in np.nonzero(
             np.triu(d2 <= eps * eps, 1)))))
-        pairs = pair_list(cloud_of(pts), eps)
+        pairs = pair_list(SpatialIndex(pts), eps)
         assert {(int(a), int(b)) for a, b in zip(pairs.i, pairs.j)} == want
         assert len(pairs.i) == len(want)
         assert (np.diff(pairs.i) >= 0).all()
@@ -374,7 +377,7 @@ class TestProvenPairs:
         # about -52) or up to far inside it
         p_t, flow, fit, step = scene
         eps = radius * step * (1.0 if room is None else 1.0 + 2.0 ** room)
-        pairs = pair_list(p_t, eps)
+        pairs = pair_list(SpatialIndex(p_t), eps)
         exact = cluster(p_t, flow, lambda_flow, pairs=pairs)
         proven = cluster(p_t, flow, lambda_flow, pairs=pairs, fit=fit)
         assert np.array_equal(proven.labels, exact.labels)
@@ -392,11 +395,11 @@ class TestProvenPairs:
         labels = np.zeros(40, dtype=np.int64)
         t = RigidTransform(np.eye(3), rng.uniform(-1e3, 1e3, size=3))
         flow = apply_fit(p_t, members(labels), FlowField.zeros(40), [t], [])
-        pairs = pair_list(p_t, 0.8)
+        pairs = pair_list(SpatialIndex(p_t), 0.8)
         eps = np.sqrt(pairs.d2.max())
         for _ in range(ulps):
             eps = np.nextafter(eps, np.inf)
-        pairs = pair_list(p_t, eps)
+        pairs = pair_list(SpatialIndex(p_t), eps)
         assert np.array_equal(
             cluster(p_t, flow, 1e6, pairs=pairs, fit=(labels, [t], [])).labels,
             cluster(p_t, flow, 1e6, pairs=pairs).labels)
@@ -413,7 +416,7 @@ class TestProvenPairs:
                       RigidTransform(rotation([1, 1, 0], -0.02), [0, 0.4, 0])]
         flow = apply_fit(p_t, members(labels), FlowField.zeros(600),
                          transforms, [])
-        pairs = pair_list(p_t)
+        pairs = pair_list(SpatialIndex(p_t))
         c = [LAMBDA_FLOW ** 2 * ((t.rotation - np.eye(3)) ** 2).sum()
              for t in transforms]
         group = labels[pairs.i]
@@ -474,7 +477,8 @@ class TestSmallComponentMerge:
     def test_equals_dense_reference(self, scene, lambda_flow):
         p_t, flow = scene
         assert np.array_equal(
-            cluster(p_t, flow, lambda_flow, pairs=pair_list(p_t, 1.0)).labels,
+            cluster(p_t, flow, lambda_flow,
+                    pairs=pair_list(SpatialIndex(p_t), 1.0)).labels,
             reference_cluster(p_t, flow, lambda_flow, 1.0))
 
     def test_tie_goes_to_the_lowest_id(self):
@@ -482,7 +486,8 @@ class TestSmallComponentMerge:
         pts = ([[3.0 + k, 0, 0] for k in range(5)] + [[0.0, 0, 0]]
                + [[-3.0 - k, 0, 0] for k in range(5)])
         p_t = cloud_of(pts)
-        mask = cluster(p_t, FlowField.zeros(11), pairs=pair_list(p_t, 1.0))
+        mask = cluster(p_t, FlowField.zeros(11),
+                       pairs=pair_list(SpatialIndex(p_t), 1.0))
         assert mask.labels[5] == mask.labels[0] != mask.labels[6]
 
 
