@@ -15,8 +15,8 @@ from .errors import (DegenerateInput, DegenerateStaticSet, EmptyCloud,
                      TransformCountMismatch, UnknownClusterId)
 from .geometry import (RigidTransform, SpatialIndex, chamfer_distance,
                        weighted_kabsch)
-from .flow import (FlowField, PointCloud, fit_transforms, init_flow,
-                   refine_flow)
+from .flow import (ClusterFit, FlowField, InitFlow, PointCloud,
+                   fit_transforms, init_flow, refine_flow)
 from .segment import (ClassifierConfig, ClusterStats, SegmentationMask,
                       StaticSet, classify, cluster, cluster_stats,
                       relabel_static_first)

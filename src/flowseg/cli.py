@@ -12,15 +12,17 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import asdict
 from fnmatch import fnmatchcase
+from functools import partial
 
 import numpy as np
 
 from . import __version__
 from ._svg import Series, render_chart
-from .datagen import (MANIFEST_NAME, generate, random_scene_spec, read_frame,
-                      read_sequence, write_frame, write_sequence)
+from .datagen import (generate, random_scene_spec, read_frame, read_sequence,
+                      write_frame, write_sequence)
 from .errors import FlowsegError
 from .flow import FlowField
 from .metrics import flow_metrics, seg_metrics
@@ -193,27 +195,24 @@ def cmd_run(args) -> int:
     step = at_pair(0, "pipeline")
     try:
         payloads = [(a.cloud, b.cloud, cfg) for a, b in pairs]
-        results = []
-        if args.workers > 1:
-            # the pool forks every worker at its first submit
-            with ProcessPoolExecutor(min(args.workers, len(payloads))) as pool:
-                futures = [pool.submit(_process_pair, p) for p in payloads]
-                for pair_index, future in enumerate(futures):
-                    step = at_pair(pair_index, "pipeline")
-                    results.append(future.result())
-        else:
-            # one thread computes pair k's loss history while this one runs
-            # pair k+1; a process pool's results arrive computed, as
-            # pickling a result computes it in the worker
-            with ThreadPoolExecutor(max_workers=1) as reports:
-                evaluated = []
-                for pair_index, payload in enumerate(payloads):
-                    step = at_pair(pair_index, "pipeline")
-                    evaluated.append(reports.submit(_evaluated,
-                                                    _process_pair(payload)))
-                for pair_index, future in enumerate(evaluated):
-                    step = at_pair(pair_index, "pipeline")
-                    results.append(future.result())
+        workers = min(args.workers, len(payloads))
+        # a process pool forks every worker at its first submit, so one
+        # worker gets none and runs each pair here; one thread computes pair
+        # k's loss history while this one runs pair k+1, and a pool's results
+        # arrive computed, as pickling a result computes it in the worker
+        with (ProcessPoolExecutor(workers) if workers > 1 else nullcontext()
+              ) as pool, ThreadPoolExecutor(max_workers=1) as reports:
+            pending = [partial(_process_pair, p) if pool is None
+                       else pool.submit(_process_pair, p).result
+                       for p in payloads]
+            evaluated = []
+            for pair_index, result in enumerate(pending):
+                step = at_pair(pair_index, "pipeline")
+                evaluated.append(reports.submit(_evaluated, result()))
+            results = []
+            for pair_index, future in enumerate(evaluated):
+                step = at_pair(pair_index, "pipeline")
+                results.append(future.result())
         increments = []
         pair_entries = []
         for pair_index, ((rec_a, _), ssf) in enumerate(zip(pairs, results)):

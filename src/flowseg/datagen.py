@@ -377,8 +377,9 @@ def write_frame(path, points, flow=None, labels=None) -> None:
 def read_frame(path):
     """Read one frame file -> (points, flow | None, labels | None).
 
-    Raises FormatError on a bad magic, unknown flags, truncation, or trailing
-    bytes; never returns a partial record.
+    Raises FormatError on a bad magic, unknown flags, truncation, trailing
+    bytes, or an array its type rejects (non-finite positions or flow,
+    non-contiguous labels); never returns a partial record.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -400,18 +401,21 @@ def read_frame(path):
             f"found {have}")
     if have > need:
         raise FormatError(f"{path}: {have - need} trailing bytes after payload")
-    pts = np.frombuffer(data, dtype="<f4", count=3 * n, offset=offset)
-    pts = pts.reshape(n, 3).astype(np.float64)
-    offset += 12 * n
-    flow = None
-    if flags & 1:
-        flow = np.frombuffer(data, dtype="<f4", count=3 * n, offset=offset)
-        flow = flow.reshape(n, 3).astype(np.float64)
+    try:
+        pts = np.frombuffer(data, dtype="<f4", count=3 * n, offset=offset)
+        pts = PointCloud(pts.reshape(n, 3)).points
         offset += 12 * n
-    labels = None
-    if flags & 2:
-        labels = np.frombuffer(data, dtype="<u4", count=n, offset=offset)
-        labels = labels.astype(np.int64)
+        flow = None
+        if flags & 1:
+            flow = np.frombuffer(data, dtype="<f4", count=3 * n, offset=offset)
+            flow = FlowField(flow.reshape(n, 3)).vectors
+            offset += 12 * n
+        labels = None
+        if flags & 2:
+            labels = np.frombuffer(data, dtype="<u4", count=n, offset=offset)
+            labels = SegmentationMask(labels).labels
+    except ValueError as e:
+        raise FormatError(f"{path}: {e}") from e
     return pts, flow, labels
 
 

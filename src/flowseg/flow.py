@@ -17,15 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, EmptyCloud
-from .geometry import (TOL, RigidTransform, SpatialIndex, _check_aligned,
-                       _fields_equal, weighted_kabsch)
-from .segment import members
+from .errors import DegenerateInput, EmptyCloud, TransformCountMismatch
+from .geometry import (TOL, Match, RigidTransform, SpatialIndex,
+                       _check_aligned, _fields_equal, weighted_kabsch)
+from .segment import SegmentationMask, members
 
 __all__ = [
     "PointCloud",
     "FlowField",
-    "InitFlowDiagnostics",
+    "InitFlow",
+    "ClusterFit",
     "init_flow",
     "refine_flow",
     "fit_transforms",
@@ -88,27 +89,22 @@ class FlowField:
         return self.vectors.shape[0]
 
 
-@dataclass(frozen=True)
-class InitFlowDiagnostics:
-    """Per-point boolean flags produced by init_flow.
+@dataclass(frozen=True, eq=False)
+class InitFlow:
+    """What :func:`init_flow` gives: the coarse ``flow``; the per-point flags
+    ``unreliable`` (failed the bidirectional consistency check,
+    median-filled) and ``disoccluded`` (no plausible correspondence within
+    D_MAX, flow zeroed); and ``forward``, the forward search of frame t's
+    points, which a later ``index_t1.match(src + flow.vectors, forward)``
+    reuses wherever it is certified."""
 
-    ``unreliable``: failed the bidirectional consistency check (median-filled).
-    ``disoccluded``: no plausible correspondence within D_MAX (flow zeroed).
-    """
-
+    flow: FlowField
     unreliable: np.ndarray
     disoccluded: np.ndarray
-
-    @property
-    def n_unreliable(self) -> int:
-        return int(self.unreliable.sum())
-
-    @property
-    def n_disoccluded(self) -> int:
-        return int(self.disoccluded.sum())
+    forward: Match
 
 
-def init_flow(index_t: SpatialIndex, index_t1: SpatialIndex):
+def init_flow(index_t: SpatialIndex, index_t1: SpatialIndex) -> InitFlow:
     """Coarse scene flow by nearest-neighbor matching.
 
     ``index_t`` and ``index_t1`` index frames t and t+1.  Each frame-t
@@ -118,18 +114,13 @@ def init_flow(index_t: SpatialIndex, index_t1: SpatialIndex):
     vectors; those are replaced by the componentwise median flow of their
     ``K_FILL`` nearest reliable neighbors in frame t.  Points whose nearest
     neighbor is farther than ``D_MAX`` have no plausible correspondence and
-    get zero flow.
+    get zero flow.  Returns an :class:`InitFlow`.
 
     The backward check searches only the rows a bound cannot settle: the
     origin point lies ``d`` from its target, so the target's nearest
     frame-t point lies within ``d`` too and the round trip is at most
     ``2 d``; a row with ``2 d + TOL < R_CONSISTENCY`` is consistent without
     a search, and only the others query ``index_t``.
-
-    Returns ``(FlowField, InitFlowDiagnostics, Match)``; the ``Match`` is
-    the forward search of frame t's points, which a later
-    ``index_t1.match(src + flow.vectors, forward)`` reuses wherever it is
-    certified.
     """
     src = index_t.points
     dst = index_t1.points
@@ -152,26 +143,52 @@ def init_flow(index_t: SpatialIndex, index_t1: SpatialIndex):
         nn_ids, _ = SpatialIndex(rel_pts).query_knn(src[unreliable], k)
         vectors[unreliable] = np.median(rel_vec[nn_ids], axis=1)
     vectors[disoccluded] = 0.0
-    return (FlowField(vectors),
-            InitFlowDiagnostics(unreliable=unreliable, disoccluded=disoccluded),
-            forward)
+    return InitFlow(FlowField(vectors), unreliable, disoccluded, forward)
 
 
-def _fit_clusters(src: np.ndarray, dst: np.ndarray, groups):
-    """One rigid fit of ``src[ids] -> dst[ids]`` per group of point ids.
+@dataclass(frozen=True)
+class ClusterFit:
+    """One rigid transform per cluster of a fitted mask.
 
-    Groups too small or too flat to fit get the identity transform and are
-    listed by position.  Returns ``(transforms, degenerate_ids)``.
+    ``transforms[k]`` is cluster k's fit of ``mask``.  ``degenerate`` lists
+    the ids of the clusters too small or too flat to fit, ascending; they
+    hold the identity and keep their input flow under :meth:`apply`.
     """
+
+    mask: SegmentationMask
+    transforms: tuple
+    degenerate: tuple
+
+    def __post_init__(self) -> None:
+        if len(self.transforms) != self.mask.n_clusters:
+            raise TransformCountMismatch(f"got {len(self.transforms)} transforms "
+                                         f"for {self.mask.n_clusters} clusters")
+
+    def apply(self, p_t: PointCloud, flow: FlowField) -> FlowField:
+        """``flow`` with each fitted cluster's points set to exactly
+        ``T_k(p) - p``; degenerate clusters keep their flow."""
+        src = p_t.points
+        out = flow.vectors.copy()
+        for k, group in enumerate(members(self.mask.labels)):
+            if k not in self.degenerate:
+                pts = src[group]
+                out[group] = self.transforms[k].apply(pts) - pts
+        return FlowField(out)
+
+
+def _fit_clusters(src: np.ndarray, dst: np.ndarray, mask) -> ClusterFit:
+    """One rigid fit of ``src[ids] -> dst[ids]`` per cluster of ``mask``;
+    clusters too small or too flat to fit get the identity and are listed
+    as degenerate."""
     transforms = []
     degenerate = []
-    for k, ids in enumerate(groups):
+    for k, ids in enumerate(members(mask.labels)):
         try:
             transforms.append(weighted_kabsch(src[ids], dst[ids]))
         except DegenerateInput:
             transforms.append(RigidTransform.identity())
             degenerate.append(k)
-    return transforms, degenerate
+    return ClusterFit(mask, tuple(transforms), tuple(degenerate))
 
 
 def refine_flow(p_t: PointCloud, targets: np.ndarray, mask, flow: FlowField):
@@ -184,41 +201,22 @@ def refine_flow(p_t: PointCloud, targets: np.ndarray, mask, flow: FlowField):
     than 3 points, degenerate covariance) keep their input flow and report
     the identity transform.
 
-    Returns ``(FlowField, transforms, degenerate_ids)`` with one transform per
-    cluster id.  The flow is :func:`apply_fit` of the fit, so ``mask.labels``
-    and the two lists rebuild it from ``flow``, and ``segment.cluster`` can
-    take them as the fit behind it.
+    Returns ``(FlowField, ClusterFit)``: the flow is ``fit.apply(p_t,
+    flow)``, so the fit rebuilds it from ``flow``, and ``segment.cluster``
+    can take it as the fit behind that flow.
     """
     _check_aligned(p_t, mask=mask.labels, flow=flow, targets=targets)
-    groups = members(mask.labels)
-    transforms, degenerate = _fit_clusters(p_t.points, targets, groups)
-    out = apply_fit(p_t, groups, flow, transforms, degenerate)
-    return out, transforms, degenerate
+    fit = _fit_clusters(p_t.points, targets, mask)
+    return fit.apply(p_t, flow), fit
 
 
-def apply_fit(p_t: PointCloud, groups, flow: FlowField, transforms,
-              degenerate) -> FlowField:
-    """``flow`` with each fitted group's points set to exactly ``T_k(p) - p``.
-
-    ``groups`` are the point ids of each cluster (:func:`members` of the
-    fitted labels); groups listed in ``degenerate`` keep their flow.
-    """
-    src = p_t.points
-    out = flow.vectors.copy()
-    for k, (t_k, group) in enumerate(zip(transforms, groups)):
-        if k not in degenerate:
-            pts = src[group]
-            out[group] = t_k.apply(pts) - pts
-    return FlowField(out)
-
-
-def fit_transforms(p_t: PointCloud, flow: FlowField, mask):
+def fit_transforms(p_t: PointCloud, flow: FlowField, mask) -> ClusterFit:
     """Per-cluster rigid fit of an existing flow field, no correspondence search.
 
     Fits each cluster's transform directly from ``p -> p + s``; used to
     evaluate the motion loss on a given (flow, mask) state.  Degenerate
-    clusters get the identity.  Returns ``(transforms, degenerate_ids)``.
+    clusters get the identity.  Returns the :class:`ClusterFit` of ``mask``.
     """
     _check_aligned(p_t, mask=mask.labels, flow=flow)
     src = p_t.points
-    return _fit_clusters(src, src + flow.vectors, members(mask.labels))
+    return _fit_clusters(src, src + flow.vectors, mask)

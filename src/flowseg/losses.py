@@ -13,7 +13,7 @@ import numpy as np
 
 from . import geometry
 from .geometry import Match, _check_aligned, _norms
-from .errors import MaskMismatch, TransformCountMismatch
+from .errors import MaskMismatch
 from .segment import members
 
 __all__ = [
@@ -44,23 +44,20 @@ class LossBreakdown:
             raise ValueError("total must equal the sum of the components")
 
 
-def motion_loss(p_t, flow, mask, transforms) -> float:
+def motion_loss(p_t, flow, fit) -> float:
     """Rigid-motion consistency: how far each cluster's flow is from its transform.
 
-    Per cluster, the RMS over its points of ``||T_k(p_i) - (p_i + s_i)||``,
+    ``fit`` is a :class:`~flowseg.flow.ClusterFit`: per cluster of
+    ``fit.mask``, the RMS over its points of ``||T_k(p_i) - (p_i + s_i)||``,
     averaged over the K clusters.  Units: meters.
     """
-    _check_aligned(p_t, mask=mask, flow=flow)
-    k_total = mask.n_clusters
-    if len(transforms) != k_total:
-        raise TransformCountMismatch(
-            f"got {len(transforms)} transforms for {k_total} clusters")
+    _check_aligned(p_t, mask=fit.mask, flow=flow)
     acc = 0.0
-    for t_k, ids in zip(transforms, members(mask.labels)):
+    for t_k, ids in zip(fit.transforms, members(fit.mask.labels)):
         pts = p_t.points[ids]
         residual = t_k.apply(pts) - (pts + flow.vectors[ids])
         acc += np.sqrt((residual ** 2).sum(axis=1).mean())
-    return float(acc / k_total)
+    return float(acc / fit.mask.n_clusters)
 
 
 def flow_consistency_loss(flow, mask) -> float:
@@ -129,11 +126,12 @@ def chamfer_loss(p_t, flow, p_t1, forward: float, previous: ChamferTerm = None
                        backward)
 
 
-def total_loss(p_t, flow, mask, transforms, l_cd: float) -> LossBreakdown:
-    """The motion and consistency terms, the finished Chamfer term ``l_cd``
+def total_loss(p_t, flow, fit, l_cd: float) -> LossBreakdown:
+    """The motion term of the :class:`~flowseg.flow.ClusterFit` ``fit``, the
+    consistency term of ``fit.mask``, the finished Chamfer term ``l_cd``
     (the ``value`` of a :func:`chamfer_loss`), and their unweighted sum
     ``l_mot + l_sc + l_cd``."""
-    l_mot = motion_loss(p_t, flow, mask, transforms)
-    l_sc = flow_consistency_loss(flow, mask)
+    l_mot = motion_loss(p_t, flow, fit)
+    l_sc = flow_consistency_loss(flow, fit.mask)
     return LossBreakdown(l_mot=l_mot, l_sc=l_sc, l_cd=l_cd,
                          total=l_mot + l_sc + l_cd)

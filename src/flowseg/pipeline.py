@@ -19,7 +19,7 @@ import numpy as np
 
 from . import geometry, losses
 from .errors import DegenerateInput, DegenerateStaticSet, LengthMismatch
-from .flow import FlowField, apply_fit, fit_transforms, init_flow, refine_flow
+from .flow import ClusterFit, FlowField, fit_transforms, init_flow, refine_flow
 from .geometry import weighted_kabsch
 from .losses import LossBreakdown, total_loss
 from .odometry import ego_motion
@@ -79,13 +79,14 @@ class LossHistory:
 
     ``run`` keeps only what that needs: init_flow's flow, the initial mask's
     labels, the frame interval and, per iteration, the transforms and
-    degenerate ids ``refine_flow`` returned, the canonical labels in the
-    narrowest integer dtype, the sum of the match distances (the Chamfer
-    forward half) and the ego speed if the velocity rule was tried, else
-    ``None``.  So an unread history holds one flow field and about N bytes
-    per iteration.  The first read of :attr:`losses`, :attr:`v_ego` or
-    :attr:`transforms` replays the iterations once, under a lock: it
-    rebuilds each flow with :func:`~flowseg.flow.apply_fit`, runs the
+    degenerate ids of the :class:`~flowseg.flow.ClusterFit` ``refine_flow``
+    returned (its mask is the labels kept before it), the canonical labels
+    in the narrowest integer dtype, the sum of the match distances (the
+    Chamfer forward half) and the ego speed if the velocity rule was tried,
+    else ``None``.  So an unread history holds one flow field and about N
+    bytes per iteration.  The first read of :attr:`losses`, :attr:`v_ego`
+    or :attr:`transforms` replays the iterations once, under a lock: it
+    rebuilds each fit and its flow with ``ClusterFit.apply``, runs the
     carried Chamfer term, ``fit_transforms``, ``total_loss`` and, where the
     loop left it out, the ego-speed fit, and then drops the kept state.
     An exception from that work is raised by the read, and by every later
@@ -99,11 +100,11 @@ class LossHistory:
         self._values = None
         self._state = (p_t, p_t1, flow, _narrow(labels), dt, [])
 
-    def add(self, transforms, degenerate, labels: np.ndarray,
-            forward: float, v_ego) -> None:
+    def add(self, fit: ClusterFit, labels: np.ndarray, forward: float,
+            v_ego) -> None:
         """Keep one iteration: its fit, its canonical labels, the sum of its
         match distances and its ego speed, ``None`` if not yet computed."""
-        self._state[5].append((transforms, degenerate, _narrow(labels),
+        self._state[5].append((fit.transforms, fit.degenerate, _narrow(labels),
                                forward, v_ego))
 
     @property
@@ -139,18 +140,17 @@ class LossHistory:
         speeds = []
         for i, (transforms, degenerate, labels, forward, v_ego) in enumerate(
                 steps, start=1):
-            flow = apply_fit(p_t, members(mask_prev.labels), flow, transforms,
-                             degenerate)
+            flow = ClusterFit(mask_prev, transforms, degenerate).apply(p_t, flow)
             if v_ego is None:
                 v_ego = _estimate_v_ego(p_t, flow, mask_prev, i, dt)
             speeds.append(v_ego)
             # looked up at call time, so perfbench's tracer sees all three
             chamfer = losses.chamfer_loss(p_t, flow, p_t1, forward, chamfer)
             mask = SegmentationMask(labels)
-            fitted, _ = fit_transforms(p_t, flow, mask)
-            breakdowns.append(total_loss(p_t, flow, mask, fitted, chamfer.value))
+            fitted = fit_transforms(p_t, flow, mask)
+            breakdowns.append(total_loss(p_t, flow, fitted, chamfer.value))
             mask_prev = mask
-        return tuple(breakdowns), tuple(fitted), tuple(speeds)
+        return tuple(breakdowns), fitted.transforms, tuple(speeds)
 
     def __getstate__(self):
         return self._read()
@@ -398,21 +398,21 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
     with ThreadPoolExecutor(max_workers=1) if threaded else nullcontext() as helper:
         started = _later(helper, init_flow, index_t, index_t1)
         pairs = pair_list(index_t)
-        flow_prev, diag, match = started()
+        init = started()
+        flow_prev = init.flow
         matched = _later(helper, index_t1.match,
-                         p_t.points + flow_prev.vectors, match)
+                         p_t.points + flow_prev.vectors, init.forward)
         mask_prev = initial_mask(p_t, flow_prev, pairs)
         history = LossHistory(p_t, p_t1, flow_prev, mask_prev.labels, dt)
         match = matched()
         records = []
         converged = False
         for i in range(1, cfg.max_iters + 1):
-            flow_i, transforms, degenerate = refine_flow(
-                p_t, p_t1.points[match.ids], mask_prev, flow_prev)
+            flow_i, fit = refine_flow(p_t, p_t1.points[match.ids], mask_prev,
+                                      flow_prev)
             matched = _later(helper, index_t1.match,
                              p_t.points + flow_i.vectors, match)
-            raw_mask = cluster(p_t, flow_i, pairs=pairs,
-                               fit=(mask_prev.labels, transforms, degenerate))
+            raw_mask = cluster(p_t, flow_i, pairs=pairs, fit=fit)
             static = classify(raw_mask, cfg.classifier, lambda: (
                 cluster_stats(p_t, flow_i, raw_mask, dt),
                 _estimate_v_ego(p_t, flow_i, mask_prev, i, dt)))
@@ -421,13 +421,12 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
             md = mask_delta(mask_i, mask_prev)
             d_total = cfg.alpha * fd + cfg.beta * md
             match = matched()
-            history.add(transforms, degenerate, mask_i.labels,
-                        match.distances.sum(), static.v_ego)
+            history.add(fit, mask_i.labels, match.distances.sum(), static.v_ego)
             records.append(IterationRecord(
                 iteration=i, flow_delta=fd, mask_delta=md, delta_total=d_total,
                 n_clusters=mask_i.n_clusters, strategy=static.strategy,
                 static_fallback=static.fallback,
-                degenerate_clusters=len(degenerate),
+                degenerate_clusters=len(fit.degenerate),
                 history=history))
             flow_prev, mask_prev = flow_i, mask_i
             if d_total < cfg.epsilon:
@@ -437,6 +436,7 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
     report = ConvergenceReport(
         alpha=cfg.alpha, beta=cfg.beta, epsilon=cfg.epsilon,
         records=tuple(records), converged=converged,
-        n_unreliable=diag.n_unreliable, n_disoccluded=diag.n_disoccluded)
+        n_unreliable=int(init.unreliable.sum()),
+        n_disoccluded=int(init.disoccluded.sum()))
     return SemanticSceneFlow(flow=flow_prev, mask=mask_prev, stats=stats,
                              report=report, history=history)

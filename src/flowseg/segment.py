@@ -207,11 +207,11 @@ def _compact(labels: np.ndarray) -> np.ndarray:
 def _proven(p_t, pairs: PairList, fit, lambda_flow: float, eps: float):
     """Which pairs a rigid fit proves to lie within ``eps`` in feature space.
 
-    ``fit`` is ``(labels, transforms, degenerate_ids)``: the mask a
-    :func:`~flowseg.flow.refine_flow` call fitted, and what it returned.  A
-    pair of one non-degenerate group k has flow ``T_k(p) - p`` at both ends,
-    so its scaled flow difference is ``λ (R_k - I) d`` with ``d = p_i - p_j``
-    and its squared feature distance is at most ``d2 (1 + c_k)``,
+    ``fit`` is the :class:`~flowseg.flow.ClusterFit` of a
+    :func:`~flowseg.flow.refine_flow` call.  A pair of one non-degenerate
+    cluster k of ``fit.mask`` has flow ``T_k(p) - p`` at both ends, so its
+    scaled flow difference is ``λ (R_k - I) d`` with ``d = p_i - p_j`` and
+    its squared feature distance is at most ``d2 (1 + c_k)``,
     ``c_k = λ² ‖R_k - I‖_F²``.  The pair is proven when
     ``d2 (1 + c_k) + slack_k <= eps²``, tested as ``d2 <= (eps² - slack_k) /
     (1 + c_k)``.  Without a fit nothing is proven.
@@ -219,7 +219,6 @@ def _proven(p_t, pairs: PairList, fit, lambda_flow: float, eps: float):
     proven = np.zeros(pairs.i.shape[0], dtype=bool)
     if fit is None:
         return proven
-    labels, transforms, degenerate = fit
     # slack_k bounds the rounding, to first order in the unit roundoff u, for
     # coordinates of magnitude at most P and translation components at most
     # T_k.  apply() computes f = fl(fl(fl(p Rᵀ) + t) - p): the product errs
@@ -241,15 +240,16 @@ def _proven(p_t, pairs: PairList, fit, lambda_flow: float, eps: float):
     # the cross and B² terms with their rounding.
     eps2 = eps * eps
     scale = float(np.abs(p_t.points).max())
-    limit = np.full(len(transforms), -1.0)
-    for k, t_k in enumerate(transforms):
-        if k in degenerate:
+    limit = np.full(len(fit.transforms), -1.0)
+    for k, t_k in enumerate(fit.transforms):
+        if k in fit.degenerate:
             continue  # keeps its input flow, which need not be rigid
         dev = t_k.rotation - np.eye(3)
         c = lambda_flow * lambda_flow * float((dev * dev).sum())
         b = 50.0 * _U * lambda_flow * (scale + float(np.abs(t_k.translation).max()))
         slack = 64.0 * _U * eps2 + 2.0 * (np.sqrt(c) * eps * b + b * b)
         limit[k] = (eps2 - slack) / (1.0 + c)
+    labels = fit.mask.labels
     group = labels[pairs.i]
     np.logical_and(group == labels[pairs.j], pairs.d2 <= limit[group], out=proven)
     return proven
@@ -266,12 +266,12 @@ def cluster(p_t, flow, lambda_flow: float = LAMBDA_FLOW, *,
     order, so the pairs kept are exactly those a 6-D ``query_pairs(eps)``
     finds.
 
-    ``fit`` is ``(labels, transforms, degenerate_ids)``: the mask and the
-    per-cluster fit of the :func:`~flowseg.flow.refine_flow` call that made
-    ``flow``.  A pair within one fitted cluster whose rigid motion bounds its
-    feature distance below ``eps`` with room for rounding is kept without the
-    exact sum; every other pair, and every pair when ``fit`` is omitted, is
-    summed exactly.  The labels are the same either way.
+    ``fit`` is the :class:`~flowseg.flow.ClusterFit` of the
+    :func:`~flowseg.flow.refine_flow` call that made ``flow``.  A pair within
+    one fitted cluster whose rigid motion bounds its feature distance below
+    ``eps`` with room for rounding is kept without the exact sum; every
+    other pair, and every pair when ``fit`` is omitted, is summed exactly.
+    The labels are the same either way.
 
     Components smaller than ``MIN_PTS`` are merged into the large component
     whose nearest point (in feature space) is closest; ties go to the lowest

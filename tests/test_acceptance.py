@@ -120,9 +120,9 @@ def test_gate_3_loss_zero_point(verdict):
         records = generate(spec)
         p_t, p_t1 = records[0].cloud, records[1].cloud
         gt_flow = records[0].gt_flow
-        transforms, _ = fit_transforms(p_t, gt_flow, records[0].gt_mask)
+        fit = fit_transforms(p_t, gt_flow, records[0].gt_mask)
         _, forward = SpatialIndex(p_t1).query(p_t.points + gt_flow.vectors)
-        losses = total_loss(p_t, gt_flow, records[0].gt_mask, transforms,
+        losses = total_loss(p_t, gt_flow, fit,
                             chamfer_loss(p_t, gt_flow, p_t1, forward.sum()).value)
         worst = max(worst, losses.total, losses.l_mot, losses.l_sc,
                     losses.l_cd)

@@ -14,6 +14,7 @@ from flowseg import cli
 from flowseg.cli import PARTIAL_MARKER, RUN_MANIFEST, main
 from flowseg.datagen import (FrameRecord, read_frame, read_sequence,
                              write_frame, write_sequence)
+from flowseg.errors import FormatError
 from flowseg.flow import FlowField, PointCloud
 from flowseg.geometry import RigidTransform
 from flowseg.metrics import flow_metrics
@@ -193,7 +194,8 @@ class TestRun:
     def test_pool_forks_no_more_workers_than_pairs(self, seq_dir, run_dir,
                                                    tmp_path, monkeypatch):
         # a process pool forks all its workers at the first submit, so it is
-        # sized to the pairs; this one runs each pair inline and forks none
+        # sized to the pairs, and a single pair makes none; this one runs
+        # each pair inline and forks none
         sizes = []
 
         class InlinePool:
@@ -218,6 +220,11 @@ class TestRun:
         assert sizes == [2]
         for name in RUN_FILES:
             assert read_bytes(out, name) == read_bytes(run_dir, name), name
+        short = str(tmp_path / "short")
+        assert main(["gen", *GEN_FLAGS, "--frames", "2", "--out", short]) == 0
+        assert main(["run", "--input", short, "--out", str(tmp_path / "one"),
+                     "--workers", "64"]) == 0
+        assert sizes == [2]
 
     def test_report_failure_marks_its_pair(self, seq_dir, tmp_path,
                                            monkeypatch, capsys):
@@ -275,6 +282,29 @@ class TestRun:
         fresh = str(tmp_path / "fresh")
         assert main(["run", "--input", missing, "--out", fresh]) == 1
         assert not os.path.exists(fresh)
+
+    @pytest.mark.parametrize("field", ["points", "flow", "labels"])
+    def test_bad_frame_is_named_and_leaves_out_untouched(
+            self, seq_dir, run_dir, tmp_path, capsys, field):
+        # a non-finite position or flow, or a gap in the cluster ids
+        seq = str(tmp_path / "seq")
+        shutil.copytree(seq_dir, seq)
+        path = os.path.join(seq, "frame_0001.pcf")
+        pts, flow, labels = read_frame(path)
+        if field == "labels":
+            labels = np.where(labels > 0, labels + 1, 0)
+        else:
+            {"points": pts, "flow": flow}[field][5, 1] = np.nan
+        write_frame(path, pts, flow=flow, labels=labels)
+        with pytest.raises(FormatError, match=re.escape(path)):
+            read_frame(path)
+        out = str(tmp_path / "out")
+        shutil.copytree(run_dir, out)
+        before = {name: read_bytes(out, name) for name in os.listdir(out)}
+        assert main(["run", "--input", seq, "--out", out]) == 1
+        assert "frame_0001.pcf" in capsys.readouterr().err
+        assert {name: read_bytes(out, name)
+                for name in os.listdir(out)} == before
 
     def test_non_finite_settings_leave_out_untouched(self, seq_dir, tmp_path,
                                                      capsys):

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from flowseg.datagen import generate, random_scene_spec
 from flowseg.errors import DegenerateInput, EmptyCloud, MaskMismatch
-from flowseg.flow import (D_MAX, R_CONSISTENCY, FlowField, InitFlowDiagnostics,
-                          PointCloud, fit_transforms, init_flow, refine_flow)
+from flowseg.flow import (D_MAX, R_CONSISTENCY, ClusterFit, FlowField,
+                          InitFlow, PointCloud, fit_transforms, init_flow,
+                          refine_flow)
 from flowseg.geometry import (TOL, RigidTransform, SpatialIndex,
                               weighted_kabsch)
 from flowseg.segment import SegmentationMask
@@ -137,7 +138,7 @@ def multi_cluster_scene():
     p_t, p_t1 = records[0].cloud, records[1].cloud
     labels = records[0].gt_mask.labels.copy()
     labels[[7, 900]] = labels.max() + 1
-    flow, _, _ = init_flow(SpatialIndex(p_t), SpatialIndex(p_t1))
+    flow = init_flow(SpatialIndex(p_t), SpatialIndex(p_t1)).flow
     return p_t, p_t1, SegmentationMask(labels), flow
 
 
@@ -191,14 +192,14 @@ class TestFlowField:
 class TestInitFlow:
     def test_identical_clouds_zero_flow(self):
         c = grid_cloud()
-        f, _, _ = init_flow(SpatialIndex(c), SpatialIndex(c))
+        f = init_flow(SpatialIndex(c), SpatialIndex(c)).flow
         assert not f.vectors.any()
 
     def test_small_translation_exact(self):
         # displacement far below half the 3 m spacing: NN matching is exact
         c = grid_cloud()
         shifted = cloud_of(c.points + [1.0, 0.0, 0.0])
-        f, _, _ = init_flow(SpatialIndex(c), SpatialIndex(shifted))
+        f = init_flow(SpatialIndex(c), SpatialIndex(shifted)).flow
         np.testing.assert_allclose(f.vectors,
                                    np.tile([1.0, 0, 0], (len(c), 1)),
                                    atol=1e-12)
@@ -207,11 +208,11 @@ class TestInitFlow:
         # last source point has no target within d_max
         pts = np.array([[0.0, 0, 0], [3.0, 0, 0], [100.0, 0, 0]])
         tgt = np.array([[0.0, 0, 0], [3.0, 0, 0]])
-        f, diag, _ = init_flow(SpatialIndex(pts), SpatialIndex(tgt))
-        assert isinstance(diag, InitFlowDiagnostics)
-        np.testing.assert_array_equal(f.vectors[2], [0.0, 0.0, 0.0])
-        assert diag.disoccluded[2]
-        assert diag.n_disoccluded == 1
+        init = init_flow(SpatialIndex(pts), SpatialIndex(tgt))
+        assert isinstance(init, InitFlow)
+        np.testing.assert_array_equal(init.flow.vectors[2], [0.0, 0.0, 0.0])
+        assert init.disoccluded[2]
+        assert init.disoccluded.sum() == 1
 
     def test_inconsistent_match_replaced_by_neighbor_median(self):
         # two source points collapse onto one target; the loser of the
@@ -220,14 +221,14 @@ class TestInitFlow:
                         [0.0, 1, 0], [1.0, 1, 0], [2.0, 1, 0]])
         tgt = src + [0.4, 0.0, 0.0]
         tgt = np.delete(tgt, 1, axis=0)  # point 1 lost its partner
-        f, diag, _ = init_flow(SpatialIndex(src), SpatialIndex(tgt))
-        assert diag.n_unreliable >= 1
+        init = init_flow(SpatialIndex(src), SpatialIndex(tgt))
+        assert init.unreliable.sum() >= 1
         # filled value comes from surrounding consistent matches
-        np.testing.assert_allclose(f.vectors[1], [0.4, 0.0, 0.0], atol=1e-9)
+        np.testing.assert_allclose(init.flow.vectors[1], [0.4, 0.0, 0.0], atol=1e-9)
 
     def test_duplicate_points_no_nan(self):
         pts = np.array([[0.0, 0, 0], [0.0, 0, 0], [1.0, 0, 0], [1.0, 0, 0]])
-        f, _, _ = init_flow(SpatialIndex(pts), SpatialIndex(pts.copy()))
+        f = init_flow(SpatialIndex(pts), SpatialIndex(pts.copy())).flow
         assert np.isfinite(f.vectors).all()
 
     def test_all_unreliable_keeps_raw_vectors(self):
@@ -235,7 +236,7 @@ class TestInitFlow:
         # round trips cannot fail with one point; use crossing pairs instead
         src = np.array([[0.0, 0.0, 0.0], [2.6, 0.0, 0.0], [1.3, 2.0, 0.0]])
         tgt = src + [1.3, 0.0, 0.0]
-        f, _, _ = init_flow(SpatialIndex(src), SpatialIndex(tgt))
+        f = init_flow(SpatialIndex(src), SpatialIndex(tgt)).flow
         assert np.isfinite(f.vectors).all()
 
 
@@ -250,11 +251,11 @@ class TestInitFlow:
             back = int(np.argmin(((dst[ids[i]] - src) ** 2).sum(axis=1)))
             unreliable[i] = np.linalg.norm(src[back] - src[i]) > R_CONSISTENCY
         RecordingIndex.log = []
-        _, diag, forward = init_flow(RecordingIndex(src), SpatialIndex(dst))
-        assert np.array_equal(diag.unreliable, unreliable)
-        assert np.array_equal(diag.disoccluded, disoccluded)
-        assert np.array_equal(forward.ids, ids)
-        assert np.array_equal(forward.distances, dist)
+        init = init_flow(RecordingIndex(src), SpatialIndex(dst))
+        assert np.array_equal(init.unreliable, unreliable)
+        assert np.array_equal(init.disoccluded, disoccluded)
+        assert np.array_equal(init.forward.ids, ids)
+        assert np.array_equal(init.forward.distances, dist)
         # the backward search covers exactly the rows the 2 d bound leaves
         # open, in row order; frame t is not searched when there are none
         open_rows = ~disoccluded & ~(2.0 * dist + TOL < R_CONSISTENCY)
@@ -269,9 +270,9 @@ class TestInitFlow:
         src, dst = scene
         index = SpatialIndex(dst)
         p_t = cloud_of(src)
-        flow, diag, forward = init_flow(SpatialIndex(p_t), index)
-        warped = p_t.points + flow.vectors
-        match = index.match(warped, forward)
+        init = init_flow(SpatialIndex(p_t), index)
+        warped = p_t.points + init.flow.vectors
+        match = index.match(warped, init.forward)
         ids, dist = index.query(warped)
         assert np.array_equal(match.ids, ids)
         assert np.array_equal(match.distances, dist)
@@ -284,8 +285,8 @@ class TestInitFlow:
                                           occlusion=True, shuffle=True))
         p_t, p_t1 = recs[0].cloud, recs[1].cloud
         index = SpatialIndex(p_t1)
-        flow, diag, forward = init_flow(SpatialIndex(p_t), index)
-        assert diag.n_unreliable > 0
+        init = init_flow(SpatialIndex(p_t), index)
+        assert init.unreliable.sum() > 0
         searched = []
         search = index._search
 
@@ -294,11 +295,11 @@ class TestInitFlow:
             return search(q)
 
         index._search = recording_search
-        warped = p_t.points + flow.vectors
-        index.match(warped, forward)
-        filled = {tuple(row) for row in warped[diag.unreliable]}
+        warped = p_t.points + init.flow.vectors
+        index.match(warped, init.forward)
+        filled = {tuple(row) for row in warped[init.unreliable]}
         assert len(searched) == 1
-        assert 0 < len(searched[0]) <= diag.n_unreliable
+        assert 0 < len(searched[0]) <= init.unreliable.sum()
         assert all(tuple(row) in filled for row in searched[0])
 
 
@@ -309,10 +310,9 @@ class TestRefineFlow:
         true = RigidTransform(rot_z(0.05), np.array([0.4, -0.2, 0.1]))
         target = cloud_of(true.apply(c.points))
         mask = SegmentationMask(np.zeros(len(c), dtype=np.int64))
-        flow0, _, _ = init_flow(SpatialIndex(c), SpatialIndex(target))
-        refined, transforms, _ = refine_flow(c, matched(c, target, flow0),
-                                             mask, flow0)
-        assert len(transforms) == 1
+        flow0 = init_flow(SpatialIndex(c), SpatialIndex(target)).flow
+        refined, fit = refine_flow(c, matched(c, target, flow0), mask, flow0)
+        assert len(fit.transforms) == 1
         expect = true.apply(c.points) - c.points
         np.testing.assert_allclose(refined.vectors, expect, atol=1e-6)
 
@@ -328,12 +328,12 @@ class TestRefineFlow:
         p_t1 = cloud_of(np.vstack([t0.apply(base), t1.apply(far)]))
         labels = np.r_[np.zeros(len(base), dtype=np.int64),
                        np.ones(len(far), dtype=np.int64)]
-        flow0, _, _ = init_flow(SpatialIndex(p_t), SpatialIndex(p_t1))
-        refined, transforms, _ = refine_flow(
+        flow0 = init_flow(SpatialIndex(p_t), SpatialIndex(p_t1)).flow
+        refined, fit = refine_flow(
             p_t, matched(p_t, p_t1, flow0), SegmentationMask(labels), flow0)
         expect = np.vstack([t0.apply(base) - base, t1.apply(far) - far])
         np.testing.assert_allclose(refined.vectors, expect, atol=1e-6)
-        assert np.linalg.norm(transforms[1].rotation - t1.rotation) < 1e-6
+        assert np.linalg.norm(fit.transforms[1].rotation - t1.rotation) < 1e-6
 
     def test_output_rigid_per_cluster(self):
         rng = np.random.default_rng(21)
@@ -341,8 +341,8 @@ class TestRefineFlow:
         tgt = pts + rng.uniform(-0.1, 0.1, size=pts.shape)
         c, c1 = cloud_of(pts), cloud_of(tgt)
         mask = SegmentationMask(np.zeros(60, dtype=np.int64))
-        flow0, _, _ = init_flow(SpatialIndex(c), SpatialIndex(c1))
-        refined, _, _ = refine_flow(c, matched(c, c1, flow0), mask, flow0)
+        flow0 = init_flow(SpatialIndex(c), SpatialIndex(c1)).flow
+        refined, _ = refine_flow(c, matched(c, c1, flow0), mask, flow0)
         moved = pts + refined.vectors
         d_in = np.linalg.norm(pts[:, None] - pts[None], axis=-1)
         d_out = np.linalg.norm(moved[:, None] - moved[None], axis=-1)
@@ -355,13 +355,13 @@ class TestRefineFlow:
         tgt = pts + [0.2, 0.0, 0.0]
         labels = np.r_[np.zeros(16, dtype=np.int64), [1, 1]]
         c, c1 = cloud_of(pts), cloud_of(tgt)
-        flow0, _, _ = init_flow(SpatialIndex(c), SpatialIndex(c1))
-        refined, transforms, degen = refine_flow(
+        flow0 = init_flow(SpatialIndex(c), SpatialIndex(c1)).flow
+        refined, fit = refine_flow(
             c, matched(c, c1, flow0), SegmentationMask(labels), flow0)
-        assert degen == [1]
+        assert fit.degenerate == (1,)
         np.testing.assert_array_equal(refined.vectors[16:],
                                       flow0.vectors[16:])
-        np.testing.assert_array_equal(transforms[1].rotation, np.eye(3))
+        np.testing.assert_array_equal(fit.transforms[1].rotation, np.eye(3))
 
     def test_gt_flow_projects_to_exact_flow(self):
         # warped source coincides with the target, so correspondence is exact
@@ -370,7 +370,7 @@ class TestRefineFlow:
         target = cloud_of(true.apply(c.points))
         gt = FlowField(true.apply(c.points) - c.points)
         mask = SegmentationMask(np.zeros(len(c), dtype=np.int64))
-        refined, _, _ = refine_flow(c, matched(c, target, gt), mask, gt)
+        refined, _ = refine_flow(c, matched(c, target, gt), mask, gt)
         np.testing.assert_allclose(refined.vectors, gt.vectors, atol=1e-9)
 
     def test_mask_mismatch(self):
@@ -383,14 +383,15 @@ class TestRefineFlow:
 
     def test_matches_per_cluster_reference(self):
         p_t, p_t1, mask, flow = multi_cluster_scene()
-        refined, transforms, degen = refine_flow(
-            p_t, matched(p_t, p_t1, flow), mask, flow)
+        refined, fit = refine_flow(p_t, matched(p_t, p_t1, flow), mask, flow)
         want_flow, want_transforms, want_degen = refine_reference(
             p_t, p_t1, mask, flow)
         assert mask.n_clusters >= 4
-        assert degen == want_degen == [mask.n_clusters - 1]
+        assert list(fit.degenerate) == want_degen == [mask.n_clusters - 1]
         assert np.array_equal(refined.vectors, want_flow)
-        assert transforms == want_transforms
+        assert list(fit.transforms) == want_transforms
+        assert fit == ClusterFit(mask, tuple(want_transforms),
+                                 tuple(want_degen))
 
 
 class TestFitTransforms:
@@ -399,24 +400,26 @@ class TestFitTransforms:
         true = RigidTransform(rot_z(-0.2), np.array([0.0, 3.0, 1.0]))
         flow = FlowField(true.apply(c.points) - c.points)
         mask = SegmentationMask(np.zeros(len(c), dtype=np.int64))
-        transforms, degen = fit_transforms(c, flow, mask)
-        assert degen == []
-        assert np.linalg.norm(transforms[0].rotation - true.rotation) < 1e-9
-        assert np.linalg.norm(transforms[0].translation
+        fit = fit_transforms(c, flow, mask)
+        assert fit.degenerate == ()
+        assert np.linalg.norm(fit.transforms[0].rotation - true.rotation) < 1e-9
+        assert np.linalg.norm(fit.transforms[0].translation
                               - true.translation) < 1e-9
 
     def test_degenerate_cluster_identity(self):
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0],
                         [10.0, 0, 0], [11.0, 0, 0]])
         labels = np.array([0, 0, 0, 1, 1], dtype=np.int64)
-        transforms, degen = fit_transforms(cloud_of(pts), FlowField.zeros(5),
-                                           SegmentationMask(labels))
-        assert degen == [1]
-        np.testing.assert_array_equal(transforms[1].rotation, np.eye(3))
+        fit = fit_transforms(cloud_of(pts), FlowField.zeros(5),
+                             SegmentationMask(labels))
+        assert fit.degenerate == (1,)
+        np.testing.assert_array_equal(fit.transforms[1].rotation, np.eye(3))
 
     def test_matches_per_cluster_reference(self):
         p_t, _, mask, flow = multi_cluster_scene()
-        transforms, degen = fit_transforms(p_t, flow, mask)
+        fit = fit_transforms(p_t, flow, mask)
         want_transforms, want_degen = fit_reference(p_t, flow, mask)
-        assert degen == want_degen == [mask.n_clusters - 1]
-        assert transforms == want_transforms
+        assert list(fit.degenerate) == want_degen == [mask.n_clusters - 1]
+        assert list(fit.transforms) == want_transforms
+        assert fit == ClusterFit(mask, tuple(want_transforms),
+                                 tuple(want_degen))

@@ -1,6 +1,8 @@
 """Rigid transforms, Kabsch fitting, nearest neighbors, chamfer distance."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 import sys
 import threading
@@ -509,3 +511,26 @@ def test_only_geometry_holds_a_kd_tree():
     holders = [name for name in names if any(
         v is cKDTree for v in vars(importlib.import_module(name)).values())]
     assert holders == ["flowseg.geometry"]
+
+
+def test_every_import_is_used():
+    # a name a module imports and never reads, nor lists in __all__, is
+    # dead, such as one left behind when its last caller moved
+    unused = []
+    for path in sorted(pathlib.Path(flowseg.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = [(alias.asname or alias.name.split(".")[0], node.lineno)
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and [t.id for t in node.targets] == ["__all__"]):
+                used |= set(ast.literal_eval(node.value))
+        unused += [f"{path.name}:{line} {name}" for name, line in imported
+                   if name not in used]
+    assert unused == []

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from flowseg import geometry
 from flowseg.datagen import generate, random_scene_spec
 from flowseg.errors import MaskMismatch, TransformCountMismatch
-from flowseg.flow import FlowField, PointCloud, fit_transforms, init_flow
+from flowseg.flow import (ClusterFit, FlowField, PointCloud, fit_transforms,
+                          init_flow)
 from flowseg.geometry import (TOL, RigidTransform, SpatialIndex,
                               chamfer_distance)
 from flowseg.losses import (LossBreakdown, chamfer_loss,
@@ -86,12 +87,13 @@ class RecordingIndex(SpatialIndex):
 class TestMotionLoss:
     def test_zero_on_exact_rigid_flow(self):
         p_t, flow, mask, true = rigid_scene()
-        assert motion_loss(p_t, flow, mask, [true]) < 1e-12
+        assert motion_loss(p_t, flow, ClusterFit(mask, (true,), ())) < 1e-12
 
     def test_uniform_offset_unit_residual(self):
         p_t, _, mask, _ = rigid_scene()
         flow = FlowField(np.tile([1.0, 0.0, 0.0], (len(p_t), 1)))
-        loss = motion_loss(p_t, flow, mask, [RigidTransform.identity()])
+        loss = motion_loss(p_t, flow,
+                           ClusterFit(mask, (RigidTransform.identity(),), ()))
         assert loss == pytest.approx(1.0)
 
     def test_matches_brute_force(self):
@@ -102,19 +104,19 @@ class TestMotionLoss:
         flow = FlowField(rng.standard_normal((80, 3)) * 0.3)
         p_t = cloud_of(pts)
         mask = SegmentationMask(labels)
-        transforms, _ = fit_transforms(p_t, flow, mask)
-        got = motion_loss(p_t, flow, mask, transforms)
+        fit = fit_transforms(p_t, flow, mask)
+        got = motion_loss(p_t, flow, fit)
         acc = 0.0
-        for k, t in enumerate(transforms):
+        for k, t in enumerate(fit.transforms):
             sel = labels == k
             res = t.apply(pts[sel]) - (pts[sel] + flow.vectors[sel])
             acc += np.sqrt((np.linalg.norm(res, axis=1) ** 2).mean())
-        assert got == pytest.approx(acc / len(transforms), abs=1e-9)
+        assert got == pytest.approx(acc / len(fit.transforms), abs=1e-9)
 
     def test_transform_count_mismatch(self):
-        p_t, flow, mask, true = rigid_scene()
+        _, _, mask, true = rigid_scene()
         with pytest.raises(TransformCountMismatch):
-            motion_loss(p_t, flow, mask, [true, true])
+            ClusterFit(mask, (true, true), ())
 
     def test_merging_distinct_motions_never_decreases(self):
         # one rigid fit on the union of two differently-moving parts is
@@ -130,10 +132,10 @@ class TestMotionLoss:
         split = SegmentationMask(np.r_[np.zeros(40, dtype=np.int64),
                                        np.ones(40, dtype=np.int64)])
         merged = SegmentationMask(np.zeros(80, dtype=np.int64))
-        t_split, _ = fit_transforms(p_t, flow, split)
-        t_merged, _ = fit_transforms(p_t, flow, merged)
-        assert motion_loss(p_t, flow, merged, t_merged) \
-            >= motion_loss(p_t, flow, split, t_split) - 1e-12
+        t_split = fit_transforms(p_t, flow, split)
+        t_merged = fit_transforms(p_t, flow, merged)
+        assert motion_loss(p_t, flow, t_merged) \
+            >= motion_loss(p_t, flow, t_split) - 1e-12
 
 
 class TestFlowConsistencyLoss:
@@ -205,7 +207,7 @@ class TestChamferLoss:
         p_t, p_t1 = records[0].cloud, records[1].cloud
         assert records[0].gt_mask.n_clusters >= 4
         index_t1 = SpatialIndex(p_t1)
-        init, _, _ = init_flow(SpatialIndex(p_t), index_t1)
+        init = init_flow(SpatialIndex(p_t), index_t1).flow
         for flow in (init, records[0].gt_flow):
             _, fwd = index_t1.query(p_t.points + flow.vectors)
             assert chamfer_loss(p_t, flow, p_t1, fwd.sum()).value == chamfer_distance(
@@ -275,12 +277,12 @@ class TestTotalLoss:
         p_t = cloud_of(pts)
         p_t1 = cloud_of(pts + rng.standard_normal((60, 3)) * 0.3)
         mask = SegmentationMask(labels)
-        transforms, _ = fit_transforms(p_t, flow, mask)
+        fit = fit_transforms(p_t, flow, mask)
         l_cd = chamfer_loss(p_t, flow, p_t1, forward(p_t, flow, p_t1)).value
-        lb = total_loss(p_t, flow, mask, transforms, l_cd)
+        lb = total_loss(p_t, flow, fit, l_cd)
         assert lb.total == pytest.approx(lb.l_mot + lb.l_sc + lb.l_cd,
                                          abs=1e-12)
-        assert lb.l_mot == motion_loss(p_t, flow, mask, transforms)
+        assert lb.l_mot == motion_loss(p_t, flow, fit)
         assert lb.l_sc == flow_consistency_loss(flow, mask)
         assert lb.l_cd == l_cd
 
@@ -294,8 +296,8 @@ class TestTotalLoss:
         mask = SegmentationMask(np.zeros(50, dtype=np.int64))
         p_t = cloud_of(pts)
         p_t1 = cloud_of(pts + flow.vectors)
-        lb = total_loss(p_t, flow, mask, [true],
-                        chamfer_loss(p_t, flow, p_t1, forward(p_t, flow, p_t1)).value)
+        l_cd = chamfer_loss(p_t, flow, p_t1, forward(p_t, flow, p_t1)).value
+        lb = total_loss(p_t, flow, ClusterFit(mask, (true,), ()), l_cd)
         assert lb.total <= 1e-6
         assert max(lb.l_mot, lb.l_sc, lb.l_cd) <= 1e-6
 
@@ -313,11 +315,11 @@ class TestTotalLoss:
                                     np.ones(30, dtype=np.int64)])
         m2 = SegmentationMask(np.r_[np.ones(30, dtype=np.int64),
                                     np.zeros(30, dtype=np.int64)])
-        t1, _ = fit_transforms(p_t, flow, m1)
-        t2, _ = fit_transforms(p_t, flow, m2)
+        t1 = fit_transforms(p_t, flow, m1)
+        t2 = fit_transforms(p_t, flow, m2)
         l_cd = chamfer_loss(p_t, flow, p_t1, forward(p_t, flow, p_t1)).value
-        lb1 = total_loss(p_t, flow, m1, t1, l_cd)
-        lb2 = total_loss(p_t, flow, m2, t2, l_cd)
+        lb1 = total_loss(p_t, flow, t1, l_cd)
+        lb2 = total_loss(p_t, flow, t2, l_cd)
         assert lb1.l_mot == pytest.approx(lb2.l_mot, abs=1e-12)
         assert lb1.l_sc == pytest.approx(lb2.l_sc, abs=1e-12)
         assert lb1.l_cd == lb2.l_cd
@@ -330,4 +332,4 @@ class TestTotalLoss:
         p_t, flow, mask, true = rigid_scene()
         bad = SegmentationMask(np.zeros(3, dtype=np.int64))
         with pytest.raises(MaskMismatch):
-            motion_loss(p_t, flow, bad, [true])
+            motion_loss(p_t, flow, ClusterFit(bad, (true,), ()))

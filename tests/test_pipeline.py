@@ -493,15 +493,15 @@ class TestLossHistory:
     def test_matches_the_terms_of_the_final_state(self):
         p_t, p_t1 = scene()
         ssf = run(p_t, p_t1)
-        fitted, _ = flow.fit_transforms(p_t, ssf.flow, ssf.mask)
-        assert ssf.transforms == tuple(fitted)
+        fitted = flow.fit_transforms(p_t, ssf.flow, ssf.mask)
+        assert ssf.transforms == fitted.transforms
         index_t1 = geometry.SpatialIndex(p_t1.points)
         forward = index_t1.query(p_t.points + ssf.flow.vectors)[1].sum()
         # the carried Chamfer term equals a fresh one bit for bit
         fresh = losses.chamfer_loss(p_t, ssf.flow, p_t1, forward).value
         last = ssf.report.records[-1].losses
         assert last.l_cd == fresh
-        assert last == losses.total_loss(p_t, ssf.flow, ssf.mask, fitted, fresh)
+        assert last == losses.total_loss(p_t, ssf.flow, fitted, fresh)
 
     def test_concurrent_first_reads_compute_once_and_agree(self, monkeypatch):
         p_t, p_t1 = scene()

@@ -12,7 +12,7 @@ from scipy.spatial import cKDTree
 from flowseg import segment
 from flowseg.errors import (DegenerateInput, EmptyCloud, MaskMismatch,
                             UnknownClusterId)
-from flowseg.flow import FlowField, PointCloud, apply_fit
+from flowseg.flow import ClusterFit, FlowField, PointCloud
 from flowseg.geometry import RigidTransform, SpatialIndex, weighted_kabsch
 from flowseg.pipeline import R_STATIC, initial_mask
 from flowseg.segment import (CLUSTER_EPS, LAMBDA_FLOW, MIN_PTS,
@@ -357,9 +357,9 @@ def fitted_scenes(draw):
                                      max_size=n_groups)))
     # degenerate groups keep this input flow, on the same lattice
     base = draw(arrays(np.int64, (n, 3), elements=st.integers(-2, 2))) * step / 2
-    flow = apply_fit(p_t, members(labels), FlowField(base), transforms,
-                     degenerate)
-    return p_t, flow, (labels, transforms, degenerate), step
+    fit = ClusterFit(SegmentationMask(labels), tuple(transforms),
+                     tuple(degenerate))
+    return p_t, fit.apply(p_t, FlowField(base)), fit, step
 
 
 class TestProvenPairs:
@@ -394,14 +394,15 @@ class TestProvenPairs:
         p_t = cloud_of(grid * 0.8 + 1e3 * np.array([0.9, -0.6, 0.2]))
         labels = np.zeros(40, dtype=np.int64)
         t = RigidTransform(np.eye(3), rng.uniform(-1e3, 1e3, size=3))
-        flow = apply_fit(p_t, members(labels), FlowField.zeros(40), [t], [])
+        fit = ClusterFit(SegmentationMask(labels), (t,), ())
+        flow = fit.apply(p_t, FlowField.zeros(40))
         pairs = pair_list(SpatialIndex(p_t), 0.8)
         eps = np.sqrt(pairs.d2.max())
         for _ in range(ulps):
             eps = np.nextafter(eps, np.inf)
         pairs = pair_list(SpatialIndex(p_t), eps)
         assert np.array_equal(
-            cluster(p_t, flow, 1e6, pairs=pairs, fit=(labels, [t], [])).labels,
+            cluster(p_t, flow, 1e6, pairs=pairs, fit=fit).labels,
             cluster(p_t, flow, 1e6, pairs=pairs).labels)
 
     def test_fit_skips_the_pairs_it_proves(self, monkeypatch):
@@ -412,10 +413,10 @@ class TestProvenPairs:
         pts = rng.uniform(-3, 3, size=(600, 3))
         labels = (pts[:, 0] > 0).astype(np.int64)
         p_t = cloud_of(pts)
-        transforms = [RigidTransform(rotation([0, 0, 1], 0.02), [0.3, 0, 0]),
-                      RigidTransform(rotation([1, 1, 0], -0.02), [0, 0.4, 0])]
-        flow = apply_fit(p_t, members(labels), FlowField.zeros(600),
-                         transforms, [])
+        transforms = (RigidTransform(rotation([0, 0, 1], 0.02), [0.3, 0, 0]),
+                      RigidTransform(rotation([1, 1, 0], -0.02), [0, 0.4, 0]))
+        fit = ClusterFit(SegmentationMask(labels), transforms, ())
+        flow = fit.apply(p_t, FlowField.zeros(600))
         pairs = pair_list(SpatialIndex(p_t))
         c = [LAMBDA_FLOW ** 2 * ((t.rotation - np.eye(3)) ** 2).sum()
              for t in transforms]
@@ -432,8 +433,7 @@ class TestProvenPairs:
 
         add_squares = segment._add_squares
         monkeypatch.setattr(segment, "_add_squares", counting)
-        proven = cluster(p_t, flow, pairs=pairs,
-                         fit=(labels, transforms, []))
+        proven = cluster(p_t, flow, pairs=pairs, fit=fit)
         assert len(rows) == 1 and rows[0] <= (~clear).sum()
         rows.clear()
         exact = cluster(p_t, flow, pairs=pairs)
