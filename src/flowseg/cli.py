@@ -37,6 +37,12 @@ PARTIAL_MARKER = ".partial"
 RUN_ARTIFACTS = ("ssf_*.pcf", "report_*.json", "trajectory_est.txt",
                  RUN_MANIFEST, "eval.json", "trajectory.svg", "losses.svg",
                  "deltas.svg")
+# the per-pair metrics eval prints and averages, in printing order
+EVAL_KEYS = ("epe3d", "acc_strict", "acc_relaxed", "outliers", "seg_accuracy")
+# plot's per-iteration charts: file, title, y label and report field
+ITERATION_CHARTS = (
+    ("losses.svg", "Total loss per iteration", "total loss", "total_loss"),
+    ("deltas.svg", "State change per iteration", "delta_total", "delta_total"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,20 +305,13 @@ def cmd_eval(args) -> int:
         gt = records[i]
         fm = flow_metrics(FlowField(pred_flow), gt.gt_flow)
         sm = seg_metrics(SegmentationMask(pred_labels), gt.gt_mask)
-        pair_rows.append({
-            "index": i, "epe3d": fm.epe3d, "acc_strict": fm.acc_strict,
-            "acc_relaxed": fm.acc_relaxed, "outliers": fm.outliers,
-            "seg_accuracy": sm.accuracy,
-            "iou": list(sm.per_cluster_iou)})
-        print(f"pair_{i:04d}.epe3d={fm.epe3d:.6g}")
-        print(f"pair_{i:04d}.acc_strict={fm.acc_strict:.6g}")
-        print(f"pair_{i:04d}.acc_relaxed={fm.acc_relaxed:.6g}")
-        print(f"pair_{i:04d}.outliers={fm.outliers:.6g}")
-        print(f"pair_{i:04d}.seg_accuracy={sm.accuracy:.6g}")
-    aggregate = {
-        key: float(np.mean([row[key] for row in pair_rows]))
-        for key in ("epe3d", "acc_strict", "acc_relaxed", "outliers",
-                    "seg_accuracy")}
+        row = {"index": i, **asdict(fm), "seg_accuracy": sm.accuracy,
+               "iou": list(sm.per_cluster_iou)}
+        pair_rows.append(row)
+        for key in EVAL_KEYS:
+            print(f"pair_{i:04d}.{key}={row[key]:.6g}")
+    aggregate = {key: float(np.mean([row[key] for row in pair_rows]))
+                 for key in EVAL_KEYS}
     for key, value in aggregate.items():
         print(f"aggregate.{key}={value:.6g}")
     estimated = read_trajectory(os.path.join(args.run, manifest["trajectory"]),
@@ -356,38 +355,23 @@ def cmd_plot(args) -> int:
             [r.gt_ego.transform.translation[0] for r in records],
             [r.gt_ego.transform.translation[1] for r in records],
             dash=True))
-    written = []
-    path = os.path.join(out_dir, "trajectory.svg")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(render_chart("Ego trajectory (top-down)", "x [m]", "y [m]",
-                             t_series, equal_aspect=True))
-    written.append(path)
-    loss_series = []
-    delta_series = []
+    charts = [("trajectory.svg", render_chart(
+        "Ego trajectory (top-down)", "x [m]", "y [m]", t_series,
+        equal_aspect=True))]
+    iterations = []
     for pair in manifest["pairs"]:
         with open(os.path.join(args.run, pair["report"]),
                   "r", encoding="utf-8") as f:
-            report = json.load(f)
-        iters = [row["iteration"] for row in report["iterations"]]
-        loss_series.append(Series(f"pair {pair['index']}", iters,
-                                  [row["total_loss"]
-                                   for row in report["iterations"]]))
-        delta_series.append(Series(f"pair {pair['index']}", iters,
-                                   [row["delta_total"]
-                                    for row in report["iterations"]]))
-    if loss_series:
-        path = os.path.join(out_dir, "losses.svg")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(render_chart("Total loss per iteration", "iteration",
-                                 "total loss", loss_series))
-        written.append(path)
-        path = os.path.join(out_dir, "deltas.svg")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(render_chart("State change per iteration", "iteration",
-                                 "delta_total", delta_series))
-        written.append(path)
-    for path in written:
-        print(f"wrote {path}")
+            iterations.append((pair["index"], json.load(f)["iterations"]))
+    for name, title, ylabel, key in ITERATION_CHARTS if iterations else ():
+        charts.append((name, render_chart(title, "iteration", ylabel, [
+            Series(f"pair {index}", [row["iteration"] for row in rows],
+                   [row[key] for row in rows]) for index, rows in iterations])))
+    for name, svg in charts:
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as f:
+            f.write(svg)
+    for name, _ in charts:
+        print(f"wrote {os.path.join(out_dir, name)}")
     return 0
 
 

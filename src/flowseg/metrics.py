@@ -98,15 +98,12 @@ def seg_metrics(pred, gt) -> SegMetrics:
         raise LengthMismatch(
             f"masks differ in length: pred {p.shape[0]}, gt {g.shape[0]}")
     accuracy = float(100.0 * ((p == 0) == (g == 0)).mean())
-    k_gt = gt.n_clusters
-    k_pred = pred.n_clusters
-    overlaps = np.bincount(g * k_pred + p,
-                           minlength=k_gt * k_pred).reshape(k_gt, k_pred)
+    overlaps = gt.overlaps(pred)
     gt_sizes = overlaps.sum(axis=1)
     pred_sizes = overlaps.sum(axis=0)
-    available = np.arange(k_pred) > 0
+    available = np.arange(pred.n_clusters) > 0
     ious = []
-    for k in sorted(range(1, k_gt), key=lambda k: (-gt_sizes[k], k)):
+    for k in sorted(range(1, gt.n_clusters), key=lambda k: (-gt_sizes[k], k)):
         row = np.where(available, overlaps[k], 0)
         c = int(row.argmax())
         overlap = int(row[c])

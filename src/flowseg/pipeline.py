@@ -20,12 +20,12 @@ import numpy as np
 from . import geometry, losses
 from .errors import DegenerateInput, DegenerateStaticSet, LengthMismatch
 from .flow import ClusterFit, FlowField, fit_transforms, init_flow, refine_flow
-from .geometry import weighted_kabsch
+from .geometry import _check_aligned, weighted_kabsch
 from .losses import LossBreakdown, total_loss
 from .odometry import ego_motion
 from .segment import (MIN_PTS, ClassifierConfig, PairList, SegmentationMask,
                       _components, _narrow, classify, cluster, cluster_stats,
-                      members, pair_list, relabel_static_first)
+                      pair_list, relabel_static_first)
 
 __all__ = [
     "IterationConfig",
@@ -266,14 +266,10 @@ def mask_delta(curr: SegmentationMask, prev: SegmentationMask) -> float:
     """
     if len(curr) != len(prev):
         raise LengthMismatch(f"masks differ in length: {len(curr)} vs {len(prev)}")
-    n = len(curr)
-    k_curr = curr.n_clusters
-    k_prev = prev.n_clusters
-    counts = np.bincount(curr.labels * k_prev + prev.labels,
-                         minlength=k_curr * k_prev).reshape(k_curr, k_prev)
+    counts = curr.overlaps(prev)
     order = sorted(
         ((-int(counts[c, p]), c, p)
-         for c in range(k_curr) for p in range(k_prev) if counts[c, p] > 0))
+         for c, p in zip(*np.nonzero(counts))))
     used_curr, used_prev = set(), set()
     matched = 0
     for neg_overlap, c, p in order:
@@ -282,19 +278,19 @@ def mask_delta(curr: SegmentationMask, prev: SegmentationMask) -> float:
         used_curr.add(c)
         used_prev.add(p)
         matched += -neg_overlap
-    return float(1.0 - matched / n)
+    return float(1.0 - matched / len(curr))
 
 
-def initial_mask(p_t, flow: FlowField, pairs: PairList = None) -> SegmentationMask:
+def initial_mask(p_t, flow: FlowField, pairs: PairList) -> SegmentationMask:
     """Preliminary mask: points that a single global rigid fit cannot explain.
 
     Fits one transform to the whole flow field; points with residual above
     ``R_STATIC`` are candidate dynamic points and get clustered spatially,
-    linked by the pairs of ``pairs`` (the cloud's ``pair_list``, built here
-    over a new ``SpatialIndex`` at ``CLUSTER_EPS`` when omitted, so its
+    linked by the pairs of ``pairs`` (the cloud's ``pair_list``, whose
     radius is the link radius) whose two ends are both candidates.
     Candidate components smaller than ``MIN_PTS`` return to the static set.
     """
+    _check_aligned(p_t, pairs=pairs.index)
     src = p_t.points
     n = src.shape[0]
     labels = np.zeros(n, dtype=np.int64)
@@ -307,18 +303,13 @@ def initial_mask(p_t, flow: FlowField, pairs: PairList = None) -> SegmentationMa
     candidates = np.nonzero(candidate)[0]
     if candidates.shape[0] == 0:
         return SegmentationMask(labels)
-    if pairs is None:
-        pairs = pair_list(geometry.SpatialIndex(p_t.points))
     keep = candidate[pairs.i] & candidate[pairs.j]
     # each point's position among the candidates keeps i ascending
     position = (np.cumsum(candidate) - 1).astype(np.int32)
     _, comp = _components(candidates.shape[0], position[pairs.i[keep]],
                           position[pairs.j[keep]])
-    next_id = 1
-    for ids in members(comp):
-        if ids.shape[0] >= MIN_PTS:
-            labels[candidates[ids]] = next_id
-            next_id += 1
+    kept = np.bincount(comp) >= MIN_PTS
+    labels[candidates] = (np.cumsum(kept) * kept)[comp]
     if not (labels == 0).any():
         labels -= 1
     return SegmentationMask(labels)

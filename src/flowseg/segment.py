@@ -84,6 +84,15 @@ class SegmentationMask:
     def cluster_sizes(self) -> np.ndarray:
         return np.bincount(self.labels)
 
+    def overlaps(self, other: SegmentationMask) -> np.ndarray:
+        """The (K, K_other) table whose cell (i, j) counts the points in
+        cluster i here and cluster j of ``other``, a mask of the same
+        length."""
+        k_other = other.n_clusters
+        return np.bincount(self.labels * k_other + other.labels,
+                           minlength=self.n_clusters * k_other
+                           ).reshape(self.n_clusters, k_other)
+
     def __len__(self) -> int:
         return self.labels.shape[0]
 
@@ -256,12 +265,11 @@ def _proven(p_t, pairs: PairList, fit, lambda_flow: float, eps: float):
 
 
 def cluster(p_t, flow, lambda_flow: float = LAMBDA_FLOW, *,
-            pairs: PairList = None, fit=None) -> SegmentationMask:
+            pairs: PairList, fit=None) -> SegmentationMask:
     """Segment a cloud by density connectivity over position+scaled-flow features.
 
-    ``pairs`` is the cloud's :func:`pair_list`, built here over a new
-    ``SpatialIndex`` at ``CLUSTER_EPS`` when omitted; its radius
-    ``eps = pairs.eps`` is the link radius.  Each pair's feature distance
+    ``pairs`` is the cloud's :func:`pair_list`; its radius ``eps =
+    pairs.eps`` is the link radius.  Each pair's feature distance
     adds the three scaled flow differences to its 3-D ``d2`` in the tree's
     order, so the pairs kept are exactly those a 6-D ``query_pairs(eps)``
     finds.
@@ -276,17 +284,15 @@ def cluster(p_t, flow, lambda_flow: float = LAMBDA_FLOW, *,
     Components smaller than ``MIN_PTS`` are merged into the large component
     whose nearest point (in feature space) is closest; ties go to the lowest
     point id.  The candidates are the large-component points within 3-D
-    radius r of a member, ``pairs.index.within(members, r)``, with r = eps
+    radius r of a member, ``pairs.index.within(members, r)``, with r = 2 eps
     doubled until the best feature distance is below r by ``TOL`` or every
     large point is a candidate: a point outside the radius is farther than r
     in 3-D, so farther in feature space too, and cannot be nearer or tie.
     Output labels are compacted to 0..K-1 in first-appearance order.
     """
-    _check_aligned(p_t, flow=flow)
+    _check_aligned(p_t, flow=flow, pairs=pairs.index)
     if lambda_flow < 0:
         raise ValueError("lambda_flow must be nonnegative")
-    if pairs is None:
-        pairs = pair_list(SpatialIndex(p_t.points))
     eps = pairs.eps
     scaled = lambda_flow * flow.vectors
     keep = _proven(p_t, pairs, fit, lambda_flow, eps)
@@ -307,7 +313,10 @@ def cluster(p_t, flow, lambda_flow: float = LAMBDA_FLOW, *,
         for comp in np.nonzero(~large)[0]:
             ids = groups[comp]
             member = feats[ids]
-            r = eps
+            # every large point within eps in 3-D failed the link test, so
+            # its feature distance is above eps: a round at eps certifies
+            # only by taking every large point, as a round at 2 eps does
+            r = 2.0 * eps
             while True:
                 near = pairs.index.within(p_t.points[ids], r)
                 near = near[in_large[near]]

@@ -1,5 +1,7 @@
 """Synthetic scene generation, ground-truth invariants, and file formats."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -295,15 +297,14 @@ class TestSequenceFormat:
         m1 = write_sequence(recs, d1)
         back = read_sequence(d1)
         m2 = write_sequence(back, d2)
-        import pathlib
-        assert pathlib.Path(m1).read_text() == pathlib.Path(m2).read_text()
+        assert Path(m1).read_text() == Path(m2).read_text()
         for f1, f2 in zip(sorted(d1.glob("*.pcf")), sorted(d2.glob("*.pcf"))):
             assert f1.read_bytes() == f2.read_bytes()
 
     def test_manifest_layout(self, tmp_path):
         recs = generate(plain_spec(15, n_objects=0, n_frames=2))
         manifest = write_sequence(recs, tmp_path / "seq")
-        lines = open(manifest).read().splitlines()
+        lines = Path(manifest).read_text().splitlines()
         assert lines[0] == "PCSEQ1"
         assert lines[1].startswith("dt=")
         assert len(lines) == 4
@@ -320,17 +321,17 @@ class TestSequenceFormat:
     def test_bad_manifest_magic(self, tmp_path):
         recs = generate(plain_spec(17, n_objects=0))
         manifest = write_sequence(recs, tmp_path / "seq")
-        text = open(manifest).read().replace("PCSEQ1", "NOPE", 1)
-        open(manifest, "w").write(text)
+        text = Path(manifest).read_text().replace("PCSEQ1", "NOPE", 1)
+        Path(manifest).write_text(text)
         with pytest.raises(FormatError, match="magic"):
             read_sequence(tmp_path / "seq")
 
     def test_bad_pose_token_count(self, tmp_path):
         recs = generate(plain_spec(18, n_objects=0))
         manifest = write_sequence(recs, tmp_path / "seq")
-        lines = open(manifest).read().splitlines()
+        lines = Path(manifest).read_text().splitlines()
         lines[2] = " ".join(lines[2].split()[:5])
-        open(manifest, "w").write("\n".join(lines) + "\n")
+        Path(manifest).write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match="tokens"):
             read_sequence(tmp_path / "seq")
 
@@ -338,7 +339,7 @@ class TestSequenceFormat:
     def test_non_finite_manifest_value(self, tmp_path, value):
         recs = generate(plain_spec(18, n_objects=0))
         manifest = write_sequence(recs, tmp_path / "seq")
-        lines = open(manifest).read().splitlines()
+        lines = Path(manifest).read_text().splitlines()
         if value.startswith("dt="):
             lines[1] = value
             where = "dt must be positive and finite"
@@ -347,7 +348,7 @@ class TestSequenceFormat:
             tokens[4] = "nan"
             lines[2] = " ".join(tokens)
             where = "frame line 0"
-        open(manifest, "w").write("\n".join(lines) + "\n")
+        Path(manifest).write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match=where):
             read_sequence(tmp_path / "seq")
 

@@ -109,18 +109,34 @@ class TestSegmentationMask:
         with pytest.raises(ValueError):
             SegmentationMask(np.array([], dtype=np.int64))
 
+    @settings(deadline=None)
+    @given(st.integers(1, 200).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(0, 6), min_size=n, max_size=n),
+        st.lists(st.integers(0, 3), min_size=n, max_size=n))))
+    def test_overlaps_counts_each_pair_of_clusters(self, raw):
+        a, b = (SegmentationMask(np.unique(r, return_inverse=True)[1])
+                for r in raw)
+        table = a.overlaps(b)
+        assert table.shape == (a.n_clusters, b.n_clusters)
+        for i in range(a.n_clusters):
+            for j in range(b.n_clusters):
+                assert table[i, j] == ((a.labels == i) & (b.labels == j)).sum()
+
 
 class TestCluster:
     def test_one_blob_one_cluster(self):
         rng = np.random.default_rng(30)
-        pts = blob([0, 0, 0], 40, rng)
-        mask = cluster(cloud_of(pts), FlowField.zeros(40))
+        p_t = cloud_of(blob([0, 0, 0], 40, rng))
+        mask = cluster(p_t, FlowField.zeros(40),
+                       pairs=pair_list(SpatialIndex(p_t)))
         assert mask.n_clusters == 1
 
     def test_spatial_gap_splits(self):
         rng = np.random.default_rng(31)
-        pts = np.vstack([blob([0, 0, 0], 30, rng), blob([10, 0, 0], 30, rng)])
-        mask = cluster(cloud_of(pts), FlowField.zeros(60))
+        p_t = cloud_of(np.vstack([blob([0, 0, 0], 30, rng),
+                                  blob([10, 0, 0], 30, rng)]))
+        mask = cluster(p_t, FlowField.zeros(60),
+                       pairs=pair_list(SpatialIndex(p_t)))
         assert mask.n_clusters == 2
         assert len(set(mask.labels[:30])) == 1
         assert len(set(mask.labels[30:])) == 1
@@ -139,9 +155,10 @@ class TestCluster:
 
     def test_zero_lambda_ignores_flow(self):
         rng = np.random.default_rng(33)
-        pts = blob([0, 0, 0], 40, rng)
+        p_t = cloud_of(blob([0, 0, 0], 40, rng))
         vec = rng.standard_normal((40, 3)) * 100.0
-        mask = cluster(cloud_of(pts), FlowField(vec), 0.0)
+        mask = cluster(p_t, FlowField(vec), 0.0,
+                       pairs=pair_list(SpatialIndex(p_t)))
         assert mask.n_clusters == 1
 
     def test_small_component_merged_into_nearest_large(self):
@@ -149,15 +166,18 @@ class TestCluster:
         big = blob([0, 0, 0], 50, rng)
         tiny = blob([3.0, 0, 0], 3, rng, scale=0.05)  # below min_pts
         other = blob([100, 0, 0], 50, rng)
-        pts = np.vstack([big, tiny, other])
-        mask = cluster(cloud_of(pts), FlowField.zeros(103))
+        p_t = cloud_of(np.vstack([big, tiny, other]))
+        mask = cluster(p_t, FlowField.zeros(103),
+                       pairs=pair_list(SpatialIndex(p_t)))
         assert mask.n_clusters == 2
         assert len(set(mask.labels[:53])) == 1  # tiny joined the near blob
 
     def test_labels_partition_contiguously(self):
         rng = np.random.default_rng(35)
-        pts = np.vstack([blob([i * 8.0, 0, 0], 20, rng) for i in range(4)])
-        mask = cluster(cloud_of(pts), FlowField.zeros(80))
+        p_t = cloud_of(np.vstack([blob([i * 8.0, 0, 0], 20, rng)
+                                  for i in range(4)]))
+        mask = cluster(p_t, FlowField.zeros(80),
+                       pairs=pair_list(SpatialIndex(p_t)))
         sizes = mask.cluster_sizes()
         assert sizes.sum() == 80
         assert (sizes > 0).all()
@@ -269,7 +289,8 @@ class TestPairList:
         rng = np.random.default_rng(seed)
         p_t = cloud_of(rng.uniform(-4, 4, size=(n, 3)))
         flow = FlowField(rng.normal(0, 0.1, size=(n, 3)))
-        assert np.array_equal(cluster(p_t, flow).labels,
+        assert np.array_equal(cluster(p_t, flow,
+                                      pairs=pair_list(SpatialIndex(p_t))).labels,
                               reference_cluster(p_t, flow, LAMBDA_FLOW,
                                                 CLUSTER_EPS))
 
@@ -285,7 +306,23 @@ class TestPairList:
         expected = reference_initial_mask(p_t, flow)
         pairs = pair_list(SpatialIndex(p_t))
         assert np.array_equal(initial_mask(p_t, flow, pairs).labels, expected)
-        assert np.array_equal(initial_mask(p_t, flow).labels, expected)
+        assert np.array_equal(
+            initial_mask(p_t, flow, pairs=pair_list(SpatialIndex(p_t))).labels,
+            expected)
+
+    @pytest.mark.parametrize("n_other", [300, 500])
+    def test_pair_list_of_another_cloud_is_refused(self, n_other):
+        # a shorter cloud's list would drop links, a longer one index past
+        # the cloud; both must be refused before either is used
+        rng = np.random.default_rng(37)
+        pts = rng.uniform(-4, 4, size=(max(400, n_other), 3))
+        p_t = cloud_of(pts[:400])
+        flow = FlowField(np.where(rng.random((400, 1)) < 0.4, [3.0, 0, 0], 0.0))
+        pairs = pair_list(SpatialIndex(pts[:n_other]))
+        with pytest.raises(MaskMismatch, match="pairs"):
+            cluster(p_t, flow, pairs=pairs)
+        with pytest.raises(MaskMismatch, match="pairs"):
+            initial_mask(p_t, flow, pairs)
 
     def test_pair_list_layout(self):
         rng = np.random.default_rng(36)
