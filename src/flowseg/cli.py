@@ -215,13 +215,11 @@ def cmd_run(args) -> int:
             for pair_index, result in enumerate(pending):
                 step = at_pair(pair_index, "pipeline")
                 evaluated.append(reports.submit(_evaluated, result()))
-            results = []
-            for pair_index, future in enumerate(evaluated):
-                step = at_pair(pair_index, "pipeline")
-                results.append(future.result())
         increments = []
         pair_entries = []
-        for pair_index, ((rec_a, _), ssf) in enumerate(zip(pairs, results)):
+        for pair_index, (rec_a, _) in enumerate(pairs):
+            step = at_pair(pair_index, "pipeline")
+            ssf = evaluated[pair_index].result()
             ssf_name = f"ssf_{pair_index:04d}.pcf"
             report_name = f"report_{pair_index:04d}.json"
             step = at_pair(pair_index, f"writing {ssf_name}")

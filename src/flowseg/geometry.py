@@ -8,12 +8,12 @@ multiple threads.  It answers a stack of queries two ways, both exact and
 both through one tree search: ``query`` gives ``(ids, distances)``; ``match``
 gives a :class:`Match`, which the next stack, or the same one against moved
 points, reuses row by row wherever the triangle inequality proves the
-nearest point unchanged.  ``pairs`` and ``within`` are its radius searches.
+nearest point unchanged.  ``query_knn`` gives each row's k nearest points,
+and ``pairs`` is its one radius search.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -284,12 +284,6 @@ class SpatialIndex:
     def pairs(self, eps: float) -> np.ndarray:
         """The (P, 2) ``i < j`` pairs within ``eps``, in the tree's order."""
         return self._tree.query_pairs(eps, output_type="ndarray")
-
-    def within(self, queries, r: float) -> np.ndarray:
-        """The ascending unique ids of the indexed points within ``r`` of
-        some row of an (M, 3) stack of queries."""
-        balls = self._tree.query_ball_point(_points_array(queries, "queries"), r)
-        return np.unique(np.fromiter(chain.from_iterable(balls), dtype=np.intp))
 
     def _search(self, q: np.ndarray):
         """``(ids, distances, clearance)`` of the nearest point per row."""

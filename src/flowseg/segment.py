@@ -283,11 +283,13 @@ def cluster(p_t, flow, lambda_flow: float = LAMBDA_FLOW, *,
 
     Components smaller than ``MIN_PTS`` are merged into the large component
     whose nearest point (in feature space) is closest; ties go to the lowest
-    point id.  The candidates are the large-component points within 3-D
-    radius r of a member, ``pairs.index.within(members, r)``, with r = 2 eps
-    doubled until the best feature distance is below r by ``TOL`` or every
-    large point is a candidate: a point outside the radius is farther than r
-    in 3-D, so farther in feature space too, and cannot be nearer or tie.
+    point id.  All open small-component points are searched together, one
+    ``pairs.index.query_knn`` call per round with k = 16, 64, 256, ... capped
+    at N; a component's candidates are the large-component points among its
+    members' k nearest.  It settles when its best feature distance is below
+    the smallest k-th 3-D distance among its members by ``TOL``, or when k =
+    N: a point outside every member's k nearest is at least that far in 3-D,
+    so in feature space too, and cannot be nearer or tie.
     Output labels are compacted to 0..K-1 in first-appearance order.
     """
     _check_aligned(p_t, flow=flow, pairs=pairs.index)
@@ -304,32 +306,30 @@ def cluster(p_t, flow, lambda_flow: float = LAMBDA_FLOW, *,
     large = sizes >= MIN_PTS
     if not large.any():
         large = sizes == sizes.max()
-    labels = raw.copy()
+    into = np.arange(n_comp, dtype=raw.dtype)
     if not large.all():
         feats = np.hstack([p_t.points, scaled])
-        in_large = large[raw]
-        n_large = int(in_large.sum())
-        groups = members(raw)
-        for comp in np.nonzero(~large)[0]:
-            ids = groups[comp]
-            member = feats[ids]
-            # every large point within eps in 3-D failed the link test, so
-            # its feature distance is above eps: a round at eps certifies
-            # only by taking every large point, as a round at 2 eps does
-            r = 2.0 * eps
-            while True:
-                near = pairs.index.within(p_t.points[ids], r)
-                near = near[in_large[near]]
-                if near.shape[0]:
-                    d2 = ((member[:, None, :] - feats[near][None, :, :]) ** 2
-                          ).sum(axis=2).min(axis=0)
-                    # argmin gives the lowest id among ties, near ascending
-                    best = int(np.argmin(d2))
-                    if d2[best] + TOL < r * r or near.shape[0] == n_large:
-                        labels[ids] = raw[near[best]]
-                        break
-                r *= 2.0
-    return SegmentationMask(_compact(labels))
+        merging = ~large
+        rows = np.nonzero(merging[raw])[0]
+        n, k = len(p_t), 16
+        while rows.shape[0]:
+            k = min(k, n)
+            near, dist = pairs.index.query_knn(p_t.points[rows], k)
+            owner = raw[rows]
+            reach = np.full(n_comp, np.inf)
+            np.minimum.at(reach, owner, dist[:, -1])
+            r, c = np.nonzero(large[raw[near]])
+            comp, cand = owner[r], near[r, c]
+            d2 = ((feats[rows[r]] - feats[cand]) ** 2).sum(axis=1)
+            # per component the smallest d2, ties to the lowest point id
+            order = np.lexsort((cand, d2, comp))
+            best = order[np.nonzero(np.diff(comp[order], prepend=-1))[0]]
+            best = best[(d2[best] + TOL < reach[comp[best]] ** 2) | (k == n)]
+            into[comp[best]] = raw[cand[best]]
+            merging[comp[best]] = False
+            rows = rows[merging[owner]]
+            k *= 4
+    return SegmentationMask(_compact(into[raw]))
 
 
 def cluster_stats(p_t, flow, mask: SegmentationMask, dt: float):

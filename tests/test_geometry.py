@@ -366,18 +366,14 @@ class TestSpatialIndex:
         with pytest.raises(ValueError):
             index.match([[3.0, 0, 0]], first)
 
-    def test_pairs_and_within_equal_brute_force(self):
+    def test_pairs_equal_brute_force(self):
         rng = np.random.default_rng(15)
         pts = rng.integers(-3, 4, size=(200, 3)) * 0.5
-        queries = rng.uniform(-2, 2, size=(5, 3))
         index = SpatialIndex(pts)
         d = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=2))
         i, j = np.nonzero(np.triu(d <= 0.6, k=1))
         found = index.pairs(0.6)
         assert sorted(map(tuple, found.tolist())) == list(zip(i, j))
-        near = np.sqrt(((queries[:, None] - pts[None]) ** 2).sum(axis=2))
-        assert np.array_equal(index.within(queries, 0.8),
-                              np.nonzero((near <= 0.8).any(axis=0))[0])
 
     def test_query_knn(self):
         pts = [[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [4.0, 0, 0]]
@@ -406,9 +402,8 @@ class TestSpatialIndex:
         # caller works; half-step queries on a lattice tie, so the tie rescan
         # runs in every thread at once.  Each thread has its own queries, more
         # threads than cores, and a short switch interval, so the threads
-        # interleave inside each query.  One more thread finds the pair list
-        # and a merge's candidates, as run() does on frame t's index while
-        # the helper queries it.
+        # interleave inside each query.  One more thread finds the pair list,
+        # as run() does on frame t's index while the helper queries it.
         rng = np.random.default_rng(14)
         index = SpatialIndex(rng.integers(-8, 9, size=(3000, 3)) * 1.0)
         n_threads, rounds = 4, 3
@@ -421,10 +416,10 @@ class TestSpatialIndex:
             chained = index.match(q, index.match(q + 0.25))
             return (*index.query(q), chained.ids, chained.distances)
 
-        def radius_searches():
-            return index.pairs(1.0), index.within(stacks[0][:100], 1.5)
+        def radius_search():
+            return (index.pairs(1.0),)
 
-        jobs = [lambda q=q: searches(q) for q in stacks] + [radius_searches]
+        jobs = [lambda q=q: searches(q) for q in stacks] + [radius_search]
         serial = [job() for job in jobs]
         start = threading.Barrier(len(jobs))
         results = [[] for _ in jobs]
@@ -534,3 +529,22 @@ def test_every_import_is_used():
         unused += [f"{path.name}:{line} {name}" for name, line in imported
                    if name not in used]
     assert unused == []
+
+
+def test_every_private_function_and_index_method_is_called():
+    # a module-level _private function, or a public SpatialIndex method,
+    # that no module of the package names is dead: a test calling it does
+    # not keep it alive
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in pathlib.Path(flowseg.__file__).parent.glob("*.py")]
+    named = {node.id for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Name)}
+    named |= {node.attr for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)}
+    defined = [node.name for tree in trees for node in tree.body
+               if isinstance(node, ast.FunctionDef)
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    methods = [name for name, value in vars(SpatialIndex).items()
+               if not name.startswith("_") and callable(value)]
+    assert methods and defined
+    assert [name for name in defined + methods if name not in named] == []

@@ -239,7 +239,7 @@ class TestRun:
     def test_one_frame_t1_index_and_pinned_query_count(self, monkeypatch):
         # a counting index swapped in at the names the modules look up at
         # call time, as perfbench's tracer does
-        built, queries, matches, knn, pair_lists = [], [], [], [], []
+        built, queries, matches, knn, merges, pair_lists = [], [], [], [], [], []
 
         class CountingIndex(geometry.SpatialIndex):
             def __init__(self, points):
@@ -255,7 +255,10 @@ class TestRun:
                 return super().match(q, previous, moved)
 
             def query_knn(self, q, k):
-                knn.append((len(q), k))
+                # cluster's merge searches frame t; init_flow's fill an
+                # index of the reliable points
+                on_frame_t = np.array_equal(self.points, p_t.points)
+                (merges if on_frame_t else knn).append((len(q), k))
                 return super().query_knn(q, k)
 
         build_pairs = segment.pair_list
@@ -278,9 +281,10 @@ class TestRun:
                       & ~(2.0 * dist + geometry.TOL < flow.R_CONSISTENCY)).sum())
         assert 0 < n_open < len(p_t)
         # the same counts whether the helper thread runs init_flow or not
+        last_merges = None
         for min_points in (0, len(p_t) + 1):
             monkeypatch.setattr(pipeline, "OVERLAP_MIN_POINTS", min_points)
-            for log in (built, queries, matches, knn, pair_lists):
+            for log in (built, queries, matches, knn, merges, pair_lists):
                 log.clear()
             ssf = run(p_t, p_t1)
             n = ssf.report.n_iterations
@@ -301,13 +305,19 @@ class TestRun:
             assert matches == [(len(p_t), False)] + [(len(p_t), True)] * (n + 1)
             # frame t's pair list once, shared by initial_mask and cluster
             assert len(pair_lists) == 1
+            # the small-component merges, k growing fourfold and capped at N
+            assert merges and all(
+                rows <= len(p_t) and k in (16, 64, 256, 1024, len(p_t))
+                for rows, k in merges)
+            assert last_merges in (None, merges)
+            last_merges = list(merges)
             built_by_run, knn_by_run = len(built), len(knn)
             matched_by_run = list(matches)
             ssf.report.records[0].losses
             # the first read: the warped cloud indexed in each iteration and
             # frame t+1 matched against it, each match carrying the last
             assert len(built) == built_by_run + n
-            assert len(knn) == knn_by_run
+            assert len(knn) == knn_by_run and merges == last_merges
             assert matches == matched_by_run + (
                 [(len(p_t1), False)] + [(len(p_t1), True)] * (n - 1))
             assert queries == [n_open] and len(pair_lists) == 1

@@ -10,9 +10,10 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from flowseg import segment
+from flowseg.datagen import generate, random_scene_spec
 from flowseg.errors import (DegenerateInput, EmptyCloud, MaskMismatch,
                             UnknownClusterId)
-from flowseg.flow import ClusterFit, FlowField, PointCloud
+from flowseg.flow import ClusterFit, FlowField, PointCloud, init_flow
 from flowseg.geometry import RigidTransform, SpatialIndex, weighted_kabsch
 from flowseg.pipeline import R_STATIC, initial_mask
 from flowseg.segment import (CLUSTER_EPS, LAMBDA_FLOW, MIN_PTS,
@@ -480,9 +481,9 @@ class TestProvenPairs:
 
 @st.composite
 def merge_scenes(draw):
-    """Large lattice blocks and small components at integer positions:
-    distances tie often, and a small component may lie far beyond eps from
-    every large point."""
+    """Large lattice blocks and up to 40 small components at integer
+    positions: distances tie often, a small component may lie far beyond eps
+    from every large point, and many merge in one batch."""
     block = np.array([[x, y, 0] for x in range(3) for y in range(2)])
     parts, flows = [], []
     for _ in range(draw(st.integers(1, 3))):
@@ -490,11 +491,14 @@ def merge_scenes(draw):
         parts.append(block + corner)
         flows.append(np.tile(draw(arrays(np.int64, 3, elements=st.integers(-1, 1))),
                              (len(block), 1)))
-    for _ in range(draw(st.integers(1, 4))):
-        size = draw(st.integers(1, MIN_PTS - 1))
-        start = draw(arrays(np.int64, 3, elements=st.integers(-30, 30)))
-        parts.append(start + np.arange(size)[:, None] * [1, 0, 0])
-        flows.append(draw(arrays(np.int64, (size, 3), elements=st.integers(-1, 1))))
+    # one draw per array, not per component, keeps 40 components cheap
+    n_small = draw(st.integers(1, 40))
+    sizes = draw(arrays(np.int64, n_small, elements=st.integers(1, MIN_PTS - 1)))
+    starts = draw(arrays(np.int64, (n_small, 3), elements=st.integers(-30, 30)))
+    parts += [start + np.arange(size)[:, None] * [1, 0, 0]
+              for size, start in zip(sizes, starts)]
+    flows.append(draw(arrays(np.int64, (int(sizes.sum()), 3),
+                             elements=st.integers(-1, 1))))
     pts = np.vstack(parts).astype(np.float64)
     vec = np.vstack(flows) * 0.5
     order = draw(st.permutations(range(len(pts))))
@@ -511,12 +515,54 @@ class TestSmallComponentMerge:
                               [-7, 0, 0], [0, 0, 0], [3, 0, 0], [4, 0, 0],
                               [5, 0, 0], [6, 0, 0], [7, 0, 0]]),
                     FlowField.zeros(11)), lambda_flow=1.0)
+    # a row of 70 single points 2 m apart and a block 48 m off one end: no
+    # single has the block among its first 16 neighbours, the near ones
+    # find it at k = 64, and the far ones settle only at k = N
+    @example(scene=(cloud_of([[2.0 * k, 0, 0] for k in range(70)]
+                             + [[-48.0 - x, y, 0] for x in range(3)
+                                for y in range(2)]),
+                    FlowField.zeros(76)), lambda_flow=1.0)
     def test_equals_dense_reference(self, scene, lambda_flow):
         p_t, flow = scene
         assert np.array_equal(
             cluster(p_t, flow, lambda_flow,
                     pairs=pair_list(SpatialIndex(p_t), 1.0)).labels,
             reference_cluster(p_t, flow, lambda_flow, 1.0))
+
+    def test_range_falloff_merges_in_a_few_searches(self):
+        # a scan that thins out with range, as a LiDAR's does: each
+        # background point is kept with probability min(1, (r0 / r)^2), so
+        # the far field breaks into hundreds of small components
+        recs = generate(random_scene_spec(3, n_points=16384, n_objects=3))
+        p0, p1 = recs[0].cloud.points, recs[1].cloud.points
+        r = np.linalg.norm(p0, axis=1)
+        keep = ((recs[0].gt_mask.labels != 0)
+                | (np.random.default_rng(3).random(len(p0))
+                   < np.minimum(1.0, (8.0 / r) ** 2)))
+        p_t = cloud_of(p0[keep])
+        index = SpatialIndex(p_t)
+        flow = init_flow(index, SpatialIndex(p1[keep])).flow
+        pairs = pair_list(index)
+        searches = []
+
+        def logged(name, method):
+            def search(*args):
+                searches.append(name)
+                return method(*args)
+            return search
+
+        for name in dir(SpatialIndex):
+            method = getattr(index, name)
+            if not name.startswith("_") and callable(method):
+                setattr(index, name, logged(name, method))
+        labels = cluster(p_t, flow, pairs=pairs).labels
+        sizes = np.bincount(components_within(
+            np.hstack([p_t.points, LAMBDA_FLOW * flow.vectors]),
+            CLUSTER_EPS)[1])
+        assert (sizes < MIN_PTS).sum() > 100
+        assert np.array_equal(labels, reference_cluster(p_t, flow, LAMBDA_FLOW,
+                                                        CLUSTER_EPS))
+        assert 1 <= len(searches) <= 8
 
     def test_tie_goes_to_the_lowest_id(self):
         # the middle point is 3 m from both blocks, far beyond eps
