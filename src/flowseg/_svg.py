@@ -26,15 +26,15 @@ def _fmt(v: float) -> str:
 
 
 class Series:
-    """One polyline: a label, x/y samples, and optional dashing."""
+    """One polyline: a label, x/y samples, and optional dashing.  Its color
+    is the palette's, by its place in the chart."""
 
-    def __init__(self, label, xs, ys, color=None, dash=False):
+    def __init__(self, label, xs, ys, dash=False):
         if len(xs) != len(ys):
             raise ValueError(f"series {label!r}: {len(xs)} x vs {len(ys)} y values")
         self.label = label
         self.xs = [float(x) for x in xs]
         self.ys = [float(y) for y in ys]
-        self.color = color
         self.dash = dash
 
 
@@ -100,7 +100,7 @@ def render_chart(title, xlabel, ylabel, series, *, equal_aspect=False) -> str:
                f'transform="rotate(-90 16 {_MARGIN_T + plot_h // 2})">'
                f'{_escape(ylabel)}</text>')
     for i, s in enumerate(series):
-        color = s.color or PALETTE[i % len(PALETTE)]
+        color = PALETTE[i % len(PALETTE)]
         dash = ' stroke-dasharray="6,4"' if s.dash else ""
         pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}"
                        for x, y in zip(s.xs, s.ys))

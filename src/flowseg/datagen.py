@@ -308,10 +308,7 @@ def generate(spec: SceneSpec):
         sensor = [s[keep] for s in sensor]
         flows = [f[keep] for f in flows]
         labels = labels[keep]
-        present = np.unique(labels)
-        remap = np.full(int(labels.max()) + 1, -1, dtype=np.int64)
-        remap[present] = np.arange(present.shape[0])
-        labels = remap[labels]
+        labels = np.unique(labels, return_inverse=True)[1]
 
     observed = []
     for t in range(spec.n_frames):

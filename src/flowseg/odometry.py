@@ -190,10 +190,10 @@ def write_trajectory(trajectory: Trajectory, path) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def read_trajectory(path, dt: float = 1.0, t0: float = 0.0) -> Trajectory:
+def read_trajectory(path, dt: float = 1.0) -> Trajectory:
     """Parse a 12-reals-per-line [R|t] file; '#' lines and blanks are skipped.
 
-    The format carries no timestamps, so poses are stamped t0 + i*dt.
+    The format carries no timestamps, so poses are stamped i*dt.
     """
     poses = []
     with open(path, "r", encoding="utf-8") as f:
@@ -206,7 +206,7 @@ def read_trajectory(path, dt: float = 1.0, t0: float = 0.0) -> Trajectory:
                 raise FormatError(
                     f"{path}: line {line_no}: expected 12 values, got {len(tokens)}")
             poses.append(Pose(_parse_pose(tokens, f"{path}: line {line_no}"),
-                              t0 + len(poses) * dt))
+                              len(poses) * dt))
     if not poses:
         raise FormatError(f"{path}: no poses found")
     return Trajectory(tuple(poses))

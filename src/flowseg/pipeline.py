@@ -5,15 +5,15 @@ refined flow, classifies static vs. dynamic, and measures how much the state
 moved (delta_total = alpha * flow RMS change + beta * aligned mask change).
 The loop stops when delta_total drops below epsilon or the iteration cap is
 hit, and the whole history is kept in a ConvergenceReport.  The loss history,
-the final transforms and the ego speed of every iteration whose decision did
-not read it are computed on first read by a LossHistory.
+the final transforms and every iteration's ego speed are computed on first
+read by a LossHistory.
 """
 from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,14 +81,13 @@ class LossHistory:
     labels, the frame interval and, per iteration, the transforms and
     degenerate ids of the :class:`~flowseg.flow.ClusterFit` ``refine_flow``
     returned (its mask is the labels kept before it), the canonical labels
-    in the narrowest integer dtype, the sum of the match distances (the
-    Chamfer forward half) and the ego speed if the velocity rule was tried,
-    else ``None``.  So an unread history holds one flow field and about N
-    bytes per iteration.  The first read of :attr:`losses`, :attr:`v_ego`
-    or :attr:`transforms` replays the iterations once, under a lock: it
-    rebuilds each fit and its flow with ``ClusterFit.apply``, runs the
-    carried Chamfer term, ``fit_transforms``, ``total_loss`` and, where the
-    loop left it out, the ego-speed fit, and then drops the kept state.
+    in the narrowest integer dtype and the sum of the match distances (the
+    Chamfer forward half).  So an unread history holds one flow field and
+    about N bytes per iteration.  The first read of :attr:`losses`,
+    :attr:`v_ego` or :attr:`transforms` replays the iterations once, under a
+    lock: it rebuilds each fit and its flow with ``ClusterFit.apply``, fits
+    the ego speed, runs the carried Chamfer term, ``fit_transforms`` and
+    ``total_loss``, and then drops the kept state.
     An exception from that work is raised by the read, and by every later
     read, which replays again.  Pickling or copying reads first and carries
     only the values, so a worker process does the work, not its parent.
@@ -100,12 +99,11 @@ class LossHistory:
         self._values = None
         self._state = (p_t, p_t1, flow, _narrow(labels), dt, [])
 
-    def add(self, fit: ClusterFit, labels: np.ndarray, forward: float,
-            v_ego) -> None:
-        """Keep one iteration: its fit, its canonical labels, the sum of its
-        match distances and its ego speed, ``None`` if not yet computed."""
+    def add(self, fit: ClusterFit, labels: np.ndarray, forward: float) -> None:
+        """Keep one iteration: its fit, its canonical labels and the sum of
+        its match distances."""
         self._state[5].append((fit.transforms, fit.degenerate, _narrow(labels),
-                               forward, v_ego))
+                               forward))
 
     @property
     def losses(self) -> tuple:
@@ -138,12 +136,10 @@ class LossHistory:
         chamfer = None
         breakdowns = []
         speeds = []
-        for i, (transforms, degenerate, labels, forward, v_ego) in enumerate(
+        for i, (transforms, degenerate, labels, forward) in enumerate(
                 steps, start=1):
             flow = ClusterFit(mask_prev, transforms, degenerate).apply(p_t, flow)
-            if v_ego is None:
-                v_ego = _estimate_v_ego(p_t, flow, mask_prev, i, dt)
-            speeds.append(v_ego)
+            speeds.append(_estimate_v_ego(p_t, flow, mask_prev, i, dt))
             # looked up at call time, so perfbench's tracer sees all three
             chamfer = losses.chamfer_loss(p_t, flow, p_t1, forward, chamfer)
             mask = SegmentationMask(labels)
@@ -161,13 +157,13 @@ class LossHistory:
         self._state = None
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class IterationRecord:
     """State-change and quality measurements for one loop iteration.
 
-    ``losses`` and ``v_ego`` are read from the run's :class:`LossHistory`,
-    which keeps each iteration's ego speed, or what its replay needs for it.
-    ``==`` compares the fields, not those two.
+    ``losses`` and ``v_ego`` are read from the run's :class:`LossHistory`.
+    ``==`` compares and ``repr`` shows the other fields, not those two, so
+    neither computes them.
     """
 
     iteration: int
@@ -178,7 +174,7 @@ class IterationRecord:
     strategy: str
     static_fallback: bool
     degenerate_clusters: int
-    history: LossHistory = field(compare=False)
+    history: LossHistory = field(compare=False, repr=False)
 
     @property
     def losses(self) -> LossBreakdown:
@@ -188,15 +184,6 @@ class IterationRecord:
     def v_ego(self) -> float:
         """The ego speed (m/s) from the global fit over the working static set."""
         return self.history.v_ego[self.iteration - 1]
-
-    def __repr__(self) -> str:
-        # the losses after delta_total and v_ego last, so a report's repr
-        # compares equal with those of releases that stored them as fields
-        shown = [(f.name, getattr(self, f.name)) for f in fields(self)
-                 if f.name != "history"]
-        shown.insert(4, ("losses", self.losses))
-        shown.append(("v_ego", self.v_ego))
-        return f"IterationRecord({', '.join(f'{k}={v!r}' for k, v in shown)})"
 
 
 @dataclass(frozen=True)
@@ -305,7 +292,7 @@ def initial_mask(p_t, flow: FlowField, pairs: PairList) -> SegmentationMask:
         return SegmentationMask(labels)
     keep = candidate[pairs.i] & candidate[pairs.j]
     # each point's position among the candidates keeps i ascending
-    position = (np.cumsum(candidate) - 1).astype(np.int32)
+    position = np.cumsum(candidate) - 1
     _, comp = _components(candidates.shape[0], position[pairs.i[keep]],
                           position[pairs.j[keep]])
     kept = np.bincount(comp) >= MIN_PTS
@@ -366,8 +353,8 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
     ``cluster`` (given the fit), ``classify``, the deltas and the next
     match.  ``classify`` asks for the cluster statistics and the ego speed
     only when it tries the velocity rule, so only then does the loop compute
-    them.  The loss history, the final transforms and every other ego speed
-    are left to the result's :class:`LossHistory`, computed on first read of
+    them.  The loss history, the final transforms and the ego speeds are
+    left to the result's :class:`LossHistory`, computed on first read of
     ``record.losses``, ``record.v_ego`` or ``transforms``; an exception in
     that work is raised by the read, not here.  From ``OVERLAP_MIN_POINTS``
     points on, one helper thread lives for the call: it runs init_flow while
@@ -412,7 +399,7 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
             md = mask_delta(mask_i, mask_prev)
             d_total = cfg.alpha * fd + cfg.beta * md
             match = matched()
-            history.add(fit, mask_i.labels, match.distances.sum(), static.v_ego)
+            history.add(fit, mask_i.labels, match.distances.sum())
             records.append(IterationRecord(
                 iteration=i, flow_delta=fd, mask_delta=md, delta_total=d_total,
                 n_clusters=mask_i.n_clusters, strategy=static.strategy,

@@ -159,7 +159,7 @@ def members(labels: np.ndarray) -> list:
 class PairList:
     """Every pair of points of one cloud within ``eps`` of each other in 3-D.
 
-    ``i < j`` are int32 point ids, grouped by ascending ``i``.  ``d2`` is each
+    ``i < j`` are intp point ids, grouped by ascending ``i``.  ``d2`` is each
     pair's squared distance summed as (dx² + dy²) + dz², the k-d tree's
     left-to-right order, so adding further squared coordinate differences in
     order gives the squared distance the tree computes over longer features.
@@ -190,8 +190,8 @@ def pair_list(index: SpatialIndex, eps: float = CLUSTER_EPS) -> PairList:
     narrowest dtype."""
     pairs = index.pairs(eps)
     order = np.argsort(_narrow(pairs[:, 0]), kind="stable")
-    i = pairs[order, 0].astype(np.int32)
-    j = pairs[order, 1].astype(np.int32)
+    i = pairs[order, 0]
+    j = pairs[order, 1]
     d2 = _add_squares(np.zeros(i.shape[0]), index.points, i, j)
     return PairList(i=i, j=j, d2=d2, eps=eps, index=index)
 
@@ -349,14 +349,12 @@ def cluster_stats(p_t, flow, mask: SegmentationMask, dt: float):
 @dataclass(frozen=True)
 class StaticSet:
     """The static cluster ``ids`` :func:`classify` picked; the ``strategy``
-    that picked them, ``quantity`` or ``velocity``; ``fallback``, set when
-    the velocity rule found none and the largest was taken; and the ego speed
-    ``v_ego`` (m/s) that rule compared against, ``None`` if not tried."""
+    that picked them, ``quantity`` or ``velocity``; and ``fallback``, set
+    when the velocity rule found none and the largest was taken."""
 
     ids: frozenset
     strategy: str
     fallback: bool
-    v_ego: float = None
 
 
 def classify(mask: SegmentationMask, cfg: ClassifierConfig,
@@ -386,8 +384,8 @@ def classify(mask: SegmentationMask, cfg: ClassifierConfig,
     ids = frozenset(s.cluster_id for s in stats
                     if abs(s.mean_speed - v_ego) < cfg.theta)
     if ids:
-        return StaticSet(ids, "velocity", False, v_ego)
-    return StaticSet(largest, "quantity", True, v_ego)
+        return StaticSet(ids, "velocity", False)
+    return StaticSet(largest, "quantity", True)
 
 
 def relabel_static_first(mask: SegmentationMask, static_ids) -> SegmentationMask:

@@ -329,7 +329,7 @@ class TestPairList:
         rng = np.random.default_rng(36)
         pts = rng.uniform(-2, 2, size=(300, 3))
         pairs = pair_list(SpatialIndex(pts), 0.5)
-        assert pairs.i.dtype == pairs.j.dtype == np.int32
+        assert pairs.i.dtype == pairs.j.dtype == np.intp
         assert (np.diff(pairs.i) >= 0).all() and (pairs.i < pairs.j).all()
         found = {(int(a), int(b)) for a, b in zip(pairs.i, pairs.j)}
         assert found == cKDTree(pts).query_pairs(0.5)
@@ -637,7 +637,7 @@ class TestClusterStats:
 
 def reference_static_set(sizes, speeds, v_ego, cfg):
     """The static set as run()'s loop picked it before ``classify`` owned the
-    rule: ``(ids, strategy, fallback, v_ego)``, ``v_ego`` None unless the
+    rule: ``(ids, strategy, fallback, tried)``, ``tried`` set when the
     velocity rule was tried."""
     strategy = cfg.strategy
     if strategy == "auto":
@@ -645,15 +645,14 @@ def reference_static_set(sizes, speeds, v_ego, cfg):
         normalized_variance = spread.var() / spread.mean() ** 2
         strategy = ("velocity" if normalized_variance < SIZE_VARIANCE_THRESHOLD
                     else "quantity")
-    fallback, seen = False, None
-    if strategy == "velocity":
-        seen = v_ego
+    fallback, tried = False, strategy == "velocity"
+    if tried:
         ids = {k for k, v in enumerate(speeds) if abs(v - v_ego) < cfg.theta}
         if not ids:
             strategy, fallback = "quantity", True
     if strategy == "quantity":
         ids = {int(np.argmax(sizes))}
-    return ids, strategy, fallback, seen
+    return ids, strategy, fallback, tried
 
 
 # cluster sizes: any, with ties, or all within 25% of each other, where auto
@@ -671,7 +670,7 @@ class TestClassify:
     def test_quantity_picks_largest(self):
         cfg = ClassifierConfig(strategy="quantity")
         static, calls = classify_sizes([5000, 100, 50], cfg)
-        assert static == StaticSet(frozenset({0}), "quantity", False, None)
+        assert static == StaticSet(frozenset({0}), "quantity", False)
         assert calls == 0
 
     def test_quantity_tie_lowest_id(self):
@@ -682,26 +681,26 @@ class TestClassify:
     def test_velocity_threshold(self):
         cfg = ClassifierConfig(strategy="velocity", theta=0.5)
         static, calls = classify_sizes([1, 1, 1], cfg, [10.1, 2.0, 25.0], 10.0)
-        assert static == StaticSet(frozenset({0}), "velocity", False, 10.0)
+        assert static == StaticSet(frozenset({0}), "velocity", False)
         assert calls == 1
 
     def test_velocity_no_match_falls_back_to_the_largest(self):
         cfg = ClassifierConfig(strategy="velocity", theta=0.5)
         static, calls = classify_sizes([10, 30], cfg, [5.0, 7.0], 20.0)
-        assert static == StaticSet(frozenset({1}), "quantity", True, 20.0)
+        assert static == StaticSet(frozenset({1}), "quantity", True)
         assert calls == 1
 
     def test_auto_equal_sizes_takes_velocity(self):
         cfg = ClassifierConfig(strategy="auto", theta=1.0)
         static, calls = classify_sizes([100, 100, 100], cfg, [3.0, 0.5, 9.0],
                                        0.0)
-        assert static == StaticSet(frozenset({1}), "velocity", False, 0.0)
+        assert static == StaticSet(frozenset({1}), "velocity", False)
         assert calls == 1
 
     def test_auto_skewed_sizes_takes_quantity(self):
         cfg = ClassifierConfig(strategy="auto")
         static, calls = classify_sizes([5000, 50, 50], cfg)
-        assert static.strategy == "quantity" and static.v_ego is None
+        assert static.strategy == "quantity"
         assert calls == 0
 
     def test_quantity_static_is_maximal_and_unique(self):
@@ -738,12 +737,12 @@ class TestClassify:
         calls = []
         static = classify(mask_of_sizes(sizes, seed), cfg,
                           velocities_of(sizes, speeds, v_ego, calls))
-        ids, rule, fallback, seen = reference_static_set(sizes, speeds, v_ego,
-                                                         cfg)
+        ids, rule, fallback, tried = reference_static_set(sizes, speeds,
+                                                          v_ego, cfg)
         assert isinstance(static.ids, frozenset)
-        assert (static.ids, static.strategy, static.fallback, static.v_ego) \
-            == (ids, rule, fallback, seen)
-        assert len(calls) == (seen is not None)
+        assert (static.ids, static.strategy, static.fallback) \
+            == (ids, rule, fallback)
+        assert len(calls) == tried
 
 
 class TestRelabelStaticFirst:
