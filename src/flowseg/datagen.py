@@ -416,18 +416,12 @@ def read_frame(path):
     return pts, flow, labels
 
 
-def write_sequence(records, path, dt: float = None) -> str:
-    """Write records to a directory (frame files + manifest); returns the
-    manifest path.  ``dt`` is inferred from the record timestamps when not
-    given."""
+def write_sequence(records, path, dt: float) -> str:
+    """Write records to a directory (frame files + manifest) with frame
+    interval ``dt`` in seconds; returns the manifest path."""
     records = list(records)
     if not records:
         raise ValueError("cannot write an empty sequence")
-    if dt is None:
-        if len(records) >= 2:
-            dt = records[1].cloud.timestamp - records[0].cloud.timestamp
-        else:
-            dt = 0.1
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     os.makedirs(path, exist_ok=True)

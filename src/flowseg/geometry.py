@@ -1,7 +1,7 @@
 """Rigid-motion and nearest-neighbor kernels.
 
 Everything downstream (flow refinement, segmentation, odometry) is built on
-four primitives: SE(3) transforms, the weighted Kabsch fit, an exact
+four primitives: SE(3) transforms, the Kabsch fit, an exact
 nearest-neighbor index, and the Chamfer distance.  All functions are pure;
 ``SpatialIndex``, the only k-d tree, is immutable and safe to query from
 multiple threads.  It answers a stack of queries two ways, both exact and
@@ -114,23 +114,21 @@ class RigidTransform:
         """Frobenius norm of ``R^T R - I``."""
         return float(np.linalg.norm(self.rotation.T @ self.rotation - np.eye(3)))
 
-    def is_rigid(self, tol: float = ROTATION_TOL) -> bool:
-        return self.orthonormality_error() <= tol and np.linalg.det(self.rotation) > 0
+    def is_rigid(self) -> bool:
+        return (self.orthonormality_error() <= ROTATION_TOL
+                and np.linalg.det(self.rotation) > 0)
 
     def apply(self, points) -> np.ndarray:
         """Transform a single point (3,) or a stack of points (N, 3)."""
         p = np.asarray(points, dtype=np.float64)
         return p @ self.rotation.T + self.translation
 
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """``self.compose(other)`` applies ``other`` first, then ``self``."""
+    def __matmul__(self, other: "RigidTransform") -> "RigidTransform":
+        """``self @ other`` applies ``other`` first, then ``self``."""
         return RigidTransform(
             self.rotation @ other.rotation,
             self.rotation @ other.translation + self.translation,
         )
-
-    def __matmul__(self, other: "RigidTransform") -> "RigidTransform":
-        return self.compose(other)
 
     def inverse(self) -> "RigidTransform":
         rt = self.rotation.T
@@ -142,22 +140,22 @@ class RigidTransform:
         return float(np.arccos(min(1.0, max(-1.0, c))))
 
 
-def weighted_kabsch(src, dst, weights=None) -> RigidTransform:
-    """Best-fit rigid transform minimizing ``sum_i w_i ||T(src_i) - dst_i||^2``.
+def weighted_kabsch(src, dst) -> RigidTransform:
+    """Best-fit rigid transform minimizing ``sum_i ||T(src_i) - dst_i||^2``.
 
     Closed-form SVD solution with the usual reflection correction (sign flip
     on the smallest singular vector) so the result is a proper rotation.
+    Every correspondence weighs 1/N; the name stays because perfbench swaps
+    this function by it.
 
     Args:
         src: source points, (N, 3) with N >= 3.
         dst: target points, index-aligned with ``src``.
-        weights: per-correspondence nonnegative weights; uniform if omitted.
 
     Raises:
-        DegenerateInput: fewer than 3 correspondences, zero total weight, or a
-            rank-deficient covariance (collinear / coincident weighted points).
-            Callers that cannot fail should catch this and fall back to the
-            identity transform.
+        DegenerateInput: fewer than 3 correspondences, or a rank-deficient
+            covariance (collinear / coincident points).  Callers that cannot
+            fail should catch this and fall back to the identity transform.
     """
     s = _points_array(src, "src")
     d = _points_array(dst, "dst")
@@ -166,16 +164,7 @@ def weighted_kabsch(src, dst, weights=None) -> RigidTransform:
     n = s.shape[0]
     if n < 3:
         raise DegenerateInput(f"need at least 3 correspondences, got {n}")
-    if weights is None:
-        w = np.full(n, 1.0 / n)
-    else:
-        w = np.asarray(weights, dtype=np.float64).reshape(n)
-        if (w < 0).any():
-            raise ValueError("weights must be nonnegative")
-        total = w.sum()
-        if total <= 0:
-            raise DegenerateInput("total weight must be positive")
-        w = w / total
+    w = np.full(n, 1.0 / n)
     mu_s = w @ s
     mu_d = w @ d
     xs = s - mu_s

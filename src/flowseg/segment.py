@@ -1,11 +1,12 @@
 """Motion segmentation: flow-augmented clustering and static/dynamic classification.
 
 Clustering runs density-based connected components over 6-D features
-(x, y, z, lambda*sx, lambda*sy, lambda*sz): two points join when their feature
-distance is at most eps, so spatially adjacent points separate whenever their
-flows differ enough.  A feature distance is never below the 3-D distance, so
-every joined pair is within eps in 3-D: one :class:`PairList` of those pairs,
-found once in the cloud's ``SpatialIndex``, serves every clustering of it.
+(x, y, z, lambda*sx, lambda*sy, lambda*sz), lambda = ``LAMBDA_FLOW``: two
+points join when their feature distance is at most eps = ``CLUSTER_EPS``, so
+spatially adjacent points separate whenever their flows differ enough.  A
+feature distance is never below the 3-D distance, so every joined pair is
+within eps in 3-D: one :class:`PairList` of those pairs, found once in the
+cloud's ``SpatialIndex``, serves every clustering of it.
 :func:`classify` alone picks the static set: the largest cluster (the
 background dominates), or the clusters moving with the ego vehicle, else the
 largest; ``auto`` takes the velocity rule when cluster sizes are too similar
@@ -157,7 +158,8 @@ def members(labels: np.ndarray) -> list:
 
 @dataclass(frozen=True)
 class PairList:
-    """Every pair of points of one cloud within ``eps`` of each other in 3-D.
+    """Every pair of points of one cloud within ``eps`` of each other in 3-D,
+    ``eps`` being the ``CLUSTER_EPS`` the list was built at.
 
     ``i < j`` are intp point ids, grouped by ascending ``i``.  ``d2`` is each
     pair's squared distance summed as (dx² + dy²) + dz², the k-d tree's
@@ -184,10 +186,11 @@ def _add_squares(d2: np.ndarray, coords: np.ndarray, i, j) -> np.ndarray:
     return d2
 
 
-def pair_list(index: SpatialIndex, eps: float = CLUSTER_EPS) -> PairList:
-    """The :class:`PairList` of the cloud ``index`` holds: one
-    ``index.pairs(eps)`` call, grouped by a stable sort of ``i`` in its
+def pair_list(index: SpatialIndex) -> PairList:
+    """The :class:`PairList` at ``CLUSTER_EPS`` of the cloud ``index`` holds:
+    one ``index.pairs`` call, grouped by a stable sort of ``i`` in its
     narrowest dtype."""
+    eps = CLUSTER_EPS
     pairs = index.pairs(eps)
     order = np.argsort(_narrow(pairs[:, 0]), kind="stable")
     i = pairs[order, 0]
@@ -213,8 +216,9 @@ def _compact(labels: np.ndarray) -> np.ndarray:
     return rank[inverse].astype(np.int64)
 
 
-def _proven(p_t, pairs: PairList, fit, lambda_flow: float, eps: float):
-    """Which pairs a rigid fit proves to lie within ``eps`` in feature space.
+def _proven(p_t, pairs: PairList, fit):
+    """Which pairs a rigid fit proves to lie within ``eps = pairs.eps`` in
+    feature space, with the flow scaled by ``λ = LAMBDA_FLOW``.
 
     ``fit`` is the :class:`~flowseg.flow.ClusterFit` of a
     :func:`~flowseg.flow.refine_flow` call.  A pair of one non-degenerate
@@ -247,6 +251,7 @@ def _proven(p_t, pairs: PairList, fit, lambda_flow: float, eps: float):
     #   eps² + 36u eps² + (1 + 20u) (2 √c eps B + B²) - slack ≤ eps²
     # for the slack below: 64u eps² covers the relative terms, the factor 2
     # the cross and B² terms with their rounding.
+    lambda_flow, eps = LAMBDA_FLOW, pairs.eps
     eps2 = eps * eps
     scale = float(np.abs(p_t.points).max())
     limit = np.full(len(fit.transforms), -1.0)
@@ -264,15 +269,14 @@ def _proven(p_t, pairs: PairList, fit, lambda_flow: float, eps: float):
     return proven
 
 
-def cluster(p_t, flow, lambda_flow: float = LAMBDA_FLOW, *,
-            pairs: PairList, fit=None) -> SegmentationMask:
+def cluster(p_t, flow, *, pairs: PairList, fit=None) -> SegmentationMask:
     """Segment a cloud by density connectivity over position+scaled-flow features.
 
-    ``pairs`` is the cloud's :func:`pair_list`; its radius ``eps =
-    pairs.eps`` is the link radius.  Each pair's feature distance
-    adds the three scaled flow differences to its 3-D ``d2`` in the tree's
-    order, so the pairs kept are exactly those a 6-D ``query_pairs(eps)``
-    finds.
+    The flow is scaled by ``LAMBDA_FLOW``.  ``pairs`` is the cloud's
+    :func:`pair_list`; its radius ``eps = pairs.eps`` is the link radius.
+    Each pair's feature distance adds the three scaled flow differences to
+    its 3-D ``d2`` in the tree's order, so the pairs kept are exactly those
+    a 6-D ``query_pairs(eps)`` finds.
 
     ``fit`` is the :class:`~flowseg.flow.ClusterFit` of the
     :func:`~flowseg.flow.refine_flow` call that made ``flow``.  A pair within
@@ -293,11 +297,9 @@ def cluster(p_t, flow, lambda_flow: float = LAMBDA_FLOW, *,
     Output labels are compacted to 0..K-1 in first-appearance order.
     """
     _check_aligned(p_t, flow=flow, pairs=pairs.index)
-    if lambda_flow < 0:
-        raise ValueError("lambda_flow must be nonnegative")
     eps = pairs.eps
-    scaled = lambda_flow * flow.vectors
-    keep = _proven(p_t, pairs, fit, lambda_flow, eps)
+    scaled = LAMBDA_FLOW * flow.vectors
+    keep = _proven(p_t, pairs, fit)
     rest = np.nonzero(~keep)[0]
     keep[rest] = _add_squares(pairs.d2[rest], scaled, pairs.i[rest],
                               pairs.j[rest]) <= eps * eps

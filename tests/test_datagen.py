@@ -274,7 +274,7 @@ class TestSequenceFormat:
     def test_round_trip_every_field(self, tmp_path):
         recs = generate(plain_spec(13, n_objects=2, n_frames=3))
         out = tmp_path / "seq"
-        write_sequence(recs, out)
+        write_sequence(recs, out, dt=0.1)
         back = read_sequence(out)
         assert len(back) == 3
         for orig, rt in zip(recs, back):
@@ -294,16 +294,16 @@ class TestSequenceFormat:
         recs = generate(plain_spec(14, n_objects=1))
         d1 = tmp_path / "a"
         d2 = tmp_path / "b"
-        m1 = write_sequence(recs, d1)
+        m1 = write_sequence(recs, d1, dt=0.1)
         back = read_sequence(d1)
-        m2 = write_sequence(back, d2)
+        m2 = write_sequence(back, d2, dt=0.1)
         assert Path(m1).read_text() == Path(m2).read_text()
         for f1, f2 in zip(sorted(d1.glob("*.pcf")), sorted(d2.glob("*.pcf"))):
             assert f1.read_bytes() == f2.read_bytes()
 
     def test_manifest_layout(self, tmp_path):
         recs = generate(plain_spec(15, n_objects=0, n_frames=2))
-        manifest = write_sequence(recs, tmp_path / "seq")
+        manifest = write_sequence(recs, tmp_path / "seq", dt=0.1)
         lines = Path(manifest).read_text().splitlines()
         assert lines[0] == "PCSEQ1"
         assert lines[1].startswith("dt=")
@@ -312,7 +312,7 @@ class TestSequenceFormat:
 
     def test_accepts_manifest_path_or_directory(self, tmp_path):
         recs = generate(plain_spec(16, n_objects=0))
-        manifest = write_sequence(recs, tmp_path / "seq")
+        manifest = write_sequence(recs, tmp_path / "seq", dt=0.1)
         by_dir = read_sequence(tmp_path / "seq")
         by_file = read_sequence(manifest)
         np.testing.assert_array_equal(by_dir[0].cloud.points,
@@ -320,7 +320,7 @@ class TestSequenceFormat:
 
     def test_bad_manifest_magic(self, tmp_path):
         recs = generate(plain_spec(17, n_objects=0))
-        manifest = write_sequence(recs, tmp_path / "seq")
+        manifest = write_sequence(recs, tmp_path / "seq", dt=0.1)
         text = Path(manifest).read_text().replace("PCSEQ1", "NOPE", 1)
         Path(manifest).write_text(text)
         with pytest.raises(FormatError, match="magic"):
@@ -328,7 +328,7 @@ class TestSequenceFormat:
 
     def test_bad_pose_token_count(self, tmp_path):
         recs = generate(plain_spec(18, n_objects=0))
-        manifest = write_sequence(recs, tmp_path / "seq")
+        manifest = write_sequence(recs, tmp_path / "seq", dt=0.1)
         lines = Path(manifest).read_text().splitlines()
         lines[2] = " ".join(lines[2].split()[:5])
         Path(manifest).write_text("\n".join(lines) + "\n")
@@ -338,7 +338,7 @@ class TestSequenceFormat:
     @pytest.mark.parametrize("value", ["dt=nan", "dt=inf", "pose nan"])
     def test_non_finite_manifest_value(self, tmp_path, value):
         recs = generate(plain_spec(18, n_objects=0))
-        manifest = write_sequence(recs, tmp_path / "seq")
+        manifest = write_sequence(recs, tmp_path / "seq", dt=0.1)
         lines = Path(manifest).read_text().splitlines()
         if value.startswith("dt="):
             lines[1] = value
@@ -362,7 +362,7 @@ class TestSequenceFormat:
     def test_missing_labels_rejected(self, tmp_path):
         recs = generate(plain_spec(19, n_objects=0))
         out = tmp_path / "seq"
-        manifest = write_sequence(recs, out)
+        manifest = write_sequence(recs, out, dt=0.1)
         # rewrite frame 0 without labels
         pts, flow, _ = read_frame(out / "frame_0000.pcf")
         write_frame(out / "frame_0000.pcf", pts, flow=flow)
@@ -372,7 +372,7 @@ class TestSequenceFormat:
     def test_corrupt_frame_no_partial_records(self, tmp_path):
         recs = generate(plain_spec(20, n_objects=0, n_frames=3))
         out = tmp_path / "seq"
-        write_sequence(recs, out)
+        write_sequence(recs, out, dt=0.1)
         data = (out / "frame_0002.pcf").read_bytes()
         (out / "frame_0002.pcf").write_bytes(data[:20])
         with pytest.raises(FormatError):

@@ -139,7 +139,7 @@ class TestRpe:
         gt = accumulate(incs, [float(i) for i in range(6)])
         offset = RigidTransform(rot_z(0.7), np.array([10.0, -3.0, 2.0]))
         shifted = Trajectory(tuple(
-            Pose(offset.compose(p.transform), p.timestamp)
+            Pose(offset @ p.transform, p.timestamp)
             for p in gt.poses))
         rep = rpe(shifted, gt)
         assert rep.translational.rmse < 1e-9

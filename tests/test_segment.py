@@ -1,4 +1,5 @@
 """Clustering, cluster statistics, static/dynamic classification."""
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -150,16 +151,19 @@ class TestCluster:
         vec = np.zeros((60, 3))
         vec[30:, 0] = 2.0
         p_t = cloud_of(pts)
-        mask = cluster(p_t, FlowField(vec), 5.0,
-                       pairs=pair_list(SpatialIndex(p_t), 1.0))
+        with patch.object(segment, "LAMBDA_FLOW", 5.0), \
+                patch.object(segment, "CLUSTER_EPS", 1.0):
+            mask = cluster(p_t, FlowField(vec),
+                           pairs=pair_list(SpatialIndex(p_t)))
         assert mask.n_clusters == 2
 
     def test_zero_lambda_ignores_flow(self):
         rng = np.random.default_rng(33)
         p_t = cloud_of(blob([0, 0, 0], 40, rng))
         vec = rng.standard_normal((40, 3)) * 100.0
-        mask = cluster(p_t, FlowField(vec), 0.0,
-                       pairs=pair_list(SpatialIndex(p_t)))
+        with patch.object(segment, "LAMBDA_FLOW", 0.0):
+            mask = cluster(p_t, FlowField(vec),
+                           pairs=pair_list(SpatialIndex(p_t)))
         assert mask.n_clusters == 1
 
     def test_small_component_merged_into_nearest_large(self):
@@ -256,10 +260,11 @@ class TestPairList:
         (p_t, flow), step = scene_step
         eps = radius * step
         expected = reference_cluster(p_t, flow, lambda_flow, eps)
-        assert np.array_equal(
-            cluster(p_t, flow, lambda_flow,
-                    pairs=pair_list(SpatialIndex(p_t), eps)).labels,
-            expected)
+        with patch.object(segment, "LAMBDA_FLOW", lambda_flow), \
+                patch.object(segment, "CLUSTER_EPS", eps):
+            labels = cluster(p_t, flow,
+                             pairs=pair_list(SpatialIndex(p_t))).labels
+        assert np.array_equal(labels, expected)
 
     @settings(deadline=None, max_examples=300)
     @given(st.integers(0, 2**32 - 1), st.integers(-2, 2),
@@ -279,10 +284,12 @@ class TestPairList:
         eps = np.sqrt(d2)
         for _ in range(abs(nudge)):
             eps = np.nextafter(eps, np.sign(nudge) * np.inf)
-        assert np.array_equal(
-            cluster(p_t, flow, lambda_flow,
-                    pairs=pair_list(SpatialIndex(p_t), eps)).labels,
-            reference_cluster(p_t, flow, lambda_flow, eps))
+        with patch.object(segment, "LAMBDA_FLOW", lambda_flow), \
+                patch.object(segment, "CLUSTER_EPS", eps):
+            labels = cluster(p_t, flow,
+                             pairs=pair_list(SpatialIndex(p_t))).labels
+        assert np.array_equal(labels,
+                              reference_cluster(p_t, flow, lambda_flow, eps))
 
     @settings(deadline=None, max_examples=50)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 400))
@@ -328,7 +335,9 @@ class TestPairList:
     def test_pair_list_layout(self):
         rng = np.random.default_rng(36)
         pts = rng.uniform(-2, 2, size=(300, 3))
-        pairs = pair_list(SpatialIndex(pts), 0.5)
+        with patch.object(segment, "CLUSTER_EPS", 0.5):
+            pairs = pair_list(SpatialIndex(pts))
+        assert pairs.eps == 0.5
         assert pairs.i.dtype == pairs.j.dtype == np.intp
         assert (np.diff(pairs.i) >= 0).all() and (pairs.i < pairs.j).all()
         found = {(int(a), int(b)) for a, b in zip(pairs.i, pairs.j)}
@@ -354,7 +363,8 @@ class TestPairList:
               + diff[..., 2] * diff[..., 2])
         want = set(zip(*(ids.tolist() for ids in np.nonzero(
             np.triu(d2 <= eps * eps, 1)))))
-        pairs = pair_list(SpatialIndex(pts), eps)
+        with patch.object(segment, "CLUSTER_EPS", eps):
+            pairs = pair_list(SpatialIndex(pts))
         assert {(int(a), int(b)) for a, b in zip(pairs.i, pairs.j)} == want
         assert len(pairs.i) == len(want)
         assert (np.diff(pairs.i) >= 0).all()
@@ -415,9 +425,11 @@ class TestProvenPairs:
         # about -52) or up to far inside it
         p_t, flow, fit, step = scene
         eps = radius * step * (1.0 if room is None else 1.0 + 2.0 ** room)
-        pairs = pair_list(SpatialIndex(p_t), eps)
-        exact = cluster(p_t, flow, lambda_flow, pairs=pairs)
-        proven = cluster(p_t, flow, lambda_flow, pairs=pairs, fit=fit)
+        with patch.object(segment, "LAMBDA_FLOW", lambda_flow), \
+                patch.object(segment, "CLUSTER_EPS", eps):
+            pairs = pair_list(SpatialIndex(p_t))
+            exact = cluster(p_t, flow, pairs=pairs)
+            proven = cluster(p_t, flow, pairs=pairs, fit=fit)
         assert np.array_equal(proven.labels, exact.labels)
 
     @settings(deadline=None, max_examples=200)
@@ -434,14 +446,17 @@ class TestProvenPairs:
         t = RigidTransform(np.eye(3), rng.uniform(-1e3, 1e3, size=3))
         fit = ClusterFit(SegmentationMask(labels), (t,), ())
         flow = fit.apply(p_t, FlowField.zeros(40))
-        pairs = pair_list(SpatialIndex(p_t), 0.8)
+        with patch.object(segment, "CLUSTER_EPS", 0.8):
+            pairs = pair_list(SpatialIndex(p_t))
         eps = np.sqrt(pairs.d2.max())
         for _ in range(ulps):
             eps = np.nextafter(eps, np.inf)
-        pairs = pair_list(SpatialIndex(p_t), eps)
-        assert np.array_equal(
-            cluster(p_t, flow, 1e6, pairs=pairs, fit=fit).labels,
-            cluster(p_t, flow, 1e6, pairs=pairs).labels)
+        with patch.object(segment, "LAMBDA_FLOW", 1e6), \
+                patch.object(segment, "CLUSTER_EPS", eps):
+            pairs = pair_list(SpatialIndex(p_t))
+            assert np.array_equal(
+                cluster(p_t, flow, pairs=pairs, fit=fit).labels,
+                cluster(p_t, flow, pairs=pairs).labels)
 
     def test_fit_skips_the_pairs_it_proves(self, monkeypatch):
         # two rigid groups turned 0.02 rad: every same-group pair whose
@@ -524,10 +539,12 @@ class TestSmallComponentMerge:
                     FlowField.zeros(76)), lambda_flow=1.0)
     def test_equals_dense_reference(self, scene, lambda_flow):
         p_t, flow = scene
-        assert np.array_equal(
-            cluster(p_t, flow, lambda_flow,
-                    pairs=pair_list(SpatialIndex(p_t), 1.0)).labels,
-            reference_cluster(p_t, flow, lambda_flow, 1.0))
+        with patch.object(segment, "LAMBDA_FLOW", lambda_flow), \
+                patch.object(segment, "CLUSTER_EPS", 1.0):
+            labels = cluster(p_t, flow,
+                             pairs=pair_list(SpatialIndex(p_t))).labels
+        assert np.array_equal(labels,
+                              reference_cluster(p_t, flow, lambda_flow, 1.0))
 
     def test_range_falloff_merges_in_a_few_searches(self):
         # a scan that thins out with range, as a LiDAR's does: each
@@ -569,8 +586,9 @@ class TestSmallComponentMerge:
         pts = ([[3.0 + k, 0, 0] for k in range(5)] + [[0.0, 0, 0]]
                + [[-3.0 - k, 0, 0] for k in range(5)])
         p_t = cloud_of(pts)
-        mask = cluster(p_t, FlowField.zeros(11),
-                       pairs=pair_list(SpatialIndex(p_t), 1.0))
+        with patch.object(segment, "CLUSTER_EPS", 1.0):
+            pairs = pair_list(SpatialIndex(p_t))
+        mask = cluster(p_t, FlowField.zeros(11), pairs=pairs)
         assert mask.labels[5] == mask.labels[0] != mask.labels[6]
 
 
