@@ -24,8 +24,8 @@ from .geometry import _check_aligned, weighted_kabsch
 from .losses import LossBreakdown, total_loss
 from .odometry import ego_motion
 from .segment import (MIN_PTS, ClassifierConfig, PairList, SegmentationMask,
-                      _components, _narrow, classify, cluster, cluster_stats,
-                      pair_list, relabel_static_first)
+                      _components_among, _narrow, classify, cluster,
+                      cluster_stats, pair_list, relabel_static_first)
 
 __all__ = [
     "IterationConfig",
@@ -290,11 +290,7 @@ def initial_mask(p_t, flow: FlowField, pairs: PairList) -> SegmentationMask:
     candidates = np.nonzero(candidate)[0]
     if candidates.shape[0] == 0:
         return SegmentationMask(labels)
-    keep = candidate[pairs.i] & candidate[pairs.j]
-    # each point's position among the candidates keeps i ascending
-    position = np.cumsum(candidate) - 1
-    _, comp = _components(candidates.shape[0], position[pairs.i[keep]],
-                          position[pairs.j[keep]])
+    _, comp = _components_among(candidate, pairs.i, pairs.j)
     kept = np.bincount(comp) >= MIN_PTS
     labels[candidates] = (np.cumsum(kept) * kept)[comp]
     if not (labels == 0).any():
@@ -342,7 +338,10 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
     - each frame is indexed once; init_flow searches both indexes;
     - frame t's ``pair_list`` is found once in its index and serves
       ``initial_mask`` and every ``cluster`` call, each of which also takes
-      the fit behind its flow to skip the pair tests that fit proves;
+      the fit behind its flow to skip the pair tests that fit proves, and
+      the last call's :class:`~flowseg.segment.Clustering` to keep each of
+      its components whole unless it lost a link that no common neighbour
+      bridges;
     - every match against the frame-t+1 index goes through
       ``SpatialIndex.match`` with the one before it, starting from
       init_flow's forward search, so only rows whose nearest point is not
@@ -350,7 +349,7 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
       next iteration's correspondences and the sum its Chamfer term needs.
 
     The loop waits only on what its next decision reads: ``refine_flow``,
-    ``cluster`` (given the fit), ``classify``, the deltas and the next
+    ``cluster`` (given the fit and the last clustering), ``classify``, the deltas and the next
     match.  ``classify`` asks for the cluster statistics and the ego speed
     only when it tries the velocity rule, so only then does the loop compute
     them.  The loss history, the final transforms and the ego speeds are
@@ -385,12 +384,15 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
         match = matched()
         records = []
         converged = False
+        clustering = None
         for i in range(1, cfg.max_iters + 1):
             flow_i, fit = refine_flow(p_t, p_t1.points[match.ids], mask_prev,
                                       flow_prev)
             matched = _later(helper, index_t1.match,
                              p_t.points + flow_i.vectors, match)
-            raw_mask = cluster(p_t, flow_i, pairs=pairs, fit=fit)
+            clustering = cluster(p_t, flow_i, pairs=pairs, fit=fit,
+                                 previous=clustering)
+            raw_mask = clustering.mask
             static = classify(raw_mask, cfg.classifier, lambda: (
                 cluster_stats(p_t, flow_i, raw_mask, dt),
                 _estimate_v_ego(p_t, flow_i, mask_prev, i, dt)))

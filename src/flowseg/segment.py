@@ -20,7 +20,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import UnknownClusterId
+from .errors import MaskMismatch, UnknownClusterId
 from .geometry import TOL, SpatialIndex, _check_aligned, _fields_equal
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "ClassifierConfig",
     "StaticSet",
     "PairList",
+    "Clustering",
     "members",
     "pair_list",
     "cluster",
@@ -207,6 +208,17 @@ def _components(n: int, i: np.ndarray, j: np.ndarray):
     return connected_components(adj, directed=False)
 
 
+def _components_among(member: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """Connected components of the points ``member`` marks, linked by the
+    pairs (i, j), i ascending, with both ends among them: ``(count,
+    labels)``, one label per marked point in id order."""
+    inside = member[i] & member[j]
+    # each point's position among the marked ones keeps i ascending
+    position = np.cumsum(member) - 1
+    return _components(int(position[-1]) + 1, position[i[inside]],
+                       position[j[inside]])
+
+
 def _compact(labels: np.ndarray) -> np.ndarray:
     """Renumber labels to 0..K-1 in order of first appearance."""
     _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
@@ -269,14 +281,80 @@ def _proven(p_t, pairs: PairList, fit):
     return proven
 
 
-def cluster(p_t, flow, *, pairs: PairList, fit=None) -> SegmentationMask:
+@dataclass(frozen=True)
+class Clustering:
+    """What :func:`cluster` found over one :class:`PairList`: the ``mask``;
+    ``kept``, one flag per pair of ``pairs``, set when the pair links its
+    points under the flow; and ``components``, each point's connected
+    component under those links, before small components merge."""
+
+    mask: SegmentationMask
+    kept: np.ndarray
+    components: np.ndarray
+    pairs: PairList = field(repr=False, compare=False)
+
+    __eq__ = _fields_equal
+
+
+def _links(points, scaled, eps2, a, b):
+    """Whether each pair (a, b) links: its squared feature distance, summed
+    as ``pair_list`` and ``cluster`` sum a listed pair's, is at most eps²."""
+    d2 = _add_squares(np.zeros(a.shape[0]), points, a, b)
+    return _add_squares(d2, scaled, a, b) <= eps2
+
+
+def _carry(pairs: PairList, scaled, keep, previous: Clustering):
+    """``(count, labels)`` of the components under the links ``keep``,
+    carried from ``previous``'s components as :func:`cluster` describes."""
+    comp = previous.components
+    n_prev = int(comp.max()) + 1
+    changed = np.nonzero(keep != previous.kept)[0]
+    dropped, added = changed[~keep[changed]], changed[keep[changed]]
+    a, b = pairs.i[dropped], pairs.j[dropped]
+    split = np.zeros(n_prev, dtype=bool)
+    if a.shape[0]:
+        points = pairs.index.points
+        k = min(16, len(pairs.index))
+        near = pairs.index.query_knn(points[a], k)[0].ravel()
+        a_k, b_k = np.repeat(a, k), np.repeat(b, k)
+        eps2 = pairs.eps * pairs.eps
+        bridged = (_links(points, scaled, eps2, a_k, near)
+                   & _links(points, scaled, eps2, b_k, near)
+                   ).reshape(-1, k).any(axis=1)
+        split[comp[a[~bridged]]] = True
+    node, n_node = comp, n_prev
+    if split.any():
+        loose = split[comp]
+        # the pairs whose i is loose, in order: those holding its links
+        ids = np.nonzero(loose)[0]
+        start = np.searchsorted(pairs.i, ids)
+        count = np.searchsorted(pairs.i, ids, side="right") - start
+        rows = (np.repeat(start - np.cumsum(count) + count, count)
+                + np.arange(count.sum()))
+        rows = rows[keep[rows]]
+        n_loose, sub = _components_among(loose, pairs.i[rows], pairs.j[rows])
+        rank = np.cumsum(~split) - 1
+        node = rank[comp]
+        node[loose] = rank[-1] + 1 + sub
+        n_node = int(rank[-1]) + 1 + n_loose
+    ni, nj = node[pairs.i[added]], node[pairs.j[added]]
+    cross = np.nonzero(ni != nj)[0]
+    if not cross.shape[0]:
+        return n_node, node
+    cross = cross[np.argsort(ni[cross], kind="stable")]
+    n_comp, labels = _components(n_node, ni[cross], nj[cross])
+    return n_comp, labels[node]
+
+
+def cluster(p_t, flow, *, pairs: PairList, fit=None,
+            previous: Clustering = None) -> Clustering:
     """Segment a cloud by density connectivity over position+scaled-flow features.
 
     The flow is scaled by ``LAMBDA_FLOW``.  ``pairs`` is the cloud's
     :func:`pair_list`; its radius ``eps = pairs.eps`` is the link radius.
     Each pair's feature distance adds the three scaled flow differences to
     its 3-D ``d2`` in the tree's order, so the pairs kept are exactly those
-    a 6-D ``query_pairs(eps)`` finds.
+    a 6-D ``query_pairs(eps)`` finds.  Returns a :class:`Clustering`.
 
     ``fit`` is the :class:`~flowseg.flow.ClusterFit` of the
     :func:`~flowseg.flow.refine_flow` call that made ``flow``.  A pair within
@@ -284,6 +362,27 @@ def cluster(p_t, flow, *, pairs: PairList, fit=None) -> SegmentationMask:
     ``eps`` with room for rounding is kept without the exact sum; every
     other pair, and every pair when ``fit`` is omitted, is summed exactly.
     The labels are the same either way.
+
+    Without ``previous`` one components call solves the kept pairs.
+    ``previous`` is the last call's result on the same ``pairs`` (another
+    list raises ``MaskMismatch``); its components are carried, and the
+    labels equal a call without it.  Proof: a pair that links now and
+    linked before lies in one previous component, which holds every link
+    among its points.  A pair that linked before and does not now, (a, b),
+    is bridged when a point c among a's 16 nearest links to both a and b
+    by the same exact sum, its 3-D part summed from zero as
+    :func:`pair_list` sums ``d2``.  Such a link's 3-D part is at most its
+    full sum, so at most eps², so the list holds the pair, and the test
+    above, making the same sum, keeps it.  A previous component whose
+    every such pair is bridged is still connected, each old link holding
+    or replaced by a two-link path, and stays one node.  Every other
+    previous component is re-solved point by point, in one components
+    call over the kept pairs among those points.  Any other kept pair
+    either lies inside one node or did not link before; those joining two
+    nodes go to one components call over the nodes, skipped when there
+    are none.  So the nodes' components are the components of the kept
+    pairs.  What follows reads them only as a partition (sizes, members,
+    each point's component), so the mask is the same.
 
     Components smaller than ``MIN_PTS`` are merged into the large component
     whose nearest point (in feature space) is closest; ties go to the lowest
@@ -297,20 +396,24 @@ def cluster(p_t, flow, *, pairs: PairList, fit=None) -> SegmentationMask:
     Output labels are compacted to 0..K-1 in first-appearance order.
     """
     _check_aligned(p_t, flow=flow, pairs=pairs.index)
+    if previous is not None and previous.pairs is not pairs:
+        raise MaskMismatch("previous clustering is of another pair list")
     eps = pairs.eps
     scaled = LAMBDA_FLOW * flow.vectors
     keep = _proven(p_t, pairs, fit)
     rest = np.nonzero(~keep)[0]
     keep[rest] = _add_squares(pairs.d2[rest], scaled, pairs.i[rest],
                               pairs.j[rest]) <= eps * eps
-    n_comp, raw = _components(len(p_t), pairs.i[keep], pairs.j[keep])
+    if previous is None:
+        n_comp, raw = _components(len(p_t), pairs.i[keep], pairs.j[keep])
+    else:
+        n_comp, raw = _carry(pairs, scaled, keep, previous)
     sizes = np.bincount(raw, minlength=n_comp)
     large = sizes >= MIN_PTS
     if not large.any():
         large = sizes == sizes.max()
     into = np.arange(n_comp, dtype=raw.dtype)
     if not large.all():
-        feats = np.hstack([p_t.points, scaled])
         merging = ~large
         rows = np.nonzero(merging[raw])[0]
         n, k = len(p_t), 16
@@ -322,7 +425,11 @@ def cluster(p_t, flow, *, pairs: PairList, fit=None) -> SegmentationMask:
             np.minimum.at(reach, owner, dist[:, -1])
             r, c = np.nonzero(large[raw[near]])
             comp, cand = owner[r], near[r, c]
-            d2 = ((feats[rows[r]] - feats[cand]) ** 2).sum(axis=1)
+            a = rows[r]
+            # the six differences in feature order, summed as one row each
+            diff = np.hstack([p_t.points[a] - p_t.points[cand],
+                              scaled[a] - scaled[cand]])
+            d2 = (diff ** 2).sum(axis=1)
             # per component the smallest d2, ties to the lowest point id
             order = np.lexsort((cand, d2, comp))
             best = order[np.nonzero(np.diff(comp[order], prepend=-1))[0]]
@@ -331,7 +438,7 @@ def cluster(p_t, flow, *, pairs: PairList, fit=None) -> SegmentationMask:
             merging[comp[best]] = False
             rows = rows[merging[owner]]
             k *= 4
-    return SegmentationMask(_compact(into[raw]))
+    return Clustering(SegmentationMask(_compact(into[raw])), keep, raw, pairs)
 
 
 def cluster_stats(p_t, flow, mask: SegmentationMask, dt: float):

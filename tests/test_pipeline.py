@@ -487,6 +487,39 @@ class TestOverlap:
         assert threading.active_count() == before
 
 
+class TestCarriedClustering:
+    """run() passes each cluster() call the one before it, and gives what a
+    loop that clusters from scratch gives."""
+
+    @pytest.mark.parametrize("n_points", [2048, 32768])
+    def test_equals_a_from_scratch_loop(self, monkeypatch, n_points):
+        recs = generate(random_scene_spec(4, n_points=n_points, n_objects=3))
+        p_t, p_t1 = recs[0].cloud, recs[1].cloud
+        original = pipeline.cluster
+        received, returned = [], []
+
+        def recorded(*args, previous=None, **kwargs):
+            received.append(previous)
+            returned.append(original(*args, previous=previous, **kwargs))
+            return returned[-1]
+
+        def from_scratch(*args, previous=None, **kwargs):
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "cluster", recorded)
+        carried = run(p_t, p_t1)
+        monkeypatch.setattr(pipeline, "cluster", from_scratch)
+        fresh = run(p_t, p_t1)
+        assert len(returned) == carried.report.n_iterations >= 2
+        assert received == [None] + returned[:-1]
+        assert all(a is b for a, b in zip(received[1:], returned))
+        assert carried == fresh
+        assert np.array_equal(carried.flow.vectors, fresh.flow.vectors)
+        assert np.array_equal(carried.mask.labels, fresh.mask.labels)
+        assert repr(carried.report) == repr(fresh.report)
+        assert repr(carried.stats) == repr(fresh.stats)
+
+
 class TestLossHistory:
     """The loss history and the final transforms are computed on first read,
     from the compact state the loop keeps."""

@@ -130,7 +130,7 @@ class TestCluster:
         rng = np.random.default_rng(30)
         p_t = cloud_of(blob([0, 0, 0], 40, rng))
         mask = cluster(p_t, FlowField.zeros(40),
-                       pairs=pair_list(SpatialIndex(p_t)))
+                       pairs=pair_list(SpatialIndex(p_t))).mask
         assert mask.n_clusters == 1
 
     def test_spatial_gap_splits(self):
@@ -138,7 +138,7 @@ class TestCluster:
         p_t = cloud_of(np.vstack([blob([0, 0, 0], 30, rng),
                                   blob([10, 0, 0], 30, rng)]))
         mask = cluster(p_t, FlowField.zeros(60),
-                       pairs=pair_list(SpatialIndex(p_t)))
+                       pairs=pair_list(SpatialIndex(p_t))).mask
         assert mask.n_clusters == 2
         assert len(set(mask.labels[:30])) == 1
         assert len(set(mask.labels[30:])) == 1
@@ -154,7 +154,7 @@ class TestCluster:
         with patch.object(segment, "LAMBDA_FLOW", 5.0), \
                 patch.object(segment, "CLUSTER_EPS", 1.0):
             mask = cluster(p_t, FlowField(vec),
-                           pairs=pair_list(SpatialIndex(p_t)))
+                           pairs=pair_list(SpatialIndex(p_t))).mask
         assert mask.n_clusters == 2
 
     def test_zero_lambda_ignores_flow(self):
@@ -163,7 +163,7 @@ class TestCluster:
         vec = rng.standard_normal((40, 3)) * 100.0
         with patch.object(segment, "LAMBDA_FLOW", 0.0):
             mask = cluster(p_t, FlowField(vec),
-                           pairs=pair_list(SpatialIndex(p_t)))
+                           pairs=pair_list(SpatialIndex(p_t))).mask
         assert mask.n_clusters == 1
 
     def test_small_component_merged_into_nearest_large(self):
@@ -173,7 +173,7 @@ class TestCluster:
         other = blob([100, 0, 0], 50, rng)
         p_t = cloud_of(np.vstack([big, tiny, other]))
         mask = cluster(p_t, FlowField.zeros(103),
-                       pairs=pair_list(SpatialIndex(p_t)))
+                       pairs=pair_list(SpatialIndex(p_t))).mask
         assert mask.n_clusters == 2
         assert len(set(mask.labels[:53])) == 1  # tiny joined the near blob
 
@@ -182,7 +182,7 @@ class TestCluster:
         p_t = cloud_of(np.vstack([blob([i * 8.0, 0, 0], 20, rng)
                                   for i in range(4)]))
         mask = cluster(p_t, FlowField.zeros(80),
-                       pairs=pair_list(SpatialIndex(p_t)))
+                       pairs=pair_list(SpatialIndex(p_t))).mask
         sizes = mask.cluster_sizes()
         assert sizes.sum() == 80
         assert (sizes > 0).all()
@@ -263,7 +263,7 @@ class TestPairList:
         with patch.object(segment, "LAMBDA_FLOW", lambda_flow), \
                 patch.object(segment, "CLUSTER_EPS", eps):
             labels = cluster(p_t, flow,
-                             pairs=pair_list(SpatialIndex(p_t))).labels
+                             pairs=pair_list(SpatialIndex(p_t))).mask.labels
         assert np.array_equal(labels, expected)
 
     @settings(deadline=None, max_examples=300)
@@ -287,7 +287,7 @@ class TestPairList:
         with patch.object(segment, "LAMBDA_FLOW", lambda_flow), \
                 patch.object(segment, "CLUSTER_EPS", eps):
             labels = cluster(p_t, flow,
-                             pairs=pair_list(SpatialIndex(p_t))).labels
+                             pairs=pair_list(SpatialIndex(p_t))).mask.labels
         assert np.array_equal(labels,
                               reference_cluster(p_t, flow, lambda_flow, eps))
 
@@ -298,7 +298,7 @@ class TestPairList:
         p_t = cloud_of(rng.uniform(-4, 4, size=(n, 3)))
         flow = FlowField(rng.normal(0, 0.1, size=(n, 3)))
         assert np.array_equal(cluster(p_t, flow,
-                                      pairs=pair_list(SpatialIndex(p_t))).labels,
+                                      pairs=pair_list(SpatialIndex(p_t))).mask.labels,
                               reference_cluster(p_t, flow, LAMBDA_FLOW,
                                                 CLUSTER_EPS))
 
@@ -428,8 +428,8 @@ class TestProvenPairs:
         with patch.object(segment, "LAMBDA_FLOW", lambda_flow), \
                 patch.object(segment, "CLUSTER_EPS", eps):
             pairs = pair_list(SpatialIndex(p_t))
-            exact = cluster(p_t, flow, pairs=pairs)
-            proven = cluster(p_t, flow, pairs=pairs, fit=fit)
+            exact = cluster(p_t, flow, pairs=pairs).mask
+            proven = cluster(p_t, flow, pairs=pairs, fit=fit).mask
         assert np.array_equal(proven.labels, exact.labels)
 
     @settings(deadline=None, max_examples=200)
@@ -455,8 +455,8 @@ class TestProvenPairs:
                 patch.object(segment, "CLUSTER_EPS", eps):
             pairs = pair_list(SpatialIndex(p_t))
             assert np.array_equal(
-                cluster(p_t, flow, pairs=pairs, fit=fit).labels,
-                cluster(p_t, flow, pairs=pairs).labels)
+                cluster(p_t, flow, pairs=pairs, fit=fit).mask.labels,
+                cluster(p_t, flow, pairs=pairs).mask.labels)
 
     def test_fit_skips_the_pairs_it_proves(self, monkeypatch):
         # two rigid groups turned 0.02 rad: every same-group pair whose
@@ -486,10 +486,10 @@ class TestProvenPairs:
 
         add_squares = segment._add_squares
         monkeypatch.setattr(segment, "_add_squares", counting)
-        proven = cluster(p_t, flow, pairs=pairs, fit=fit)
+        proven = cluster(p_t, flow, pairs=pairs, fit=fit).mask
         assert len(rows) == 1 and rows[0] <= (~clear).sum()
         rows.clear()
-        exact = cluster(p_t, flow, pairs=pairs)
+        exact = cluster(p_t, flow, pairs=pairs).mask
         assert rows == [len(pairs.i)]
         assert np.array_equal(proven.labels, exact.labels)
 
@@ -542,7 +542,7 @@ class TestSmallComponentMerge:
         with patch.object(segment, "LAMBDA_FLOW", lambda_flow), \
                 patch.object(segment, "CLUSTER_EPS", 1.0):
             labels = cluster(p_t, flow,
-                             pairs=pair_list(SpatialIndex(p_t))).labels
+                             pairs=pair_list(SpatialIndex(p_t))).mask.labels
         assert np.array_equal(labels,
                               reference_cluster(p_t, flow, lambda_flow, 1.0))
 
@@ -572,7 +572,7 @@ class TestSmallComponentMerge:
             method = getattr(index, name)
             if not name.startswith("_") and callable(method):
                 setattr(index, name, logged(name, method))
-        labels = cluster(p_t, flow, pairs=pairs).labels
+        labels = cluster(p_t, flow, pairs=pairs).mask.labels
         sizes = np.bincount(components_within(
             np.hstack([p_t.points, LAMBDA_FLOW * flow.vectors]),
             CLUSTER_EPS)[1])
@@ -588,8 +588,175 @@ class TestSmallComponentMerge:
         p_t = cloud_of(pts)
         with patch.object(segment, "CLUSTER_EPS", 1.0):
             pairs = pair_list(SpatialIndex(p_t))
-        mask = cluster(p_t, FlowField.zeros(11), pairs=pairs)
+        mask = cluster(p_t, FlowField.zeros(11), pairs=pairs).mask
         assert mask.labels[5] == mask.labels[0] != mask.labels[6]
+
+
+@st.composite
+def flow_chains(draw):
+    """A lattice cloud at pitch ``step`` and 2-5 flows on the half-step
+    lattice, each differing from the one before at some points, and each
+    with a chance of coming from a rigid fit (some groups degenerate): links
+    drop and appear between calls, many at eps to the last bit."""
+    step = draw(st.sampled_from([1.0, 0.8, 0.1]))
+    grid = draw(arrays(np.int64, st.tuples(st.integers(2, 60), st.just(3)),
+                       elements=st.integers(-3, 3)))
+    p_t = cloud_of(grid * step)
+    n = len(p_t)
+    lattice = arrays(np.int64, (n, 3), elements=st.integers(-2, 2))
+    vec = draw(lattice)
+    chain = []
+    for _ in range(draw(st.integers(2, 5))):
+        moved = draw(arrays(np.bool_, n,
+                            elements=st.sampled_from([False, False, True])))
+        vec = np.where(moved[:, None], draw(lattice), vec)
+        flow, fit = FlowField(vec * (step / 2)), None
+        if draw(st.booleans()):
+            labels = _compact(draw(arrays(np.int64, n,
+                                          elements=st.integers(0, 2))))
+            n_groups = int(labels.max()) + 1
+            transforms = tuple(
+                RigidTransform(
+                    rotation([1, 2, 3],
+                             draw(st.sampled_from([0.0, 1e-4, 0.05]))),
+                    draw(st.sampled_from([0.0, step])) * np.ones(3))
+                for _ in range(n_groups))
+            degenerate = tuple(sorted(draw(st.sets(
+                st.integers(0, n_groups - 1), max_size=n_groups))))
+            fit = ClusterFit(SegmentationMask(labels), transforms, degenerate)
+            flow = fit.apply(p_t, flow)
+        chain.append((flow, fit))
+    return p_t, chain, step
+
+
+def same_partition(a, b):
+    """Whether two labelings group the points alike."""
+    n_joint = np.unique(np.stack([a, b]), axis=1).shape[1]
+    return n_joint == np.unique(a).shape[0] == np.unique(b).shape[0]
+
+
+def line_scene():
+    """Ten points 0.6 m apart on a line: each links only to its neighbours
+    at eps = 1, so every link is a bridge."""
+    return cloud_of([[0.6 * k, 0.0, 0.0] for k in range(10)])
+
+
+def split_flow():
+    """A flow that moves the line's second half 0.9 m sideways, dropping
+    its middle link (feature distance sqrt(0.6² + 0.9²) > 1 at lambda 1)."""
+    vec = np.zeros((10, 3))
+    vec[5:, 1] = 0.9
+    return FlowField(vec)
+
+
+class TestCarriedClustering:
+    """A cluster() call given the one before it carries its components and
+    gives what a call from scratch gives."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The names of the components solvers called, in order."""
+        seen = []
+        for name in ("_components", "_components_among"):
+            def logged(*args, _name=name, _fn=getattr(segment, name)):
+                seen.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(segment, name, logged)
+        return seen
+
+    def chain(self, p_t, flows, fits=None):
+        """Each flow's carried and from-scratch results at lambda 1, eps 1."""
+        out = []
+        with patch.object(segment, "LAMBDA_FLOW", 1.0), \
+                patch.object(segment, "CLUSTER_EPS", 1.0):
+            pairs = pair_list(SpatialIndex(p_t))
+            previous = None
+            for flow, fit in zip(flows, fits or [None] * len(flows)):
+                fresh = cluster(p_t, flow, pairs=pairs, fit=fit)
+                previous = cluster(p_t, flow, pairs=pairs, fit=fit,
+                                   previous=previous)
+                out.append((previous, fresh))
+        return pairs, out
+
+    def assert_same(self, carried, fresh):
+        assert carried.mask == fresh.mask
+        assert np.array_equal(carried.kept, fresh.kept)
+        assert same_partition(carried.components, fresh.components)
+
+    @settings(deadline=None, max_examples=300)
+    @given(flow_chains(), st.sampled_from([0.0, 1.0, 5.0]),
+           st.sampled_from([1.0, np.sqrt(2.0), np.sqrt(3.0), 2.0]))
+    def test_every_carried_call_equals_from_scratch(self, scene, lambda_flow,
+                                                    radius):
+        p_t, chain, step = scene
+        with patch.object(segment, "LAMBDA_FLOW", lambda_flow), \
+                patch.object(segment, "CLUSTER_EPS", radius * step):
+            pairs = pair_list(SpatialIndex(p_t))
+            previous = None
+            for flow, fit in chain:
+                fresh = cluster(p_t, flow, pairs=pairs, fit=fit)
+                carried = cluster(p_t, flow, pairs=pairs, fit=fit,
+                                  previous=previous)
+                self.assert_same(carried, fresh)
+                previous = carried
+
+    def test_a_bridged_drop_keeps_the_component_unsolved(self, solves):
+        # (0, 1) drops, and point 2 still links to both of its ends
+        pts = [[0.0, 0, 0], [0.9, 0, 0], [0.45, 0.3, 0], [0.45, 0.6, 0],
+               [0.45, 0.9, 0]]
+        moved = np.zeros((5, 3))
+        moved[0, 2], moved[1, 2] = 0.5, -0.5
+        pairs, out = self.chain(cloud_of(pts),
+                                [FlowField.zeros(5), FlowField(moved)])
+        (first, _), (second, fresh) = out
+        dropped = first.kept & ~second.kept
+        assert pairs.i[dropped].tolist() == [0] and pairs.j[dropped].tolist() == [1]
+        assert solves == ["_components", "_components", "_components"]
+        self.assert_same(second, fresh)
+        assert second.mask.n_clusters == 1
+
+    def test_an_unbridged_drop_splits_the_component(self, solves):
+        _, out = self.chain(line_scene(), [FlowField.zeros(10), split_flow()])
+        (first, _), (second, fresh) = out
+        assert first.mask.n_clusters == 1
+        # three calls from scratch, then one over the line's points alone,
+        # with no call over the nodes, since no link appeared
+        assert solves == ["_components"] * 3 + ["_components_among",
+                                                "_components"]
+        self.assert_same(second, fresh)
+        assert second.mask.n_clusters == 2
+
+    def test_a_new_link_joins_two_components(self, solves):
+        _, out = self.chain(line_scene(), [split_flow(), FlowField.zeros(10)])
+        (first, _), (second, fresh) = out
+        assert first.mask.n_clusters == 2
+        # two scratch calls and one over the two carried components
+        assert solves == ["_components"] * 4
+        self.assert_same(second, fresh)
+        assert second.mask.n_clusters == 1
+
+    def test_a_degenerate_fit_cluster(self):
+        # the fit proves the first half's pairs; the second half is
+        # degenerate, keeps its input flow and splits off
+        p_t = line_scene()
+        halves = SegmentationMask(np.repeat([0, 1], 5))
+        shift = RigidTransform(np.eye(3), [0.3, 0.0, 0.0])
+        fits = [ClusterFit(halves, (shift, shift), ()),
+                ClusterFit(halves, (shift, RigidTransform.identity()), (1,))]
+        flows = [fits[0].apply(p_t, FlowField.zeros(10)),
+                 fits[1].apply(p_t, split_flow())]
+        _, out = self.chain(p_t, flows, fits)
+        for carried, fresh in out:
+            self.assert_same(carried, fresh)
+        assert [c.mask.n_clusters for c, _ in out] == [1, 2]
+
+    def test_previous_of_another_pair_list_is_refused(self):
+        p_t = line_scene()
+        index = SpatialIndex(p_t)
+        previous = cluster(p_t, FlowField.zeros(10), pairs=pair_list(index))
+        with pytest.raises(MaskMismatch, match="pair list"):
+            cluster(p_t, FlowField.zeros(10), pairs=pair_list(index),
+                    previous=previous)
 
 
 class TestValueEquality:
