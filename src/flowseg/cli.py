@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--points", type=int, default=8192, help="points per frame")
     g.add_argument("--objects", type=int, default=3, help="number of movers")
     g.add_argument("--points-per-object", type=int, default=None,
-                   help="points per mover (default 150 unless --regime is set)")
+                   help="points per mover (default 150; not with --regime)")
     g.add_argument("--regime", choices=("dh", "dt"), default=None,
                    help="foreground sizing: dh ~100 total, dt ~4000 total")
     g.add_argument("--noise", type=float, default=0.01,

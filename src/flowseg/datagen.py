@@ -136,7 +136,8 @@ def random_scene_spec(seed: int, *, n_frames: int = 2, n_points: int = 8192,
 
     ``regime`` sizes the foreground: 'dh' spreads about 100 foreground points
     over the objects, 'dt' about 4000.  Without a regime,
-    ``points_per_object`` applies directly (default 150).  Total point count
+    ``points_per_object`` applies directly (default 150); passing both
+    raises InvalidSpec.  Total point count
     stays at ``n_points``; the background gets the remainder.  Speeds are in
     m/s, yaw rates in rad/s; passing a degenerate range like ``(0, 0)`` pins
     the draw, which is how rotation-free scenes are made.
@@ -155,6 +156,10 @@ def random_scene_spec(seed: int, *, n_frames: int = 2, n_points: int = 8192,
         raise InvalidSpec(f"dt must be positive and finite, got {dt}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     if regime is not None:
+        if points_per_object is not None:
+            raise InvalidSpec("regime and points_per_object both size the "
+                              f"movers; got regime={regime!r} and "
+                              f"points_per_object={points_per_object}")
         if regime not in ("dh", "dt"):
             raise InvalidSpec(f"regime must be 'dh' or 'dt', got {regime!r}")
         target = {"dh": 100, "dt": 4000}[regime]

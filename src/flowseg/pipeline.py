@@ -4,9 +4,10 @@ Each iteration rigidifies the flow per current cluster, re-clusters on the
 refined flow, classifies static vs. dynamic, and measures how much the state
 moved (delta_total = alpha * flow RMS change + beta * aligned mask change).
 The loop stops when delta_total drops below epsilon or the iteration cap is
-hit, and the whole history is kept in a ConvergenceReport.  The loss history,
-the final transforms and every iteration's ego speed are computed on first
-read by a LossHistory.
+hit, and the whole history is kept in a ConvergenceReport.  Each iteration's
+ego speed is the speed of refine_flow's cluster-0 fit, set in the loop; the
+loss history and the final transforms are computed on first read by a
+LossHistory.
 """
 from __future__ import annotations
 
@@ -18,11 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry, losses
-from .errors import DegenerateInput, DegenerateStaticSet, LengthMismatch
+from .errors import DegenerateInput, LengthMismatch
 from .flow import ClusterFit, FlowField, fit_transforms, init_flow, refine_flow
 from .geometry import _check_aligned, weighted_kabsch
 from .losses import LossBreakdown, total_loss
-from .odometry import ego_motion
 from .segment import (MIN_PTS, ClassifierConfig, PairList, SegmentationMask,
                       _components_among, _narrow, classify, cluster,
                       cluster_stats, pair_list, relabel_static_first)
@@ -73,36 +73,34 @@ class IterationConfig:
 
 
 class LossHistory:
-    """The loss breakdown and the ego speed of every iteration of one
-    :func:`run` and the final per-cluster transforms, computed together on
-    first read.
+    """The loss breakdown of every iteration of one :func:`run` and the
+    final per-cluster transforms, computed together on first read.
 
     ``run`` keeps only what that needs: init_flow's flow, the initial mask's
-    labels, the frame interval and, per iteration, the transforms and
-    degenerate ids of the :class:`~flowseg.flow.ClusterFit` ``refine_flow``
-    returned (its mask is the labels kept before it), the canonical labels
-    in the narrowest integer dtype and the sum of the match distances (the
-    Chamfer forward half).  So an unread history holds one flow field and
-    about N bytes per iteration.  The first read of :attr:`losses`,
-    :attr:`v_ego` or :attr:`transforms` replays the iterations once, under a
-    lock: it rebuilds each fit and its flow with ``ClusterFit.apply``, fits
-    the ego speed, runs the carried Chamfer term, ``fit_transforms`` and
-    ``total_loss``, and then drops the kept state.
+    labels and, per iteration, the transforms and degenerate ids of the
+    :class:`~flowseg.flow.ClusterFit` ``refine_flow`` returned (its mask is
+    the labels kept before it), the canonical labels in the narrowest
+    integer dtype and the sum of the match distances (the Chamfer forward
+    half).  So an unread history holds one flow field and
+    about N bytes per iteration.  The first read of :attr:`losses` or
+    :attr:`transforms` replays the iterations once, under a lock: it
+    rebuilds each fit and its flow with ``ClusterFit.apply``, runs the
+    carried Chamfer term, ``fit_transforms`` and ``total_loss``, and then
+    drops the kept state.
     An exception from that work is raised by the read, and by every later
     read, which replays again.  Pickling or copying reads first and carries
     only the values, so a worker process does the work, not its parent.
     """
 
-    def __init__(self, p_t, p_t1, flow: FlowField, labels: np.ndarray,
-                 dt: float) -> None:
+    def __init__(self, p_t, p_t1, flow: FlowField, labels: np.ndarray) -> None:
         self._lock = threading.Lock()
         self._values = None
-        self._state = (p_t, p_t1, flow, _narrow(labels), dt, [])
+        self._state = (p_t, p_t1, flow, _narrow(labels), [])
 
     def add(self, fit: ClusterFit, labels: np.ndarray, forward: float) -> None:
         """Keep one iteration: its fit, its canonical labels and the sum of
         its match distances."""
-        self._state[5].append((fit.transforms, fit.degenerate, _narrow(labels),
+        self._state[4].append((fit.transforms, fit.degenerate, _narrow(labels),
                                forward))
 
     @property
@@ -115,11 +113,6 @@ class LossHistory:
         """The final mask's per-cluster rigid fit of the final flow."""
         return self._read()[1]
 
-    @property
-    def v_ego(self) -> tuple:
-        """One ego speed (m/s) per iteration, as ``_estimate_v_ego`` gives it."""
-        return self._read()[2]
-
     def _read(self):
         values = self._values
         if values is None:
@@ -131,22 +124,19 @@ class LossHistory:
         return values
 
     def _replay(self):
-        p_t, p_t1, flow, fit_labels, dt, steps = self._state
+        p_t, p_t1, flow, fit_labels, steps = self._state
         mask_prev = SegmentationMask(fit_labels)
         chamfer = None
         breakdowns = []
-        speeds = []
-        for i, (transforms, degenerate, labels, forward) in enumerate(
-                steps, start=1):
+        for transforms, degenerate, labels, forward in steps:
             flow = ClusterFit(mask_prev, transforms, degenerate).apply(p_t, flow)
-            speeds.append(_estimate_v_ego(p_t, flow, mask_prev, i, dt))
             # looked up at call time, so perfbench's tracer sees all three
             chamfer = losses.chamfer_loss(p_t, flow, p_t1, forward, chamfer)
             mask = SegmentationMask(labels)
             fitted = fit_transforms(p_t, flow, mask)
             breakdowns.append(total_loss(p_t, flow, fitted, chamfer.value))
             mask_prev = mask
-        return tuple(breakdowns), fitted.transforms, tuple(speeds)
+        return tuple(breakdowns), fitted.transforms
 
     def __getstate__(self):
         return self._read()
@@ -161,9 +151,14 @@ class LossHistory:
 class IterationRecord:
     """State-change and quality measurements for one loop iteration.
 
-    ``losses`` and ``v_ego`` are read from the run's :class:`LossHistory`.
-    ``==`` compares and ``repr`` shows the other fields, not those two, so
-    neither computes them.
+    ``v_ego`` is the ego speed (m/s), set in the loop: the length of the
+    translation of ``refine_flow``'s cluster-0 fit over ``dt``, 0.0 when
+    that cluster is degenerate (its fit is the identity).  That cluster is
+    the previous canonical mask's static cluster; in iteration 1 it is the
+    initial mask's cluster 0, a candidate component when ``initial_mask``
+    flags every point.  ``losses`` is read from the run's
+    :class:`LossHistory`; ``==`` and ``repr`` leave it out, so neither
+    computes it.
     """
 
     iteration: int
@@ -174,16 +169,12 @@ class IterationRecord:
     strategy: str
     static_fallback: bool
     degenerate_clusters: int
+    v_ego: float
     history: LossHistory = field(compare=False, repr=False)
 
     @property
     def losses(self) -> LossBreakdown:
         return self.history.losses[self.iteration - 1]
-
-    @property
-    def v_ego(self) -> float:
-        """The ego speed (m/s) from the global fit over the working static set."""
-        return self.history.v_ego[self.iteration - 1]
 
 
 @dataclass(frozen=True)
@@ -298,23 +289,6 @@ def initial_mask(p_t, flow: FlowField, pairs: PairList) -> SegmentationMask:
     return SegmentationMask(labels)
 
 
-def _estimate_v_ego(p_t, flow: FlowField, mask_prev: SegmentationMask,
-                    iteration: int, dt: float) -> float:
-    """Ego speed from the :func:`~flowseg.odometry.ego_motion` fit over the
-    working static set, 0.0 when that set cannot carry a fit.
-
-    Iteration 1 has no trusted static set yet and fits over all points;
-    later iterations use the previous canonical mask's cluster 0.
-    """
-    if iteration == 1:
-        mask_prev = SegmentationMask(np.zeros(len(p_t), dtype=np.int64))
-    try:
-        t = ego_motion(p_t, flow, mask_prev)
-    except DegenerateStaticSet:
-        return 0.0
-    return float(np.linalg.norm(t.translation) / dt)
-
-
 def _later(helper, fn, *args):
     """Start ``fn(*args)`` on ``helper``, a one-thread executor, or with no
     helper run it here and now.  The callable returned gives its result or
@@ -349,13 +323,15 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
       next iteration's correspondences and the sum its Chamfer term needs.
 
     The loop waits only on what its next decision reads: ``refine_flow``,
-    ``cluster`` (given the fit and the last clustering), ``classify``, the deltas and the next
-    match.  ``classify`` asks for the cluster statistics and the ego speed
-    only when it tries the velocity rule, so only then does the loop compute
-    them.  The loss history, the final transforms and the ego speeds are
-    left to the result's :class:`LossHistory`, computed on first read of
-    ``record.losses``, ``record.v_ego`` or ``transforms``; an exception in
-    that work is raised by the read, not here.  From ``OVERLAP_MIN_POINTS``
+    ``cluster`` (given the fit and the last clustering), ``classify``, the
+    deltas and the next match.  Each iteration's ego speed is read off
+    ``refine_flow``'s cluster-0 fit, the working static set's (see
+    :class:`IterationRecord`), with no fit of its own.  ``classify`` asks
+    for the cluster statistics only when it tries the velocity rule, so only
+    then does the loop compute them.  The loss history and the final
+    transforms are left to the result's :class:`LossHistory`, computed on
+    first read of ``record.losses`` or ``transforms``; an exception in that
+    work is raised by the read, not here.  From ``OVERLAP_MIN_POINTS``
     points on, one helper thread lives for the call: it runs init_flow while
     this thread finds the pair list, then makes each match while this
     thread runs the initial mask or ``cluster``, the classification and the
@@ -380,7 +356,7 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
         matched = _later(helper, index_t1.match,
                          p_t.points + flow_prev.vectors, init.forward)
         mask_prev = initial_mask(p_t, flow_prev, pairs)
-        history = LossHistory(p_t, p_t1, flow_prev, mask_prev.labels, dt)
+        history = LossHistory(p_t, p_t1, flow_prev, mask_prev.labels)
         match = matched()
         records = []
         converged = False
@@ -388,14 +364,15 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
         for i in range(1, cfg.max_iters + 1):
             flow_i, fit = refine_flow(p_t, p_t1.points[match.ids], mask_prev,
                                       flow_prev)
+            # a degenerate cluster 0 holds the identity: 0.0
+            v_ego = float(np.linalg.norm(fit.transforms[0].translation) / dt)
             matched = _later(helper, index_t1.match,
                              p_t.points + flow_i.vectors, match)
             clustering = cluster(p_t, flow_i, pairs=pairs, fit=fit,
                                  previous=clustering)
             raw_mask = clustering.mask
             static = classify(raw_mask, cfg.classifier, lambda: (
-                cluster_stats(p_t, flow_i, raw_mask, dt),
-                _estimate_v_ego(p_t, flow_i, mask_prev, i, dt)))
+                cluster_stats(p_t, flow_i, raw_mask, dt), v_ego))
             mask_i = relabel_static_first(raw_mask, static.ids)
             fd = flow_delta(flow_i, flow_prev)
             md = mask_delta(mask_i, mask_prev)
@@ -406,7 +383,7 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
                 iteration=i, flow_delta=fd, mask_delta=md, delta_total=d_total,
                 n_clusters=mask_i.n_clusters, strategy=static.strategy,
                 static_fallback=static.fallback,
-                degenerate_clusters=len(fit.degenerate),
+                degenerate_clusters=len(fit.degenerate), v_ego=v_ego,
                 history=history))
             flow_prev, mask_prev = flow_i, mask_i
             if d_total < cfg.epsilon:

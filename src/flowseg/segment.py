@@ -477,8 +477,8 @@ def classify(mask: SegmentationMask, cfg: ClassifierConfig,
     once for ``(stats, v_ego)``, the :func:`cluster_stats` of the mask in id
     order and the ego speed, and every cluster whose mean speed is within
     ``theta`` of ``v_ego`` is static; when none is, the largest cluster is,
-    with ``fallback`` set.  So the statistics and the ego speed are computed
-    only when the velocity rule is tried.
+    with ``fallback`` set.  So a caller can leave that work until the
+    velocity rule is tried.
     """
     sizes = mask.cluster_sizes()
     strategy = cfg.strategy

@@ -107,6 +107,16 @@ class TestGen:
             assert f"got {points}" in err and "n_background" not in err
             assert not out.exists()
 
+    def test_regime_with_points_per_object_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = main(["gen", "--regime", "dt", "--points-per-object", "50",
+                   "--points", "8192", "--objects", "1", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: regime and points_per_object" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_zero_dt_exits_1_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "x"
         rc = main(["gen", "--dt", "0", "--points", "600", "--objects", "1",

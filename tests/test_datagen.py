@@ -71,6 +71,13 @@ class TestSceneSpec:
         with pytest.raises(InvalidSpec):
             random_scene_spec(0, regime="huge")
 
+    @pytest.mark.parametrize("regime", ["dh", "dt"])
+    def test_regime_and_points_per_object_are_refused_together(self, regime):
+        # each sizes the movers; neither may silently override the other
+        with pytest.raises(InvalidSpec,
+                           match="regime.*points_per_object=50"):
+            random_scene_spec(0, regime=regime, points_per_object=50)
+
     def test_total_point_budget(self):
         spec = random_scene_spec(3, n_points=4096, n_objects=3)
         assert spec.n_background + spec.n_objects * spec.points_per_object \

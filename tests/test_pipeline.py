@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 
 from flowseg import flow, geometry, losses, pipeline, segment
 from flowseg.datagen import generate, random_scene_spec
-from flowseg.errors import DegenerateInput, LengthMismatch
+from flowseg.errors import DegenerateStaticSet, LengthMismatch
 from flowseg.flow import FlowField, PointCloud
-from flowseg.geometry import RigidTransform, weighted_kabsch
+from flowseg.geometry import RigidTransform
 from flowseg.metrics import flow_metrics, seg_metrics
+from flowseg.odometry import ego_motion
 from flowseg.pipeline import (ConvergenceReport, IterationConfig,
                               flow_delta, initial_mask, mask_delta, run)
 from flowseg.segment import ClassifierConfig, SegmentationMask
@@ -136,13 +137,12 @@ class TestIterationConfig:
 
     def test_report_checks_delta_identity(self):
         from flowseg.pipeline import IterationRecord
-        # the check reads no losses or ego speed, so the record needs no
-        # history
+        # the check reads no losses, so the record needs no history
         bad = IterationRecord(iteration=1, flow_delta=1.0, mask_delta=1.0,
                               delta_total=5.0,  # != alpha*1 + beta*1
                               n_clusters=1, strategy="quantity",
                               static_fallback=False, degenerate_clusters=0,
-                              history=None)
+                              v_ego=0.0, history=None)
         with pytest.raises(ValueError):
             ConvergenceReport(alpha=1.0, beta=1.0, epsilon=1e-3,
                               records=(bad,), converged=True,
@@ -361,37 +361,6 @@ def velocity_scene(seed=74):
     return recs[0].cloud, recs[1].cloud
 
 
-# the ego-speed fit and the cluster statistics, as run() calls them
-ESTIMATE_V_EGO = pipeline._estimate_v_ego
-FITS = ("_estimate_v_ego", "cluster_stats")
-
-
-def recording_fits(monkeypatch):
-    """Wrap the ego-speed fit and the cluster statistics to log the thread
-    of every call."""
-    calls = {name: [] for name in FITS}
-
-    def wrap(name, fn):
-        def record(*args):
-            calls[name].append(threading.current_thread())
-            return fn(*args)
-        return record
-
-    for name in FITS:
-        monkeypatch.setattr(pipeline, name, wrap(name, getattr(pipeline, name)))
-    return calls
-
-
-def eager_v_ego(p_t, p_t1, cfg, n):
-    """Each iteration's ego speed, fitted to the state of runs cut after
-    1..n iterations, as a loop computing it every iteration would."""
-    states = [run(p_t, p_t1, replace(cfg, max_iters=k)) for k in range(1, n + 1)]
-    # iteration 1 fits every point and reads no previous mask
-    previous = [None] + [state.mask for state in states[:-1]]
-    return [ESTIMATE_V_EGO(p_t, state.flow, prev, k, cfg.classifier.dt)
-            for k, (state, prev) in enumerate(zip(states, previous), start=1)]
-
-
 class TestOverlap:
     """run() hands init_flow to a helper thread from OVERLAP_MIN_POINTS
     points on, while it builds the pair list, and runs it inline below."""
@@ -592,13 +561,11 @@ class TestLossHistory:
         carried = copy_fn(run(p_t, p_t1))
         # the copy was computed before it was made: reading it does no work
         calls = recording(monkeypatch)
-        fits = recording_fits(monkeypatch)
         assert [rec.losses for rec in carried.report.records] == expected[0]
         assert carried.transforms == expected[1]
         assert [rec.v_ego for rec in carried.report.records] == expected[2]
         assert carried == direct
         assert all(seen == [] for seen in calls.values())
-        assert all(seen == [] for seen in fits.values())
         assert carried.history._state is None
 
     def test_unread_result_keeps_compact_state(self):
@@ -638,114 +605,122 @@ class TestLossHistory:
         p_t, p_t1 = scene()
         calls = recording(monkeypatch, fail=RuntimeError("chamfer failed"))
         ssf = run(p_t, p_t1)
-        fits = recording_fits(monkeypatch)
         text = repr(ssf.report)
         assert "IterationRecord(iteration=1, flow_delta=" in text
-        assert "losses" not in text and "v_ego" not in text
+        assert f"v_ego={ssf.report.records[0].v_ego!r}" in text
+        assert "losses" not in text
         assert all(seen == [] for seen in calls.values())
-        assert all(seen == [] for seen in fits.values())
         assert ssf.history._state is not None
 
 
-class TestEgoSpeedOnFirstRead:
-    """run() fits the ego speed only where the velocity rule reads it; the
-    result's LossHistory fits every iteration's on first read."""
+def recording_ego_speeds(monkeypatch):
+    """Wrap refine_flow and classify: log each fit, and the ego speed each
+    velocities() call hands classify, keyed by the iteration it serves."""
+    fits, handed = [], {}
+    refine, decide = pipeline.refine_flow, pipeline.classify
 
-    @pytest.mark.parametrize("case", ["size rule", "velocity rule", "both"])
-    def test_fitted_in_the_loop_only_where_the_velocity_rule_is_tried(
-            self, monkeypatch, case):
-        p_t, p_t1, cfg = {
-            "size rule": (*scene(), IterationConfig()),
-            "velocity rule": (*velocity_scene(72), IterationConfig(
-                classifier=ClassifierConfig(strategy="velocity"))),
-            "both": (*velocity_scene(74), IterationConfig()),
-        }[case]
-        n = run(p_t, p_t1, cfg).report.n_iterations
-        eager = eager_v_ego(p_t, p_t1, cfg, n)
-        calls = recording_fits(monkeypatch)
+    def refine_flow(*args):
+        flow_i, fit = refine(*args)
+        fits.append(fit)
+        return flow_i, fit
+
+    def classify(mask, cfg, velocities):
+        iteration = len(fits)
+
+        def recorded():
+            stats, v_ego = velocities()
+            handed[iteration] = v_ego
+            return stats, v_ego
+        return decide(mask, cfg, recorded)
+
+    monkeypatch.setattr(pipeline, "refine_flow", refine_flow)
+    monkeypatch.setattr(pipeline, "classify", classify)
+    return fits, handed
+
+
+def static_fit_speed(fit, dt):
+    """The speed of a ClusterFit's cluster-0 transform."""
+    return float(np.linalg.norm(fit.transforms[0].translation) / dt)
+
+
+EGO_CASES = {
+    "size_rule": lambda: (*scene(), IterationConfig()),
+    "velocity_rule": lambda: (*velocity_scene(72), IterationConfig(
+        classifier=ClassifierConfig(strategy="velocity"))),
+    "both": lambda: (*velocity_scene(74), IterationConfig()),
+}
+
+
+class TestEgoSpeed:
+    """Each record's v_ego is read off refine_flow's cluster-0 fit in the
+    loop, and is the ego_motion speed over the working static set."""
+
+    @pytest.mark.parametrize("min_points", [0, 10**9],
+                             ids=["threaded", "inline"])
+    @pytest.mark.parametrize("case", list(EGO_CASES))
+    def test_read_off_the_static_cluster_fit(self, monkeypatch, case,
+                                             min_points):
+        p_t, p_t1, cfg = EGO_CASES[case]()
+        monkeypatch.setattr(pipeline, "OVERLAP_MIN_POINTS", min_points)
+        fits, handed = recording_ego_speeds(monkeypatch)
         ssf = run(p_t, p_t1, cfg)
         records = ssf.report.records
-        assert len(records) == n
-        tried = sum(rec.strategy == "velocity" or rec.static_fallback
-                    for rec in records)
-        assert tried == {"size rule": 0, "velocity rule": n, "both": 5}[case]
-        main = threading.main_thread()
-        # in the loop: one fit and one set of statistics per tried iteration,
-        # then the final statistics
-        assert len(calls["_estimate_v_ego"]) == tried
-        assert len(calls["cluster_stats"]) == tried + 1
-        assert all(t is main for seen in calls.values() for t in seen)
-        for seen in calls.values():
-            seen.clear()
-        # the first read fits every iteration, once each, on its thread
-        speeds = []
-        reader = threading.Thread(
-            target=lambda: speeds.extend(rec.v_ego for rec in records[::-1]))
-        reader.start()
-        reader.join(timeout=60)
-        assert not reader.is_alive()
-        assert len(calls["_estimate_v_ego"]) == n
-        assert all(t is reader for t in calls["_estimate_v_ego"])
-        assert speeds[::-1] == eager
-        assert [rec.v_ego for rec in records] == eager
-        repr(ssf.report), ssf.transforms
-        assert len(calls["_estimate_v_ego"]) == n
-        assert calls["cluster_stats"] == []
+        n = len(records)
+        assert n >= 2 and len(fits) == n
+        assert [rec.v_ego for rec in records] == [
+            static_fit_speed(fit, cfg.classifier.dt) for fit in fits]
+        # classify gets the record's value wherever it tries the velocity rule
+        tried = [rec.iteration for rec in records
+                 if rec.strategy == "velocity" or rec.static_fallback]
+        assert len(tried) == {"size_rule": 0, "velocity_rule": n,
+                              "both": 5}[case]
+        assert handed == {i: records[i - 1].v_ego for i in tried}
+        # a plain field: no loss work behind it
+        assert ssf.history._state is not None
 
+    @pytest.mark.parametrize("case", list(EGO_CASES))
+    def test_equals_the_ego_fit_over_the_working_static_set(self, case):
+        p_t, p_t1, cfg = EGO_CASES[case]()
+        dt = cfg.classifier.dt
+        n = run(p_t, p_t1, cfg).report.n_iterations
+        # runs cut after 1..n iterations give each iteration's flow, and the
+        # mask before it; the initial mask comes before iteration 1
+        states = [run(p_t, p_t1, replace(cfg, max_iters=k))
+                  for k in range(1, n + 1)]
+        index_t = geometry.SpatialIndex(p_t.points)
+        start = flow.init_flow(index_t, geometry.SpatialIndex(p_t1.points))
+        previous = [initial_mask(p_t, start.flow, segment.pair_list(index_t))]
+        previous += [state.mask for state in states[:-1]]
+        records = states[-1].report.records
+        for rec, state, mask_prev in zip(records, states, previous):
+            fitted = ego_motion(p_t, state.flow, mask_prev)
+            speed = float(np.linalg.norm(fitted.translation) / dt)
+            assert abs(rec.v_ego - speed) <= 1e-12, rec.iteration
 
-def reference_v_ego(p_t, flow_i, mask_prev, iteration, dt):
-    """The ego speed as run() fitted it inline, before the fit went through
-    ``odometry.ego_motion``."""
-    if iteration == 1:
-        pts, vec = p_t.points, flow_i.vectors
-    else:
-        sel = mask_prev.labels == 0
-        pts, vec = p_t.points[sel], flow_i.vectors[sel]
-    try:
-        t = weighted_kabsch(pts, pts + vec)
-    except DegenerateInput:
-        return 0.0
-    return float(np.linalg.norm(t.translation) / dt)
-
-
-class TestEgoSpeedFit:
-    """_estimate_v_ego fits through ego_motion and gives the inline fit's
-    speed bit for bit."""
-
-    @settings(deadline=None, max_examples=60)
-    @given(st.integers(0, 2**32 - 1), st.integers(3, 500), st.integers(1, 3))
-    def test_equals_the_inline_fit(self, seed, n, iteration):
-        # a rigid motion of the whole cloud, plus a mover on some points
-        rng = np.random.default_rng(seed)
-        pts = rng.uniform(-30, 30, size=(n, 3))
-        yaw = rng.uniform(-0.05, 0.05)
-        t = RigidTransform([[np.cos(yaw), -np.sin(yaw), 0.0],
-                            [np.sin(yaw), np.cos(yaw), 0.0], [0.0, 0.0, 1.0]],
-                           rng.uniform(-2, 2, size=3))
-        vec = t.apply(pts) - pts + rng.normal(0, 0.01, size=(n, 3))
-        moving = rng.random(n) < 0.3
-        vec[moving] += [1.5, 0.0, 0.0]
-        labels = moving.astype(np.int64)
-        labels[0] = 0
-        p_t, flow_i = cloud_of(pts), FlowField(vec)
-        mask_prev = mask_of(labels)
-        assert (pipeline._estimate_v_ego(p_t, flow_i, mask_prev, iteration, 0.1)
-                == reference_v_ego(p_t, flow_i, mask_prev, iteration, 0.1))
-
-    @pytest.mark.parametrize("static", ["two points", "collinear"])
-    def test_a_static_set_that_cannot_carry_a_fit_gives_zero(self, static):
+    @pytest.mark.parametrize("static", ["two_points", "collinear"])
+    def test_a_static_set_that_cannot_carry_a_fit_gives_zero(
+            self, monkeypatch, static):
         rng = np.random.default_rng(76)
-        pts = rng.uniform(-5, 5, size=(40, 3))
-        labels = np.ones(40, dtype=np.int64)
-        if static == "two points":
+        pts = rng.uniform(-5, 5, size=(300, 3))
+        labels = np.ones(300, dtype=np.int64)
+        if static == "two_points":
             labels[:2] = 0
         else:
             labels[:10] = 0
             pts[:10] = np.outer(np.arange(10), [1.0, 2.0, 0.5])
-        p_t, flow_i = cloud_of(pts), FlowField(np.full((40, 3), 0.2))
-        mask_prev = mask_of(labels)
-        assert pipeline._estimate_v_ego(p_t, flow_i, mask_prev, 2, 0.1) == 0.0
-        assert reference_v_ego(p_t, flow_i, mask_prev, 2, 0.1) == 0.0
+        p_t, p_t1 = cloud_of(pts), cloud_of(pts + [0.05, 0.0, 0.0])
+        # iteration 1 fits the initial mask's cluster 0
+        monkeypatch.setattr(pipeline, "initial_mask",
+                            lambda *args: mask_of(labels))
+        fits, handed = recording_ego_speeds(monkeypatch)
+        cfg = IterationConfig(max_iters=1, classifier=ClassifierConfig(
+            strategy="velocity"))
+        rec = run(p_t, p_t1, cfg).report.records[0]
+        assert 0 in fits[0].degenerate
+        assert rec.v_ego == 0.0 and handed == {1: 0.0}
+        # ego_motion refuses the same static set
+        with pytest.raises(DegenerateStaticSet):
+            ego_motion(p_t, FlowField(p_t1.points - p_t.points), mask_of(labels))
 
 
 def noisy_pair(seed, n_points, n_objects):
