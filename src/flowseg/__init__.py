@@ -17,9 +17,8 @@ from .geometry import (RigidTransform, SpatialIndex, chamfer_distance,
                        weighted_kabsch)
 from .flow import (ClusterFit, FlowField, InitFlow, PointCloud,
                    fit_transforms, init_flow, refine_flow)
-from .segment import (ClassifierConfig, Clustering, ClusterStats,
-                      SegmentationMask, StaticSet, classify, cluster,
-                      cluster_stats, relabel_static_first)
+from .segment import (Clustering, ClusterStats, SegmentationMask, StaticSet,
+                      classify, cluster, cluster_stats, relabel_static_first)
 from .losses import (ChamferTerm, LossBreakdown, chamfer_loss,
                      flow_consistency_loss, motion_loss, total_loss)
 from .pipeline import (ConvergenceReport, IterationConfig, SemanticSceneFlow,

@@ -29,7 +29,7 @@ from .metrics import flow_metrics, seg_metrics
 from .odometry import (Trajectory, accumulate, ego_motion, read_trajectory,
                        rpe, write_trajectory)
 from .pipeline import IterationConfig, run as run_pipeline
-from .segment import STRATEGIES, ClassifierConfig, SegmentationMask
+from .segment import STRATEGIES, SegmentationMask
 
 RUN_MANIFEST = "run_manifest.json"
 PARTIAL_MARKER = ".partial"
@@ -77,17 +77,18 @@ def build_parser() -> argparse.ArgumentParser:
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     r.add_argument("--input", required=True, help="sequence directory")
     r.add_argument("--out", required=True, help="output directory")
-    r.add_argument("--epsilon", type=float, default=1e-3,
+    r.add_argument("--epsilon", type=float, default=IterationConfig.epsilon,
                    help="convergence threshold on delta_total")
-    r.add_argument("--max-iters", type=int, default=20,
+    r.add_argument("--max-iters", type=int, default=IterationConfig.max_iters,
                    help="iteration cap per frame pair")
-    r.add_argument("--alpha", type=float, default=1.0,
+    r.add_argument("--alpha", type=float, default=IterationConfig.alpha,
                    help="flow-change weight in delta_total")
-    r.add_argument("--beta", type=float, default=1.0,
+    r.add_argument("--beta", type=float, default=IterationConfig.beta,
                    help="mask-change weight in delta_total")
-    r.add_argument("--strategy", choices=STRATEGIES, default="auto",
+    r.add_argument("--strategy", choices=STRATEGIES,
+                   default=IterationConfig.strategy,
                    help="static-cluster selection rule")
-    r.add_argument("--theta", type=float, default=1.0,
+    r.add_argument("--theta", type=float, default=IterationConfig.theta,
                    help="ego-velocity tolerance for the velocity rule, m/s")
     r.add_argument("--workers", type=int, default=1,
                    help="parallel frame pairs (processes)")
@@ -176,9 +177,8 @@ def cmd_run(args) -> int:
     dt = records[1].cloud.timestamp - records[0].cloud.timestamp
     cfg = IterationConfig(
         alpha=args.alpha, beta=args.beta, epsilon=args.epsilon,
-        max_iters=args.max_iters,
-        classifier=ClassifierConfig(strategy=args.strategy, dt=dt,
-                                    theta=args.theta))
+        max_iters=args.max_iters, theta=args.theta, dt=dt,
+        strategy=args.strategy)
     if args.workers < 1:
         print(f"error: --workers must be at least 1, got {args.workers}",
               file=sys.stderr)
@@ -301,6 +301,10 @@ def cmd_eval(args) -> int:
             print(f"error: {pair['ssf']} lacks flow or labels", file=sys.stderr)
             return 1
         gt = records[i]
+        if gt.gt_flow is None:
+            print(f"error: ground-truth frame {i} of {args.data} lacks flow",
+                  file=sys.stderr)
+            return 1
         fm = flow_metrics(FlowField(pred_flow), gt.gt_flow)
         sm = seg_metrics(SegmentationMask(pred_labels), gt.gt_mask)
         row = {"index": i, **asdict(fm), "seg_accuracy": sm.accuracy,

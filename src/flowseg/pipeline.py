@@ -23,7 +23,7 @@ from .errors import DegenerateInput, LengthMismatch
 from .flow import ClusterFit, FlowField, fit_transforms, init_flow, refine_flow
 from .geometry import _check_aligned, weighted_kabsch
 from .losses import LossBreakdown, total_loss
-from .segment import (MIN_PTS, ClassifierConfig, PairList, SegmentationMask,
+from .segment import (MIN_PTS, STRATEGIES, PairList, SegmentationMask,
                       _components_among, _narrow, classify, cluster,
                       cluster_stats, pair_list, relabel_static_first)
 
@@ -50,18 +50,29 @@ OVERLAP_MIN_POINTS = 8192
 
 @dataclass(frozen=True)
 class IterationConfig:
-    """The loop's settings: convergence weights and threshold, iteration
-    cap, and the static/dynamic classification rule."""
+    """The loop's settings, each defined here once.
+
+    ``alpha`` and ``beta`` weigh the flow and mask change in
+    ``delta_total``; ``epsilon`` is the convergence threshold on it and
+    ``max_iters`` the iteration cap.  ``theta`` is the velocity rule's
+    ego-velocity tolerance (m/s), ``dt`` the frame interval (s) that turns
+    flow into velocity, and ``strategy`` the static-cluster rule
+    :func:`~flowseg.segment.classify` applies, one of ``STRATEGIES``.
+    """
 
     alpha: float = 1.0
     beta: float = 1.0
     epsilon: float = 1e-3
     max_iters: int = 20
-    classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
+    theta: float = 1.0
+    dt: float = 0.1
+    strategy: str = "auto"
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        for name in ("epsilon", "theta", "dt"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         for name in ("alpha", "beta"):
@@ -70,6 +81,8 @@ class IterationConfig:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         if self.alpha == 0 and self.beta == 0:
             raise ValueError("alpha and beta cannot both be zero")
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
 
 
 class LossHistory:
@@ -259,17 +272,19 @@ def mask_delta(curr: SegmentationMask, prev: SegmentationMask) -> float:
     return float(1.0 - matched / len(curr))
 
 
-def initial_mask(p_t, flow: FlowField, pairs: PairList) -> SegmentationMask:
+def initial_mask(flow: FlowField, pairs: PairList) -> SegmentationMask:
     """Preliminary mask: points that a single global rigid fit cannot explain.
 
-    Fits one transform to the whole flow field; points with residual above
-    ``R_STATIC`` are candidate dynamic points and get clustered spatially,
-    linked by the pairs of ``pairs`` (the cloud's ``pair_list``, whose
-    radius is the link radius) whose two ends are both candidates.
-    Candidate components smaller than ``MIN_PTS`` return to the static set.
+    ``pairs`` is the cloud's ``pair_list``: the cloud is the points
+    ``pairs.index`` holds, which ``flow`` must cover (``MaskMismatch``
+    otherwise), and its radius is the link radius.  Fits one transform to
+    the whole flow field; points with residual above ``R_STATIC`` are
+    candidate dynamic points and get clustered spatially, linked by the
+    pairs whose two ends are both candidates.  Candidate components smaller
+    than ``MIN_PTS`` return to the static set.
     """
-    _check_aligned(p_t, pairs=pairs.index)
-    src = p_t.points
+    _check_aligned(pairs.index, flow=flow)
+    src = pairs.index.points
     n = src.shape[0]
     labels = np.zeros(n, dtype=np.int64)
     try:
@@ -309,13 +324,15 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
 
     Each pair's neighbour searches are made once and carried along:
 
-    - each frame is indexed once; init_flow searches both indexes;
-    - frame t's ``pair_list`` is found once in its index and serves
-      ``initial_mask`` and every ``cluster`` call, each of which also takes
-      the fit behind its flow to skip the pair tests that fit proves, and
-      the last call's :class:`~flowseg.segment.Clustering` to keep each of
-      its components whole unless it lost a link that no common neighbour
-      bridges;
+    - each frame is indexed once here, and init_flow searches both
+      indexes; its median fill indexes frame t's reliable points once more
+      when any row is unreliable;
+    - frame t's ``pair_list`` is found once in its index and serves, as the
+      cloud and its pairs, ``initial_mask`` and every ``cluster`` call, each
+      of which also takes the fit behind its flow to skip the pair tests
+      that fit proves, and the last call's
+      :class:`~flowseg.segment.Clustering` to keep each of its components
+      whole unless it lost a link that no common neighbour bridges;
     - every match against the frame-t+1 index goes through
       ``SpatialIndex.match`` with the one before it, starting from
       init_flow's forward search, so only rows whose nearest point is not
@@ -342,7 +359,7 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
     """
     if cfg is None:
         cfg = IterationConfig()
-    dt = cfg.classifier.dt
+    dt = cfg.dt
     # looked up on the module at call time, so a substituted index class
     # (perfbench's tracer) also sees these indexes and their queries
     index_t1 = geometry.SpatialIndex(p_t1.points)
@@ -355,7 +372,7 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
         flow_prev = init.flow
         matched = _later(helper, index_t1.match,
                          p_t.points + flow_prev.vectors, init.forward)
-        mask_prev = initial_mask(p_t, flow_prev, pairs)
+        mask_prev = initial_mask(flow_prev, pairs)
         history = LossHistory(p_t, p_t1, flow_prev, mask_prev.labels)
         match = matched()
         records = []
@@ -368,10 +385,10 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
             v_ego = float(np.linalg.norm(fit.transforms[0].translation) / dt)
             matched = _later(helper, index_t1.match,
                              p_t.points + flow_i.vectors, match)
-            clustering = cluster(p_t, flow_i, pairs=pairs, fit=fit,
+            clustering = cluster(flow_i, pairs=pairs, fit=fit,
                                  previous=clustering)
             raw_mask = clustering.mask
-            static = classify(raw_mask, cfg.classifier, lambda: (
+            static = classify(raw_mask, cfg, lambda: (
                 cluster_stats(p_t, flow_i, raw_mask, dt), v_ego))
             mask_i = relabel_static_first(raw_mask, static.ids)
             fd = flow_delta(flow_i, flow_prev)

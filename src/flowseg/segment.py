@@ -26,7 +26,6 @@ from .geometry import TOL, SpatialIndex, _check_aligned, _fields_equal
 __all__ = [
     "SegmentationMask",
     "ClusterStats",
-    "ClassifierConfig",
     "StaticSet",
     "PairList",
     "Clustering",
@@ -119,27 +118,6 @@ class ClusterStats:
                            np.asarray(self.centroid, dtype=np.float64).reshape(3))
 
 
-@dataclass(frozen=True)
-class ClassifierConfig:
-    """Static/dynamic classification parameters.
-
-    theta: ego-velocity tolerance in m/s for the velocity rule.
-    dt: frame interval in seconds (converts flow to velocity).
-    """
-
-    theta: float = 1.0
-    dt: float = 0.1
-    strategy: str = "auto"
-
-    def __post_init__(self) -> None:
-        for name in ("theta", "dt"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-
-
 def _narrow(labels: np.ndarray) -> np.ndarray:
     """Nonnegative integers in the narrowest unsigned dtype that holds them."""
     return labels.astype(np.min_scalar_type(int(labels.max(initial=0))))
@@ -167,8 +145,9 @@ class PairList:
     left-to-right order, so adding further squared coordinate differences in
     order gives the squared distance the tree computes over longer features.
     ``index`` is the cloud's :class:`~flowseg.geometry.SpatialIndex` that
-    found the pairs; ``cluster`` searches it again to merge its small
-    components.
+    found the pairs: its points are the cloud that :func:`cluster` and
+    :func:`~flowseg.pipeline.initial_mask` read, and ``cluster`` searches it
+    again to merge its small components.
     """
 
     i: np.ndarray
@@ -228,22 +207,24 @@ def _compact(labels: np.ndarray) -> np.ndarray:
     return rank[inverse].astype(np.int64)
 
 
-def _proven(p_t, pairs: PairList, fit):
+def _proven(pairs: PairList, fit):
     """Which pairs a rigid fit proves to lie within ``eps = pairs.eps`` in
     feature space, with the flow scaled by ``λ = LAMBDA_FLOW``.
 
     ``fit`` is the :class:`~flowseg.flow.ClusterFit` of a
-    :func:`~flowseg.flow.refine_flow` call.  A pair of one non-degenerate
-    cluster k of ``fit.mask`` has flow ``T_k(p) - p`` at both ends, so its
-    scaled flow difference is ``λ (R_k - I) d`` with ``d = p_i - p_j`` and
-    its squared feature distance is at most ``d2 (1 + c_k)``,
-    ``c_k = λ² ‖R_k - I‖_F²``.  The pair is proven when
+    :func:`~flowseg.flow.refine_flow` call on the cloud ``pairs.index``
+    holds; a fit of another length raises ``MaskMismatch``.  A pair of one
+    non-degenerate cluster k of ``fit.mask`` has flow ``T_k(p) - p`` at
+    both ends, so its scaled flow difference is ``λ (R_k - I) d`` with
+    ``d = p_i - p_j`` and its squared feature distance is at most
+    ``d2 (1 + c_k)``, ``c_k = λ² ‖R_k - I‖_F²``.  The pair is proven when
     ``d2 (1 + c_k) + slack_k <= eps²``, tested as ``d2 <= (eps² - slack_k) /
     (1 + c_k)``.  Without a fit nothing is proven.
     """
     proven = np.zeros(pairs.i.shape[0], dtype=bool)
     if fit is None:
         return proven
+    _check_aligned(pairs.index, mask=fit.mask)
     # slack_k bounds the rounding, to first order in the unit roundoff u, for
     # coordinates of magnitude at most P and translation components at most
     # T_k.  apply() computes f = fl(fl(fl(p Rᵀ) + t) - p): the product errs
@@ -265,7 +246,7 @@ def _proven(p_t, pairs: PairList, fit):
     # the cross and B² terms with their rounding.
     lambda_flow, eps = LAMBDA_FLOW, pairs.eps
     eps2 = eps * eps
-    scale = float(np.abs(p_t.points).max())
+    scale = float(np.abs(pairs.index.points).max())
     limit = np.full(len(fit.transforms), -1.0)
     for k, t_k in enumerate(fit.transforms):
         if k in fit.degenerate:
@@ -296,11 +277,11 @@ class Clustering:
     __eq__ = _fields_equal
 
 
-def _links(points, scaled, eps2, a, b):
-    """Whether each pair (a, b) links: its squared feature distance, summed
-    as ``pair_list`` and ``cluster`` sum a listed pair's, is at most eps²."""
+def _feature_d2(points, scaled, a, b):
+    """Each pair (a, b)'s squared feature distance, summed from zero in the
+    tree's order, as ``pair_list`` and ``cluster`` sum a listed pair's."""
     d2 = _add_squares(np.zeros(a.shape[0]), points, a, b)
-    return _add_squares(d2, scaled, a, b) <= eps2
+    return _add_squares(d2, scaled, a, b)
 
 
 def _carry(pairs: PairList, scaled, keep, previous: Clustering):
@@ -318,21 +299,14 @@ def _carry(pairs: PairList, scaled, keep, previous: Clustering):
         near = pairs.index.query_knn(points[a], k)[0].ravel()
         a_k, b_k = np.repeat(a, k), np.repeat(b, k)
         eps2 = pairs.eps * pairs.eps
-        bridged = (_links(points, scaled, eps2, a_k, near)
-                   & _links(points, scaled, eps2, b_k, near)
+        bridged = ((_feature_d2(points, scaled, a_k, near) <= eps2)
+                   & (_feature_d2(points, scaled, b_k, near) <= eps2)
                    ).reshape(-1, k).any(axis=1)
         split[comp[a[~bridged]]] = True
     node, n_node = comp, n_prev
     if split.any():
         loose = split[comp]
-        # the pairs whose i is loose, in order: those holding its links
-        ids = np.nonzero(loose)[0]
-        start = np.searchsorted(pairs.i, ids)
-        count = np.searchsorted(pairs.i, ids, side="right") - start
-        rows = (np.repeat(start - np.cumsum(count) + count, count)
-                + np.arange(count.sum()))
-        rows = rows[keep[rows]]
-        n_loose, sub = _components_among(loose, pairs.i[rows], pairs.j[rows])
+        n_loose, sub = _components_among(loose, pairs.i[keep], pairs.j[keep])
         rank = np.cumsum(~split) - 1
         node = rank[comp]
         node[loose] = rank[-1] + 1 + sub
@@ -346,22 +320,25 @@ def _carry(pairs: PairList, scaled, keep, previous: Clustering):
     return n_comp, labels[node]
 
 
-def cluster(p_t, flow, *, pairs: PairList, fit=None,
+def cluster(flow, *, pairs: PairList, fit=None,
             previous: Clustering = None) -> Clustering:
     """Segment a cloud by density connectivity over position+scaled-flow features.
 
-    The flow is scaled by ``LAMBDA_FLOW``.  ``pairs`` is the cloud's
-    :func:`pair_list`; its radius ``eps = pairs.eps`` is the link radius.
-    Each pair's feature distance adds the three scaled flow differences to
-    its 3-D ``d2`` in the tree's order, so the pairs kept are exactly those
-    a 6-D ``query_pairs(eps)`` finds.  Returns a :class:`Clustering`.
+    ``pairs`` is the cloud's :func:`pair_list`: the cloud is the points
+    ``pairs.index`` holds, which ``flow`` must cover (``MaskMismatch``
+    otherwise), and its radius ``eps = pairs.eps`` is the link radius.  The
+    flow is scaled by ``LAMBDA_FLOW``.  Each pair's feature distance adds
+    the three scaled flow differences to its 3-D ``d2`` in the tree's
+    order, so the pairs kept are exactly those a 6-D ``query_pairs(eps)``
+    finds.  Returns a :class:`Clustering`.
 
     ``fit`` is the :class:`~flowseg.flow.ClusterFit` of the
-    :func:`~flowseg.flow.refine_flow` call that made ``flow``.  A pair within
-    one fitted cluster whose rigid motion bounds its feature distance below
-    ``eps`` with room for rounding is kept without the exact sum; every
-    other pair, and every pair when ``fit`` is omitted, is summed exactly.
-    The labels are the same either way.
+    :func:`~flowseg.flow.refine_flow` call that made ``flow``; a fit of
+    another length raises ``MaskMismatch``.  A pair within one fitted
+    cluster whose rigid motion bounds its feature distance below ``eps``
+    with room for rounding is kept without the exact sum; every other pair,
+    and every pair when ``fit`` is omitted, is summed exactly.  The labels
+    are the same either way.
 
     Without ``previous`` one components call solves the kept pairs.
     ``previous`` is the last call's result on the same ``pairs`` (another
@@ -377,10 +354,10 @@ def cluster(p_t, flow, *, pairs: PairList, fit=None,
     every such pair is bridged is still connected, each old link holding
     or replaced by a two-link path, and stays one node.  Every other
     previous component is re-solved point by point, in one components
-    call over the kept pairs among those points.  Any other kept pair
-    either lies inside one node or did not link before; those joining two
-    nodes go to one components call over the nodes, skipped when there
-    are none.  So the nodes' components are the components of the kept
+    call over the kept pairs among those points, as ``initial_mask``
+    solves its candidates.  Any other kept pair either lies inside one node
+    or did not link before; those joining two nodes go to one components
+    call over the nodes, skipped when there are none.  So the nodes' components are the components of the kept
     pairs.  What follows reads them only as a partition (sizes, members,
     each point's component), so the mask is the same.
 
@@ -395,17 +372,18 @@ def cluster(p_t, flow, *, pairs: PairList, fit=None,
     so in feature space too, and cannot be nearer or tie.
     Output labels are compacted to 0..K-1 in first-appearance order.
     """
-    _check_aligned(p_t, flow=flow, pairs=pairs.index)
+    _check_aligned(pairs.index, flow=flow)
     if previous is not None and previous.pairs is not pairs:
         raise MaskMismatch("previous clustering is of another pair list")
     eps = pairs.eps
+    points = pairs.index.points
     scaled = LAMBDA_FLOW * flow.vectors
-    keep = _proven(p_t, pairs, fit)
+    keep = _proven(pairs, fit)
     rest = np.nonzero(~keep)[0]
     keep[rest] = _add_squares(pairs.d2[rest], scaled, pairs.i[rest],
                               pairs.j[rest]) <= eps * eps
     if previous is None:
-        n_comp, raw = _components(len(p_t), pairs.i[keep], pairs.j[keep])
+        n_comp, raw = _components(len(points), pairs.i[keep], pairs.j[keep])
     else:
         n_comp, raw = _carry(pairs, scaled, keep, previous)
     sizes = np.bincount(raw, minlength=n_comp)
@@ -416,20 +394,16 @@ def cluster(p_t, flow, *, pairs: PairList, fit=None,
     if not large.all():
         merging = ~large
         rows = np.nonzero(merging[raw])[0]
-        n, k = len(p_t), 16
+        n, k = len(points), 16
         while rows.shape[0]:
             k = min(k, n)
-            near, dist = pairs.index.query_knn(p_t.points[rows], k)
+            near, dist = pairs.index.query_knn(points[rows], k)
             owner = raw[rows]
             reach = np.full(n_comp, np.inf)
             np.minimum.at(reach, owner, dist[:, -1])
             r, c = np.nonzero(large[raw[near]])
             comp, cand = owner[r], near[r, c]
-            a = rows[r]
-            # the six differences in feature order, summed as one row each
-            diff = np.hstack([p_t.points[a] - p_t.points[cand],
-                              scaled[a] - scaled[cand]])
-            d2 = (diff ** 2).sum(axis=1)
+            d2 = _feature_d2(points, scaled, rows[r], cand)
             # per component the smallest d2, ties to the lowest point id
             order = np.lexsort((cand, d2, comp))
             best = order[np.nonzero(np.diff(comp[order], prepend=-1))[0]]
@@ -466,9 +440,9 @@ class StaticSet:
     fallback: bool
 
 
-def classify(mask: SegmentationMask, cfg: ClassifierConfig,
-             velocities) -> StaticSet:
-    """Pick the static clusters of ``mask`` by the rule ``cfg.strategy`` names.
+def classify(mask: SegmentationMask, cfg, velocities) -> StaticSet:
+    """Pick the static clusters of ``mask`` by the rule ``cfg.strategy`` names,
+    ``cfg`` being a :class:`~flowseg.pipeline.IterationConfig`.
 
     ``auto`` takes the velocity rule when the normalized variance of the
     cluster sizes, in float64, is below ``SIZE_VARIANCE_THRESHOLD``, and the

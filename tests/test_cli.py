@@ -19,6 +19,7 @@ from flowseg.flow import FlowField, PointCloud
 from flowseg.geometry import RigidTransform
 from flowseg.metrics import flow_metrics
 from flowseg.odometry import Pose
+from flowseg.pipeline import IterationConfig
 from flowseg.segment import SegmentationMask
 
 # one small noiseless sequence shared by most tests; seed 11 keeps every
@@ -159,6 +160,14 @@ class TestRun:
             assert pair["ssf"] == f"ssf_{pair['index']:04d}.pcf"
             assert pair["report"] == f"report_{pair['index']:04d}.json"
             assert pair["converged"] is True
+
+    def test_defaults_are_the_loop_settings(self):
+        args = cli.build_parser().parse_args(
+            ["run", "--input", "in", "--out", "out"])
+        defaults = IterationConfig()
+        for name in ("epsilon", "max_iters", "alpha", "beta", "strategy",
+                     "theta"):
+            assert getattr(args, name) == getattr(defaults, name), name
 
     def test_report_structure(self, run_dir):
         report = read_json(run_dir, "report_0000.json")
@@ -466,6 +475,17 @@ class TestEval:
         assert main(["eval", "--run", broken, "--data", seq_dir,
                      "--out", str(tmp_path / "e.json")]) == 1
         assert "lacks flow or labels" in capsys.readouterr().err
+
+    def test_ground_truth_frame_without_flow_exits_1(self, seq_dir, run_dir,
+                                                     tmp_path, capsys):
+        data = str(tmp_path / "data")
+        shutil.copytree(seq_dir, data)
+        pts, _, labels = read_frame(os.path.join(data, "frame_0000.pcf"))
+        write_frame(os.path.join(data, "frame_0000.pcf"), pts, labels=labels)
+        assert main(["eval", "--run", run_dir, "--data", data,
+                     "--out", str(tmp_path / "e.json")]) == 1
+        err = capsys.readouterr().err
+        assert "frame 0" in err and "lacks flow" in err
 
     def test_missing_run_dir_exits_1(self, seq_dir, tmp_path):
         assert main(["eval", "--run", str(tmp_path / "nope"),

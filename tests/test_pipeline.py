@@ -22,7 +22,7 @@ from flowseg.metrics import flow_metrics, seg_metrics
 from flowseg.odometry import ego_motion
 from flowseg.pipeline import (ConvergenceReport, IterationConfig,
                               flow_delta, initial_mask, mask_delta, run)
-from flowseg.segment import ClassifierConfig, SegmentationMask
+from flowseg.segment import SegmentationMask
 
 
 def cloud_of(points):
@@ -89,7 +89,7 @@ class TestInitialMask:
         pts = rng.uniform(-5, 5, size=(100, 3))
         flow = FlowField(np.tile([0.3, 0.0, 0.0], (100, 1)))
         p_t = cloud_of(pts)
-        mask = initial_mask(p_t, flow,
+        mask = initial_mask(flow,
                             pairs=segment.pair_list(geometry.SpatialIndex(p_t)))
         assert mask.n_clusters == 1
         assert not mask.labels.any()
@@ -102,7 +102,7 @@ class TestInitialMask:
         vec = np.zeros((170, 3))
         vec[150:, 0] = 2.0  # residual far above the gate
         p_t = cloud_of(pts)
-        mask = initial_mask(p_t, FlowField(vec),
+        mask = initial_mask(FlowField(vec),
                             pairs=segment.pair_list(geometry.SpatialIndex(p_t)))
         assert mask.n_clusters == 2
         assert (mask.labels[150:] == 1).all()
@@ -119,17 +119,16 @@ class TestIterationConfig:
         with pytest.raises(ValueError):
             IterationConfig(epsilon=0.0)
 
-    @pytest.mark.parametrize("field", ["alpha", "beta", "epsilon"])
+    @pytest.mark.parametrize("field",
+                             ["alpha", "beta", "epsilon", "theta", "dt"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_rejects_non_finite_setting(self, field, value):
         with pytest.raises(ValueError, match=field):
             IterationConfig(**{field: value})
 
-    @pytest.mark.parametrize("field", ["theta", "dt"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_classifier_rejects_non_finite_setting(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            ClassifierConfig(**{field: value})
+    def test_rejects_unknown_strategy(self):
+        with pytest.raises(ValueError, match="strategy"):
+            IterationConfig(strategy="largest")
 
     def test_rejects_zero_weights(self):
         with pytest.raises(ValueError):
@@ -230,8 +229,7 @@ class TestRun:
         # back to quantity; the report says so and the run still finishes
         spec = random_scene_spec(68, n_points=1200, n_objects=1)
         recs = generate(spec)
-        cfg = IterationConfig(
-            classifier=ClassifierConfig(strategy="velocity", theta=1e-9))
+        cfg = IterationConfig(strategy="velocity", theta=1e-9)
         ssf = run(recs[0].cloud, recs[1].cloud, cfg)
         assert any(rec.static_fallback for rec in ssf.report.records)
         assert ssf.mask.n_clusters >= 1
@@ -645,8 +643,8 @@ def static_fit_speed(fit, dt):
 
 EGO_CASES = {
     "size_rule": lambda: (*scene(), IterationConfig()),
-    "velocity_rule": lambda: (*velocity_scene(72), IterationConfig(
-        classifier=ClassifierConfig(strategy="velocity"))),
+    "velocity_rule": lambda: (*velocity_scene(72),
+                              IterationConfig(strategy="velocity")),
     "both": lambda: (*velocity_scene(74), IterationConfig()),
 }
 
@@ -668,7 +666,7 @@ class TestEgoSpeed:
         n = len(records)
         assert n >= 2 and len(fits) == n
         assert [rec.v_ego for rec in records] == [
-            static_fit_speed(fit, cfg.classifier.dt) for fit in fits]
+            static_fit_speed(fit, cfg.dt) for fit in fits]
         # classify gets the record's value wherever it tries the velocity rule
         tried = [rec.iteration for rec in records
                  if rec.strategy == "velocity" or rec.static_fallback]
@@ -681,7 +679,7 @@ class TestEgoSpeed:
     @pytest.mark.parametrize("case", list(EGO_CASES))
     def test_equals_the_ego_fit_over_the_working_static_set(self, case):
         p_t, p_t1, cfg = EGO_CASES[case]()
-        dt = cfg.classifier.dt
+        dt = cfg.dt
         n = run(p_t, p_t1, cfg).report.n_iterations
         # runs cut after 1..n iterations give each iteration's flow, and the
         # mask before it; the initial mask comes before iteration 1
@@ -689,7 +687,7 @@ class TestEgoSpeed:
                   for k in range(1, n + 1)]
         index_t = geometry.SpatialIndex(p_t.points)
         start = flow.init_flow(index_t, geometry.SpatialIndex(p_t1.points))
-        previous = [initial_mask(p_t, start.flow, segment.pair_list(index_t))]
+        previous = [initial_mask(start.flow, segment.pair_list(index_t))]
         previous += [state.mask for state in states[:-1]]
         records = states[-1].report.records
         for rec, state, mask_prev in zip(records, states, previous):
@@ -713,8 +711,7 @@ class TestEgoSpeed:
         monkeypatch.setattr(pipeline, "initial_mask",
                             lambda *args: mask_of(labels))
         fits, handed = recording_ego_speeds(monkeypatch)
-        cfg = IterationConfig(max_iters=1, classifier=ClassifierConfig(
-            strategy="velocity"))
+        cfg = IterationConfig(max_iters=1, strategy="velocity")
         rec = run(p_t, p_t1, cfg).report.records[0]
         assert 0 in fits[0].degenerate
         assert rec.v_ego == 0.0 and handed == {1: 0.0}

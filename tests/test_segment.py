@@ -16,13 +16,12 @@ from flowseg.errors import (DegenerateInput, EmptyCloud, MaskMismatch,
                             UnknownClusterId)
 from flowseg.flow import ClusterFit, FlowField, PointCloud, init_flow
 from flowseg.geometry import RigidTransform, SpatialIndex, weighted_kabsch
-from flowseg.pipeline import R_STATIC, initial_mask
+from flowseg.pipeline import R_STATIC, IterationConfig, initial_mask
 from flowseg.segment import (CLUSTER_EPS, LAMBDA_FLOW, MIN_PTS,
                              SIZE_VARIANCE_THRESHOLD, STRATEGIES,
-                             ClassifierConfig, ClusterStats, SegmentationMask,
-                             StaticSet, _compact, classify, cluster,
-                             cluster_stats, members, pair_list,
-                             relabel_static_first)
+                             ClusterStats, SegmentationMask, StaticSet,
+                             _compact, classify, cluster, cluster_stats,
+                             members, pair_list, relabel_static_first)
 
 
 def cloud_of(points):
@@ -129,7 +128,7 @@ class TestCluster:
     def test_one_blob_one_cluster(self):
         rng = np.random.default_rng(30)
         p_t = cloud_of(blob([0, 0, 0], 40, rng))
-        mask = cluster(p_t, FlowField.zeros(40),
+        mask = cluster(FlowField.zeros(40),
                        pairs=pair_list(SpatialIndex(p_t))).mask
         assert mask.n_clusters == 1
 
@@ -137,7 +136,7 @@ class TestCluster:
         rng = np.random.default_rng(31)
         p_t = cloud_of(np.vstack([blob([0, 0, 0], 30, rng),
                                   blob([10, 0, 0], 30, rng)]))
-        mask = cluster(p_t, FlowField.zeros(60),
+        mask = cluster(FlowField.zeros(60),
                        pairs=pair_list(SpatialIndex(p_t))).mask
         assert mask.n_clusters == 2
         assert len(set(mask.labels[:30])) == 1
@@ -153,7 +152,7 @@ class TestCluster:
         p_t = cloud_of(pts)
         with patch.object(segment, "LAMBDA_FLOW", 5.0), \
                 patch.object(segment, "CLUSTER_EPS", 1.0):
-            mask = cluster(p_t, FlowField(vec),
+            mask = cluster(FlowField(vec),
                            pairs=pair_list(SpatialIndex(p_t))).mask
         assert mask.n_clusters == 2
 
@@ -162,7 +161,7 @@ class TestCluster:
         p_t = cloud_of(blob([0, 0, 0], 40, rng))
         vec = rng.standard_normal((40, 3)) * 100.0
         with patch.object(segment, "LAMBDA_FLOW", 0.0):
-            mask = cluster(p_t, FlowField(vec),
+            mask = cluster(FlowField(vec),
                            pairs=pair_list(SpatialIndex(p_t))).mask
         assert mask.n_clusters == 1
 
@@ -172,7 +171,7 @@ class TestCluster:
         tiny = blob([3.0, 0, 0], 3, rng, scale=0.05)  # below min_pts
         other = blob([100, 0, 0], 50, rng)
         p_t = cloud_of(np.vstack([big, tiny, other]))
-        mask = cluster(p_t, FlowField.zeros(103),
+        mask = cluster(FlowField.zeros(103),
                        pairs=pair_list(SpatialIndex(p_t))).mask
         assert mask.n_clusters == 2
         assert len(set(mask.labels[:53])) == 1  # tiny joined the near blob
@@ -181,7 +180,7 @@ class TestCluster:
         rng = np.random.default_rng(35)
         p_t = cloud_of(np.vstack([blob([i * 8.0, 0, 0], 20, rng)
                                   for i in range(4)]))
-        mask = cluster(p_t, FlowField.zeros(80),
+        mask = cluster(FlowField.zeros(80),
                        pairs=pair_list(SpatialIndex(p_t))).mask
         sizes = mask.cluster_sizes()
         assert sizes.sum() == 80
@@ -262,7 +261,7 @@ class TestPairList:
         expected = reference_cluster(p_t, flow, lambda_flow, eps)
         with patch.object(segment, "LAMBDA_FLOW", lambda_flow), \
                 patch.object(segment, "CLUSTER_EPS", eps):
-            labels = cluster(p_t, flow,
+            labels = cluster(flow,
                              pairs=pair_list(SpatialIndex(p_t))).mask.labels
         assert np.array_equal(labels, expected)
 
@@ -286,7 +285,7 @@ class TestPairList:
             eps = np.nextafter(eps, np.sign(nudge) * np.inf)
         with patch.object(segment, "LAMBDA_FLOW", lambda_flow), \
                 patch.object(segment, "CLUSTER_EPS", eps):
-            labels = cluster(p_t, flow,
+            labels = cluster(flow,
                              pairs=pair_list(SpatialIndex(p_t))).mask.labels
         assert np.array_equal(labels,
                               reference_cluster(p_t, flow, lambda_flow, eps))
@@ -297,7 +296,7 @@ class TestPairList:
         rng = np.random.default_rng(seed)
         p_t = cloud_of(rng.uniform(-4, 4, size=(n, 3)))
         flow = FlowField(rng.normal(0, 0.1, size=(n, 3)))
-        assert np.array_equal(cluster(p_t, flow,
+        assert np.array_equal(cluster(flow,
                                       pairs=pair_list(SpatialIndex(p_t))).mask.labels,
                               reference_cluster(p_t, flow, LAMBDA_FLOW,
                                                 CLUSTER_EPS))
@@ -313,24 +312,38 @@ class TestPairList:
         flow = FlowField(vec)
         expected = reference_initial_mask(p_t, flow)
         pairs = pair_list(SpatialIndex(p_t))
-        assert np.array_equal(initial_mask(p_t, flow, pairs).labels, expected)
+        assert np.array_equal(initial_mask(flow, pairs).labels, expected)
         assert np.array_equal(
-            initial_mask(p_t, flow, pairs=pair_list(SpatialIndex(p_t))).labels,
+            initial_mask(flow, pairs=pair_list(SpatialIndex(p_t))).labels,
             expected)
 
     @pytest.mark.parametrize("n_other", [300, 500])
-    def test_pair_list_of_another_cloud_is_refused(self, n_other):
-        # a shorter cloud's list would drop links, a longer one index past
-        # the cloud; both must be refused before either is used
+    def test_flow_of_another_length_is_refused(self, n_other):
+        # the list holds the cloud: a shorter flow would leave points without
+        # features, a longer one give features to points the cloud lacks;
+        # both must be refused before either is used
+        rng = np.random.default_rng(37)
+        p_t = cloud_of(rng.uniform(-4, 4, size=(400, 3)))
+        flow = FlowField(np.where(rng.random((n_other, 1)) < 0.4,
+                                  [3.0, 0, 0], 0.0))
+        pairs = pair_list(SpatialIndex(p_t))
+        with pytest.raises(MaskMismatch, match="flow"):
+            cluster(flow, pairs=pairs)
+        with pytest.raises(MaskMismatch, match="flow"):
+            initial_mask(flow, pairs)
+
+    @pytest.mark.parametrize("n_other", [200, 500])
+    def test_fit_of_another_cloud_is_refused(self, n_other):
+        # a longer fit's groups would prove pairs across the movers' edges
+        # and change the labels, a shorter one index past its mask
         rng = np.random.default_rng(37)
         pts = rng.uniform(-4, 4, size=(max(400, n_other), 3))
         p_t = cloud_of(pts[:400])
         flow = FlowField(np.where(rng.random((400, 1)) < 0.4, [3.0, 0, 0], 0.0))
-        pairs = pair_list(SpatialIndex(pts[:n_other]))
-        with pytest.raises(MaskMismatch, match="pairs"):
-            cluster(p_t, flow, pairs=pairs)
-        with pytest.raises(MaskMismatch, match="pairs"):
-            initial_mask(p_t, flow, pairs)
+        halves = SegmentationMask((pts[:n_other, 0] > 0).astype(np.int64))
+        fit = ClusterFit(halves, (RigidTransform.identity(),) * 2, ())
+        with pytest.raises(MaskMismatch, match="mask"):
+            cluster(flow, pairs=pair_list(SpatialIndex(p_t)), fit=fit)
 
     def test_pair_list_layout(self):
         rng = np.random.default_rng(36)
@@ -428,8 +441,8 @@ class TestProvenPairs:
         with patch.object(segment, "LAMBDA_FLOW", lambda_flow), \
                 patch.object(segment, "CLUSTER_EPS", eps):
             pairs = pair_list(SpatialIndex(p_t))
-            exact = cluster(p_t, flow, pairs=pairs).mask
-            proven = cluster(p_t, flow, pairs=pairs, fit=fit).mask
+            exact = cluster(flow, pairs=pairs).mask
+            proven = cluster(flow, pairs=pairs, fit=fit).mask
         assert np.array_equal(proven.labels, exact.labels)
 
     @settings(deadline=None, max_examples=200)
@@ -455,8 +468,8 @@ class TestProvenPairs:
                 patch.object(segment, "CLUSTER_EPS", eps):
             pairs = pair_list(SpatialIndex(p_t))
             assert np.array_equal(
-                cluster(p_t, flow, pairs=pairs, fit=fit).mask.labels,
-                cluster(p_t, flow, pairs=pairs).mask.labels)
+                cluster(flow, pairs=pairs, fit=fit).mask.labels,
+                cluster(flow, pairs=pairs).mask.labels)
 
     def test_fit_skips_the_pairs_it_proves(self, monkeypatch):
         # two rigid groups turned 0.02 rad: every same-group pair whose
@@ -478,18 +491,27 @@ class TestProvenPairs:
                  & (pairs.d2 * (1 + np.take(c, group)) * (1 + 1e-9)
                     < CLUSTER_EPS ** 2))
         assert clear.mean() > 0.4
-        rows = []
+        rows, merging = [], []
 
         def counting(d2, coords, i, j):
-            rows.append(len(i))
+            if not merging:  # the merge's feature distances test no pair
+                rows.append(len(i))
             return add_squares(d2, coords, i, j)
 
-        add_squares = segment._add_squares
+        def merge_d2(*args):
+            merging.append(True)
+            try:
+                return feature_d2(*args)
+            finally:
+                merging.pop()
+
+        add_squares, feature_d2 = segment._add_squares, segment._feature_d2
         monkeypatch.setattr(segment, "_add_squares", counting)
-        proven = cluster(p_t, flow, pairs=pairs, fit=fit).mask
+        monkeypatch.setattr(segment, "_feature_d2", merge_d2)
+        proven = cluster(flow, pairs=pairs, fit=fit).mask
         assert len(rows) == 1 and rows[0] <= (~clear).sum()
         rows.clear()
-        exact = cluster(p_t, flow, pairs=pairs).mask
+        exact = cluster(flow, pairs=pairs).mask
         assert rows == [len(pairs.i)]
         assert np.array_equal(proven.labels, exact.labels)
 
@@ -541,7 +563,7 @@ class TestSmallComponentMerge:
         p_t, flow = scene
         with patch.object(segment, "LAMBDA_FLOW", lambda_flow), \
                 patch.object(segment, "CLUSTER_EPS", 1.0):
-            labels = cluster(p_t, flow,
+            labels = cluster(flow,
                              pairs=pair_list(SpatialIndex(p_t))).mask.labels
         assert np.array_equal(labels,
                               reference_cluster(p_t, flow, lambda_flow, 1.0))
@@ -572,7 +594,7 @@ class TestSmallComponentMerge:
             method = getattr(index, name)
             if not name.startswith("_") and callable(method):
                 setattr(index, name, logged(name, method))
-        labels = cluster(p_t, flow, pairs=pairs).mask.labels
+        labels = cluster(flow, pairs=pairs).mask.labels
         sizes = np.bincount(components_within(
             np.hstack([p_t.points, LAMBDA_FLOW * flow.vectors]),
             CLUSTER_EPS)[1])
@@ -588,7 +610,7 @@ class TestSmallComponentMerge:
         p_t = cloud_of(pts)
         with patch.object(segment, "CLUSTER_EPS", 1.0):
             pairs = pair_list(SpatialIndex(p_t))
-        mask = cluster(p_t, FlowField.zeros(11), pairs=pairs).mask
+        mask = cluster(FlowField.zeros(11), pairs=pairs).mask
         assert mask.labels[5] == mask.labels[0] != mask.labels[6]
 
 
@@ -672,8 +694,8 @@ class TestCarriedClustering:
             pairs = pair_list(SpatialIndex(p_t))
             previous = None
             for flow, fit in zip(flows, fits or [None] * len(flows)):
-                fresh = cluster(p_t, flow, pairs=pairs, fit=fit)
-                previous = cluster(p_t, flow, pairs=pairs, fit=fit,
+                fresh = cluster(flow, pairs=pairs, fit=fit)
+                previous = cluster(flow, pairs=pairs, fit=fit,
                                    previous=previous)
                 out.append((previous, fresh))
         return pairs, out
@@ -694,8 +716,8 @@ class TestCarriedClustering:
             pairs = pair_list(SpatialIndex(p_t))
             previous = None
             for flow, fit in chain:
-                fresh = cluster(p_t, flow, pairs=pairs, fit=fit)
-                carried = cluster(p_t, flow, pairs=pairs, fit=fit,
+                fresh = cluster(flow, pairs=pairs, fit=fit)
+                carried = cluster(flow, pairs=pairs, fit=fit,
                                   previous=previous)
                 self.assert_same(carried, fresh)
                 previous = carried
@@ -753,9 +775,9 @@ class TestCarriedClustering:
     def test_previous_of_another_pair_list_is_refused(self):
         p_t = line_scene()
         index = SpatialIndex(p_t)
-        previous = cluster(p_t, FlowField.zeros(10), pairs=pair_list(index))
+        previous = cluster(FlowField.zeros(10), pairs=pair_list(index))
         with pytest.raises(MaskMismatch, match="pair list"):
-            cluster(p_t, FlowField.zeros(10), pairs=pair_list(index),
+            cluster(FlowField.zeros(10), pairs=pair_list(index),
                     previous=previous)
 
 
@@ -853,44 +875,44 @@ SPEEDS = st.floats(0.0, 30.0, allow_nan=False)
 
 class TestClassify:
     def test_quantity_picks_largest(self):
-        cfg = ClassifierConfig(strategy="quantity")
+        cfg = IterationConfig(strategy="quantity")
         static, calls = classify_sizes([5000, 100, 50], cfg)
         assert static == StaticSet(frozenset({0}), "quantity", False)
         assert calls == 0
 
     def test_quantity_tie_lowest_id(self):
-        cfg = ClassifierConfig(strategy="quantity")
+        cfg = IterationConfig(strategy="quantity")
         static, _ = classify_sizes([100, 100], cfg)
         assert static.ids == {0}
 
     def test_velocity_threshold(self):
-        cfg = ClassifierConfig(strategy="velocity", theta=0.5)
+        cfg = IterationConfig(strategy="velocity", theta=0.5)
         static, calls = classify_sizes([1, 1, 1], cfg, [10.1, 2.0, 25.0], 10.0)
         assert static == StaticSet(frozenset({0}), "velocity", False)
         assert calls == 1
 
     def test_velocity_no_match_falls_back_to_the_largest(self):
-        cfg = ClassifierConfig(strategy="velocity", theta=0.5)
+        cfg = IterationConfig(strategy="velocity", theta=0.5)
         static, calls = classify_sizes([10, 30], cfg, [5.0, 7.0], 20.0)
         assert static == StaticSet(frozenset({1}), "quantity", True)
         assert calls == 1
 
     def test_auto_equal_sizes_takes_velocity(self):
-        cfg = ClassifierConfig(strategy="auto", theta=1.0)
+        cfg = IterationConfig(strategy="auto", theta=1.0)
         static, calls = classify_sizes([100, 100, 100], cfg, [3.0, 0.5, 9.0],
                                        0.0)
         assert static == StaticSet(frozenset({1}), "velocity", False)
         assert calls == 1
 
     def test_auto_skewed_sizes_takes_quantity(self):
-        cfg = ClassifierConfig(strategy="auto")
+        cfg = IterationConfig(strategy="auto")
         static, calls = classify_sizes([5000, 50, 50], cfg)
         assert static.strategy == "quantity"
         assert calls == 0
 
     def test_quantity_static_is_maximal_and_unique(self):
         rng = np.random.default_rng(37)
-        cfg = ClassifierConfig(strategy="quantity")
+        cfg = IterationConfig(strategy="quantity")
         for _ in range(20):
             sizes = rng.integers(1, 1000, size=rng.integers(1, 8)).tolist()
             static, _ = classify_sizes(sizes, cfg)
@@ -900,7 +922,7 @@ class TestClassify:
             assert 0 <= sid < len(sizes)
 
     def test_quantity_scale_invariant(self):
-        cfg = ClassifierConfig(strategy="quantity")
+        cfg = IterationConfig(strategy="quantity")
         sizes = [30, 400, 70]
         a, _ = classify_sizes(sizes, cfg)
         b, _ = classify_sizes([s * 7 for s in sizes], cfg)
@@ -918,7 +940,7 @@ class TestClassify:
                                   seed):
         # the examples: speeds exactly theta from v_ego, which are not static
         sizes, speeds = sizes_speeds
-        cfg = ClassifierConfig(theta=theta, strategy=strategy)
+        cfg = IterationConfig(theta=theta, strategy=strategy)
         calls = []
         static = classify(mask_of_sizes(sizes, seed), cfg,
                           velocities_of(sizes, speeds, v_ego, calls))
