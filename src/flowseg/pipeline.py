@@ -73,8 +73,11 @@ class IterationConfig:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if (isinstance(self.max_iters, bool)
+                or not isinstance(self.max_iters, (int, np.integer))
+                or self.max_iters < 1):
+            raise ValueError(f"max_iters must be an integer of at least 1, "
+                             f"got {self.max_iters!r}")
         for name in ("alpha", "beta"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
@@ -325,8 +328,7 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
     Each pair's neighbour searches are made once and carried along:
 
     - each frame is indexed once here, and init_flow searches both
-      indexes; its median fill indexes frame t's reliable points once more
-      when any row is unreliable;
+      indexes, its median fill included;
     - frame t's ``pair_list`` is found once in its index and serves, as the
       cloud and its pairs, ``initial_mask`` and every ``cluster`` call, each
       of which also takes the fit behind its flow to skip the pair tests

@@ -72,6 +72,11 @@ class SegmentationMask:
         lab = lab.astype(np.int64)
         if lab.min() < 0:
             raise ValueError("cluster ids must be nonnegative")
+        # n points hold at most n non-empty clusters; checked before the
+        # count below is sized by the largest id
+        if lab.max() >= lab.shape[0]:
+            raise ValueError(f"cluster ids must be contiguous, id {lab.max()} "
+                             f"exceeds {lab.shape[0]} points")
         counts = np.bincount(lab, minlength=int(lab.max()) + 1)
         if (counts == 0).any():
             missing = int(np.nonzero(counts == 0)[0][0])

@@ -476,6 +476,21 @@ class TestEval:
                      "--out", str(tmp_path / "e.json")]) == 1
         assert "lacks flow or labels" in capsys.readouterr().err
 
+    def test_out_of_range_label_exits_1(self, seq_dir, run_dir, tmp_path,
+                                        capsys):
+        # a corrupt u32 label: the bound is checked before any count sized
+        # by the largest id (2**32 of them) is allocated
+        broken = str(tmp_path / "broken")
+        shutil.copytree(run_dir, broken)
+        path = os.path.join(broken, "ssf_0000.pcf")
+        write_frame(path, np.zeros((2, 3)), flow=np.zeros((2, 3)),
+                    labels=np.array([0, 0xFFFFFFFF], dtype=np.uint32))
+        with pytest.raises(FormatError, match="id 4294967295 exceeds 2"):
+            read_frame(path)
+        assert main(["eval", "--run", broken, "--data", seq_dir,
+                     "--out", str(tmp_path / "e.json")]) == 1
+        assert "id 4294967295 exceeds 2" in capsys.readouterr().err
+
     def test_ground_truth_frame_without_flow_exits_1(self, seq_dir, run_dir,
                                                      tmp_path, capsys):
         data = str(tmp_path / "data")

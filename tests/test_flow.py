@@ -1,5 +1,7 @@
 """Point clouds, flow fields, flow initialization and rigid refinement."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from flowseg.datagen import generate, random_scene_spec
 from flowseg.errors import DegenerateInput, EmptyCloud, MaskMismatch
-from flowseg.flow import (D_MAX, R_CONSISTENCY, ClusterFit, FlowField,
+from flowseg.flow import (D_MAX, K_FILL, R_CONSISTENCY, ClusterFit, FlowField,
                           InitFlow, PointCloud, fit_transforms, init_flow,
                           refine_flow)
 from flowseg.geometry import (TOL, RigidTransform, SpatialIndex,
@@ -121,13 +123,39 @@ def consistency_scenes(draw):
 
 
 class RecordingIndex(SpatialIndex):
-    """A SpatialIndex that logs every stack ``query`` searches."""
+    """A SpatialIndex that logs every stack ``query`` searches and the k of
+    every ``query_knn``."""
 
     log = []
+    knn = []
 
     def query(self, queries):
         self.log.append(np.array(queries))
         return super().query(queries)
+
+    def query_knn(self, queries, k):
+        self.knn.append(k)
+        return super().query_knn(queries, k)
+
+
+def assert_fill_exhaustive(src, dst, init):
+    """``init.flow`` is the raw flow with each disoccluded row zeroed and
+    each unreliable row set to the componentwise median raw flow of
+    ``min(K_FILL, n_reliable)`` nearest reliable rows, by exhaustive search;
+    where reliable rows tie at the last place, of any such set."""
+    raw = dst[SpatialIndex(dst).query(src)[0]] - src
+    expected = np.where(init.disoccluded[:, None], 0.0, raw)
+    reliable = np.nonzero(~(init.unreliable | init.disoccluded))[0]
+    need = min(K_FILL, reliable.shape[0])
+    filled = init.unreliable if need else np.zeros(len(src), dtype=bool)
+    assert np.array_equal(init.flow.vectors[~filled], expected[~filled])
+    for i in np.nonzero(filled)[0]:
+        d2 = ((src[reliable] - src[i]) ** 2).sum(axis=1)
+        last = np.sort(d2)[need - 1]
+        inside, tied = reliable[d2 < last], reliable[d2 == last]
+        assert any(np.array_equal(init.flow.vectors[i], np.median(
+            raw[np.r_[inside, pick]], axis=0))
+            for pick in combinations(tied, need - inside.shape[0]))
 
 
 def multi_cluster_scene():
@@ -250,12 +278,13 @@ class TestInitFlow:
         for i in np.nonzero(~disoccluded)[0]:
             back = int(np.argmin(((dst[ids[i]] - src) ** 2).sum(axis=1)))
             unreliable[i] = np.linalg.norm(src[back] - src[i]) > R_CONSISTENCY
-        RecordingIndex.log = []
+        RecordingIndex.log, RecordingIndex.knn = [], []
         init = init_flow(RecordingIndex(src), SpatialIndex(dst))
         assert np.array_equal(init.unreliable, unreliable)
         assert np.array_equal(init.disoccluded, disoccluded)
         assert np.array_equal(init.forward.ids, ids)
         assert np.array_equal(init.forward.distances, dist)
+        assert_fill_exhaustive(src, dst, init)
         # the backward search covers exactly the rows the 2 d bound leaves
         # open, in row order; frame t is not searched when there are none
         open_rows = ~disoccluded & ~(2.0 * dist + TOL < R_CONSISTENCY)
@@ -263,6 +292,21 @@ class TestInitFlow:
         assert len(searched) == int(open_rows.any())
         for q in searched:
             assert np.array_equal(q, dst[ids[open_rows]])
+
+    def test_fill_grows_k_to_n(self):
+        # a jittered 7 x 7 grid collapses onto one target above its middle:
+        # only the points within R_CONSISTENCY of the middle stay reliable,
+        # so a corner needs more than its 16 nearest, and k stops at N = 49
+        rng = np.random.default_rng(5)
+        g = np.arange(-3, 4) * 0.3
+        src = np.column_stack([np.repeat(g, 7), np.tile(g, 7), np.zeros(49)])
+        src += rng.uniform(-0.01, 0.01, size=src.shape)
+        dst = np.array([[0.0, 0.0, 1.0]])
+        RecordingIndex.log, RecordingIndex.knn = [], []
+        init = init_flow(RecordingIndex(src), SpatialIndex(dst))
+        assert (~init.unreliable).sum() == 9 and not init.disoccluded.any()
+        assert RecordingIndex.knn == [2 * K_FILL, len(src)]
+        assert_fill_exhaustive(src, dst, init)
 
     @settings(deadline=None, max_examples=200)
     @given(consistency_scenes())

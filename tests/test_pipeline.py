@@ -119,12 +119,17 @@ class TestIterationConfig:
         with pytest.raises(ValueError):
             IterationConfig(epsilon=0.0)
 
-    @pytest.mark.parametrize("field",
-                             ["alpha", "beta", "epsilon", "theta", "dt"])
+    @pytest.mark.parametrize("field", ["alpha", "beta", "epsilon", "theta",
+                                       "dt", "max_iters"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_rejects_non_finite_setting(self, field, value):
         with pytest.raises(ValueError, match=field):
             IterationConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [0, 2.5, True])
+    def test_rejects_bad_max_iters(self, value):
+        with pytest.raises(ValueError, match="max_iters"):
+            IterationConfig(max_iters=value)
 
     def test_rejects_unknown_strategy(self):
         with pytest.raises(ValueError, match="strategy"):
@@ -237,7 +242,7 @@ class TestRun:
     def test_one_frame_t1_index_and_pinned_query_count(self, monkeypatch):
         # a counting index swapped in at the names the modules look up at
         # call time, as perfbench's tracer does
-        built, queries, matches, knn, merges, pair_lists = [], [], [], [], [], []
+        built, queries, matches, knn, pair_lists = [], [], [], [], []
 
         class CountingIndex(geometry.SpatialIndex):
             def __init__(self, points):
@@ -253,10 +258,9 @@ class TestRun:
                 return super().match(q, previous, moved)
 
             def query_knn(self, q, k):
-                # cluster's merge searches frame t; init_flow's fill an
-                # index of the reliable points
-                on_frame_t = np.array_equal(self.points, p_t.points)
-                (merges if on_frame_t else knn).append((len(q), k))
+                # init_flow's fill and cluster's merge, both on frame t
+                assert np.array_equal(self.points, p_t.points)
+                knn.append((len(q), k))
                 return super().query_knn(q, k)
 
         build_pairs = segment.pair_list
@@ -279,23 +283,19 @@ class TestRun:
                       & ~(2.0 * dist + geometry.TOL < flow.R_CONSISTENCY)).sum())
         assert 0 < n_open < len(p_t)
         # the same counts whether the helper thread runs init_flow or not
-        last_merges = None
+        last_knn = None
         for min_points in (0, len(p_t) + 1):
             monkeypatch.setattr(pipeline, "OVERLAP_MIN_POINTS", min_points)
-            for log in (built, queries, matches, knn, merges, pair_lists):
+            for log in (built, queries, matches, knn, pair_lists):
                 log.clear()
             ssf = run(p_t, p_t1)
             n = ssf.report.n_iterations
             assert n >= 2
-            filled = ssf.report.n_unreliable > 0
-            # run() itself: frame t+1 once, first; frame t once, queried
-            # for the open rows of init_flow's backward check; the reliable
-            # points when init_flow fills, with K_FILL neighbours each
+            # run() itself: frame t+1 once, first, then frame t once,
+            # queried for the open rows of init_flow's backward check
+            assert len(built) == 2
             assert np.array_equal(built[0], p_t1.points)
-            assert sum(np.array_equal(pts, p_t1.points) for pts in built) == 1
-            assert sum(np.array_equal(pts, p_t.points) for pts in built) == 1
-            assert len(built) == 2 + filled
-            assert knn == [(ssf.report.n_unreliable, flow.K_FILL)] * filled
+            assert np.array_equal(built[1], p_t.points)
             # only init_flow's backward check queries, on its open rows
             assert queries == [n_open]
             # all on frame t+1: init_flow's forward match, iteration 1's
@@ -303,19 +303,22 @@ class TestRun:
             assert matches == [(len(p_t), False)] + [(len(p_t), True)] * (n + 1)
             # frame t's pair list once, shared by initial_mask and cluster
             assert len(pair_lists) == 1
-            # the small-component merges, k growing fourfold and capped at N
-            assert merges and all(
+            # init_flow's fill of the unreliable rows, then the
+            # small-component merges, k growing fourfold and capped at N
+            assert ssf.report.n_unreliable > 0
+            assert knn[0] == (ssf.report.n_unreliable, 2 * flow.K_FILL)
+            assert len(knn) > 1 and all(
                 rows <= len(p_t) and k in (16, 64, 256, 1024, len(p_t))
-                for rows, k in merges)
-            assert last_merges in (None, merges)
-            last_merges = list(merges)
-            built_by_run, knn_by_run = len(built), len(knn)
+                for rows, k in knn)
+            assert last_knn in (None, knn)
+            last_knn = list(knn)
+            built_by_run = len(built)
             matched_by_run = list(matches)
             ssf.report.records[0].losses
             # the first read: the warped cloud indexed in each iteration and
             # frame t+1 matched against it, each match carrying the last
             assert len(built) == built_by_run + n
-            assert len(knn) == knn_by_run and merges == last_merges
+            assert knn == last_knn
             assert matches == matched_by_run + (
                 [(len(p_t1), False)] + [(len(p_t1), True)] * (n - 1))
             assert queries == [n_open] and len(pair_lists) == 1
