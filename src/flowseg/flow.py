@@ -116,14 +116,6 @@ def init_flow(index_t: SpatialIndex, index_t1: SpatialIndex) -> InitFlow:
     neighbor is farther than ``D_MAX`` have no plausible correspondence and
     get zero flow.  Returns an :class:`InitFlow`.
 
-    The fill searches ``index_t`` too, with one ``query_knn`` call per
-    round over the rows still open; k starts at ``2 * K_FILL`` and grows
-    fourfold, capped at N.  A row settles once its k nearest hold
-    ``min(K_FILL, n_reliable)`` reliable points and takes the nearest of
-    them; at k = N they hold every reliable point, so every row settles.
-    Where reliable points tie at the ``K_FILL``-th distance, frame t's tree
-    order decides which of them count.
-
     The backward check searches only the rows a bound cannot settle: the
     origin point lies ``d`` from its target, so the target's nearest
     frame-t point lies within ``d`` too and the round trip is at most
@@ -143,17 +135,13 @@ def init_flow(index_t: SpatialIndex, index_t1: SpatialIndex) -> InitFlow:
         round_trip = np.linalg.norm(src[back_ids] - src[check], axis=1)
         unreliable[check] = round_trip > R_CONSISTENCY
     reliable = ~(unreliable | disoccluded)
-    # fill from reliable neighbors only; if none exist the raw vectors stay
-    need = min(K_FILL, int(reliable.sum()))
-    rows, k = np.nonzero(unreliable & (need > 0))[0], 2 * K_FILL
-    while rows.shape[0]:
-        near = index_t.query_knn(src[rows], min(k, len(src)))[0]
-        take = reliable[near] & (np.cumsum(reliable[near], axis=1) <= need)
-        done = take.sum(axis=1) == need
-        picked = near[done][take[done]].reshape(-1, need)
-        vectors[rows[done]] = np.median(vectors[picked], axis=1)
-        rows = rows[~done]
-        k *= 4
+    if unreliable.any() and reliable.any():
+        # fill from reliable neighbors only; if none exist the raw vectors stay
+        rel_pts = src[reliable]
+        rel_vec = vectors[reliable]
+        k = min(K_FILL, rel_pts.shape[0])
+        nn_ids, _ = SpatialIndex(rel_pts).query_knn(src[unreliable], k)
+        vectors[unreliable] = np.median(rel_vec[nn_ids], axis=1)
     vectors[disoccluded] = 0.0
     return InitFlow(FlowField(vectors), unreliable, disoccluded, forward)
 

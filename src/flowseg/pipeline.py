@@ -328,7 +328,8 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
     Each pair's neighbour searches are made once and carried along:
 
     - each frame is indexed once here, and init_flow searches both
-      indexes, its median fill included;
+      indexes; its median fill indexes frame t's reliable points once more
+      when any row is unreliable;
     - frame t's ``pair_list`` is found once in its index and serves, as the
       cloud and its pairs, ``initial_mask`` and every ``cluster`` call, each
       of which also takes the fit behind its flow to skip the pair tests

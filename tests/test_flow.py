@@ -1,5 +1,6 @@
 """Point clouds, flow fields, flow initialization and rigid refinement."""
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -123,19 +124,13 @@ def consistency_scenes(draw):
 
 
 class RecordingIndex(SpatialIndex):
-    """A SpatialIndex that logs every stack ``query`` searches and the k of
-    every ``query_knn``."""
+    """A SpatialIndex that logs every stack ``query`` searches."""
 
     log = []
-    knn = []
 
     def query(self, queries):
         self.log.append(np.array(queries))
         return super().query(queries)
-
-    def query_knn(self, queries, k):
-        self.knn.append(k)
-        return super().query_knn(queries, k)
 
 
 def assert_fill_exhaustive(src, dst, init):
@@ -278,7 +273,7 @@ class TestInitFlow:
         for i in np.nonzero(~disoccluded)[0]:
             back = int(np.argmin(((dst[ids[i]] - src) ** 2).sum(axis=1)))
             unreliable[i] = np.linalg.norm(src[back] - src[i]) > R_CONSISTENCY
-        RecordingIndex.log, RecordingIndex.knn = [], []
+        RecordingIndex.log = []
         init = init_flow(RecordingIndex(src), SpatialIndex(dst))
         assert np.array_equal(init.unreliable, unreliable)
         assert np.array_equal(init.disoccluded, disoccluded)
@@ -293,20 +288,40 @@ class TestInitFlow:
         for q in searched:
             assert np.array_equal(q, dst[ids[open_rows]])
 
-    def test_fill_grows_k_to_n(self):
+    def test_fill_reaches_past_unreliable_neighbours(self):
         # a jittered 7 x 7 grid collapses onto one target above its middle:
-        # only the points within R_CONSISTENCY of the middle stay reliable,
-        # so a corner needs more than its 16 nearest, and k stops at N = 49
+        # only the 9 points within R_CONSISTENCY of the middle stay
+        # reliable, so a corner's 16 nearest points hold none of its fill
         rng = np.random.default_rng(5)
         g = np.arange(-3, 4) * 0.3
         src = np.column_stack([np.repeat(g, 7), np.tile(g, 7), np.zeros(49)])
         src += rng.uniform(-0.01, 0.01, size=src.shape)
         dst = np.array([[0.0, 0.0, 1.0]])
-        RecordingIndex.log, RecordingIndex.knn = [], []
-        init = init_flow(RecordingIndex(src), SpatialIndex(dst))
+        init = init_flow(SpatialIndex(src), SpatialIndex(dst))
         assert (~init.unreliable).sum() == 9 and not init.disoccluded.any()
-        assert RecordingIndex.knn == [2 * K_FILL, len(src)]
         assert_fill_exhaustive(src, dst, init)
+
+    def test_fill_memory_is_bounded_by_k_fill(self):
+        # a dropped-out frame t+1 of four points: every 32768-point frame-t
+        # row lies within D_MAX of one, and all but those within
+        # R_CONSISTENCY of the middle are unreliable and far from any
+        # reliable row; the fill takes K_FILL neighbours a row, a few MB,
+        # where a search among all of frame t would size its rows by N
+        rng = np.random.default_rng(11)
+        r = 2.9 * np.sqrt(rng.uniform(size=32768))
+        a = rng.uniform(0.0, 2.0 * np.pi, size=32768)
+        src = np.column_stack([r * np.cos(a), r * np.sin(a), np.zeros(32768)])
+        dst = rng.uniform(-0.1, 0.1, size=(4, 3))
+        index_t, index_t1 = SpatialIndex(src), SpatialIndex(dst)
+        tracemalloc.start()
+        try:
+            init = init_flow(index_t, index_t1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert init.unreliable.sum() > 0.9 * len(src)
+        assert not init.disoccluded.any()
+        assert peak < 64 * 2**20
 
     @settings(deadline=None, max_examples=200)
     @given(consistency_scenes())
