@@ -268,27 +268,28 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _load_run(run_dir: str) -> dict:
-    """The manifest of a complete run; refuses a run that failed or is still
-    being written, whose outputs may mix old and new files."""
-    if os.path.exists(os.path.join(run_dir, PARTIAL_MARKER)):
-        raise FlowsegError(f"{run_dir} holds an incomplete run "
+def _load_run(args):
+    """The manifest of the complete run ``args.run`` and the records of the
+    ground-truth sequence ``args.data``, None without one.  Refuses a run
+    that failed or is still being written, whose outputs may mix old and
+    new files, and a sequence whose pair count is not the run's."""
+    if os.path.exists(os.path.join(args.run, PARTIAL_MARKER)):
+        raise FlowsegError(f"{args.run} holds an incomplete run "
                            f"({PARTIAL_MARKER} present); rerun flowseg run")
-    path = os.path.join(run_dir, RUN_MANIFEST)
+    path = os.path.join(args.run, RUN_MANIFEST)
     if not os.path.exists(path):
-        raise FlowsegError(f"{run_dir} is not a complete run: no {RUN_MANIFEST}")
+        raise FlowsegError(f"{args.run} is not a complete run: no {RUN_MANIFEST}")
     with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+        manifest = json.load(f)
+    records = read_sequence(args.data) if args.data else None
+    if records is not None and len(manifest["pairs"]) != len(records) - 1:
+        raise FlowsegError(f"run has {len(manifest['pairs'])} pairs but the "
+                           f"sequence has {len(records) - 1}")
+    return manifest, records
 
 
 def cmd_eval(args) -> int:
-    manifest = _load_run(args.run)
-    records = read_sequence(args.data)
-    n_pairs = len(manifest["pairs"])
-    if n_pairs != len(records) - 1:
-        print(f"error: run has {n_pairs} pairs but the sequence has "
-              f"{len(records) - 1}", file=sys.stderr)
-        return 1
+    manifest, records = _load_run(args)
     dt = records[1].cloud.timestamp - records[0].cloud.timestamp
     print("# flow: epe3d in meters; acc_strict/acc_relaxed/outliers in percent")
     print("# seg_accuracy: binary static/dynamic point accuracy in percent; "
@@ -343,15 +344,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    manifest = _load_run(args.run)
+    manifest, records = _load_run(args)
     out_dir = args.out or args.run
     os.makedirs(out_dir, exist_ok=True)
     estimated = read_trajectory(os.path.join(args.run, manifest["trajectory"]))
     t_series = [Series("estimate",
                        [p.transform.translation[0] for p in estimated.poses],
                        [p.transform.translation[1] for p in estimated.poses])]
-    if args.data:
-        records = read_sequence(args.data)
+    if records is not None:
         t_series.append(Series(
             "ground truth",
             [r.gt_ego.transform.translation[0] for r in records],

@@ -447,7 +447,8 @@ def read_sequence(path):
     """Read a sequence directory (or manifest path) back into FrameRecords."""
     manifest = os.path.join(path, MANIFEST_NAME) if os.path.isdir(path) else path
     base = os.path.dirname(manifest)
-    with open(manifest, "r", encoding="utf-8") as f:
+    # a file that is not text decodes without raising and fails the magic
+    with open(manifest, "r", encoding="utf-8", errors="replace") as f:
         lines = [line.rstrip("\n") for line in f]
     lines = [line for line in lines if line.strip()]
     if not lines or lines[0] != "PCSEQ1":

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DegenerateInput, EmptyCloud, TransformCountMismatch
 from .geometry import (TOL, Match, RigidTransform, SpatialIndex,
                        _check_aligned, _fields_equal, weighted_kabsch)
-from .segment import SegmentationMask, members
+from .segment import SegmentationMask
 
 __all__ = [
     "PointCloud",
@@ -169,7 +169,7 @@ class ClusterFit:
         ``T_k(p) - p``; degenerate clusters keep their flow."""
         src = p_t.points
         out = flow.vectors.copy()
-        for k, group in enumerate(members(self.mask.labels)):
+        for k, group in enumerate(self.mask.members):
             if k not in self.degenerate:
                 pts = src[group]
                 out[group] = self.transforms[k].apply(pts) - pts
@@ -182,7 +182,7 @@ def _fit_clusters(src: np.ndarray, dst: np.ndarray, mask) -> ClusterFit:
     as degenerate."""
     transforms = []
     degenerate = []
-    for k, ids in enumerate(members(mask.labels)):
+    for k, ids in enumerate(mask.members):
         try:
             transforms.append(weighted_kabsch(src[ids], dst[ids]))
         except DegenerateInput:

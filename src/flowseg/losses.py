@@ -14,7 +14,6 @@ import numpy as np
 from . import geometry
 from .geometry import Match, _check_aligned, _norms
 from .errors import MaskMismatch
-from .segment import members
 
 __all__ = [
     "LossBreakdown",
@@ -53,7 +52,7 @@ def motion_loss(p_t, flow, fit) -> float:
     """
     _check_aligned(p_t, mask=fit.mask, flow=flow)
     acc = 0.0
-    for t_k, ids in zip(fit.transforms, members(fit.mask.labels)):
+    for t_k, ids in zip(fit.transforms, fit.mask.members):
         pts = p_t.points[ids]
         residual = t_k.apply(pts) - (pts + flow.vectors[ids])
         acc += np.sqrt((residual ** 2).sum(axis=1).mean())
@@ -67,13 +66,12 @@ def flow_consistency_loss(flow, mask) -> float:
     cluster, because a rigid rotation moves points by different vectors.
     """
     _check_aligned(mask, "mask", flow=flow)
-    groups = members(mask.labels)
     acc = 0.0
-    for ids in groups:
+    for ids in mask.members:
         vec = flow.vectors[ids]
         dev = vec - vec.mean(axis=0)
         acc += (dev ** 2).sum() / vec.shape[0]
-    return float(acc / len(groups))
+    return float(acc / mask.n_clusters)
 
 
 @dataclass(frozen=True)

@@ -100,12 +100,12 @@ def ego_motion(p_t, flow, mask) -> RigidTransform:
     their flow.  The ego pose increment is the inverse of the returned
     transform.
     """
-    sel = mask.labels == 0
-    if int(sel.sum()) < 3:
-        raise DegenerateStaticSet(f"static cluster has {int(sel.sum())} points, need 3")
-    pts = p_t.points[sel]
+    static = mask.members[0]
+    if static.shape[0] < 3:
+        raise DegenerateStaticSet(f"static cluster has {static.shape[0]} points, need 3")
+    pts = p_t.points[static]
     try:
-        return weighted_kabsch(pts, pts + flow.vectors[sel])
+        return weighted_kabsch(pts, pts + flow.vectors[static])
     except DegenerateInput as e:
         raise DegenerateStaticSet(str(e)) from e
 

@@ -15,6 +15,7 @@ for the size rule to be trustworthy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -29,7 +30,6 @@ __all__ = [
     "StaticSet",
     "PairList",
     "Clustering",
-    "members",
     "pair_list",
     "cluster",
     "cluster_stats",
@@ -83,6 +83,18 @@ class SegmentationMask:
             raise ValueError(f"cluster ids must be contiguous, id {missing} is empty")
         object.__setattr__(self, "labels", lab)
 
+    def __reduce__(self):
+        return SegmentationMask, (self.labels,)
+
+    @cached_property
+    def members(self) -> tuple:
+        """Point ids of each cluster, ascending, as a boolean mask of label k
+        selects them: one stable sort of the labels in their narrowest unsigned
+        dtype (a radix sort up to 16 bits) on first read, so an ungrouped mask
+        holds no copy of its ids.  A pickle or copy carries the labels alone."""
+        order = np.argsort(_narrow(self.labels), kind="stable")
+        return tuple(np.split(order, np.cumsum(self.cluster_sizes())[:-1]))
+
     @property
     def n_clusters(self) -> int:
         return int(self.labels.max()) + 1
@@ -126,18 +138,6 @@ class ClusterStats:
 def _narrow(labels: np.ndarray) -> np.ndarray:
     """Nonnegative integers in the narrowest unsigned dtype that holds them."""
     return labels.astype(np.min_scalar_type(int(labels.max(initial=0))))
-
-
-def members(labels: np.ndarray) -> list:
-    """Point ids of each label 0..K-1, ascending within each group.
-
-    One stable sort groups every label at once; indexing with a group gives
-    the same rows, in the same order, as a boolean mask selecting label k.
-    The sort runs on the labels in their narrowest unsigned dtype, which
-    numpy sorts by radix up to 16 bits, in the same stable order.
-    """
-    order = np.argsort(_narrow(labels), kind="stable")
-    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
 
 
 @dataclass(frozen=True)
@@ -426,7 +426,7 @@ def cluster_stats(p_t, flow, mask: SegmentationMask, dt: float):
         raise ValueError("dt must be positive")
     _check_aligned(p_t, mask=mask, flow=flow)
     out = []
-    for k, ids in enumerate(members(mask.labels)):
+    for k, ids in enumerate(mask.members):
         speeds = np.linalg.norm(flow.vectors[ids], axis=1)
         out.append(ClusterStats(cluster_id=k, size=ids.shape[0],
                                 mean_speed=float(speeds.mean() / dt),

@@ -28,6 +28,7 @@ from flowseg.odometry import (Trajectory, accumulate, ego_motion,
                               read_trajectory, rpe, write_trajectory)
 from flowseg.pipeline import IterationConfig, run
 from flowseg.segment import SegmentationMask
+from helpers import random_rotation
 
 
 @pytest.fixture
@@ -38,14 +39,6 @@ def verdict(capsys):
             print(line)
         assert ok, line
     return emit
-
-
-def random_rotation(rng):
-    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-    q *= np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 2] = -q[:, 2]
-    return q
 
 
 @pytest.fixture(scope="module")

@@ -287,12 +287,14 @@ class TestRun:
         assert main(["run", "--input", seq_dir, "--out", out]) == 0
         before = {name: read_bytes(out, name) for name in os.listdir(out)}
         missing = str(tmp_path / "does_not_exist")
+        frame = os.path.join(seq_dir, "frame_0000.pcf")
         for argv, message in (
                 (["--input", seq_dir, "--epsilon", "0"],
                  "epsilon must be positive"),
                 (["--input", seq_dir, "--workers", "0"], "--workers"),
                 (["--input", seq_dir, "--workers", "-3"], "--workers"),
-                (["--input", missing], "does_not_exist")):
+                (["--input", missing], "does_not_exist"),
+                (["--input", frame], f"{frame}: bad manifest magic")):
             capsys.readouterr()
             assert main(["run", *argv, "--out", out]) == 1
             assert message in capsys.readouterr().err
@@ -564,6 +566,18 @@ class TestPlot:
 
     def test_missing_run_dir_exits_1(self, tmp_path):
         assert main(["plot", "--run", str(tmp_path / "nope")]) == 1
+
+    def test_pair_count_mismatch_exits_1(self, run_dir, tmp_path, capsys):
+        short = str(tmp_path / "short")
+        assert main(["gen", "--seed", "4", "--frames", "2", "--points", "600",
+                     "--objects", "1", "--out", short]) == 0
+        capsys.readouterr()
+        fig = str(tmp_path / "fig")
+        assert main(["plot", "--run", run_dir, "--data", short,
+                     "--out", fig]) == 1
+        assert capsys.readouterr().err == (
+            "error: run has 2 pairs but the sequence has 1\n")
+        assert not os.path.exists(fig)
 
     def test_refuses_incomplete_run(self, run_dir, tmp_path, capsys):
         partial = str(tmp_path / "partial")

@@ -1,5 +1,6 @@
 """Synthetic scene generation, ground-truth invariants, and file formats."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -332,6 +333,11 @@ class TestSequenceFormat:
         Path(manifest).write_text(text)
         with pytest.raises(FormatError, match="magic"):
             read_sequence(tmp_path / "seq")
+        # a file that is not text, such as a frame, is refused the same way
+        frame = str(tmp_path / "seq" / "frame_0000.pcf")
+        with pytest.raises(FormatError, match=re.escape(
+                f"{frame}: bad manifest magic on line 1")):
+            read_sequence(frame)
 
     def test_bad_pose_token_count(self, tmp_path):
         recs = generate(plain_spec(18, n_objects=0))

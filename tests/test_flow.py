@@ -16,15 +16,7 @@ from flowseg.flow import (D_MAX, K_FILL, R_CONSISTENCY, ClusterFit, FlowField,
 from flowseg.geometry import (TOL, RigidTransform, SpatialIndex,
                               weighted_kabsch)
 from flowseg.segment import SegmentationMask
-
-
-def rot_z(angle):
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def cloud_of(points, **kw):
-    return PointCloud(np.asarray(points, dtype=np.float64), **kw)
+from helpers import cloud_of, rot_z
 
 
 def grid_cloud(n_side=8, spacing=3.0):
@@ -198,6 +190,14 @@ class TestFlowField:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             FlowField(np.array([[np.inf, 0.0, 0.0]]))
+
+    def test_rejects_bad_shape(self):
+        with pytest.raises(ValueError, match="shape"):
+            FlowField(np.array([[1.0, 2.0]]))
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            FlowField(np.empty((0, 3)))
 
     def test_equality_compares_values(self):
         vec = np.random.default_rng(5).standard_normal((4, 3))

@@ -18,6 +18,7 @@ import flowseg
 from flowseg.errors import DegenerateInput, EmptyCloud, EmptyIndex
 from flowseg.geometry import (TOL, RigidTransform, SpatialIndex,
                               chamfer_distance, weighted_kabsch)
+from helpers import random_rotation, rot_z
 
 
 def lattice(low, high, max_rows, scale=1.0):
@@ -26,20 +27,6 @@ def lattice(low, high, max_rows, scale=1.0):
     shape = st.tuples(st.integers(1, max_rows), st.just(3))
     return arrays(np.int64, shape, elements=st.integers(low, high)).map(
         lambda a: a * scale)
-
-
-def rot_z(angle):
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def random_rotation(rng):
-    # QR of a Gaussian matrix, sign-fixed to a proper rotation
-    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-    q *= np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 2] *= -1.0
-    return q
 
 
 @st.composite
@@ -210,6 +197,11 @@ class TestWeightedKabsch:
         src = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [3.0, 0, 0]])
         with pytest.raises(DegenerateInput):
             weighted_kabsch(src, src + 1.0)
+
+    def test_length_mismatch(self):
+        src = np.eye(3)
+        with pytest.raises(ValueError, match="equal length"):
+            weighted_kabsch(src, np.vstack([src, src[:1]]))
 
 
 class TestSpatialIndex:
@@ -431,6 +423,10 @@ class TestSpatialIndex:
     def test_empty_raises(self):
         with pytest.raises(EmptyIndex):
             SpatialIndex(np.empty((0, 3)))
+
+    def test_non_finite_raises(self):
+        with pytest.raises(ValueError, match="finite"):
+            SpatialIndex([[0.0, 0, 0], [np.nan, 0, 0]])
 
     def test_query_single_point(self):
         idx = SpatialIndex([[0.0, 0, 0], [10.0, 0, 0]])

@@ -10,23 +10,14 @@ from hypothesis import strategies as st
 from flowseg import geometry
 from flowseg.datagen import generate, random_scene_spec
 from flowseg.errors import MaskMismatch, TransformCountMismatch
-from flowseg.flow import (ClusterFit, FlowField, PointCloud, fit_transforms,
-                          init_flow)
+from flowseg.flow import ClusterFit, FlowField, fit_transforms, init_flow
 from flowseg.geometry import (TOL, RigidTransform, SpatialIndex,
                               chamfer_distance)
 from flowseg.losses import (LossBreakdown, chamfer_loss,
                             flow_consistency_loss, motion_loss, total_loss)
 from flowseg.pipeline import run
 from flowseg.segment import SegmentationMask
-
-
-def rot_z(angle):
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def cloud_of(points):
-    return PointCloud(np.asarray(points, dtype=np.float64))
+from helpers import cloud_of, rot_z
 
 
 def forward(p_t, flow, p_t1):

@@ -9,15 +9,11 @@ from hypothesis.extra.numpy import arrays
 from flowseg.errors import LengthMismatch
 from flowseg.flow import FlowField
 from flowseg.metrics import flow_metrics, seg_metrics
-from flowseg.segment import SegmentationMask
+from helpers import mask_of
 
 
 def field_of(vectors):
     return FlowField(np.asarray(vectors, dtype=np.float64))
-
-
-def mask_of(labels):
-    return SegmentationMask(np.asarray(labels, dtype=np.int64))
 
 
 def contiguous(labels):

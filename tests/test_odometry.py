@@ -6,21 +6,13 @@ import pytest
 from flowseg.datagen import generate, random_scene_spec
 from flowseg.errors import (DegenerateStaticSet, FormatError, LengthMismatch,
                             TimestampMismatch)
-from flowseg.flow import FlowField, PointCloud
+from flowseg.flow import FlowField
 from flowseg.geometry import RigidTransform
 from flowseg.odometry import (ErrorStats, Pose, Trajectory,
                               TrajectoryErrorReport, accumulate, ego_motion,
                               read_trajectory, rpe, write_trajectory)
 from flowseg.segment import SegmentationMask
-
-
-def rot_z(angle):
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def cloud_of(points):
-    return PointCloud(np.asarray(points, dtype=np.float64))
+from helpers import cloud_of, rot_z
 
 
 def static_mask(n):

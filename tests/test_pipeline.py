@@ -16,21 +16,14 @@ from hypothesis import strategies as st
 from flowseg import flow, geometry, losses, pipeline, segment
 from flowseg.datagen import generate, random_scene_spec
 from flowseg.errors import DegenerateStaticSet, LengthMismatch
-from flowseg.flow import FlowField, PointCloud
+from flowseg.flow import FlowField
 from flowseg.geometry import RigidTransform
 from flowseg.metrics import flow_metrics, seg_metrics
 from flowseg.odometry import ego_motion
 from flowseg.pipeline import (ConvergenceReport, IterationConfig,
                               flow_delta, initial_mask, mask_delta, run)
 from flowseg.segment import SegmentationMask
-
-
-def cloud_of(points):
-    return PointCloud(np.asarray(points, dtype=np.float64))
-
-
-def mask_of(labels):
-    return SegmentationMask(np.asarray(labels, dtype=np.int64))
+from helpers import cloud_of, mask_of
 
 
 class TestFlowDelta:

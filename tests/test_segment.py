@@ -1,4 +1,6 @@
 """Clustering, cluster statistics, static/dynamic classification."""
+import copy
+import pickle
 from unittest.mock import patch
 
 import numpy as np
@@ -14,18 +16,15 @@ from flowseg import segment
 from flowseg.datagen import generate, random_scene_spec
 from flowseg.errors import (DegenerateInput, EmptyCloud, MaskMismatch,
                             UnknownClusterId)
-from flowseg.flow import ClusterFit, FlowField, PointCloud, init_flow
+from flowseg.flow import ClusterFit, FlowField, init_flow
 from flowseg.geometry import RigidTransform, SpatialIndex, weighted_kabsch
 from flowseg.pipeline import R_STATIC, IterationConfig, initial_mask
 from flowseg.segment import (CLUSTER_EPS, LAMBDA_FLOW, MIN_PTS,
                              SIZE_VARIANCE_THRESHOLD, STRATEGIES,
                              ClusterStats, SegmentationMask, StaticSet,
                              _compact, classify, cluster, cluster_stats,
-                             members, pair_list, relabel_static_first)
-
-
-def cloud_of(points):
-    return PointCloud(np.asarray(points, dtype=np.float64))
+                             pair_list, relabel_static_first)
+from helpers import cloud_of
 
 
 def blob(center, n, rng, scale=0.2):
@@ -71,24 +70,27 @@ class TestMembers:
         labels = np.unique(raw, return_inverse=True)[1].astype(np.int64)
         reference = [np.nonzero(labels == k)[0]
                      for k in range(int(labels.max()) + 1)]
-        groups = members(labels)
+        groups = SegmentationMask(labels).members
         assert len(groups) == len(reference)
         for got, want in zip(groups, reference):
             assert np.array_equal(got, want)
 
-    @settings(deadline=None, max_examples=100)
-    @given(st.sampled_from([1, 255, 256, 65535, 65536, 2**17]).flatmap(
-        lambda top: st.lists(st.integers(0, top), min_size=1, max_size=400)))
-    @example([65536, 0, 65535, 65536, 0])
-    def test_narrow_sort_equals_int64_stable_argsort(self, raw):
-        # labels need not be contiguous here: every id up to the largest
-        # gets a group, empty or not, as a split of the int64 sort would
-        labels = np.asarray(raw, dtype=np.int64)
-        groups = members(labels)
-        sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
-        assert np.array_equal(sizes, np.bincount(labels))
-        assert np.array_equal(np.concatenate(groups),
-                              np.argsort(labels, kind="stable"))
+    def test_narrow_sort_equals_int64_stable_argsort(self):
+        # cluster counts on each side of the 8- and 16-bit bounds: each id
+        # once in a shuffle with repeats, sorted as uint8, uint16 and uint32
+        rng = np.random.default_rng(83)
+        for k, narrow in ((1, np.uint8), (255, np.uint8), (256, np.uint8),
+                          (257, np.uint16), (65535, np.uint16),
+                          (65536, np.uint16), (65537, np.uint32)):
+            labels = np.concatenate([np.arange(k), rng.integers(0, k, 300)])
+            rng.shuffle(labels)
+            assert segment._narrow(labels).dtype == narrow
+            groups = SegmentationMask(labels).members
+            sizes = np.fromiter(map(len, groups), dtype=np.int64,
+                                count=len(groups))
+            assert np.array_equal(sizes, np.bincount(labels))
+            assert np.array_equal(np.concatenate(groups),
+                                  np.argsort(labels, kind="stable"))
 
 
 class TestSegmentationMask:
@@ -109,6 +111,20 @@ class TestSegmentationMask:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             SegmentationMask(np.array([], dtype=np.int64))
+
+    def test_groups_on_first_read_and_pickles_as_labels(self):
+        m = SegmentationMask(np.array([1, 0, 1, 2, 0], dtype=np.int64))
+        bare = pickle.dumps(m)
+        assert "members" not in vars(m)
+        assert [ids.tolist() for ids in m.members] == [[1, 4], [0, 2], [3]]
+        assert m.members is m.members
+        assert pickle.dumps(m) == bare
+        for back in (pickle.loads(bare), copy.copy(m), copy.deepcopy(m)):
+            assert back == m and "members" not in vars(back)
+
+    def test_rejects_non_integer(self):
+        with pytest.raises(ValueError, match="integers"):
+            SegmentationMask(np.array([0.0, 1.0]))
 
     @settings(deadline=None)
     @given(st.integers(1, 200).flatmap(lambda n: st.tuples(
@@ -223,9 +239,10 @@ def reference_initial_mask(p_t, flow):
     candidates = np.nonzero(residual > R_STATIC)[0]
     if candidates.shape[0] == 0:
         return labels
-    _, comp = components_within(src[candidates], CLUSTER_EPS)
+    n_comp, comp = components_within(src[candidates], CLUSTER_EPS)
     next_id = 1
-    for ids in members(comp):
+    for k in range(n_comp):
+        ids = np.nonzero(comp == k)[0]
         if ids.shape[0] >= MIN_PTS:
             labels[candidates[ids]] = next_id
             next_id += 1
