@@ -242,8 +242,10 @@ class SpatialIndex:
         ``d + TOL < clearance_r - δ - moved - TOL``, as by the triangle
         inequality every other point stays at least that clearance away.
         Such a row gets ``d`` summed as the tree sums it and that clearance;
-        every other row is searched.
+        every other row is searched.  ``moved`` must be nonnegative.
         """
+        if not moved >= 0:
+            raise ValueError(f"moved must be nonnegative, got {moved}")
         q = np.array(_points_array(queries, "queries"))
         if previous is None:
             ids, dist, clearance = self._search(q)

@@ -24,7 +24,7 @@ from .flow import ClusterFit, FlowField, fit_transforms, init_flow, refine_flow
 from .geometry import _check_aligned, weighted_kabsch
 from .losses import LossBreakdown, total_loss
 from .segment import (MIN_PTS, STRATEGIES, PairList, SegmentationMask,
-                      _components_among, _narrow, classify, cluster,
+                      _components_among, classify, cluster,
                       cluster_stats, pair_list, relabel_static_first)
 
 __all__ = [
@@ -95,14 +95,13 @@ class LossHistory:
     ``run`` keeps only what that needs: init_flow's flow, the initial mask's
     labels and, per iteration, the transforms and degenerate ids of the
     :class:`~flowseg.flow.ClusterFit` ``refine_flow`` returned (its mask is
-    the labels kept before it), the canonical labels in the narrowest
-    integer dtype and the sum of the match distances (the Chamfer forward
-    half).  So an unread history holds one flow field and
-    about N bytes per iteration.  The first read of :attr:`losses` or
-    :attr:`transforms` replays the iterations once, under a lock: it
-    rebuilds each fit and its flow with ``ClusterFit.apply``, runs the
-    carried Chamfer term, ``fit_transforms`` and ``total_loss``, and then
-    drops the kept state.
+    the labels kept before it), the canonical mask's labels and the sum of
+    the match distances (the Chamfer forward half).  So an unread history
+    holds one flow field and about N bytes per iteration.  The first read
+    of :attr:`losses` or :attr:`transforms` replays the iterations once,
+    under a lock: it rebuilds each fit and its flow with
+    ``ClusterFit.apply``, runs the carried Chamfer term, ``fit_transforms``
+    and ``total_loss``, and then drops the kept state.
     An exception from that work is raised by the read, and by every later
     read, which replays again.  Pickling or copying reads first and carries
     only the values, so a worker process does the work, not its parent.
@@ -111,13 +110,12 @@ class LossHistory:
     def __init__(self, p_t, p_t1, flow: FlowField, labels: np.ndarray) -> None:
         self._lock = threading.Lock()
         self._values = None
-        self._state = (p_t, p_t1, flow, _narrow(labels), [])
+        self._state = (p_t, p_t1, flow, labels, [])
 
     def add(self, fit: ClusterFit, labels: np.ndarray, forward: float) -> None:
         """Keep one iteration: its fit, its canonical labels and the sum of
         its match distances."""
-        self._state[4].append((fit.transforms, fit.degenerate, _narrow(labels),
-                               forward))
+        self._state[4].append((fit.transforms, fit.degenerate, labels, forward))
 
     @property
     def losses(self) -> tuple:

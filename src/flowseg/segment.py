@@ -55,8 +55,8 @@ _U = np.finfo(np.float64).eps / 2
 class SegmentationMask:
     """Per-point cluster labels, aligned with a PointCloud.
 
-    Labels are contiguous ids 0..K-1 with every cluster non-empty.  Id 0 is
-    the static set once a mask has been through relabel_static_first.
+    Contiguous ids 0..K-1, every cluster non-empty, read-only, in the narrowest
+    unsigned dtype: cast before arithmetic that can pass it.
     """
 
     labels: np.ndarray
@@ -69,7 +69,6 @@ class SegmentationMask:
             raise ValueError(f"labels must be a non-empty 1-D array, got shape {lab.shape}")
         if not np.issubdtype(lab.dtype, np.integer):
             raise ValueError(f"labels must be integers, got dtype {lab.dtype}")
-        lab = lab.astype(np.int64)
         if lab.min() < 0:
             raise ValueError("cluster ids must be nonnegative")
         # n points hold at most n non-empty clusters; checked before the
@@ -77,7 +76,9 @@ class SegmentationMask:
         if lab.max() >= lab.shape[0]:
             raise ValueError(f"cluster ids must be contiguous, id {lab.max()} "
                              f"exceeds {lab.shape[0]} points")
-        counts = np.bincount(lab, minlength=int(lab.max()) + 1)
+        lab = _narrow(lab)
+        lab.flags.writeable = False
+        counts = np.bincount(lab)
         if (counts == 0).any():
             missing = int(np.nonzero(counts == 0)[0][0])
             raise ValueError(f"cluster ids must be contiguous, id {missing} is empty")
@@ -89,10 +90,10 @@ class SegmentationMask:
     @cached_property
     def members(self) -> tuple:
         """Point ids of each cluster, ascending, as a boolean mask of label k
-        selects them: one stable sort of the labels in their narrowest unsigned
-        dtype (a radix sort up to 16 bits) on first read, so an ungrouped mask
-        holds no copy of its ids.  A pickle or copy carries the labels alone."""
-        order = np.argsort(_narrow(self.labels), kind="stable")
+        selects them: one stable sort of the labels (a radix sort up to 16
+        bits) on first read, so an ungrouped mask holds no copy of its ids.
+        A pickle or copy carries the labels alone."""
+        order = np.argsort(self.labels, kind="stable")
         return tuple(np.split(order, np.cumsum(self.cluster_sizes())[:-1]))
 
     @property
@@ -107,7 +108,7 @@ class SegmentationMask:
         cluster i here and cluster j of ``other``, a mask of the same
         length."""
         k_other = other.n_clusters
-        return np.bincount(self.labels * k_other + other.labels,
+        return np.bincount(self.labels.astype(np.intp) * k_other + other.labels,
                            minlength=self.n_clusters * k_other
                            ).reshape(self.n_clusters, k_other)
 
@@ -209,7 +210,7 @@ def _compact(labels: np.ndarray) -> np.ndarray:
     order = np.argsort(first, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(order.shape[0])
-    return rank[inverse].astype(np.int64)
+    return rank[inverse]
 
 
 def _proven(pairs: PairList, fit):
@@ -488,7 +489,6 @@ def relabel_static_first(mask: SegmentationMask, static_ids) -> SegmentationMask
         raise UnknownClusterId(f"unknown cluster ids {sorted(unknown)}")
     sizes = mask.cluster_sizes()
     dynamic = sorted(existing - ids, key=lambda k: (-sizes[k], k))
-    remap = np.zeros(mask.n_clusters, dtype=np.int64)
-    for new_id, k in enumerate(dynamic, start=1):
-        remap[k] = new_id
+    remap = np.zeros(mask.n_clusters, dtype=mask.labels.dtype)
+    remap[dynamic] = np.arange(1, len(dynamic) + 1)
     return SegmentationMask(remap[mask.labels])

@@ -19,7 +19,7 @@ from flowseg.cli import RUN_MANIFEST, main
 from flowseg.datagen import (generate, random_scene_spec, read_frame,
                              read_sequence, write_frame, write_sequence)
 from flowseg.errors import FormatError
-from flowseg.flow import FlowField, fit_transforms
+from flowseg.flow import fit_transforms
 from flowseg.geometry import (RigidTransform, SpatialIndex, chamfer_distance,
                               weighted_kabsch)
 from flowseg.losses import chamfer_loss, total_loss

@@ -17,7 +17,6 @@ from flowseg.datagen import (FrameRecord, read_frame, read_sequence,
 from flowseg.errors import FormatError
 from flowseg.flow import FlowField, PointCloud
 from flowseg.geometry import RigidTransform
-from flowseg.metrics import flow_metrics
 from flowseg.odometry import Pose
 from flowseg.pipeline import IterationConfig
 from flowseg.segment import SegmentationMask

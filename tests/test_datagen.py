@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowseg.datagen import (FrameRecord, SceneSpec, generate,
-                             random_scene_spec, read_frame, read_sequence,
-                             write_frame, write_sequence)
+from flowseg.datagen import (SceneSpec, generate, random_scene_spec,
+                             read_frame, read_sequence, write_frame,
+                             write_sequence)
 from flowseg.errors import FormatError, InvalidSpec
 from flowseg.geometry import RigidTransform
 
@@ -219,6 +219,15 @@ class TestFrameFormat:
         np.testing.assert_array_equal(back_f,
                                       vec.astype(np.float32).astype(float))
         np.testing.assert_array_equal(back_l, lab)
+
+    def test_labels_read_in_the_narrowest_dtype(self, tmp_path):
+        # written as u4, read back as the mask stores them
+        lab = np.arange(600) % 300
+        path = tmp_path / "frame.pcf"
+        write_frame(path, np.zeros((600, 3)), labels=lab)
+        assert path.stat().st_size == 4 + 5 + 12 * 600 + 4 * 600
+        back = read_frame(path)[2]
+        assert back.dtype == np.uint16 and np.array_equal(back, lab)
 
     def test_second_round_trip_bit_exact(self, tmp_path):
         # f32 quantization happens once; rewriting what was read is stable

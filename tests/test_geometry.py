@@ -339,6 +339,18 @@ class TestSpatialIndex:
         with pytest.raises(ValueError):
             index.match([[3.0, 0, 0]], first)
 
+    @pytest.mark.parametrize("moved", [-20.0, -1e-300, np.nan, -np.inf])
+    def test_match_refuses_a_negative_move(self, moved):
+        # a negative move would widen the clearance: row 0 below moves 8 and
+        # its nearest point changes, but at moved = -20 it would be kept
+        index = SpatialIndex([[0.0, 0, 0], [10.0, 0, 0]])
+        first = index.match([[1.0, 0, 0]])
+        with pytest.raises(ValueError, match="moved"):
+            index.match([[9.0, 0, 0]], first, moved=moved)
+        with pytest.raises(ValueError, match="moved"):
+            index.match([[9.0, 0, 0]], moved=moved)
+        assert index.match([[9.0, 0, 0]], first, moved=0.0).ids.tolist() == [1]
+
     def test_pairs_equal_brute_force(self):
         rng = np.random.default_rng(15)
         pts = rng.integers(-3, 4, size=(200, 3)) * 0.5
@@ -486,10 +498,11 @@ def test_only_geometry_holds_a_kd_tree():
 
 
 def test_every_import_is_used():
-    # a name a module imports and never reads, nor lists in __all__, is
-    # dead, such as one left behind when its last caller moved
+    # a name a module or a test imports and never reads, nor lists in
+    # __all__, is dead, such as one left behind when its last caller moved
     unused = []
-    for path in sorted(pathlib.Path(flowseg.__file__).parent.glob("*.py")):
+    for path in sorted([*pathlib.Path(flowseg.__file__).parent.glob("*.py"),
+                        *pathlib.Path(__file__).parent.glob("*.py")]):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))

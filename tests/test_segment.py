@@ -1,6 +1,7 @@
 """Clustering, cluster statistics, static/dynamic classification."""
 import copy
 import pickle
+from collections import Counter
 from unittest.mock import patch
 
 import numpy as np
@@ -14,11 +15,12 @@ from scipy.spatial import cKDTree
 
 from flowseg import segment
 from flowseg.datagen import generate, random_scene_spec
-from flowseg.errors import (DegenerateInput, EmptyCloud, MaskMismatch,
-                            UnknownClusterId)
+from flowseg.errors import DegenerateInput, MaskMismatch, UnknownClusterId
 from flowseg.flow import ClusterFit, FlowField, init_flow
 from flowseg.geometry import RigidTransform, SpatialIndex, weighted_kabsch
-from flowseg.pipeline import R_STATIC, IterationConfig, initial_mask
+from flowseg.metrics import seg_metrics
+from flowseg.pipeline import (R_STATIC, IterationConfig, initial_mask,
+                              mask_delta)
 from flowseg.segment import (CLUSTER_EPS, LAMBDA_FLOW, MIN_PTS,
                              SIZE_VARIANCE_THRESHOLD, STRATEGIES,
                              ClusterStats, SegmentationMask, StaticSet,
@@ -138,6 +140,120 @@ class TestSegmentationMask:
         for i in range(a.n_clusters):
             for j in range(b.n_clusters):
                 assert table[i, j] == ((a.labels == i) & (b.labels == j)).sum()
+
+
+def greedy_matched(counts):
+    """Points matched by the greedy rule over a {(i, j): count} table:
+    largest count first, ties by lowest i, then lowest j."""
+    used_i, used_j, matched = set(), set(), 0
+    for (i, j), c in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
+        if i not in used_i and j not in used_j:
+            used_i.add(i)
+            used_j.add(j)
+            matched += c
+    return matched
+
+
+def seg_metrics_by_counting(pred, gt):
+    """Reference: seg_metrics over a pure-Python count of label pairs."""
+    p, g = pred.labels.tolist(), gt.labels.tolist()
+    counts = Counter(zip(g, p))
+    gt_sizes, pred_sizes = Counter(g), Counter(p)
+    accuracy = float(100.0 * np.mean([(a == 0) == (b == 0)
+                                      for a, b in zip(p, g)]))
+    available = set(range(1, max(p) + 1))
+    ious = []
+    for k in sorted(range(1, max(g) + 1), key=lambda k: (-gt_sizes[k], k)):
+        overlap, c = max(((counts[k, c], -c) for c in available),
+                         default=(0, 0))
+        if overlap == 0:
+            ious.append(0.0)
+            continue
+        available.discard(-c)
+        ious.append(overlap / (gt_sizes[k] + pred_sizes[-c] - overlap))
+    return accuracy, tuple(ious)
+
+
+class TestLabelStorage:
+    @pytest.mark.parametrize("k, stored", [
+        (1, np.uint8), (256, np.uint8), (257, np.uint16), (65536, np.uint16),
+        (65537, np.uint32)])
+    def test_stores_the_narrowest_unsigned_dtype(self, k, stored):
+        labels = np.concatenate([np.arange(k), np.arange(k)[::-1]])
+        m = SegmentationMask(labels)
+        assert m.labels.dtype == stored
+        assert np.array_equal(m.labels, labels)
+        assert m.n_clusters == k
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
+                                       np.uint8, np.uint16, np.uint32,
+                                       np.uint64, ">u4", "<u4", ">i8"])
+    def test_accepts_every_integer_dtype(self, dtype):
+        m = SegmentationMask(np.array([2, 0, 1, 0, 2], dtype=dtype))
+        assert m.labels.dtype == np.uint8
+        assert m.labels.tolist() == [2, 0, 1, 0, 2]
+        assert m.cluster_sizes().tolist() == [2, 1, 2]
+        assert [ids.tolist() for ids in m.members] == [[1, 3], [2], [0, 4]]
+        with pytest.raises(ValueError, match="id 1 is empty"):
+            SegmentationMask(np.array([0, 2, 2], dtype=dtype))
+        with pytest.raises(ValueError, match="exceeds"):
+            SegmentationMask(np.array([0, np.iinfo(dtype).max], dtype=dtype))
+        if np.iinfo(dtype).min < 0:
+            with pytest.raises(ValueError, match="nonnegative"):
+                SegmentationMask(np.array([0, -1], dtype=dtype))
+
+    def test_owns_its_labels(self):
+        for raw in (np.array([0, 1, 1], dtype=np.uint8),
+                    np.frombuffer(np.array([0, 1, 1], dtype="<u4").tobytes(),
+                                  dtype="<u4")):
+            m = SegmentationMask(raw)
+            assert m.labels.flags.owndata
+            assert not np.shares_memory(m.labels, raw)
+        raw = np.array([0, 1, 1], dtype=np.uint8)
+        m = SegmentationMask(raw)
+        raw[0] = 1
+        assert m.labels.tolist() == [0, 1, 1]
+        # read-only, so no write can stale members or a run's loss history
+        with pytest.raises(ValueError, match="read-only"):
+            m.labels[0] = 1
+        assert SegmentationMask(m.labels).labels.flags.writeable is False
+
+    def test_generated_masks_hold_a_byte_a_point(self):
+        for rec in generate(random_scene_spec(3, n_points=2048, n_objects=3)):
+            assert rec.gt_mask.labels.nbytes == len(rec.cloud)
+
+    def test_pickle_and_copy_keep_dtype_and_values(self):
+        for k in (3, 300):
+            m = SegmentationMask(np.arange(2 * k) % k)
+            for back in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+                assert back.labels.dtype == m.labels.dtype
+                assert np.array_equal(back.labels, m.labels)
+
+    def test_equals_the_same_labels_given_as_int64(self):
+        labels = [1, 0, 1, 2, 0]
+        assert (SegmentationMask(np.array(labels, dtype=np.uint8))
+                == SegmentationMask(np.array(labels, dtype=np.int64)))
+        assert (SegmentationMask(np.array(labels, dtype=np.uint8))
+                != SegmentationMask(np.array(labels[::-1], dtype=np.int64)))
+
+    @pytest.mark.parametrize("ka, kb, n", [(20, 30, 3000), (300, 300, 30000)])
+    def test_joint_counts_pass_the_label_dtype(self, ka, kb, n):
+        # ka * kb passes 255 (uint8 labels) and 65535 (uint16 labels): a
+        # joint index built in the label dtype would wrap
+        rng = np.random.default_rng(ka)
+        a = SegmentationMask(rng.permutation(np.arange(n) % ka))
+        b = SegmentationMask(rng.permutation(np.arange(n) % kb))
+        assert a.labels.itemsize * 8 < np.log2(ka * kb)
+        for x, y in ((a, b), (b, a)):
+            counts = Counter(zip(x.labels.tolist(), y.labels.tolist()))
+            table = np.zeros((x.n_clusters, y.n_clusters), dtype=np.int64)
+            for (i, j), c in counts.items():
+                table[i, j] = c
+            assert np.array_equal(x.overlaps(y), table)
+            assert mask_delta(x, y) == float(1.0 - greedy_matched(counts) / n)
+            m = seg_metrics(x, y)
+            assert ((m.accuracy, m.per_cluster_iou)
+                    == seg_metrics_by_counting(x, y))
 
 
 class TestCluster:
