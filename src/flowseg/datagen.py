@@ -1,11 +1,19 @@
 """Synthetic scene generator with exact ground truth, plus the dataset format.
 
-Scenes are built in a world frame: a jittered-grid ground plane, two walls,
-and floating rigid boxes that translate and yaw per frame.  The sensor moves
-through this world by a constant per-frame ego increment, and every frame is
-expressed in the sensor frame, so static points carry apparent flow.  Ground
-truth (flow, mask, ego pose) is exact float64 and index-aligned across frames;
-Gaussian noise corrupts only the observed positions, never the ground truth.
+``generate`` runs three steps.  Sample: a world of a jittered-grid ground
+plane, two walls, and floating rigid boxes that translate and yaw per frame,
+drawn as each frame's world-frame points; the one sampler moves frame 0's
+points.  Ground truth: the sensor moves through the world by a constant
+per-frame ego increment and every frame is expressed in the sensor frame, so
+static points carry apparent flow; flow, mask and ego pose are exact float64
+and index-aligned across frames.  Observe: occlusion, then Gaussian noise on
+the positions only, never the ground truth, then the optional shuffle.
+
+Datasets stay byte-identical only while seed stream ``(seed, 1)`` draws, in
+order, background jitter, box placement, noise for every frame, and one
+permutation per frame (``random_scene_spec`` draws from ``(seed, 0)``).  A
+later sampler draws from its own ``SeedSequence((seed, k))``, so turning it
+on does not disturb the rest of the scene.
 
 World layout constants are chosen so the static background forms one density-
 connected component at the default clustering radius: grid pitch 0.45 m with
@@ -48,7 +56,8 @@ _GROUND_FRACTION = 0.7  # share of background points on the ground plane
 _WALL_HEIGHT = 3.0
 _BOX_SIZE = (1.5, 3.0)        # per-axis edge length range
 _BOX_FLOAT = (1.2, 1.8)       # gap between ground and box underside
-_BOX_MIN_SEP = 4.0            # minimum distance between box centers
+_BOX_MIN_SEP = 4.0            # wanted distance between box centers; after
+                              # 50 closer draws the last one is kept
 _BOX_MARGIN = 4.0             # keep boxes away from the walls
 
 
@@ -198,7 +207,6 @@ def random_scene_spec(seed: int, *, n_frames: int = 2, n_points: int = 8192,
 def _build_background(rng, n_background: int):
     """Ground grid plus two walls; returns (points, grid half-extents)."""
     n_ground = max(3, round(_GROUND_FRACTION * n_background))
-    n_ground = min(n_ground, n_background)
     cols = int(np.ceil(np.sqrt(n_ground)))
     rows = int(np.ceil(n_ground / cols))
     idx = np.arange(n_ground)
@@ -213,8 +221,6 @@ def _build_background(rng, n_background: int):
     n_wall = n_background - n_ground
     walls = []
     for side, n_w in ((1.0, (n_wall + 1) // 2), (-1.0, n_wall // 2)):
-        if n_w == 0:
-            continue
         cols_w = max(1, 2 * int(np.ceil(half_x / _PITCH)) + 1)
         rows_z = max(1, int(np.ceil(_WALL_HEIGHT / _PITCH)))
         cells = np.arange(n_w) % (cols_w * rows_z)
@@ -225,8 +231,7 @@ def _build_background(rng, n_background: int):
         jit_w = rng.uniform(-_JITTER * _PITCH, _JITTER * _PITCH, size=(n_w, 2))
         wy = rng.uniform(-_ROUGHNESS, _ROUGHNESS, size=n_w) + side * (half_y + _PITCH)
         walls.append(np.column_stack([wx + jit_w[:, 0], wy, wz + jit_w[:, 1]]))
-    parts = [ground] + walls
-    return np.vstack(parts), half_x, half_y
+    return np.vstack([ground] + walls), half_x, half_y
 
 
 def _place_boxes(rng, spec: SceneSpec, half_x: float, half_y: float):
@@ -237,7 +242,6 @@ def _place_boxes(rng, spec: SceneSpec, half_x: float, half_y: float):
     boxes = []
     radii = []
     for _ in range(spec.n_objects):
-        c_xy = np.zeros(2)
         for _attempt in range(50):
             c_xy = rng.uniform([-inner_x, -inner_y], [inner_x, inner_y])
             if all(np.linalg.norm(c_xy - c[:2]) >= _BOX_MIN_SEP for c in centers):
@@ -252,95 +256,87 @@ def _place_boxes(rng, spec: SceneSpec, half_x: float, half_y: float):
     return boxes, centers, radii
 
 
+def _sample(rng, spec: SceneSpec):
+    """Step 1: every frame's world-frame points, their labels, and per frame
+    each mover's (center, bounding radius); frame 0's points, moved."""
+    background, half_x, half_y = _build_background(rng, spec.n_background)
+    boxes, centers, radii = _place_boxes(rng, spec, half_x, half_y)
+    labels = np.repeat(np.arange(spec.n_objects + 1), [spec.n_background]
+                       + [spec.points_per_object] * spec.n_objects)
+    world, movers = [], []
+    for _ in range(spec.n_frames):
+        world.append(np.vstack([background] + boxes))
+        movers.append(list(zip(centers, radii)))
+        boxes = [c + (b - c) @ m.rotation.T + m.translation
+                 for b, c, m in zip(boxes, centers, spec.object_motions)]
+        centers = [c + m.translation
+                   for c, m in zip(centers, spec.object_motions)]
+    return world, labels, movers
+
+
+def _ground_truth(ego_motion: RigidTransform, world):
+    """Step 2: the ego pose chain, sensor-frame clouds, and flows to the next
+    frame.  Each next frame is stored as point + flow so the round trip is
+    bit-exact; a + (b - a) does not equal b under floating-point rounding."""
+    poses, flows = [RigidTransform.identity()], []
+    sensor = [poses[0].inverse().apply(world[0])]
+    for points in world[1:]:
+        poses.append(poses[-1] @ ego_motion)
+        flows.append(poses[-1].inverse().apply(points) - sensor[-1])
+        sensor.append(sensor[-1] + flows[-1])
+    return poses, sensor, flows
+
+
+def _occlude(poses, sensor, flows, labels, movers):
+    """Drop every point that some other mover shadows from the sensor in
+    any frame; the surviving labels are recompacted to 0..k."""
+    keep = np.ones(labels.shape[0], dtype=bool)
+    for pose, p, frame_movers in zip(poses, sensor, movers):
+        inv = pose.inverse()
+        p_norm = np.linalg.norm(p, axis=1)
+        safe_norm = np.where(p_norm > 0, p_norm, 1.0)
+        for k, (center, radius) in enumerate(frame_movers):
+            c = inv.apply(center)
+            c_norm = np.linalg.norm(c)
+            if c_norm == 0:
+                continue
+            scaled = p * (c_norm / safe_norm)[:, None]
+            shadowed = np.linalg.norm(scaled - c, axis=1) < 0.9 * radius
+            keep &= ~((p_norm > c_norm) & shadowed & (labels != k + 1))
+    if not keep.any():
+        raise InvalidSpec("occlusion removed every point")
+    return ([s[keep] for s in sensor], [f[keep] for f in flows],
+            np.unique(labels[keep], return_inverse=True)[1])
+
+
+def _observe(rng, spec: SceneSpec, poses, sensor, flows, labels, movers):
+    """Step 3: occlusion, then noise on the positions only, then one
+    permutation per frame; returns (clouds, flows, per-frame labels)."""
+    if spec.occlusion:
+        sensor, flows, labels = _occlude(poses, sensor, flows, labels, movers)
+    if spec.noise_sigma > 0:
+        sensor = [s + spec.noise_sigma * rng.standard_normal(s.shape)
+                  for s in sensor]
+    if not spec.shuffle:
+        return sensor, flows, [labels] * spec.n_frames
+    perms = [rng.permutation(labels.shape[0]) for _ in range(spec.n_frames)]
+    return ([s[perm] for s, perm in zip(sensor, perms)],
+            [f[perm] for f, perm in zip(flows, perms)],
+            [labels[perm] for perm in perms])
+
+
 def generate(spec: SceneSpec):
     """Produce the sequence described by ``spec``; deterministic per seed."""
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 1)))
-    background, half_x, half_y = _build_background(rng, spec.n_background)
-    boxes, centers, radii = _place_boxes(rng, spec, half_x, half_y)
-
-    labels = np.zeros(spec.n_background, dtype=np.int64)
-    if spec.n_objects:
-        labels = np.concatenate(
-            [labels] + [np.full(spec.points_per_object, k + 1, dtype=np.int64)
-                        for k in range(spec.n_objects)])
-
-    # world-frame geometry per frame; objects rotate about their tracked center
-    world_frames = []
-    center_frames = []
-    cur_boxes = [b.copy() for b in boxes]
-    cur_centers = [c.copy() for c in centers]
-    for t in range(spec.n_frames):
-        world_frames.append(np.vstack([background] + cur_boxes)
-                            if cur_boxes else background.copy())
-        center_frames.append([c.copy() for c in cur_centers])
-        if t + 1 < spec.n_frames:
-            for k, motion in enumerate(spec.object_motions):
-                rel = cur_boxes[k] - cur_centers[k]
-                cur_boxes[k] = cur_centers[k] + rel @ motion.rotation.T + motion.translation
-                cur_centers[k] = cur_centers[k] + motion.translation
-
-    # ego pose chain and sensor-frame clouds
-    ego_poses = [RigidTransform.identity()]
-    for _ in range(spec.n_frames - 1):
-        ego_poses.append(ego_poses[-1] @ spec.ego_motion)
-    sensor = [ego_poses[t].inverse().apply(world_frames[t])
-              for t in range(spec.n_frames)]
-    # store each next frame as point + flow so the round trip is bit-exact;
-    # a + (b - a) does not equal b under floating-point rounding
-    flows = []
-    for t in range(spec.n_frames - 1):
-        flows.append(sensor[t + 1] - sensor[t])
-        sensor[t + 1] = sensor[t] + flows[t]
-
-    keep = np.ones(labels.shape[0], dtype=bool)
-    if spec.occlusion:
-        for t in range(spec.n_frames):
-            inv = ego_poses[t].inverse()
-            for k in range(spec.n_objects):
-                c = inv.apply(center_frames[t][k])
-                c_norm = np.linalg.norm(c)
-                if c_norm == 0:
-                    continue
-                p = sensor[t]
-                p_norm = np.linalg.norm(p, axis=1)
-                behind = p_norm > c_norm
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    scaled = p * (c_norm / np.where(p_norm > 0, p_norm, 1.0))[:, None]
-                shadowed = np.linalg.norm(scaled - c, axis=1) < 0.9 * radii[k]
-                keep &= ~(behind & shadowed & (labels != k + 1))
-        if not keep.any():
-            raise InvalidSpec("occlusion removed every point")
-        sensor = [s[keep] for s in sensor]
-        flows = [f[keep] for f in flows]
-        labels = labels[keep]
-        labels = np.unique(labels, return_inverse=True)[1]
-
-    observed = []
-    for t in range(spec.n_frames):
-        if spec.noise_sigma > 0:
-            noise = spec.noise_sigma * rng.standard_normal(sensor[t].shape)
-            observed.append(sensor[t] + noise)
-        else:
-            observed.append(sensor[t])
-
-    frame_labels = [labels] * spec.n_frames
-    if spec.shuffle:
-        frame_labels = []
-        for t in range(spec.n_frames):
-            perm = rng.permutation(labels.shape[0])
-            observed[t] = observed[t][perm]
-            if t < spec.n_frames - 1:
-                flows[t] = flows[t][perm]
-            frame_labels.append(labels[perm])
-
-    records = []
-    for t in range(spec.n_frames):
-        records.append(FrameRecord(
-            cloud=PointCloud(observed[t], frame_id=t, timestamp=t * spec.dt),
-            gt_flow=FlowField(flows[t]) if t < spec.n_frames - 1 else None,
-            gt_mask=SegmentationMask(frame_labels[t]),
-            gt_ego=Pose(ego_poses[t], t * spec.dt)))
-    return records
+    world, labels, movers = _sample(rng, spec)
+    poses, sensor, flows = _ground_truth(spec.ego_motion, world)
+    clouds, flows, frame_labels = _observe(rng, spec, poses, sensor, flows,
+                                           labels, movers)
+    return [FrameRecord(
+        cloud=PointCloud(clouds[t], frame_id=t, timestamp=t * spec.dt),
+        gt_flow=FlowField(flows[t]) if t < len(flows) else None,
+        gt_mask=SegmentationMask(frame_labels[t]),
+        gt_ego=Pose(poses[t], t * spec.dt)) for t in range(spec.n_frames)]
 
 
 # --- on-disk format ---------------------------------------------------------
