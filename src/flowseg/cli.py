@@ -130,13 +130,10 @@ def _process_pair(payload):
     return run_pipeline(p_t, p_t1, cfg)
 
 
-def _evaluated(ssf):
-    """``ssf`` with its loss history computed: reading the transforms does it."""
-    ssf.transforms
-    return ssf
-
-
-def _report_dict(report) -> dict:
+def _report_dict(ssf) -> dict:
+    """The whole ``report_NNNN.json`` of one pair's result: reading its
+    losses computes its loss history, unless a worker already did."""
+    report = ssf.report
     return {
         "alpha": report.alpha,
         "beta": report.beta,
@@ -147,12 +144,18 @@ def _report_dict(report) -> dict:
         "iterations": [
             {"iteration": r.iteration, "flow_delta": r.flow_delta,
              "mask_delta": r.mask_delta, "delta_total": r.delta_total,
-             "l_mot": r.losses.l_mot, "l_sc": r.losses.l_sc,
-             "l_cd": r.losses.l_cd, "total_loss": r.losses.total,
-             "n_clusters": r.n_clusters, "strategy": r.strategy,
-             "static_fallback": r.static_fallback,
+             "l_mot": loss.l_mot, "l_sc": loss.l_sc, "l_cd": loss.l_cd,
+             "total_loss": loss.total, "n_clusters": r.n_clusters,
+             "strategy": r.strategy, "static_fallback": r.static_fallback,
              "degenerate_clusters": r.degenerate_clusters, "v_ego": r.v_ego}
-            for r in report.records],
+            for r, loss in zip(report.records, ssf.losses)],
+        "transforms": [[float(v) for v in t.matrix[:3].ravel()]
+                       for t in ssf.transforms],
+        "clusters": [
+            {"cluster_id": s.cluster_id, "size": s.size,
+             "mean_speed": s.mean_speed,
+             "centroid": [float(v) for v in s.centroid]}
+            for s in ssf.stats],
     }
 
 
@@ -203,37 +206,32 @@ def cmd_run(args) -> int:
         payloads = [(a.cloud, b.cloud, cfg) for a, b in pairs]
         workers = min(args.workers, len(payloads))
         # a process pool forks every worker at its first submit, so one
-        # worker gets none and runs each pair here; one thread computes pair
-        # k's loss history while this one runs pair k+1, and a pool's results
-        # arrive computed, as pickling a result computes it in the worker
+        # worker gets none and runs each pair here; one thread builds pair
+        # k's report, its loss history included, while this one runs pair
+        # k+1, and a pool's results arrive computed, as pickling a result
+        # computes it in the worker
         with (ProcessPoolExecutor(workers) if workers > 1 else nullcontext()
               ) as pool, ThreadPoolExecutor(max_workers=1) as reports:
             pending = [partial(_process_pair, p) if pool is None
                        else pool.submit(_process_pair, p).result
                        for p in payloads]
-            evaluated = []
+            results = []
             for pair_index, result in enumerate(pending):
                 step = at_pair(pair_index, "pipeline")
-                evaluated.append(reports.submit(_evaluated, result()))
+                ssf = result()
+                results.append((ssf, reports.submit(_report_dict, ssf)))
         increments = []
         pair_entries = []
         for pair_index, (rec_a, _) in enumerate(pairs):
             step = at_pair(pair_index, "pipeline")
-            ssf = evaluated[pair_index].result()
+            ssf, report = results[pair_index]
+            payload = report.result()
             ssf_name = f"ssf_{pair_index:04d}.pcf"
             report_name = f"report_{pair_index:04d}.json"
             step = at_pair(pair_index, f"writing {ssf_name}")
             write_frame(os.path.join(args.out, ssf_name), rec_a.cloud.points,
                         flow=ssf.flow.vectors, labels=ssf.mask.labels)
             step = at_pair(pair_index, f"writing {report_name}")
-            payload = _report_dict(ssf.report)
-            payload["transforms"] = [[float(v) for v in t.matrix[:3].ravel()]
-                                     for t in ssf.transforms]
-            payload["clusters"] = [
-                {"cluster_id": s.cluster_id, "size": s.size,
-                 "mean_speed": s.mean_speed,
-                 "centroid": [float(v) for v in s.centroid]}
-                for s in ssf.stats]
             _write_json(os.path.join(args.out, report_name), payload)
             step = at_pair(pair_index, "ego fit")
             increments.append(
@@ -305,6 +303,11 @@ def cmd_eval(args) -> int:
         if gt.gt_flow is None:
             print(f"error: ground-truth frame {i} of {args.data} lacks flow",
                   file=sys.stderr)
+            return 1
+        if len(pred_flow) != len(gt.gt_flow):
+            print(f"error: {pair['ssf']} holds {len(pred_flow)} points but "
+                  f"ground-truth frame {i} of {args.data} holds "
+                  f"{len(gt.gt_flow)}", file=sys.stderr)
             return 1
         fm = flow_metrics(FlowField(pred_flow), gt.gt_flow)
         sm = seg_metrics(SegmentationMask(pred_labels), gt.gt_mask)

@@ -6,8 +6,8 @@ moved (delta_total = alpha * flow RMS change + beta * aligned mask change).
 The loop stops when delta_total drops below epsilon or the iteration cap is
 hit, and the whole history is kept in a ConvergenceReport.  Each iteration's
 ego speed is the speed of refine_flow's cluster-0 fit, set in the loop; the
-loss history and the final transforms are computed on first read by a
-LossHistory.
+loss history and the final transforms are computed on first read by the
+result's LossHistory, which the records do not reference.
 """
 from __future__ import annotations
 
@@ -22,14 +22,13 @@ from . import geometry, losses
 from .errors import DegenerateInput, LengthMismatch
 from .flow import ClusterFit, FlowField, fit_transforms, init_flow, refine_flow
 from .geometry import _check_aligned, weighted_kabsch
-from .losses import LossBreakdown, total_loss
+from .losses import total_loss
 from .segment import (MIN_PTS, STRATEGIES, PairList, SegmentationMask,
                       _components_among, classify, cluster,
                       cluster_stats, pair_list, relabel_static_first)
 
 __all__ = [
     "IterationConfig",
-    "LossHistory",
     "IterationRecord",
     "ConvergenceReport",
     "SemanticSceneFlow",
@@ -97,9 +96,9 @@ class LossHistory:
     :class:`~flowseg.flow.ClusterFit` ``refine_flow`` returned (its mask is
     the labels kept before it), the canonical mask's labels and the sum of
     the match distances (the Chamfer forward half).  So an unread history
-    holds one flow field and about N bytes per iteration.  The first read
-    of :attr:`losses` or :attr:`transforms` replays the iterations once,
-    under a lock: it rebuilds each fit and its flow with
+    holds one flow field and about N bytes per iteration.  The first
+    :meth:`_read`, by the result's ``losses`` or ``transforms``, replays the
+    iterations once, under a lock: it rebuilds each fit and its flow with
     ``ClusterFit.apply``, runs the carried Chamfer term, ``fit_transforms``
     and ``total_loss``, and then drops the kept state.
     An exception from that work is raised by the read, and by every later
@@ -117,17 +116,8 @@ class LossHistory:
         its match distances."""
         self._state[4].append((fit.transforms, fit.degenerate, labels, forward))
 
-    @property
-    def losses(self) -> tuple:
-        """One :class:`~flowseg.losses.LossBreakdown` per iteration."""
-        return self._read()[0]
-
-    @property
-    def transforms(self) -> tuple:
-        """The final mask's per-cluster rigid fit of the final flow."""
-        return self._read()[1]
-
     def _read(self):
+        """The loss breakdowns, one per iteration, and the final transforms."""
         values = self._values
         if values is None:
             with self._lock:
@@ -170,9 +160,8 @@ class IterationRecord:
     that cluster is degenerate (its fit is the identity).  That cluster is
     the previous canonical mask's static cluster; in iteration 1 it is the
     initial mask's cluster 0, a candidate component when ``initial_mask``
-    flags every point.  ``losses`` is read from the run's
-    :class:`LossHistory`; ``==`` and ``repr`` leave it out, so neither
-    computes it.
+    flags every point.  The record holds measured values only: its loss
+    breakdown is ``SemanticSceneFlow.losses[iteration - 1]``.
     """
 
     iteration: int
@@ -184,11 +173,6 @@ class IterationRecord:
     static_fallback: bool
     degenerate_clusters: int
     v_ego: float
-    history: LossHistory = field(compare=False, repr=False)
-
-    @property
-    def losses(self) -> LossBreakdown:
-        return self.history.losses[self.iteration - 1]
 
 
 @dataclass(frozen=True)
@@ -220,7 +204,9 @@ class ConvergenceReport:
 class SemanticSceneFlow:
     """Pipeline output: flow + canonical mask + per-cluster transforms/stats.
 
-    ``transforms`` is read from ``history``, the run's :class:`LossHistory`.
+    ``losses`` and ``transforms`` are read from ``history``, the run's
+    :class:`LossHistory`, which computes both on the first read of either;
+    ``==`` and ``repr`` leave it out, so neither computes them.
     """
 
     flow: FlowField
@@ -236,9 +222,14 @@ class SemanticSceneFlow:
             raise ValueError("one stats record per cluster required")
 
     @property
+    def losses(self) -> tuple:
+        """One :class:`~flowseg.losses.LossBreakdown` per record of the report."""
+        return self.history._read()[0]
+
+    @property
     def transforms(self) -> tuple:
         """One rigid transform per cluster of the mask, fitted to the flow."""
-        return self.history.transforms
+        return self.history._read()[1]
 
 
 def flow_delta(curr: FlowField, prev: FlowField) -> float:
@@ -348,7 +339,7 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
     for the cluster statistics only when it tries the velocity rule, so only
     then does the loop compute them.  The loss history and the final
     transforms are left to the result's :class:`LossHistory`, computed on
-    first read of ``record.losses`` or ``transforms``; an exception in that
+    first read of ``losses`` or ``transforms``; an exception in that
     work is raised by the read, not here.  From ``OVERLAP_MIN_POINTS``
     points on, one helper thread lives for the call: it runs init_flow while
     this thread finds the pair list, then makes each match while this
@@ -401,8 +392,7 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
                 iteration=i, flow_delta=fd, mask_delta=md, delta_total=d_total,
                 n_clusters=mask_i.n_clusters, strategy=static.strategy,
                 static_fallback=static.fallback,
-                degenerate_clusters=len(fit.degenerate), v_ego=v_ego,
-                history=history))
+                degenerate_clusters=len(fit.degenerate), v_ego=v_ego))
             flow_prev, mask_prev = flow_i, mask_i
             if d_total < cfg.epsilon:
                 converged = True

@@ -51,7 +51,7 @@ def scene_suite():
         ssf = run(records[0].cloud, records[1].cloud, IterationConfig())
         accuracy = seg_metrics(ssf.mask, records[0].gt_mask).accuracy
         epe = flow_metrics(ssf.flow, records[0].gt_flow).epe3d
-        totals = [r.losses.total for r in ssf.report.records]
+        totals = [b.total for b in ssf.losses]
         # non-increasing from the second iteration onward; the chamfer term
         # sits on an observation-noise floor of a few hundred meters, so a
         # relative slack separates float wiggle from a real regression

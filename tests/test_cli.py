@@ -18,7 +18,7 @@ from flowseg.errors import FormatError
 from flowseg.flow import FlowField, PointCloud
 from flowseg.geometry import RigidTransform
 from flowseg.odometry import Pose
-from flowseg.pipeline import IterationConfig
+from flowseg.pipeline import IterationConfig, run
 from flowseg.segment import SegmentationMask
 
 # one small noiseless sequence shared by most tests; seed 11 keeps every
@@ -182,6 +182,22 @@ class TestRun:
         assert [r["iteration"] for r in rows] == list(range(1, len(rows) + 1))
         assert len(report["transforms"]) == rows[-1]["n_clusters"]
         assert len(report["clusters"]) == rows[-1]["n_clusters"]
+
+    def test_report_values_equal_an_in_process_run(self, seq_dir, run_dir):
+        # JSON floats round-trip exactly, so every value compares with ==
+        report = read_json(run_dir, "report_0000.json")
+        cfg = IterationConfig(**read_json(run_dir, RUN_MANIFEST)["config"])
+        records = read_sequence(seq_dir)
+        ssf = run(records[0].cloud, records[1].cloud, cfg)
+        assert [[row[key] for key in ("l_mot", "l_sc", "l_cd", "total_loss")]
+                for row in report["iterations"]] == [
+            [b.l_mot, b.l_sc, b.l_cd, b.total] for b in ssf.losses]
+        assert report["transforms"] == [t.matrix[:3].ravel().tolist()
+                                        for t in ssf.transforms]
+        assert report["clusters"] == [
+            {"cluster_id": s.cluster_id, "size": s.size,
+             "mean_speed": s.mean_speed, "centroid": s.centroid.tolist()}
+            for s in ssf.stats]
 
     def test_predictions_cover_each_source_frame(self, seq_dir, run_dir):
         records = read_sequence(seq_dir)
@@ -466,6 +482,19 @@ class TestEval:
         assert main(["eval", "--run", run_dir, "--data", short]) == 1
         err = capsys.readouterr().err
         assert "2 pairs" in err and "1" in err
+
+    def test_point_count_mismatch_names_the_pair_and_frame(self, run_dir,
+                                                          tmp_path, capsys):
+        # as many frames as the run's sequence, with other point counts
+        other = str(tmp_path / "other")
+        assert main(["gen", *GEN_FLAGS, "--points", "900", "--out",
+                     other]) == 0
+        assert main(["eval", "--run", run_dir, "--data", other,
+                     "--out", str(tmp_path / "e.json")]) == 1
+        err = capsys.readouterr().err
+        assert ("ssf_0000.pcf holds 1200 points but ground-truth frame 0 "
+                f"of {other} holds 900") in err
+        assert not os.path.exists(tmp_path / "e.json")
 
     def test_prediction_without_channels_exits_1(self, seq_dir, run_dir,
                                                  tmp_path, capsys):

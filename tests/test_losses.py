@@ -204,7 +204,7 @@ class TestChamferLoss:
             assert chamfer_loss(p_t, flow, p_t1, fwd.sum()).value == chamfer_distance(
                 p_t1.points, p_t.points + flow.vectors)
         ssf = run(p_t, p_t1)
-        assert ssf.report.records[-1].losses.l_cd == chamfer_distance(
+        assert ssf.losses[-1].l_cd == chamfer_distance(
             p_t1.points, p_t.points + ssf.flow.vectors)
 
     @settings(deadline=None, max_examples=300)

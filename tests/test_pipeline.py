@@ -6,6 +6,7 @@ import pickle
 import sys
 import threading
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -134,12 +135,11 @@ class TestIterationConfig:
 
     def test_report_checks_delta_identity(self):
         from flowseg.pipeline import IterationRecord
-        # the check reads no losses, so the record needs no history
         bad = IterationRecord(iteration=1, flow_delta=1.0, mask_delta=1.0,
                               delta_total=5.0,  # != alpha*1 + beta*1
                               n_clusters=1, strategy="quantity",
                               static_fallback=False, degenerate_clusters=0,
-                              v_ego=0.0, history=None)
+                              v_ego=0.0)
         with pytest.raises(ValueError):
             ConvergenceReport(alpha=1.0, beta=1.0, epsilon=1e-3,
                               records=(bad,), converged=True,
@@ -309,7 +309,7 @@ class TestRun:
             last_merges = list(merges)
             built_by_run, knn_by_run = len(built), len(knn)
             matched_by_run = list(matches)
-            ssf.report.records[0].losses
+            ssf.losses
             # the first read: the warped cloud indexed in each iteration and
             # frame t+1 matched against it, each match carrying the last
             assert len(built) == built_by_run + n
@@ -382,8 +382,7 @@ class TestOverlap:
             assert threaded == inline
             assert np.array_equal(threaded.flow.vectors, inline.flow.vectors)
             assert np.array_equal(threaded.mask.labels, inline.mask.labels)
-            assert ([rec.losses for rec in threaded.report.records]
-                    == [rec.losses for rec in inline.report.records])
+            assert threaded.losses == inline.losses
             assert ([rec.v_ego for rec in threaded.report.records]
                     == [rec.v_ego for rec in inline.report.records])
             assert repr(threaded.stats) == repr(inline.stats)
@@ -496,10 +495,10 @@ class TestLossHistory:
         n = ssf.report.n_iterations
         assert n >= 2
         assert all(seen == [] for seen in calls.values())
-        ssf.report.records[-1].losses
+        ssf.losses
         assert all(len(seen) == n for seen in calls.values())
         ssf.transforms
-        [rec.losses for rec in ssf.report.records]
+        ssf.losses
         repr(ssf.report)
         assert all(len(seen) == n for seen in calls.values())
 
@@ -512,7 +511,7 @@ class TestLossHistory:
         forward = index_t1.query(p_t.points + ssf.flow.vectors)[1].sum()
         # the carried Chamfer term equals a fresh one bit for bit
         fresh = losses.chamfer_loss(p_t, ssf.flow, p_t1, forward).value
-        last = ssf.report.records[-1].losses
+        last = ssf.losses[-1]
         assert last.l_cd == fresh
         assert last == losses.total_loss(p_t, ssf.flow, fitted, fresh)
 
@@ -526,8 +525,7 @@ class TestLossHistory:
 
         def read(slot):
             barrier.wait(timeout=30)
-            seen[slot] = (tuple(rec.losses for rec in ssf.report.records),
-                          ssf.transforms)
+            seen[slot] = (ssf.losses, ssf.transforms)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -551,18 +549,36 @@ class TestLossHistory:
     def test_pickle_and_copy_carry_plain_values(self, monkeypatch, copy_fn):
         p_t, p_t1 = scene()
         direct = run(p_t, p_t1)
-        expected = ([rec.losses for rec in direct.report.records],
+        expected = (direct.losses,
                     direct.transforms,
                     [rec.v_ego for rec in direct.report.records])
         carried = copy_fn(run(p_t, p_t1))
         # the copy was computed before it was made: reading it does no work
         calls = recording(monkeypatch)
-        assert [rec.losses for rec in carried.report.records] == expected[0]
+        assert carried.losses == expected[0]
         assert carried.transforms == expected[1]
         assert [rec.v_ego for rec in carried.report.records] == expected[2]
         assert carried == direct
         assert all(seen == [] for seen in calls.values())
         assert carried.history._state is None
+
+    @pytest.mark.parametrize("min_points", [0, 10**9],
+                             ids=["threaded", "inline"])
+    def test_a_kept_report_holds_plain_values(self, monkeypatch, min_points):
+        # the records hold no history: a report alone keeps neither cloud
+        # alive, and pickling or copying it runs no report work
+        monkeypatch.setattr(pipeline, "OVERLAP_MIN_POINTS", min_points)
+        calls = recording(monkeypatch)
+        p_t, p_t1 = scene()
+        clouds = [weakref.ref(p_t), weakref.ref(p_t1)]
+        report = run(p_t, p_t1).report
+        del p_t, p_t1
+        gc.collect()
+        assert [ref() for ref in clouds] == [None, None]
+        assert pickle.loads(pickle.dumps(report)) == report
+        assert copy.deepcopy(report) == report
+        assert report.n_iterations >= 2
+        assert all(seen == [] for seen in calls.values())
 
     def test_unread_result_keeps_compact_state(self):
         # fast ego yaw: this pair runs to the cap
@@ -592,7 +608,7 @@ class TestLossHistory:
         p_t, p_t1 = scene()
         recording(monkeypatch, fail=RuntimeError("chamfer failed"))
         ssf = run(p_t, p_t1)
-        for read in (lambda: ssf.report.records[0].losses,
+        for read in (lambda: ssf.losses,
                      lambda: ssf.transforms):
             with pytest.raises(RuntimeError, match="chamfer failed"):
                 read()
