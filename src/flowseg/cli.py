@@ -12,10 +12,8 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
 from dataclasses import asdict
 from fnmatch import fnmatchcase
-from functools import partial
 
 import numpy as np
 
@@ -202,30 +200,24 @@ def cmd_run(args) -> int:
         return f"frame pair {i} -> {i + 1}: {what}"
 
     step = at_pair(0, "pipeline")
+    increments = []
+    pair_entries = []
+    workers = min(args.workers, len(pairs))
+    # a process pool forks every worker at its first submit, so it is sized
+    # to the pairs.  One pool thread runs pair k+1 while this thread builds
+    # pair k's report, its loss history included, writes it and fits its
+    # ego increment; a process pool's results arrive computed, as pickling
+    # a result computes it in the worker.  A failure cancels the pairs not
+    # yet started.
+    pool = (ProcessPoolExecutor(workers) if workers > 1
+            else ThreadPoolExecutor(max_workers=1))
     try:
-        payloads = [(a.cloud, b.cloud, cfg) for a, b in pairs]
-        workers = min(args.workers, len(payloads))
-        # a process pool forks every worker at its first submit, so one
-        # worker gets none and runs each pair here; one thread builds pair
-        # k's report, its loss history included, while this one runs pair
-        # k+1, and a pool's results arrive computed, as pickling a result
-        # computes it in the worker
-        with (ProcessPoolExecutor(workers) if workers > 1 else nullcontext()
-              ) as pool, ThreadPoolExecutor(max_workers=1) as reports:
-            pending = [partial(_process_pair, p) if pool is None
-                       else pool.submit(_process_pair, p).result
-                       for p in payloads]
-            results = []
-            for pair_index, result in enumerate(pending):
-                step = at_pair(pair_index, "pipeline")
-                ssf = result()
-                results.append((ssf, reports.submit(_report_dict, ssf)))
-        increments = []
-        pair_entries = []
+        results = pool.map(_process_pair,
+                           [(a.cloud, b.cloud, cfg) for a, b in pairs])
         for pair_index, (rec_a, _) in enumerate(pairs):
             step = at_pair(pair_index, "pipeline")
-            ssf, report = results[pair_index]
-            payload = report.result()
+            ssf = next(results)
+            payload = _report_dict(ssf)
             ssf_name = f"ssf_{pair_index:04d}.pcf"
             report_name = f"report_{pair_index:04d}.json"
             step = at_pair(pair_index, f"writing {ssf_name}")
@@ -261,6 +253,8 @@ def cmd_run(args) -> int:
             f.write(f"failed at {step}\n")
         print(f"error: {step}: {e}", file=sys.stderr)
         return 1
+    finally:
+        pool.shutdown(cancel_futures=True)
     os.remove(marker)
     print(f"processed {len(pairs)} frame pairs into {args.out}")
     return 0
@@ -295,7 +289,8 @@ def cmd_eval(args) -> int:
     pair_rows = []
     for pair in manifest["pairs"]:
         i = pair["index"]
-        _, pred_flow, pred_labels = read_frame(os.path.join(args.run, pair["ssf"]))
+        points, pred_flow, pred_labels = read_frame(
+            os.path.join(args.run, pair["ssf"]))
         if pred_flow is None or pred_labels is None:
             print(f"error: {pair['ssf']} lacks flow or labels", file=sys.stderr)
             return 1
@@ -304,10 +299,12 @@ def cmd_eval(args) -> int:
             print(f"error: ground-truth frame {i} of {args.data} lacks flow",
                   file=sys.stderr)
             return 1
-        if len(pred_flow) != len(gt.gt_flow):
-            print(f"error: {pair['ssf']} holds {len(pred_flow)} points but "
+        # each ssf holds its source frame's points as the same f32 values,
+        # so a run of another sequence differs here
+        if not np.array_equal(points, gt.cloud.points):
+            print(f"error: {pair['ssf']} holds {len(points)} points but "
                   f"ground-truth frame {i} of {args.data} holds "
-                  f"{len(gt.gt_flow)}", file=sys.stderr)
+                  f"{len(gt.cloud.points)} other points", file=sys.stderr)
             return 1
         fm = flow_metrics(FlowField(pred_flow), gt.gt_flow)
         sm = seg_metrics(SegmentationMask(pred_labels), gt.gt_mask)

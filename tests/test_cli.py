@@ -4,17 +4,18 @@ import json
 import os
 import re
 import shutil
-from concurrent.futures import Future
+import threading
+from concurrent.futures import Executor, Future
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
-from flowseg import cli
+from flowseg import cli, pipeline
 from flowseg.cli import PARTIAL_MARKER, RUN_MANIFEST, main
 from flowseg.datagen import (FrameRecord, read_frame, read_sequence,
                              write_frame, write_sequence)
-from flowseg.errors import FormatError
+from flowseg.errors import DegenerateStaticSet, FormatError
 from flowseg.flow import FlowField, PointCloud
 from flowseg.geometry import RigidTransform
 from flowseg.odometry import Pose
@@ -215,15 +216,23 @@ class TestRun:
         for name in RUN_FILES:
             assert read_bytes(again, name) == read_bytes(run_dir, name), name
 
-    def test_worker_pool_matches_serial(self, seq_dir, run_dir, tmp_path):
-        # the serial path computes each pair's report on a thread, the pool
-        # in its workers: the same files either way, manifest included
-        par = str(tmp_path / "par")
-        assert main(["run", "--input", seq_dir, "--out", par,
-                     "--workers", "2"]) == 0
-        assert sorted(os.listdir(par)) == sorted(RUN_FILES)
-        for name in RUN_FILES:
-            assert read_bytes(par, name) == read_bytes(run_dir, name), name
+    @pytest.mark.parametrize("overlap_min_points",
+                             [pipeline.OVERLAP_MIN_POINTS, 1],
+                             ids=["default", "1"])
+    def test_worker_pool_matches_serial(self, seq_dir, run_dir, tmp_path,
+                                        monkeypatch, overlap_min_points):
+        # one pool thread runs each pair and the calling thread computes its
+        # report; a process pool computes the report in its workers.  At 1,
+        # run()'s helper thread starts inside the pool thread and inside
+        # each forked worker.  The same files every way, manifest included
+        monkeypatch.setattr(pipeline, "OVERLAP_MIN_POINTS", overlap_min_points)
+        for workers in ("1", "2"):
+            out = str(tmp_path / workers)
+            assert main(["run", "--input", seq_dir, "--out", out,
+                         "--workers", workers]) == 0
+            assert sorted(os.listdir(out)) == sorted(RUN_FILES)
+            for name in RUN_FILES:
+                assert read_bytes(out, name) == read_bytes(run_dir, name), name
 
     def test_pool_forks_no_more_workers_than_pairs(self, seq_dir, run_dir,
                                                    tmp_path, monkeypatch):
@@ -232,15 +241,9 @@ class TestRun:
         # each pair inline and forks none
         sizes = []
 
-        class InlinePool:
+        class InlinePool(Executor):
             def __init__(self, max_workers):
                 sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
 
             def submit(self, fn, payload):
                 future = Future()
@@ -262,8 +265,9 @@ class TestRun:
 
     def test_report_failure_marks_its_pair(self, seq_dir, tmp_path,
                                            monkeypatch, capsys):
-        # a pair's loss history is computed after run() returns, beside the
-        # next pair; its failure still fails the run at that pair
+        # a pair's loss history is computed after run() returns, by the
+        # calling thread while the pool thread runs the next pair; its
+        # failure still fails the run at that pair
         from flowseg import losses
 
         def failing_chamfer(*args):
@@ -277,6 +281,35 @@ class TestRun:
         with open(os.path.join(out, PARTIAL_MARKER), encoding="utf-8") as f:
             assert f.read() == "failed at frame pair 0 -> 1: pipeline\n"
         assert not os.path.exists(os.path.join(out, RUN_MANIFEST))
+
+    def test_failed_pair_cancels_the_pairs_not_yet_started(
+            self, tmp_path, monkeypatch, capsys):
+        # pair 1 runs on the pool thread while pair 0's ego fit fails; the
+        # failure must cancel pairs 2 and 3 instead of running them first
+        seq = str(tmp_path / "seq")
+        assert main(["gen", *GEN_FLAGS, "--frames", "5", "--out", seq]) == 0
+        calls = []
+        ego_fit_failed = threading.Event()
+
+        def counted_run(p_t, p_t1, cfg):
+            calls.append(p_t.frame_id)
+            if len(calls) > 1:
+                ego_fit_failed.wait(timeout=1.0)
+            return run(p_t, p_t1, cfg)
+
+        def failing_ego_motion(*args):
+            ego_fit_failed.set()
+            raise DegenerateStaticSet("static set is degenerate")
+
+        monkeypatch.setattr(cli, "run_pipeline", counted_run)
+        monkeypatch.setattr(cli, "ego_motion", failing_ego_motion)
+        out = str(tmp_path / "out")
+        assert main(["run", "--input", seq, "--out", out,
+                     "--workers", "1"]) == 1
+        assert "frame pair 0 -> 1: ego fit" in capsys.readouterr().err
+        with open(os.path.join(out, PARTIAL_MARKER), encoding="utf-8") as f:
+            assert f.read() == "failed at frame pair 0 -> 1: ego fit\n"
+        assert len(calls) <= 2
 
     def test_max_iters_caps_iterations(self, seq_dir, tmp_path):
         out = str(tmp_path / "capped")
@@ -422,15 +455,9 @@ class TestRun:
 
     def test_killed_worker_exits_1(self, seq_dir, tmp_path, monkeypatch,
                                    capsys):
-        class BrokenPool:
+        class BrokenPool(Executor):
             def __init__(self, max_workers):
                 pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
 
             def submit(self, fn, payload):
                 future = Future()
@@ -494,6 +521,23 @@ class TestEval:
         err = capsys.readouterr().err
         assert ("ssf_0000.pcf holds 1200 points but ground-truth frame 0 "
                 f"of {other} holds 900") in err
+        assert not os.path.exists(tmp_path / "e.json")
+
+    def test_run_of_another_sequence_is_refused(self, seq_dir, run_dir,
+                                                tmp_path, capsys):
+        # the run's own data passes; a sequence with the same frame and
+        # point counts, generated from another seed, is refused
+        assert main(["eval", "--run", run_dir, "--data", seq_dir,
+                     "--out", str(tmp_path / "own.json")]) == 0
+        other = str(tmp_path / "other")
+        flags = [*GEN_FLAGS]
+        flags[flags.index("--seed") + 1] = "12"
+        assert main(["gen", *flags, "--out", other]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--run", run_dir, "--data", other,
+                     "--out", str(tmp_path / "e.json")]) == 1
+        assert ("ssf_0000.pcf holds 1200 points but ground-truth frame 0 "
+                f"of {other} holds 1200 other points") in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "e.json")
 
     def test_prediction_without_channels_exits_1(self, seq_dir, run_dir,
