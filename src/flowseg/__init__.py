@@ -12,17 +12,18 @@ __version__ = "0.1.0"
 from .errors import (DegenerateInput, DegenerateStaticSet, EmptyCloud,
                      EmptyIndex, FlowsegError, FormatError, InvalidSpec,
                      LengthMismatch, MaskMismatch, TimestampMismatch,
-                     TransformCountMismatch, UnknownClusterId)
-from .geometry import (RigidTransform, SpatialIndex, chamfer_distance,
+                     TransformCountMismatch)
+from .geometry import (Match, RigidTransform, SpatialIndex, chamfer_distance,
                        weighted_kabsch)
 from .flow import (ClusterFit, FlowField, InitFlow, PointCloud,
                    fit_transforms, init_flow, refine_flow)
-from .segment import (Clustering, ClusterStats, SegmentationMask, StaticSet,
-                      classify, cluster, cluster_stats, relabel_static_first)
+from .segment import (Clustering, ClusterStats, PairList, SegmentationMask,
+                      StaticSet, classify, cluster, cluster_stats, pair_list)
 from .losses import (ChamferTerm, LossBreakdown, chamfer_loss,
                      flow_consistency_loss, motion_loss, total_loss)
-from .pipeline import (ConvergenceReport, IterationConfig, SemanticSceneFlow,
-                       flow_delta, initial_mask, mask_delta, run)
+from .pipeline import (ConvergenceReport, IterationConfig, IterationRecord,
+                       SemanticSceneFlow, flow_delta, initial_mask,
+                       mask_delta, run)
 from .odometry import (ErrorStats, Pose, Trajectory, TrajectoryErrorReport,
                        accumulate, ego_motion, read_trajectory, rpe,
                        write_trajectory)

@@ -261,10 +261,14 @@ def cmd_run(args) -> int:
 
 
 def _load_run(args):
-    """The manifest of the complete run ``args.run`` and the records of the
-    ground-truth sequence ``args.data``, None without one.  Refuses a run
+    """The manifest of the complete run ``args.run``, the records of the
+    ground-truth sequence ``args.data`` and the run's ``read_frame`` of each
+    pair's ``ssf_NNNN.pcf``, both None without a sequence.  Refuses a run
     that failed or is still being written, whose outputs may mix old and
-    new files, and a sequence whose pair count is not the run's."""
+    new files, and a sequence whose pair count is not the run's or whose
+    frame i holds other points than pair i's prediction: each ssf holds its
+    source frame's points as the same f32 values, so a run of another
+    sequence differs there."""
     if os.path.exists(os.path.join(args.run, PARTIAL_MARKER)):
         raise FlowsegError(f"{args.run} holds an incomplete run "
                            f"({PARTIAL_MARKER} present); rerun flowseg run")
@@ -273,24 +277,34 @@ def _load_run(args):
         raise FlowsegError(f"{args.run} is not a complete run: no {RUN_MANIFEST}")
     with open(path, "r", encoding="utf-8") as f:
         manifest = json.load(f)
-    records = read_sequence(args.data) if args.data else None
-    if records is not None and len(manifest["pairs"]) != len(records) - 1:
+    if not args.data:
+        return manifest, None, None
+    records = read_sequence(args.data)
+    if len(manifest["pairs"]) != len(records) - 1:
         raise FlowsegError(f"run has {len(manifest['pairs'])} pairs but the "
                            f"sequence has {len(records) - 1}")
-    return manifest, records
+    predictions = [read_frame(os.path.join(args.run, pair["ssf"]))
+                   for pair in manifest["pairs"]]
+    for pair, (points, _, _) in zip(manifest["pairs"], predictions):
+        frame = records[pair["index"]].cloud.points
+        if not np.array_equal(points, frame):
+            raise FlowsegError(
+                f"{pair['ssf']} holds {len(points)} points but ground-truth "
+                f"frame {pair['index']} of {args.data} holds {len(frame)} "
+                f"other points")
+    return manifest, records, predictions
 
 
 def cmd_eval(args) -> int:
-    manifest, records = _load_run(args)
+    manifest, records, predictions = _load_run(args)
     dt = records[1].cloud.timestamp - records[0].cloud.timestamp
     print("# flow: epe3d in meters; acc_strict/acc_relaxed/outliers in percent")
     print("# seg_accuracy: binary static/dynamic point accuracy in percent; "
           "iou per GT dynamic cluster")
     pair_rows = []
-    for pair in manifest["pairs"]:
+    for pair, (_, pred_flow, pred_labels) in zip(manifest["pairs"],
+                                                 predictions):
         i = pair["index"]
-        points, pred_flow, pred_labels = read_frame(
-            os.path.join(args.run, pair["ssf"]))
         if pred_flow is None or pred_labels is None:
             print(f"error: {pair['ssf']} lacks flow or labels", file=sys.stderr)
             return 1
@@ -298,13 +312,6 @@ def cmd_eval(args) -> int:
         if gt.gt_flow is None:
             print(f"error: ground-truth frame {i} of {args.data} lacks flow",
                   file=sys.stderr)
-            return 1
-        # each ssf holds its source frame's points as the same f32 values,
-        # so a run of another sequence differs here
-        if not np.array_equal(points, gt.cloud.points):
-            print(f"error: {pair['ssf']} holds {len(points)} points but "
-                  f"ground-truth frame {i} of {args.data} holds "
-                  f"{len(gt.cloud.points)} other points", file=sys.stderr)
             return 1
         fm = flow_metrics(FlowField(pred_flow), gt.gt_flow)
         sm = seg_metrics(SegmentationMask(pred_labels), gt.gt_mask)
@@ -344,7 +351,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    manifest, records = _load_run(args)
+    manifest, records, _ = _load_run(args)
     out_dir = args.out or args.run
     os.makedirs(out_dir, exist_ok=True)
     estimated = read_trajectory(os.path.join(args.run, manifest["trajectory"]))

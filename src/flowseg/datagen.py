@@ -44,7 +44,6 @@ __all__ = [
     "read_frame",
     "write_sequence",
     "read_sequence",
-    "MANIFEST_NAME",
 ]
 
 MANIFEST_NAME = "sequence.pcseq"

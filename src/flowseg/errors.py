@@ -37,10 +37,6 @@ class DegenerateStaticSet(FlowsegError):
     """The static cluster is too small or degenerate to support an ego-motion fit."""
 
 
-class UnknownClusterId(FlowsegError):
-    """A cluster id was referenced that does not exist in the mask."""
-
-
 class InvalidSpec(FlowsegError):
     """A scene specification violates its invariants."""
 

@@ -21,7 +21,6 @@ from scipy.spatial import cKDTree
 from .errors import DegenerateInput, EmptyCloud, EmptyIndex, MaskMismatch
 
 __all__ = [
-    "ROTATION_TOL",
     "RigidTransform",
     "Match",
     "SpatialIndex",

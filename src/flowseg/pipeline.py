@@ -24,8 +24,8 @@ from .flow import ClusterFit, FlowField, fit_transforms, init_flow, refine_flow
 from .geometry import _check_aligned, weighted_kabsch
 from .losses import total_loss
 from .segment import (MIN_PTS, STRATEGIES, PairList, SegmentationMask,
-                      _components_among, classify, cluster,
-                      cluster_stats, pair_list, relabel_static_first)
+                      _components_among, classify, cluster, cluster_stats,
+                      pair_list)
 
 __all__ = [
     "IterationConfig",
@@ -310,8 +310,8 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
     """Alternate refine_flow and cluster until delta_total < epsilon.
 
     Iteration 1 starts from init_flow and the residual-gated initial mask;
-    every iteration ends with a canonical mask (static cluster 0), whose
-    static set :func:`~flowseg.segment.classify` picks.  Output is fully
+    every iteration ends with the canonical mask (static cluster 0) that
+    :func:`~flowseg.segment.classify` gives.  Output is fully
     deterministic.
 
     Each pair's neighbour searches are made once and carried along:
@@ -379,10 +379,9 @@ def run(p_t, p_t1, cfg: IterationConfig = None) -> SemanticSceneFlow:
                              p_t.points + flow_i.vectors, match)
             clustering = cluster(flow_i, pairs=pairs, fit=fit,
                                  previous=clustering)
-            raw_mask = clustering.mask
-            static = classify(raw_mask, cfg, lambda: (
-                cluster_stats(p_t, flow_i, raw_mask, dt), v_ego))
-            mask_i = relabel_static_first(raw_mask, static.ids)
+            static = classify(clustering.mask, cfg, lambda: (
+                cluster_stats(p_t, flow_i, clustering.mask, dt), v_ego))
+            mask_i = static.mask
             fd = flow_delta(flow_i, flow_prev)
             md = mask_delta(mask_i, mask_prev)
             d_total = cfg.alpha * fd + cfg.beta * md

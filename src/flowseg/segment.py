@@ -10,7 +10,8 @@ cloud's ``SpatialIndex``, serves every clustering of it.
 :func:`classify` alone picks the static set: the largest cluster (the
 background dominates), or the clusters moving with the ego vehicle, else the
 largest; ``auto`` takes the velocity rule when cluster sizes are too similar
-for the size rule to be trustworthy.
+for the size rule to be trustworthy.  It gives the canonical mask, with the
+static set as cluster 0, that every later stage reads.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import MaskMismatch, UnknownClusterId
+from .errors import MaskMismatch
 from .geometry import TOL, SpatialIndex, _check_aligned, _fields_equal
 
 __all__ = [
@@ -34,7 +35,6 @@ __all__ = [
     "cluster",
     "cluster_stats",
     "classify",
-    "relabel_static_first",
 ]
 
 STRATEGIES = ("auto", "quantity", "velocity")
@@ -437,18 +437,21 @@ def cluster_stats(p_t, flow, mask: SegmentationMask, dt: float):
 
 @dataclass(frozen=True)
 class StaticSet:
-    """The static cluster ``ids`` :func:`classify` picked; the ``strategy``
-    that picked them, ``quantity`` or ``velocity``; and ``fallback``, set
-    when the velocity rule found none and the largest was taken."""
+    """What :func:`classify` gives: the canonical ``mask``; the ``strategy``
+    that picked its static clusters, ``quantity`` or ``velocity``; and
+    ``fallback``, set when the velocity rule found none and the largest was
+    taken."""
 
-    ids: frozenset
+    mask: SegmentationMask
     strategy: str
     fallback: bool
 
 
 def classify(mask: SegmentationMask, cfg, velocities) -> StaticSet:
     """Pick the static clusters of ``mask`` by the rule ``cfg.strategy`` names,
-    ``cfg`` being a :class:`~flowseg.pipeline.IterationConfig`.
+    ``cfg`` being a :class:`~flowseg.pipeline.IterationConfig`, and give the
+    canonical mask: the static clusters merged into id 0, the dynamic ones
+    renumbered 1..K'-1 by descending size, ties to the lower id.
 
     ``auto`` takes the velocity rule when the normalized variance of the
     cluster sizes, in float64, is below ``SIZE_VARIANCE_THRESHOLD``, and the
@@ -461,34 +464,21 @@ def classify(mask: SegmentationMask, cfg, velocities) -> StaticSet:
     velocity rule is tried.
     """
     sizes = mask.cluster_sizes()
-    strategy = cfg.strategy
+    strategy, fallback = cfg.strategy, False
     if strategy == "auto":
         spread = sizes.astype(np.float64)
         strategy = ("velocity" if spread.var() / spread.mean() ** 2
                     < SIZE_VARIANCE_THRESHOLD else "quantity")
-    largest = frozenset({int(np.argmax(sizes))})
+    if strategy == "velocity":
+        stats, v_ego = velocities()
+        static = np.array([abs(s.mean_speed - v_ego) < cfg.theta
+                           for s in stats])
+        if not static.any():
+            strategy, fallback = "quantity", True
     if strategy == "quantity":
-        return StaticSet(largest, "quantity", False)
-    stats, v_ego = velocities()
-    ids = frozenset(s.cluster_id for s in stats
-                    if abs(s.mean_speed - v_ego) < cfg.theta)
-    if ids:
-        return StaticSet(ids, "velocity", False)
-    return StaticSet(largest, "quantity", True)
-
-
-def relabel_static_first(mask: SegmentationMask, static_ids) -> SegmentationMask:
-    """Canonical form: static clusters merged into id 0, dynamic clusters
-    renumbered 1..K'-1 by descending size (ties by original id)."""
-    ids = set(int(k) for k in static_ids)
-    if not ids:
-        raise ValueError("static_ids must be non-empty")
-    existing = set(range(mask.n_clusters))
-    unknown = ids - existing
-    if unknown:
-        raise UnknownClusterId(f"unknown cluster ids {sorted(unknown)}")
-    sizes = mask.cluster_sizes()
-    dynamic = sorted(existing - ids, key=lambda k: (-sizes[k], k))
-    remap = np.zeros(mask.n_clusters, dtype=mask.labels.dtype)
-    remap[dynamic] = np.arange(1, len(dynamic) + 1)
-    return SegmentationMask(remap[mask.labels])
+        static = np.arange(sizes.shape[0]) == np.argmax(sizes)
+    dynamic = np.nonzero(~static)[0]
+    remap = np.zeros(sizes.shape[0], dtype=mask.labels.dtype)
+    remap[dynamic[np.argsort(-sizes[dynamic], kind="stable")]] = np.arange(
+        1, dynamic.shape[0] + 1)
+    return StaticSet(SegmentationMask(remap[mask.labels]), strategy, fallback)

@@ -651,6 +651,23 @@ class TestPlot:
             "error: run has 2 pairs but the sequence has 1\n")
         assert not os.path.exists(fig)
 
+    def test_run_of_another_sequence_is_refused(self, run_dir, tmp_path,
+                                                capsys):
+        # the same frame and point counts, from another seed: without the
+        # check plot would draw that sequence's ground truth
+        other = str(tmp_path / "other")
+        flags = [*GEN_FLAGS]
+        flags[flags.index("--seed") + 1] = "12"
+        assert main(["gen", *flags, "--out", other]) == 0
+        capsys.readouterr()
+        fig = str(tmp_path / "fig")
+        assert main(["plot", "--run", run_dir, "--data", other,
+                     "--out", fig]) == 1
+        assert capsys.readouterr().err == (
+            "error: ssf_0000.pcf holds 1200 points but ground-truth frame 0 "
+            f"of {other} holds 1200 other points\n")
+        assert not os.path.exists(fig)
+
     def test_refuses_incomplete_run(self, run_dir, tmp_path, capsys):
         partial = str(tmp_path / "partial")
         shutil.copytree(run_dir, partial)

@@ -497,6 +497,16 @@ def test_only_geometry_holds_a_kd_tree():
     assert holders == ["flowseg.geometry"]
 
 
+def test_every_submodule_export_is_a_package_attribute():
+    # a name a module lists in __all__ is public: `from flowseg import name`
+    # must find it
+    missing = [f"{m.name}.{name}" for m in pkgutil.iter_modules(flowseg.__path__)
+               for name in getattr(importlib.import_module(f"flowseg.{m.name}"),
+                                   "__all__", ())
+               if not hasattr(flowseg, name)]
+    assert missing == []
+
+
 def test_every_import_is_used():
     # a name a module or a test imports and never reads, nor lists in
     # __all__, is dead, such as one left behind when its last caller moved

@@ -1,11 +1,17 @@
 """The benchmark's tracer resolves flowseg's names at run time, so a renamed
 or deleted name breaks only ``perfbench/run.py --trace 1``; this checks every
-name it swaps without running the benchmark."""
+name it swaps without running the benchmark, and runs its traced ``flowseg
+run`` on a small sequence."""
 
 import importlib
 import os
+import subprocess
 import sys
 
+import pytest
+
+import flowseg
+from flowseg.cli import main
 from flowseg.geometry import SpatialIndex
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -40,3 +46,26 @@ def test_instrumented_swaps_and_close_restores_every_name(monkeypatch):
         assert callable(getattr(SpatialIndex, name, None)), \
             f"the tracer overrides SpatialIndex.{name}, which does not exist"
 
+
+@pytest.mark.parametrize("workers", [
+    pytest.param(1, marks=pytest.mark.xfail(
+        strict=True, reason="the tracer's stand-in for cli._process_pair "
+        "takes the calling thread's spans when the pool is a thread: the "
+        "still-open cli.cmd_run span then pops an empty stack")),
+    2])
+def test_traced_cli_run_exits_0(tmp_path, workers):
+    seq = str(tmp_path / "seq")
+    assert main(["gen", "--seed", "11", "--frames", "3", "--points", "1200",
+                 "--objects", "2", "--out", seq]) == 0
+    src = os.path.dirname(os.path.dirname(flowseg.__file__))
+    # no bytecode written into perfbench/, as above
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, os.path.join(PERFBENCH, "cli_traced.py"),
+         str(tmp_path / "spans.json"), "run", "--input", seq,
+         "--out", str(tmp_path / "run"), "--workers", str(workers)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert "IndexError: pop from empty list" not in done.stderr
+    assert done.returncode == 0, done.stderr

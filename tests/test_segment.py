@@ -15,7 +15,7 @@ from scipy.spatial import cKDTree
 
 from flowseg import segment
 from flowseg.datagen import generate, random_scene_spec
-from flowseg.errors import DegenerateInput, MaskMismatch, UnknownClusterId
+from flowseg.errors import DegenerateInput, MaskMismatch
 from flowseg.flow import ClusterFit, FlowField, init_flow
 from flowseg.geometry import RigidTransform, SpatialIndex, weighted_kabsch
 from flowseg.metrics import seg_metrics
@@ -25,7 +25,7 @@ from flowseg.segment import (CLUSTER_EPS, LAMBDA_FLOW, MIN_PTS,
                              SIZE_VARIANCE_THRESHOLD, STRATEGIES,
                              ClusterStats, SegmentationMask, StaticSet,
                              _compact, classify, cluster, cluster_stats,
-                             pair_list, relabel_static_first)
+                             pair_list)
 from helpers import cloud_of
 
 
@@ -53,13 +53,15 @@ def velocities_of(sizes, speeds, v_ego, calls):
 
 
 def classify_sizes(sizes, cfg, speeds=None, v_ego=0.0):
-    """``classify`` on a mask of these sizes, and how often it asked for the
+    """``classify`` on an unshuffled mask of these sizes, the ids of the
+    clusters it merged into cluster 0, and how often it asked for the
     velocities."""
     calls = []
     speeds = [0.0] * len(sizes) if speeds is None else speeds
     static = classify(mask_of_sizes(sizes), cfg,
                       velocities_of(sizes, speeds, v_ego, calls))
-    return static, len(calls)
+    last = static.mask.labels[np.cumsum(sizes) - 1]
+    return static, set(np.nonzero(last == 0)[0].tolist()), len(calls)
 
 
 class TestMembers:
@@ -1006,40 +1008,70 @@ SIZES = st.one_of(
 SPEEDS = st.floats(0.0, 30.0, allow_nan=False)
 
 
+def assert_canonical(raw, out, static_ids):
+    """``out`` is the canonical form of the labels ``raw`` whose clusters
+    ``static_ids`` are static: the partition is kept with those clusters
+    merged into 0, which is non-empty, and the dynamic clusters are numbered
+    1.. by descending size, equal sizes in raw-id order."""
+    raw, out = np.asarray(raw), np.asarray(out)
+    assert np.array_equal(out == 0, np.isin(raw, sorted(static_ids)))
+    assert (out == 0).any()
+    # the distinct (raw, out) pairs: one per raw cluster, and the dynamic
+    # ones each under a label of their own
+    joint = np.unique(np.stack([raw, out]), axis=1)
+    assert joint.shape[1] == raw.max() + 1
+    raw_id, label = joint[:, joint[1] > 0]
+    assert sorted(label.tolist()) == list(range(1, label.shape[0] + 1))
+    sizes = np.bincount(raw)
+    keys = [(-sizes[k], k) for k in raw_id[np.argsort(label)]]
+    assert keys == sorted(keys)
+
+
+# raw masks: clusters of SIZES, their points shuffled
+RAW_MASKS = st.tuples(SIZES, st.integers(0, 2**32 - 1)).map(
+    lambda a: mask_of_sizes(*a).labels.tolist())
+
+
 class TestClassify:
     def test_quantity_picks_largest(self):
         cfg = IterationConfig(strategy="quantity")
-        static, calls = classify_sizes([5000, 100, 50], cfg)
-        assert static == StaticSet(frozenset({0}), "quantity", False)
-        assert calls == 0
+        static, picked, calls = classify_sizes([5000, 100, 50], cfg)
+        assert static == StaticSet(mask_of_sizes([5000, 100, 50]),
+                                   "quantity", False)
+        assert (picked, calls) == ({0}, 0)
 
     def test_quantity_tie_lowest_id(self):
         cfg = IterationConfig(strategy="quantity")
-        static, _ = classify_sizes([100, 100], cfg)
-        assert static.ids == {0}
+        _, picked, _ = classify_sizes([100, 100], cfg)
+        assert picked == {0}
 
     def test_velocity_threshold(self):
         cfg = IterationConfig(strategy="velocity", theta=0.5)
-        static, calls = classify_sizes([1, 1, 1], cfg, [10.1, 2.0, 25.0], 10.0)
-        assert static == StaticSet(frozenset({0}), "velocity", False)
+        static, picked, calls = classify_sizes([1, 1, 1], cfg,
+                                               [10.1, 2.0, 25.0], 10.0)
+        assert (picked, static.strategy, static.fallback) \
+            == ({0}, "velocity", False)
         assert calls == 1
 
     def test_velocity_no_match_falls_back_to_the_largest(self):
         cfg = IterationConfig(strategy="velocity", theta=0.5)
-        static, calls = classify_sizes([10, 30], cfg, [5.0, 7.0], 20.0)
-        assert static == StaticSet(frozenset({1}), "quantity", True)
+        static, _, calls = classify_sizes([10, 30], cfg, [5.0, 7.0], 20.0)
+        assert static == StaticSet(SegmentationMask(np.repeat([1, 0], [10, 30])),
+                                   "quantity", True)
         assert calls == 1
 
     def test_auto_equal_sizes_takes_velocity(self):
         cfg = IterationConfig(strategy="auto", theta=1.0)
-        static, calls = classify_sizes([100, 100, 100], cfg, [3.0, 0.5, 9.0],
-                                       0.0)
-        assert static == StaticSet(frozenset({1}), "velocity", False)
+        static, _, calls = classify_sizes([100, 100, 100], cfg,
+                                          [3.0, 0.5, 9.0], 0.0)
+        assert static == StaticSet(
+            SegmentationMask(np.repeat([1, 0, 2], [100, 100, 100])),
+            "velocity", False)
         assert calls == 1
 
     def test_auto_skewed_sizes_takes_quantity(self):
         cfg = IterationConfig(strategy="auto")
-        static, calls = classify_sizes([5000, 50, 50], cfg)
+        static, _, calls = classify_sizes([5000, 50, 50], cfg)
         assert static.strategy == "quantity"
         assert calls == 0
 
@@ -1048,73 +1080,44 @@ class TestClassify:
         cfg = IterationConfig(strategy="quantity")
         for _ in range(20):
             sizes = rng.integers(1, 1000, size=rng.integers(1, 8)).tolist()
-            static, _ = classify_sizes(sizes, cfg)
-            assert len(static.ids) == 1
-            sid = next(iter(static.ids))
-            assert sizes[sid] == max(sizes)
-            assert 0 <= sid < len(sizes)
+            _, picked, _ = classify_sizes(sizes, cfg)
+            assert len(picked) == 1
+            assert sizes[next(iter(picked))] == max(sizes)
 
     def test_quantity_scale_invariant(self):
         cfg = IterationConfig(strategy="quantity")
         sizes = [30, 400, 70]
-        a, _ = classify_sizes(sizes, cfg)
-        b, _ = classify_sizes([s * 7 for s in sizes], cfg)
-        assert a == b
+        a, a_picked, _ = classify_sizes(sizes, cfg)
+        b, b_picked, _ = classify_sizes([s * 7 for s in sizes], cfg)
+        assert (a_picked, a.strategy, a.fallback) \
+            == (b_picked, b.strategy, b.fallback)
+        assert np.array_equal(np.repeat(a.mask.labels, 7), b.mask.labels)
 
     @settings(deadline=None, max_examples=300)
-    @given(SIZES.flatmap(lambda sizes: st.tuples(
-               st.just(sizes),
-               st.lists(SPEEDS, min_size=len(sizes), max_size=len(sizes)))),
-           SPEEDS, st.floats(0.01, 5.0), st.sampled_from(STRATEGIES),
-           st.integers(0, 2**32 - 1))
-    @example(([100, 100], [2.0, 1.0]), 1.5, 0.5, "velocity", 0)
-    @example(([4, 4, 4], [1.0, 1.0, 1.0]), 1.0, 1e-9, "auto", 0)
-    def test_equals_the_loop_rule(self, sizes_speeds, v_ego, theta, strategy,
-                                  seed):
-        # the examples: speeds exactly theta from v_ego, which are not static
-        sizes, speeds = sizes_speeds
+    @given(RAW_MASKS.flatmap(lambda raw: st.tuples(
+               st.just(raw),
+               st.lists(SPEEDS, min_size=max(raw) + 1, max_size=max(raw) + 1))),
+           SPEEDS, st.floats(0.01, 5.0), st.sampled_from(STRATEGIES))
+    # speeds exactly theta from v_ego, which are not static
+    @example((mask_of_sizes([100, 100], 0).labels.tolist(), [2.0, 1.0]), 1.5,
+             0.5, "velocity")
+    @example((mask_of_sizes([4, 4, 4], 0).labels.tolist(), [1.0, 1.0, 1.0]),
+             1.0, 1e-9, "auto")
+    # hand cases of the canonical form: speed 1.0 static, 9.0 dynamic
+    @example(([2, 2, 0, 1], [9.0, 9.0, 1.0]), 1.0, 0.5, "velocity")
+    @example(([0, 1, 2, 1], [1.0, 1.0, 1.0]), 1.0, 0.5, "velocity")
+    @example(([0, 1, 1, 1, 2, 2], [1.0, 9.0, 9.0]), 1.0, 0.5, "velocity")
+    @example(([2, 2, 1, 1, 1, 0], [1.0, 9.0, 9.0]), 1.0, 0.5, "velocity")
+    @example(([1, 0, 2, 0], [1.0, 9.0, 9.0]), 1.0, 0.5, "velocity")
+    def test_equals_the_loop_rule(self, raw_speeds, v_ego, theta, strategy):
+        raw, speeds = raw_speeds
+        sizes = np.bincount(raw).tolist()
         cfg = IterationConfig(theta=theta, strategy=strategy)
         calls = []
-        static = classify(mask_of_sizes(sizes, seed), cfg,
+        static = classify(SegmentationMask(np.array(raw)), cfg,
                           velocities_of(sizes, speeds, v_ego, calls))
         ids, rule, fallback, tried = reference_static_set(sizes, speeds,
                                                           v_ego, cfg)
-        assert isinstance(static.ids, frozenset)
-        assert (static.ids, static.strategy, static.fallback) \
-            == (ids, rule, fallback)
+        assert_canonical(raw, static.mask.labels, ids)
+        assert (static.strategy, static.fallback) == (rule, fallback)
         assert len(calls) == tried
-
-
-class TestRelabelStaticFirst:
-    def test_hand_case_renumbering(self):
-        mask = SegmentationMask(np.array([2, 2, 0, 1], dtype=np.int64))
-        out = relabel_static_first(mask, {2})
-        np.testing.assert_array_equal(out.labels, [0, 0, 1, 2])
-
-    def test_all_static(self):
-        mask = SegmentationMask(np.array([0, 1, 2, 1], dtype=np.int64))
-        out = relabel_static_first(mask, {0, 1, 2})
-        assert not out.labels.any()
-
-    def test_dynamic_ordered_by_size(self):
-        labels = np.array([0, 1, 1, 1, 2, 2], dtype=np.int64)
-        out = relabel_static_first(SegmentationMask(labels), {0})
-        np.testing.assert_array_equal(out.labels, [0, 1, 1, 1, 2, 2])
-        out2 = relabel_static_first(SegmentationMask(labels[::-1].copy()), {0})
-        np.testing.assert_array_equal(out2.labels, [2, 2, 1, 1, 1, 0])
-
-    def test_idempotent(self):
-        mask = SegmentationMask(np.array([1, 0, 2, 0], dtype=np.int64))
-        once = relabel_static_first(mask, {0})
-        twice = relabel_static_first(once, {0})
-        np.testing.assert_array_equal(once.labels, twice.labels)
-
-    def test_unknown_id(self):
-        mask = SegmentationMask(np.array([0, 1], dtype=np.int64))
-        with pytest.raises(UnknownClusterId):
-            relabel_static_first(mask, {5})
-
-    def test_empty_static_set(self):
-        mask = SegmentationMask(np.array([0, 1], dtype=np.int64))
-        with pytest.raises(ValueError):
-            relabel_static_first(mask, set())
