@@ -1121,3 +1121,40 @@ class TestClassify:
         assert_canonical(raw, static.mask.labels, ids)
         assert (static.strategy, static.fallback) == (rule, fallback)
         assert len(calls) == tried
+
+
+def relabel(labels, static_ids):
+    """``classify``'s canonical mask of ``labels`` under the velocity rule,
+    the clusters ``static_ids`` moving at the ego speed and the rest not."""
+    sizes = np.bincount(labels).tolist()
+    speeds = [1.0 if k in static_ids else 9.0 for k in range(len(sizes))]
+    cfg = IterationConfig(strategy="velocity", theta=0.5)
+    static = classify(SegmentationMask(np.array(labels, dtype=np.int64)), cfg,
+                      velocities_of(sizes, speeds, 1.0, []))
+    assert (static.strategy, static.fallback) == ("velocity", False)
+    return static.mask
+
+
+class TestRelabelStaticFirst:
+    """The relabel step of ``classify``: static clusters merged into 0, the
+    dynamic ones renumbered by descending size."""
+
+    def test_hand_case_renumbering(self):
+        out = relabel([2, 2, 0, 1], {2})
+        np.testing.assert_array_equal(out.labels, [0, 0, 1, 2])
+
+    def test_all_static(self):
+        out = relabel([0, 1, 2, 1], {0, 1, 2})
+        assert not out.labels.any()
+
+    def test_dynamic_ordered_by_size(self):
+        labels = [0, 1, 1, 1, 2, 2]
+        out = relabel(labels, {0})
+        np.testing.assert_array_equal(out.labels, [0, 1, 1, 1, 2, 2])
+        out2 = relabel(labels[::-1], {0})
+        np.testing.assert_array_equal(out2.labels, [2, 2, 1, 1, 1, 0])
+
+    def test_idempotent(self):
+        once = relabel([1, 0, 2, 0], {0})
+        twice = relabel(once.labels.tolist(), {0})
+        np.testing.assert_array_equal(once.labels, twice.labels)
