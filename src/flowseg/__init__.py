@@ -9,10 +9,8 @@ test suite end to end.
 
 __version__ = "0.1.0"
 
-from .errors import (DegenerateInput, DegenerateStaticSet, EmptyCloud,
-                     EmptyIndex, FlowsegError, FormatError, InvalidSpec,
-                     LengthMismatch, MaskMismatch, TimestampMismatch,
-                     TransformCountMismatch)
+from .errors import (DegenerateInput, EmptyCloud, FlowsegError, FormatError,
+                     InvalidSpec, LengthMismatch, TimestampMismatch)
 from .geometry import (Match, RigidTransform, SpatialIndex, chamfer_distance,
                        weighted_kabsch)
 from .flow import (ClusterFit, FlowField, InitFlow, PointCloud,

@@ -5,6 +5,8 @@ reproducibility contract requires of plot files.  No external renderer.
 """
 from __future__ import annotations
 
+from .geometry import _check_aligned
+
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
            "#ff7f0e", "#8c564b", "#e377c2", "#7f7f7f")
 
@@ -30,8 +32,7 @@ class Series:
     is the palette's, by its place in the chart."""
 
     def __init__(self, label, xs, ys, dash=False):
-        if len(xs) != len(ys):
-            raise ValueError(f"series {label!r}: {len(xs)} x vs {len(ys)} y values")
+        _check_aligned(xs, f"series {label!r} xs", ys=ys)
         self.label = label
         self.xs = [float(x) for x in xs]
         self.ys = [float(y) for y in ys]

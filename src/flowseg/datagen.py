@@ -23,6 +23,7 @@ touch the background spatially.
 """
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import FormatError, InvalidSpec
 from .flow import FlowField, PointCloud
-from .geometry import RigidTransform
+from .geometry import RigidTransform, _check_aligned
 from .odometry import Pose, _parse_pose, _pose_line
 from .segment import SegmentationMask
 
@@ -121,10 +122,9 @@ class FrameRecord:
     gt_ego: Pose
 
     def __post_init__(self) -> None:
-        if self.gt_flow is not None and len(self.gt_flow) != len(self.cloud):
-            raise ValueError("gt_flow must cover the cloud")
-        if len(self.gt_mask) != len(self.cloud):
-            raise ValueError("gt_mask must cover the cloud")
+        if self.gt_flow is not None:
+            _check_aligned(self.cloud, gt_flow=self.gt_flow)
+        _check_aligned(self.cloud, gt_mask=self.gt_mask)
 
 
 def _yaw(angle: float) -> np.ndarray:
@@ -359,13 +359,11 @@ def write_frame(path, points, flow=None, labels=None) -> None:
               np.ascontiguousarray(pts, dtype="<f4").tobytes()]
     if flow is not None:
         vec = np.asarray(flow, dtype=np.float64)
-        if vec.shape[0] != n:
-            raise ValueError(f"flow covers {vec.shape[0]} points, frame has {n}")
+        _check_aligned(pts, "frame", flow=vec)
         chunks.append(np.ascontiguousarray(vec, dtype="<f4").tobytes())
     if labels is not None:
         lab = np.asarray(labels)
-        if lab.shape[0] != n:
-            raise ValueError(f"labels cover {lab.shape[0]} points, frame has {n}")
+        _check_aligned(pts, "frame", labels=lab)
         chunks.append(np.ascontiguousarray(lab, dtype="<u4").tobytes())
     with open(path, "wb") as f:
         f.write(b"".join(chunks))
@@ -418,13 +416,21 @@ def read_frame(path):
 
 def write_sequence(records, path, dt: float) -> str:
     """Write records to a directory (frame files + manifest) with frame
-    interval ``dt`` in seconds; returns the manifest path."""
+    interval ``dt`` in seconds; returns the manifest path.
+
+    A manifest already there is removed before the first frame is written,
+    and the new one is renamed into place after the last, so a write that
+    fails midway leaves no readable sequence rather than old and new frames
+    mixed."""
     records = list(records)
     if not records:
         raise ValueError("cannot write an empty sequence")
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     os.makedirs(path, exist_ok=True)
+    manifest = os.path.join(path, MANIFEST_NAME)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(manifest)
     lines = ["PCSEQ1", f"dt={dt:.17g}"]
     for i, rec in enumerate(records):
         name = f"frame_{i:04d}.pcf"
@@ -432,9 +438,9 @@ def write_sequence(records, path, dt: float) -> str:
                     flow=None if rec.gt_flow is None else rec.gt_flow.vectors,
                     labels=rec.gt_mask.labels)
         lines.append(f"{name} {_pose_line(rec.gt_ego.transform)}")
-    manifest = os.path.join(path, MANIFEST_NAME)
-    with open(manifest, "w", encoding="utf-8") as f:
+    with open(manifest + ".tmp", "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
+    os.replace(manifest + ".tmp", manifest)
     return manifest
 
 

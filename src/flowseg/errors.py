@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, one per kind of failure."""
 
 
 class FlowsegError(Exception):
@@ -9,32 +9,16 @@ class DegenerateInput(FlowsegError):
     """Rigid fit is impossible: too few points, zero total weight, or collinear geometry."""
 
 
-class EmptyIndex(FlowsegError):
-    """A spatial index cannot be built over an empty point set."""
-
-
 class EmptyCloud(FlowsegError):
-    """An operation received a point cloud with no points."""
-
-
-class MaskMismatch(FlowsegError):
-    """A mask or flow field is not aligned with its point cloud."""
-
-
-class TransformCountMismatch(FlowsegError):
-    """The number of per-cluster transforms disagrees with the mask's cluster count."""
+    """An operation or a spatial index received a point set with no points."""
 
 
 class LengthMismatch(FlowsegError):
-    """Two sequences that must be index-aligned have different lengths."""
+    """Two index-aligned inputs, or a per-cluster tuple and its mask, differ in length."""
 
 
 class TimestampMismatch(FlowsegError):
     """Two trajectories that must share timestamps do not."""
-
-
-class DegenerateStaticSet(FlowsegError):
-    """The static cluster is too small or degenerate to support an ego-motion fit."""
 
 
 class InvalidSpec(FlowsegError):

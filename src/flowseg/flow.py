@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, EmptyCloud, TransformCountMismatch
+from .errors import DegenerateInput, EmptyCloud, LengthMismatch
 from .geometry import (TOL, Match, RigidTransform, SpatialIndex,
                        _check_aligned, _fields_equal, weighted_kabsch)
 from .segment import SegmentationMask
@@ -161,8 +161,8 @@ class ClusterFit:
 
     def __post_init__(self) -> None:
         if len(self.transforms) != self.mask.n_clusters:
-            raise TransformCountMismatch(f"got {len(self.transforms)} transforms "
-                                         f"for {self.mask.n_clusters} clusters")
+            raise LengthMismatch(f"got {len(self.transforms)} transforms "
+                                 f"for {self.mask.n_clusters} clusters")
 
     def apply(self, p_t: PointCloud, flow: FlowField) -> FlowField:
         """``flow`` with each fitted cluster's points set to exactly

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateInput, EmptyCloud, EmptyIndex, MaskMismatch
+from .errors import DegenerateInput, EmptyCloud, LengthMismatch
 
 __all__ = [
     "RigidTransform",
@@ -50,11 +50,12 @@ def _points_array(data, name: str = "points") -> np.ndarray:
 
 
 def _check_aligned(reference, of: str = "cloud", **parts) -> None:
-    """Raise MaskMismatch unless each named part has ``reference``'s length."""
+    """Raise LengthMismatch unless each named part has ``reference``'s
+    length: the one check of index-aligned inputs."""
     for name, part in parts.items():
         if len(part) != len(reference):
-            raise MaskMismatch(f"{name} covers {len(part)} points, "
-                               f"{of} has {len(reference)}")
+            raise LengthMismatch(f"{name} has length {len(part)}, "
+                                 f"{of} has length {len(reference)}")
 
 
 def _fields_equal(self, other):
@@ -152,14 +153,14 @@ def weighted_kabsch(src, dst) -> RigidTransform:
         dst: target points, index-aligned with ``src``.
 
     Raises:
+        LengthMismatch: ``src`` and ``dst`` differ in length.
         DegenerateInput: fewer than 3 correspondences, or a rank-deficient
             covariance (collinear / coincident points).  Callers that cannot
             fail should catch this and fall back to the identity transform.
     """
     s = _points_array(src, "src")
     d = _points_array(dst, "dst")
-    if s.shape[0] != d.shape[0]:
-        raise ValueError(f"src and dst must have equal length ({s.shape[0]} vs {d.shape[0]})")
+    _check_aligned(s, "src", dst=d)
     n = s.shape[0]
     if n < 3:
         raise DegenerateInput(f"need at least 3 correspondences, got {n}")
@@ -205,7 +206,7 @@ class SpatialIndex:
     def __init__(self, points) -> None:
         pts = _points_array(points)
         if pts.shape[0] == 0:
-            raise EmptyIndex("cannot index an empty point set")
+            raise EmptyCloud("cannot index an empty point set")
         if not np.isfinite(pts).all():
             raise ValueError("indexed points must be finite")
         self._points = np.ascontiguousarray(pts)
@@ -249,9 +250,7 @@ class SpatialIndex:
         if previous is None:
             ids, dist, clearance = self._search(q)
             return Match(ids, dist, q, clearance)
-        if previous.queries.shape != q.shape:
-            raise ValueError(f"previous match covers {previous.queries.shape[0]} "
-                             f"queries, got {q.shape[0]}")
+        _check_aligned(q, "queries", previous=previous.queries)
         ids = previous.ids.copy()
         dist = _norms(q - self._points[ids])
         clearance = previous.clearance - _norms(q - previous.queries) - moved
@@ -305,11 +304,10 @@ def chamfer_distance(a, b) -> float:
 
     ``sum_{x in a} min_{y in b} ||x - y|| + sum_{y in b} min_{x in a} ||x - y||``
     with plain (non-squared) norms and no averaging, so the value has units of
-    meters and grows with point count.
+    meters and grows with point count.  An empty set raises ``EmptyCloud``,
+    as its index does.
     """
     pa = _points_array(a, "a")
     pb = _points_array(b, "b")
-    if pa.shape[0] == 0 or pb.shape[0] == 0:
-        raise EmptyCloud("chamfer distance requires two non-empty clouds")
     return float(SpatialIndex(pb).query(pa)[1].sum()
                  + SpatialIndex(pa).query(pb)[1].sum())

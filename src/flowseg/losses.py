@@ -13,7 +13,6 @@ import numpy as np
 
 from . import geometry
 from .geometry import Match, _check_aligned, _norms
-from .errors import MaskMismatch
 
 __all__ = [
     "LossBreakdown",
@@ -113,9 +112,8 @@ def chamfer_loss(p_t, flow, p_t1, forward: float, previous: ChamferTerm = None
     warped = p_t.points + flow.vectors
     carried, moved = None, 0.0
     if previous is not None:
-        if (previous.warped.shape != warped.shape
-                or previous.backward.queries.shape != p_t1.points.shape):
-            raise MaskMismatch("previous Chamfer term covers other clouds")
+        _check_aligned(warped, "warped cloud", previous=previous.warped)
+        _check_aligned(p_t1, "frame t+1", previous=previous.backward.queries)
         carried = previous.backward
         moved = _norms(warped - previous.warped).max()
     # module lookup at call time, as in pipeline.run

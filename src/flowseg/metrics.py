@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch
+from .geometry import _check_aligned
 
 __all__ = [
     "FlowMetrics",
@@ -66,11 +66,9 @@ def flow_metrics(pred, gt) -> FlowMetrics:
     with zero ground-truth flow counts as relative 0 when exact and as
     unbounded otherwise.
     """
+    _check_aligned(gt, "gt", pred=pred)
     a = pred.vectors
     b = gt.vectors
-    if a.shape[0] != b.shape[0]:
-        raise LengthMismatch(
-            f"flow fields differ in length: pred {a.shape[0]}, gt {b.shape[0]}")
     epe = np.linalg.norm(a - b, axis=1)
     gt_norm = np.linalg.norm(b, axis=1)
     safe = np.where(gt_norm > 0, gt_norm, 1.0)
@@ -92,11 +90,9 @@ def seg_metrics(pred, gt) -> SegMetrics:
     the unmatched predicted dynamic cluster with the largest overlap (ties by
     lowest predicted id); clusters left unmatched score IoU 0.
     """
+    _check_aligned(gt, "gt", pred=pred)
     p = pred.labels
     g = gt.labels
-    if p.shape[0] != g.shape[0]:
-        raise LengthMismatch(
-            f"masks differ in length: pred {p.shape[0]}, gt {g.shape[0]}")
     accuracy = float(100.0 * ((p == 0) == (g == 0)).mean())
     overlaps = gt.overlaps(pred)
     gt_sizes = overlaps.sum(axis=1)

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateInput, DegenerateStaticSet, FormatError,
-                     LengthMismatch, TimestampMismatch)
-from .geometry import RigidTransform, weighted_kabsch
+from .errors import FormatError, LengthMismatch, TimestampMismatch
+from .geometry import RigidTransform, _check_aligned, weighted_kabsch
 
 __all__ = [
     "Pose",
@@ -98,16 +97,12 @@ def ego_motion(p_t, flow, mask) -> RigidTransform:
 
     Fits static points (cluster 0 of a canonical mask) to themselves plus
     their flow.  The ego pose increment is the inverse of the returned
-    transform.
+    transform.  A static cluster of fewer than 3 points, or a collinear
+    one, raises ``weighted_kabsch``'s ``DegenerateInput``.
     """
     static = mask.members[0]
-    if static.shape[0] < 3:
-        raise DegenerateStaticSet(f"static cluster has {static.shape[0]} points, need 3")
     pts = p_t.points[static]
-    try:
-        return weighted_kabsch(pts, pts + flow.vectors[static])
-    except DegenerateInput as e:
-        raise DegenerateStaticSet(str(e)) from e
+    return weighted_kabsch(pts, pts + flow.vectors[static])
 
 
 def accumulate(increments, timestamps) -> Trajectory:
@@ -145,10 +140,8 @@ def rpe(estimated: Trajectory, ground_truth: Trajectory) -> TrajectoryErrorRepor
     population of n-1 steps.  Both trajectories may carry an arbitrary common
     offset; it cancels in the relative errors.
     """
+    _check_aligned(ground_truth, "ground truth", estimated=estimated)
     n = len(estimated)
-    if n != len(ground_truth):
-        raise LengthMismatch(
-            f"trajectory lengths differ: estimated {n}, ground truth {len(ground_truth)}")
     if n < 2:
         raise LengthMismatch("need at least 2 poses to form a relative error")
     for i, (pe, pg) in enumerate(zip(estimated.poses, ground_truth.poses)):
@@ -173,14 +166,19 @@ def _pose_line(transform: RigidTransform) -> str:
 
 
 def _parse_pose(tokens, where: str) -> RigidTransform:
-    """The transform of 12 [R|t] tokens, or a FormatError at ``where``."""
+    """The rigid transform of 12 [R|t] tokens, or a FormatError at
+    ``where``: unparsable or non-finite values, or a rotation block that
+    fails ``RigidTransform.is_rigid``."""
     try:
         values = np.array([float(t) for t in tokens]).reshape(3, 4)
     except ValueError as e:
         raise FormatError(f"{where}: {e}") from e
     if not np.isfinite(values).all():
         raise FormatError(f"{where}: pose values must be finite")
-    return RigidTransform.from_matrix(values)
+    transform = RigidTransform.from_matrix(values)
+    if not transform.is_rigid():
+        raise FormatError(f"{where}: pose rotation is not a proper rotation")
+    return transform
 
 
 def write_trajectory(trajectory: Trajectory, path) -> None:

@@ -216,10 +216,10 @@ class SemanticSceneFlow:
     history: LossHistory = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.mask) != len(self.flow):
-            raise ValueError("flow and mask must cover the same points")
+        _check_aligned(self.flow, "flow", mask=self.mask)
         if len(self.stats) != self.mask.n_clusters:
-            raise ValueError("one stats record per cluster required")
+            raise LengthMismatch(f"got {len(self.stats)} stats records for "
+                                 f"{self.mask.n_clusters} clusters")
 
     @property
     def losses(self) -> tuple:
@@ -234,8 +234,7 @@ class SemanticSceneFlow:
 
 def flow_delta(curr: FlowField, prev: FlowField) -> float:
     """RMS over points of the per-point flow difference norm."""
-    if len(curr) != len(prev):
-        raise LengthMismatch(f"flow fields differ in length: {len(curr)} vs {len(prev)}")
+    _check_aligned(prev, "prev", curr=curr)
     diff = curr.vectors - prev.vectors
     return float(np.sqrt((diff ** 2).sum(axis=1).mean()))
 
@@ -247,8 +246,7 @@ def mask_delta(curr: SegmentationMask, prev: SegmentationMask) -> float:
     then lowest previous id), so a pure relabeling scores 0.  Points in
     unmatched clusters count as changed.
     """
-    if len(curr) != len(prev):
-        raise LengthMismatch(f"masks differ in length: {len(curr)} vs {len(prev)}")
+    _check_aligned(prev, "prev", curr=curr)
     counts = curr.overlaps(prev)
     order = sorted(
         ((-int(counts[c, p]), c, p)
@@ -268,7 +266,7 @@ def initial_mask(flow: FlowField, pairs: PairList) -> SegmentationMask:
     """Preliminary mask: points that a single global rigid fit cannot explain.
 
     ``pairs`` is the cloud's ``pair_list``: the cloud is the points
-    ``pairs.index`` holds, which ``flow`` must cover (``MaskMismatch``
+    ``pairs.index`` holds, which ``flow`` must cover (``LengthMismatch``
     otherwise), and its radius is the link radius.  Fits one transform to
     the whole flow field; points with residual above ``R_STATIC`` are
     candidate dynamic points and get clustered spatially, linked by the

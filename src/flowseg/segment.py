@@ -22,7 +22,6 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import MaskMismatch
 from .geometry import TOL, SpatialIndex, _check_aligned, _fields_equal
 
 __all__ = [
@@ -219,7 +218,7 @@ def _proven(pairs: PairList, fit):
 
     ``fit`` is the :class:`~flowseg.flow.ClusterFit` of a
     :func:`~flowseg.flow.refine_flow` call on the cloud ``pairs.index``
-    holds; a fit of another length raises ``MaskMismatch``.  A pair of one
+    holds; a fit of another length raises ``LengthMismatch``.  A pair of one
     non-degenerate cluster k of ``fit.mask`` has flow ``T_k(p) - p`` at
     both ends, so its scaled flow difference is ``λ (R_k - I) d`` with
     ``d = p_i - p_j`` and its squared feature distance is at most
@@ -331,7 +330,7 @@ def cluster(flow, *, pairs: PairList, fit=None,
     """Segment a cloud by density connectivity over position+scaled-flow features.
 
     ``pairs`` is the cloud's :func:`pair_list`: the cloud is the points
-    ``pairs.index`` holds, which ``flow`` must cover (``MaskMismatch``
+    ``pairs.index`` holds, which ``flow`` must cover (``LengthMismatch``
     otherwise), and its radius ``eps = pairs.eps`` is the link radius.  The
     flow is scaled by ``LAMBDA_FLOW``.  Each pair's feature distance adds
     the three scaled flow differences to its 3-D ``d2`` in the tree's
@@ -340,7 +339,7 @@ def cluster(flow, *, pairs: PairList, fit=None,
 
     ``fit`` is the :class:`~flowseg.flow.ClusterFit` of the
     :func:`~flowseg.flow.refine_flow` call that made ``flow``; a fit of
-    another length raises ``MaskMismatch``.  A pair within one fitted
+    another length raises ``LengthMismatch``.  A pair within one fitted
     cluster whose rigid motion bounds its feature distance below ``eps``
     with room for rounding is kept without the exact sum; every other pair,
     and every pair when ``fit`` is omitted, is summed exactly.  The labels
@@ -348,7 +347,7 @@ def cluster(flow, *, pairs: PairList, fit=None,
 
     Without ``previous`` one components call solves the kept pairs.
     ``previous`` is the last call's result on the same ``pairs`` (another
-    list raises ``MaskMismatch``); its components are carried, and the
+    list raises ``ValueError``); its components are carried, and the
     labels equal a call without it.  Proof: a pair that links now and
     linked before lies in one previous component, which holds every link
     among its points.  A pair that linked before and does not now, (a, b),
@@ -380,7 +379,7 @@ def cluster(flow, *, pairs: PairList, fit=None,
     """
     _check_aligned(pairs.index, flow=flow)
     if previous is not None and previous.pairs is not pairs:
-        raise MaskMismatch("previous clustering is of another pair list")
+        raise ValueError("previous clustering is of another pair list")
     eps = pairs.eps
     points = pairs.index.points
     scaled = LAMBDA_FLOW * flow.vectors

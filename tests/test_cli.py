@@ -11,11 +11,11 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from flowseg import cli, pipeline
+from flowseg import _svg, cli, pipeline
 from flowseg.cli import PARTIAL_MARKER, RUN_MANIFEST, main
 from flowseg.datagen import (FrameRecord, read_frame, read_sequence,
                              write_frame, write_sequence)
-from flowseg.errors import DegenerateStaticSet, FormatError
+from flowseg.errors import DegenerateInput, FormatError, LengthMismatch
 from flowseg.flow import FlowField, PointCloud
 from flowseg.geometry import RigidTransform
 from flowseg.odometry import Pose
@@ -299,7 +299,7 @@ class TestRun:
 
         def failing_ego_motion(*args):
             ego_fit_failed.set()
-            raise DegenerateStaticSet("static set is degenerate")
+            raise DegenerateInput("static set is degenerate")
 
         monkeypatch.setattr(cli, "run_pipeline", counted_run)
         monkeypatch.setattr(cli, "ego_motion", failing_ego_motion)
@@ -675,3 +675,21 @@ class TestPlot:
         assert main(["plot", "--run", partial]) == 1
         assert "incomplete run" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(partial, "trajectory.svg"))
+
+
+class TestSvg:
+    def test_one_point_series_is_centred(self):
+        # a constant range widens to +-1 before the 5% pad
+        assert _svg._bounds([2.0]) == (0.9, 3.1)
+        text = _svg.render_chart("t", "x", "y",
+                                 [_svg.Series("p", [2.0], [5.0])])
+        match = re.search(r'<polyline points="([^"]*)"', text)
+        x, y = (float(v) for v in match.group(1).split(","))
+        assert x == pytest.approx(_svg._MARGIN_L + (_svg._WIDTH - _svg._MARGIN_L
+                                                    - _svg._MARGIN_R) / 2)
+        assert y == pytest.approx(_svg._MARGIN_T + (_svg._HEIGHT - _svg._MARGIN_T
+                                                    - _svg._MARGIN_B) / 2)
+
+    def test_series_refuses_unaligned_samples(self):
+        with pytest.raises(LengthMismatch, match="ys has length 2"):
+            _svg.Series("p", [1.0, 2.0, 3.0], [1.0, 2.0])

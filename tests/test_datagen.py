@@ -7,11 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowseg.datagen import (SceneSpec, generate, random_scene_spec,
-                             read_frame, read_sequence, write_frame,
-                             write_sequence)
-from flowseg.errors import FormatError, InvalidSpec
+from flowseg import datagen
+from flowseg.datagen import (FrameRecord, SceneSpec, generate,
+                             random_scene_spec, read_frame, read_sequence,
+                             write_frame, write_sequence)
+from flowseg.errors import FormatError, InvalidSpec, LengthMismatch
+from flowseg.flow import FlowField
 from flowseg.geometry import RigidTransform
+from flowseg.segment import SegmentationMask
 
 
 def plain_spec(seed=0, **kw):
@@ -329,6 +332,23 @@ class TestFrameFormat:
         write_frame(p2, back)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_write_refuses_unaligned_fields(self, tmp_path):
+        pts = np.zeros((4, 3))
+        with pytest.raises(LengthMismatch, match="flow has length 3"):
+            write_frame(tmp_path / "f.pcf", pts, flow=np.zeros((3, 3)))
+        with pytest.raises(LengthMismatch, match="labels has length 5"):
+            write_frame(tmp_path / "f.pcf", pts, labels=np.zeros(5, np.uint32))
+        assert not (tmp_path / "f.pcf").exists()
+
+    def test_record_refuses_unaligned_ground_truth(self):
+        rec = generate(plain_spec(24, n_objects=0))[0]
+        short = FlowField(rec.gt_flow.vectors[:-1])
+        with pytest.raises(LengthMismatch, match="gt_flow"):
+            FrameRecord(rec.cloud, short, rec.gt_mask, rec.gt_ego)
+        with pytest.raises(LengthMismatch, match="gt_mask"):
+            FrameRecord(rec.cloud, None,
+                        SegmentationMask(rec.gt_mask.labels[:-1]), rec.gt_ego)
+
     def test_bad_magic_names_offset(self, tmp_path):
         path = tmp_path / "frame.pcf"
         write_frame(path, np.zeros((3, 3)))
@@ -479,6 +499,51 @@ class TestSequenceFormat:
         write_frame(out / "frame_0000.pcf", pts, flow=flow)
         with pytest.raises(FormatError, match="labels"):
             read_sequence(out)
+
+    def test_non_rotation_pose_refused(self, tmp_path):
+        recs = generate(plain_spec(21, n_objects=0, n_frames=3))
+        manifest = write_sequence(recs, tmp_path / "seq", dt=0.1)
+        lines = Path(manifest).read_text().splitlines()
+        tokens = lines[3].split()
+        for at in (1, 2, 3, 5, 6, 7, 9, 10, 11):  # frame 1's R, scaled by 2
+            tokens[at] = format(2.0 * float(tokens[at]), ".17g")
+        lines[3] = " ".join(tokens)
+        Path(manifest).write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=re.escape(
+                f"{manifest}: frame line 1: pose rotation")):
+            read_sequence(tmp_path / "seq")
+
+    def test_failed_rewrite_leaves_no_readable_mix(self, tmp_path,
+                                                   monkeypatch):
+        # a shorter sequence written over a longer one fails at its third
+        # frame: the old manifest must not survive to list old frames
+        out = tmp_path / "seq"
+        write_sequence(generate(plain_spec(22, n_objects=0, n_frames=5)),
+                       out, dt=0.1)
+        calls = []
+
+        def failing_write_frame(*args, **kw):
+            calls.append(args[0])
+            if len(calls) == 3:
+                raise OSError("disk full")
+            write_frame(*args, **kw)
+
+        monkeypatch.setattr(datagen, "write_frame", failing_write_frame)
+        with pytest.raises(OSError, match="disk full"):
+            write_sequence(generate(plain_spec(23, n_objects=0, n_frames=3)),
+                           out, dt=0.1)
+        with pytest.raises(FileNotFoundError):
+            read_sequence(out)
+        monkeypatch.undo()
+        new = generate(plain_spec(23, n_objects=0, n_frames=3))
+        write_sequence(new, out, dt=0.1)
+        back = read_sequence(out)
+        assert len(back) == 3
+        np.testing.assert_array_equal(
+            back[2].cloud.points,
+            new[2].cloud.points.astype(np.float32).astype(float))
+        assert sorted(p.name for p in out.glob("sequence.*")) == [
+            "sequence.pcseq"]
 
     def test_corrupt_frame_no_partial_records(self, tmp_path):
         recs = generate(plain_spec(20, n_objects=0, n_frames=3))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowseg.datagen import generate, random_scene_spec
-from flowseg.errors import DegenerateInput, EmptyCloud, MaskMismatch
+from flowseg.errors import DegenerateInput, EmptyCloud, LengthMismatch
 from flowseg.flow import (D_MAX, K_FILL, R_CONSISTENCY, ClusterFit, FlowField,
                           InitFlow, PointCloud, fit_transforms, init_flow,
                           refine_flow)
@@ -434,7 +434,7 @@ class TestRefineFlow:
 
     def test_mask_mismatch(self):
         c = grid_cloud(3)
-        with pytest.raises(MaskMismatch):
+        with pytest.raises(LengthMismatch):
             refine_flow(c, c.points,
                         SegmentationMask(np.zeros(2, dtype=np.int64)),
                         FlowField.zeros(len(c)))

@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
 
 import flowseg
-from flowseg.errors import DegenerateInput, EmptyCloud, EmptyIndex
+from flowseg.errors import DegenerateInput, EmptyCloud, LengthMismatch
 from flowseg.geometry import (TOL, RigidTransform, SpatialIndex,
                               chamfer_distance, weighted_kabsch)
 from helpers import random_rotation, rot_z
@@ -200,7 +200,7 @@ class TestWeightedKabsch:
 
     def test_length_mismatch(self):
         src = np.eye(3)
-        with pytest.raises(ValueError, match="equal length"):
+        with pytest.raises(LengthMismatch, match="dst has length 4"):
             weighted_kabsch(src, np.vstack([src, src[:1]]))
 
 
@@ -336,7 +336,7 @@ class TestSpatialIndex:
         assert kept.ids.tolist() == searched.ids.tolist() == [0, 0]
         assert kept.clearance.tolist() == [3.5, 8.0]
         assert searched.clearance.tolist() == [7.0, 8.0]
-        with pytest.raises(ValueError):
+        with pytest.raises(LengthMismatch):
             index.match([[3.0, 0, 0]], first)
 
     @pytest.mark.parametrize("moved", [-20.0, -1e-300, np.nan, -np.inf])
@@ -433,7 +433,7 @@ class TestSpatialIndex:
                     assert np.array_equal(a, b)
 
     def test_empty_raises(self):
-        with pytest.raises(EmptyIndex):
+        with pytest.raises(EmptyCloud):
             SpatialIndex(np.empty((0, 3)))
 
     def test_non_finite_raises(self):
@@ -505,6 +505,49 @@ def test_every_submodule_export_is_a_package_attribute():
                                    "__all__", ())
                if not hasattr(flowseg, name)]
     assert missing == []
+
+
+def is_length(node):
+    """Whether ``node`` reads a length: ``len(x)``, ``x.shape`` or
+    ``x.shape[0]``."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", None) == "len"
+    if (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+            and node.slice.value == 0):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr == "shape"
+
+
+def test_every_length_check_is_check_aligned():
+    # two inputs that must be index-aligned are compared in one place, so a
+    # mismatch raises one error with one message whoever notices it
+    found = []
+    for path in sorted(pathlib.Path(flowseg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        helper = {id(node) for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                  and fn.name == "_check_aligned" for node in ast.walk(fn)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Compare) and id(node) not in helper
+                  and all(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+                  and sum(map(is_length, [node.left, *node.comparators])) >= 2]
+    assert found == []
+
+
+def test_every_error_class_is_raised():
+    # errors.py holds one class per kind of failure: a class nothing raises
+    # is a name for a failure that cannot happen
+    src = pathlib.Path(flowseg.__file__).parent
+    classes = [node.name for node in
+               ast.parse((src / "errors.py").read_text(encoding="utf-8")).body
+               if isinstance(node, ast.ClassDef)]
+    raised = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = getattr(node.exc, "func", node.exc)
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    assert classes
+    assert [name for name in classes if name not in raised] == []
 
 
 def test_every_import_is_used():

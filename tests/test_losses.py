@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from flowseg import geometry
 from flowseg.datagen import generate, random_scene_spec
-from flowseg.errors import MaskMismatch, TransformCountMismatch
+from flowseg.errors import LengthMismatch
 from flowseg.flow import ClusterFit, FlowField, fit_transforms, init_flow
 from flowseg.geometry import (TOL, RigidTransform, SpatialIndex,
                               chamfer_distance)
@@ -106,7 +106,7 @@ class TestMotionLoss:
 
     def test_transform_count_mismatch(self):
         _, _, mask, true = rigid_scene()
-        with pytest.raises(TransformCountMismatch):
+        with pytest.raises(LengthMismatch):
             ClusterFit(mask, (true, true), ())
 
     def test_merging_distinct_motions_never_decreases(self):
@@ -244,12 +244,14 @@ class TestChamferLoss:
         p_t, flow, _, _ = rigid_scene()
         first = chamfer_loss(p_t, flow, p_t, forward(p_t, flow, p_t))
         other = cloud_of(p_t.points[:-1])
-        with pytest.raises(MaskMismatch):
+        with pytest.raises(LengthMismatch):
             chamfer_loss(other, FlowField(flow.vectors[:-1]), p_t, 0.0, first)
+        with pytest.raises(LengthMismatch, match="frame t\\+1"):
+            chamfer_loss(p_t, flow, other, 0.0, first)
 
     def test_flow_length_mismatch(self):
         p_t, _, _, _ = rigid_scene()
-        with pytest.raises(MaskMismatch):
+        with pytest.raises(LengthMismatch):
             chamfer_loss(p_t, FlowField.zeros(len(p_t) + 1), p_t, 0.0)
 
     def test_forward_must_be_a_sum(self):
@@ -322,5 +324,5 @@ class TestTotalLoss:
     def test_mask_mismatch(self):
         p_t, flow, mask, true = rigid_scene()
         bad = SegmentationMask(np.zeros(3, dtype=np.int64))
-        with pytest.raises(MaskMismatch):
+        with pytest.raises(LengthMismatch):
             motion_loss(p_t, flow, ClusterFit(bad, (true,), ()))

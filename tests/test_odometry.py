@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flowseg.datagen import generate, random_scene_spec
-from flowseg.errors import (DegenerateStaticSet, FormatError, LengthMismatch,
+from flowseg.errors import (DegenerateInput, FormatError, LengthMismatch,
                             TimestampMismatch)
 from flowseg.flow import FlowField
 from flowseg.geometry import RigidTransform
@@ -67,7 +67,7 @@ class TestEgoMotion:
     def test_too_few_static_points(self):
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0], [5.0, 5, 5]])
         labels = np.array([1, 1, 1, 0], dtype=np.int64)
-        with pytest.raises(DegenerateStaticSet):
+        with pytest.raises(DegenerateInput):
             ego_motion(cloud_of(pts), FlowField.zeros(4),
                        SegmentationMask(labels))
 
@@ -231,4 +231,19 @@ class TestTrajectoryIO:
         path = tmp_path / "traj.txt"
         path.write_text("# only comments\n")
         with pytest.raises(FormatError):
+            read_trajectory(path)
+
+    @pytest.mark.parametrize("rotation", [2.0 * np.eye(3),
+                                          np.diag([1.0, 1.0, -1.0])],
+                             ids=["scaled", "reflected"])
+    def test_non_rotation_refused(self, tmp_path, rotation):
+        # a scaled R would score rotational RPE 0 (arccos clamps), and a
+        # reflection is no pose at all
+        path = tmp_path / "traj.txt"
+        write_trajectory(traj_of([RigidTransform.identity()] * 2), path)
+        rows = path.read_text().splitlines()
+        matrix = np.hstack([rotation, np.zeros((3, 1))])
+        rows[1] = " ".join(format(v, ".17g") for v in matrix.ravel())
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(FormatError, match="traj.txt: line 2: pose rotation"):
             read_trajectory(path)

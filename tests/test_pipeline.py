@@ -2,7 +2,9 @@
 
 import copy
 import gc
+import pathlib
 import pickle
+import re
 import sys
 import threading
 import tracemalloc
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 from flowseg import flow, geometry, losses, pipeline, segment
 from flowseg.datagen import generate, random_scene_spec
-from flowseg.errors import DegenerateStaticSet, LengthMismatch
+from flowseg.errors import DegenerateInput, LengthMismatch
 from flowseg.flow import FlowField
 from flowseg.geometry import RigidTransform
 from flowseg.metrics import flow_metrics, seg_metrics
@@ -102,6 +104,21 @@ class TestInitialMask:
         assert (mask.labels[150:] == 1).all()
         assert not mask.labels[:150].any()
 
+    def test_every_point_a_kept_candidate(self):
+        # two blobs 5 m apart moving apart at +-1 m: no rigid fit explains
+        # either, so both are kept candidates, and with no static point left
+        # the first blob becomes cluster 0
+        rng = np.random.default_rng(54)
+        blob = rng.uniform(-0.5, 0.5, size=(50, 3))
+        pts = np.vstack([blob, blob + [5.0, 0.0, 0.0]])
+        vec = np.zeros((100, 3))
+        vec[:50, 0], vec[50:, 0] = 1.0, -1.0
+        p_t = cloud_of(pts)
+        mask = initial_mask(FlowField(vec),
+                            pairs=segment.pair_list(geometry.SpatialIndex(p_t)))
+        assert mask.cluster_sizes().tolist() == [50, 50]
+        assert not mask.labels[:50].any()
+
 
 class TestIterationConfig:
     def test_defaults_valid(self):
@@ -158,6 +175,13 @@ class TestRun:
         assert not ssf.mask.labels.any()
         fm = flow_metrics(ssf.flow, recs[0].gt_flow)
         assert fm.epe3d <= 1e-3
+
+    def test_result_refuses_unaligned_parts(self):
+        ssf = run(*scene())
+        with pytest.raises(LengthMismatch, match="mask"):
+            replace(ssf, mask=mask_of(ssf.mask.labels[:-1]))
+        with pytest.raises(LengthMismatch, match="stats"):
+            replace(ssf, stats=ssf.stats[:-1])
 
     def test_three_movers_noiseless(self):
         # object displacement kept under half the in-box point spacing so
@@ -730,7 +754,7 @@ class TestEgoSpeed:
         assert 0 in fits[0].degenerate
         assert rec.v_ego == 0.0 and handed == {1: 0.0}
         # ego_motion refuses the same static set
-        with pytest.raises(DegenerateStaticSet):
+        with pytest.raises(DegenerateInput):
             ego_motion(p_t, FlowField(p_t1.points - p_t.points), mask_of(labels))
 
 
@@ -813,6 +837,22 @@ def known_defect(why, group, seeds, **spec):
                              reason=f"ROADMAP item 1: {why}")
     return [pytest.param(seed, spec, marks=mark, id=f"{group}-{seed}")
             for seed in seeds]
+
+
+def test_readme_python_example_runs(capsys):
+    # the README's Python API example, run as written, so an API change
+    # cannot leave it stale
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    example = re.search(r"## Python API\n+```python\n(.*?)```",
+                        readme.read_text(encoding="utf-8"), re.S)
+    assert example is not None
+    namespace = {}
+    exec(example.group(1), namespace)
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 3
+    assert float(printed[0]) < 0.01 and float(printed[1]) >= 99.0
+    assert printed[2].startswith("True ")
+    assert namespace["increment"].is_rigid()
 
 
 class TestKnownDefects:

@@ -15,7 +15,7 @@ from scipy.spatial import cKDTree
 
 from flowseg import segment
 from flowseg.datagen import generate, random_scene_spec
-from flowseg.errors import DegenerateInput, MaskMismatch
+from flowseg.errors import DegenerateInput, LengthMismatch
 from flowseg.flow import ClusterFit, FlowField, init_flow
 from flowseg.geometry import RigidTransform, SpatialIndex, weighted_kabsch
 from flowseg.metrics import seg_metrics
@@ -462,9 +462,9 @@ class TestPairList:
         flow = FlowField(np.where(rng.random((n_other, 1)) < 0.4,
                                   [3.0, 0, 0], 0.0))
         pairs = pair_list(SpatialIndex(p_t))
-        with pytest.raises(MaskMismatch, match="flow"):
+        with pytest.raises(LengthMismatch, match="flow"):
             cluster(flow, pairs=pairs)
-        with pytest.raises(MaskMismatch, match="flow"):
+        with pytest.raises(LengthMismatch, match="flow"):
             initial_mask(flow, pairs)
 
     @pytest.mark.parametrize("n_other", [200, 500])
@@ -477,7 +477,7 @@ class TestPairList:
         flow = FlowField(np.where(rng.random((400, 1)) < 0.4, [3.0, 0, 0], 0.0))
         halves = SegmentationMask((pts[:n_other, 0] > 0).astype(np.int64))
         fit = ClusterFit(halves, (RigidTransform.identity(),) * 2, ())
-        with pytest.raises(MaskMismatch, match="mask"):
+        with pytest.raises(LengthMismatch, match="mask"):
             cluster(flow, pairs=pair_list(SpatialIndex(p_t)), fit=fit)
 
     def test_pair_list_layout(self):
@@ -911,7 +911,7 @@ class TestCarriedClustering:
         p_t = line_scene()
         index = SpatialIndex(p_t)
         previous = cluster(FlowField.zeros(10), pairs=pair_list(index))
-        with pytest.raises(MaskMismatch, match="pair list"):
+        with pytest.raises(ValueError, match="pair list"):
             cluster(FlowField.zeros(10), pairs=pair_list(index),
                     previous=previous)
 
