@@ -13,14 +13,13 @@ import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
-from fnmatch import fnmatchcase
 
 import numpy as np
 
 from . import __version__
 from ._svg import Series, render_chart
-from .datagen import (generate, random_scene_spec, read_frame, read_sequence,
-                      write_frame, write_sequence)
+from .datagen import (_sweep, generate, random_scene_spec, read_frame,
+                      read_sequence, write_frame, write_sequence)
 from .errors import FlowsegError
 from .flow import FlowField
 from .metrics import flow_metrics, seg_metrics
@@ -189,11 +188,7 @@ def cmd_run(args) -> int:
     manifest_path = os.path.join(args.out, RUN_MANIFEST)
     with open(marker, "w", encoding="utf-8") as f:
         f.write("run in progress\n")
-    for name in os.listdir(args.out):
-        path = os.path.join(args.out, name)
-        if (any(fnmatchcase(name, pattern) for pattern in RUN_ARTIFACTS)
-                and os.path.isfile(path)):
-            os.remove(path)
+    _sweep(args.out, RUN_ARTIFACTS)
     pairs = list(zip(records[:-1], records[1:]))
 
     def at_pair(i, what):

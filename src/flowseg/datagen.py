@@ -23,16 +23,16 @@ touch the background spatially.
 """
 from __future__ import annotations
 
-import contextlib
 import os
 import struct
 from dataclasses import dataclass
+from fnmatch import fnmatchcase
 
 import numpy as np
 
-from .errors import FormatError, InvalidSpec
+from .errors import EmptyCloud, FormatError, InvalidSpec
 from .flow import FlowField, PointCloud
-from .geometry import RigidTransform, _check_aligned
+from .geometry import RigidTransform, _check_aligned, _points_array
 from .odometry import Pose, _parse_pose, _pose_line
 from .segment import SegmentationMask
 
@@ -351,18 +351,23 @@ _HEADER = struct.Struct("<IB")
 
 
 def write_frame(path, points, flow=None, labels=None) -> None:
-    """Write one frame file; positions/flow stored as f32, labels as u32."""
-    pts = np.asarray(points, dtype=np.float64)
+    """Write one frame file, positions and flow as f32, labels as u32,
+    refusing before it opens the file a layout ``read_frame`` refuses."""
+    pts = _points_array(points)
     n = pts.shape[0]
+    if n == 0:
+        raise EmptyCloud("a frame must hold at least one point")
     flags = (1 if flow is not None else 0) | (2 if labels is not None else 0)
     chunks = [b"PCF1", _HEADER.pack(n, flags),
               np.ascontiguousarray(pts, dtype="<f4").tobytes()]
     if flow is not None:
-        vec = np.asarray(flow, dtype=np.float64)
+        vec = _points_array(flow, "flow")
         _check_aligned(pts, "frame", flow=vec)
         chunks.append(np.ascontiguousarray(vec, dtype="<f4").tobytes())
     if labels is not None:
         lab = np.asarray(labels)
+        if lab.ndim != 1:
+            raise ValueError(f"labels must be 1-D, got shape {lab.shape}")
         _check_aligned(pts, "frame", labels=lab)
         chunks.append(np.ascontiguousarray(lab, dtype="<u4").tobytes())
     with open(path, "wb") as f:
@@ -414,14 +419,22 @@ def read_frame(path):
     return pts, flow, labels
 
 
+def _sweep(directory, patterns) -> None:
+    """Remove every file in ``directory`` whose name matches a pattern."""
+    for name in os.listdir(directory):
+        path = os.path.join(directory, name)
+        if any(fnmatchcase(name, p) for p in patterns) and os.path.isfile(path):
+            os.remove(path)
+
+
 def write_sequence(records, path, dt: float) -> str:
     """Write records to a directory (frame files + manifest) with frame
     interval ``dt`` in seconds; returns the manifest path.
 
-    A manifest already there is removed before the first frame is written,
-    and the new one is renamed into place after the last, so a write that
-    fails midway leaves no readable sequence rather than old and new frames
-    mixed."""
+    A manifest and frame files already there are removed before the first
+    frame is written, and the new manifest is renamed into place after the
+    last, so a failed write leaves no readable sequence, and none leaves an
+    old frame behind."""
     records = list(records)
     if not records:
         raise ValueError("cannot write an empty sequence")
@@ -429,8 +442,7 @@ def write_sequence(records, path, dt: float) -> str:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     os.makedirs(path, exist_ok=True)
     manifest = os.path.join(path, MANIFEST_NAME)
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(manifest)
+    _sweep(path, (MANIFEST_NAME, "frame_*.pcf"))
     lines = ["PCSEQ1", f"dt={dt:.17g}"]
     for i, rec in enumerate(records):
         name = f"frame_{i:04d}.pcf"

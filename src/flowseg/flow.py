@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, EmptyCloud, LengthMismatch
+from .errors import DegenerateInput, LengthMismatch
 from .geometry import (TOL, Match, RigidTransform, SpatialIndex,
-                       _check_aligned, _fields_equal, weighted_kabsch)
+                       _check_aligned, _cloud_array, _fields_equal,
+                       weighted_kabsch)
 from .segment import SegmentationMask
 
 __all__ = [
@@ -47,14 +48,7 @@ class PointCloud:
     timestamp: float = 0.0
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError(f"points must have shape (N, 3), got {pts.shape}")
-        if pts.shape[0] == 0:
-            raise EmptyCloud("a point cloud must contain at least one point")
-        if not np.isfinite(pts).all():
-            raise ValueError("point cloud contains non-finite coordinates")
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _cloud_array(self.points))
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -72,14 +66,8 @@ class FlowField:
     __eq__ = _fields_equal
 
     def __post_init__(self) -> None:
-        vec = np.asarray(self.vectors, dtype=np.float64)
-        if vec.ndim != 2 or vec.shape[1] != 3:
-            raise ValueError(f"vectors must have shape (N, 3), got {vec.shape}")
-        if vec.shape[0] == 0:
-            raise ValueError("flow field must cover at least one point")
-        if not np.isfinite(vec).all():
-            raise ValueError("flow field contains non-finite components")
-        object.__setattr__(self, "vectors", vec)
+        object.__setattr__(self, "vectors",
+                           _cloud_array(self.vectors, "vectors"))
 
     @classmethod
     def zeros(cls, n: int) -> "FlowField":

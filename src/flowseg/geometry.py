@@ -49,6 +49,16 @@ def _points_array(data, name: str = "points") -> np.ndarray:
     return arr
 
 
+def _cloud_array(data, name: str = "points") -> np.ndarray:
+    """``_points_array`` of a point set: at least one row, every value finite."""
+    arr = _points_array(data, name)
+    if arr.shape[0] == 0:
+        raise EmptyCloud(f"{name} must hold at least one point")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
 def _check_aligned(reference, of: str = "cloud", **parts) -> None:
     """Raise LengthMismatch unless each named part has ``reference``'s
     length: the one check of index-aligned inputs."""
@@ -204,12 +214,7 @@ class SpatialIndex:
     """
 
     def __init__(self, points) -> None:
-        pts = _points_array(points)
-        if pts.shape[0] == 0:
-            raise EmptyCloud("cannot index an empty point set")
-        if not np.isfinite(pts).all():
-            raise ValueError("indexed points must be finite")
-        self._points = np.ascontiguousarray(pts)
+        self._points = np.ascontiguousarray(_cloud_array(points))
         # sliding-midpoint splits: at 32768 points the tree builds in about
         # half the time of median splits and answers no slower; an exact
         # search finds the same distances whatever the splits
@@ -307,7 +312,5 @@ def chamfer_distance(a, b) -> float:
     meters and grows with point count.  An empty set raises ``EmptyCloud``,
     as its index does.
     """
-    pa = _points_array(a, "a")
-    pb = _points_array(b, "b")
-    return float(SpatialIndex(pb).query(pa)[1].sum()
-                 + SpatialIndex(pa).query(pb)[1].sum())
+    return float(SpatialIndex(b).query(a)[1].sum()
+                 + SpatialIndex(a).query(b)[1].sum())

@@ -422,8 +422,8 @@ def cluster(flow, *, pairs: PairList, fit=None,
 
 def cluster_stats(p_t, flow, mask: SegmentationMask, dt: float):
     """Per-cluster size, mean speed (mean flow norm / dt), and centroid."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     _check_aligned(p_t, mask=mask, flow=flow)
     out = []
     for k, ids in enumerate(mask.members):

@@ -11,7 +11,7 @@ from flowseg import datagen
 from flowseg.datagen import (FrameRecord, SceneSpec, generate,
                              random_scene_spec, read_frame, read_sequence,
                              write_frame, write_sequence)
-from flowseg.errors import FormatError, InvalidSpec, LengthMismatch
+from flowseg.errors import EmptyCloud, FormatError, InvalidSpec, LengthMismatch
 from flowseg.flow import FlowField
 from flowseg.geometry import RigidTransform
 from flowseg.segment import SegmentationMask
@@ -290,6 +290,21 @@ class TestPinnedOutput:
 
 
 class TestFrameFormat:
+    @pytest.mark.parametrize("layout, error, message", [
+        ({"points": np.zeros((4, 2))}, ValueError, "points must have shape"),
+        ({"flow": np.zeros((4, 2))}, ValueError, "flow must have shape"),
+        ({"labels": np.zeros((4, 2), dtype=int)}, ValueError, "labels must be 1-D"),
+        ({"points": np.zeros((0, 3))}, EmptyCloud, "at least one point"),
+    ])
+    def test_refuses_a_layout_read_frame_refuses(self, tmp_path, layout,
+                                                 error, message):
+        # each of these wrote a file that read_frame refused: truncated,
+        # with trailing bytes, or of no points
+        path = tmp_path / "frame.pcf"
+        with pytest.raises(error, match=message):
+            write_frame(path, **{"points": np.zeros((4, 3)), **layout})
+        assert not path.exists()
+
     def test_round_trip_positions_only(self, tmp_path):
         rng = np.random.default_rng(90)
         pts = rng.standard_normal((50, 3))
@@ -512,6 +527,19 @@ class TestSequenceFormat:
         with pytest.raises(FormatError, match=re.escape(
                 f"{manifest}: frame line 1: pose rotation")):
             read_sequence(tmp_path / "seq")
+
+    def test_rewrite_leaves_no_old_frame(self, tmp_path):
+        # a shorter sequence written over a longer one kept the longer one's
+        # last frames; files of other names stay
+        out = tmp_path / "seq"
+        write_sequence(generate(plain_spec(22, n_objects=0, n_frames=5)),
+                       out, dt=0.1)
+        (out / "notes.txt").write_text("kept\n")
+        write_sequence(generate(plain_spec(23, n_objects=0, n_frames=3)),
+                       out, dt=0.1)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "frame_0000.pcf", "frame_0001.pcf", "frame_0002.pcf",
+            "notes.txt", "sequence.pcseq"]
 
     def test_failed_rewrite_leaves_no_readable_mix(self, tmp_path,
                                                    monkeypatch):

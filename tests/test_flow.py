@@ -181,6 +181,18 @@ class TestPointCloud:
         assert c.points.dtype == np.float64
 
 
+@pytest.mark.parametrize("make", [PointCloud, FlowField, SpatialIndex])
+def test_one_rule_for_a_point_array(make):
+    # each type holding an (N, 3) array refuses the same inputs with the
+    # same error classes
+    with pytest.raises(EmptyCloud, match="at least one point"):
+        make(np.empty((0, 3)))
+    with pytest.raises(ValueError, match="finite"):
+        make([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="shape"):
+        make(np.zeros((4, 2)))
+
+
 class TestFlowField:
     def test_zeros(self):
         f = FlowField.zeros(5)
@@ -196,7 +208,7 @@ class TestFlowField:
             FlowField(np.array([[1.0, 2.0]]))
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="at least one point"):
+        with pytest.raises(EmptyCloud, match="at least one point"):
             FlowField(np.empty((0, 3)))
 
     def test_equality_compares_values(self):

@@ -518,19 +518,42 @@ def is_length(node):
     return isinstance(node, ast.Attribute) and node.attr == "shape"
 
 
-def test_every_length_check_is_check_aligned():
-    # two inputs that must be index-aligned are compared in one place, so a
-    # mismatch raises one error with one message whoever notices it
+def is_width(node):
+    """Whether ``node`` reads ``x.shape[1]``."""
+    return (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+            and node.slice.value == 1 and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "shape")
+
+
+def comparisons_outside(helper, flagged):
+    """``file:line`` of each comparison in ``src/flowseg`` that ``flagged``
+    picks from its operands, outside the module-level function ``helper``."""
     found = []
     for path in sorted(pathlib.Path(flowseg.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        helper = {id(node) for fn in tree.body if isinstance(fn, ast.FunctionDef)
-                  and fn.name == "_check_aligned" for node in ast.walk(fn)}
+        inside = {id(node) for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                  and fn.name == helper for node in ast.walk(fn)}
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Compare) and id(node) not in helper
-                  and all(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
-                  and sum(map(is_length, [node.left, *node.comparators])) >= 2]
-    assert found == []
+                  if isinstance(node, ast.Compare) and id(node) not in inside
+                  and flagged(node, [node.left, *node.comparators])]
+    return found
+
+
+def test_every_length_check_is_check_aligned():
+    # two inputs that must be index-aligned are compared in one place, so a
+    # mismatch raises one error with one message whoever notices it
+    assert comparisons_outside("_check_aligned", lambda node, sides: (
+        all(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+        and sum(map(is_length, sides)) >= 2)) == []
+
+
+def test_every_point_array_check_is_points_array():
+    # an (N, 3) array is checked in one place, so a point set of the wrong
+    # shape raises one error with one message whichever type holds it
+    assert comparisons_outside("_points_array", lambda node, sides: (
+        any(map(is_width, sides))
+        and any(isinstance(side, ast.Constant) and side.value == 3
+                for side in sides))) == []
 
 
 def test_every_error_class_is_raised():

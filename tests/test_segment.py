@@ -976,6 +976,14 @@ class TestClusterStats:
         np.testing.assert_allclose(st[0].centroid, [1.0, 0, 0])
         assert st[1].size == 1
 
+    @pytest.mark.parametrize("dt", [0.0, -0.1, np.inf, np.nan])
+    def test_dt_must_be_positive_and_finite(self, dt):
+        # an infinite dt gave every cluster a mean speed of 0.0, and a NaN
+        # one failed on mean_speed instead
+        mask = SegmentationMask(np.zeros(3, dtype=np.int64))
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            cluster_stats(cloud_of(np.eye(3)), FlowField.zeros(3), mask, dt)
+
 
 def reference_static_set(sizes, speeds, v_ego, cfg):
     """The static set as run()'s loop picked it before ``classify`` owned the
