@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--theta", type=float, default=IterationConfig.theta,
                    help="ego-velocity tolerance for the velocity rule, m/s")
     r.add_argument("--workers", type=int, default=1,
-                   help="parallel frame pairs (processes)")
+                   help="1 runs pairs on a pool thread, N > 1 in N processes")
     r.set_defaults(func=cmd_run)
 
     e = sub.add_parser("eval", help="score a run against ground truth",
@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> None:
     spec = random_scene_spec(
         args.seed, n_frames=args.frames, n_points=args.points,
         n_objects=args.objects, points_per_object=args.points_per_object,
@@ -119,7 +119,6 @@ def cmd_gen(args) -> int:
     records = generate(spec)
     manifest = write_sequence(records, args.out, dt=args.dt)
     print(f"wrote {len(records)} frames to {manifest}")
-    return 0
 
 
 def _process_pair(payload):
@@ -162,7 +161,7 @@ def _write_json(path, payload) -> None:
         f.write("\n")
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> None:
     """Run every frame pair; the run directory counts as complete only once
     the manifest exists and the ``.partial`` marker is gone.
 
@@ -172,17 +171,14 @@ def cmd_run(args) -> int:
     """
     records = read_sequence(args.input)
     if len(records) < 2:
-        print("error: need at least 2 frames to run", file=sys.stderr)
-        return 1
+        raise FlowsegError("need at least 2 frames to run")
     dt = records[1].cloud.timestamp - records[0].cloud.timestamp
     cfg = IterationConfig(
         alpha=args.alpha, beta=args.beta, epsilon=args.epsilon,
         max_iters=args.max_iters, theta=args.theta, dt=dt,
         strategy=args.strategy)
     if args.workers < 1:
-        print(f"error: --workers must be at least 1, got {args.workers}",
-              file=sys.stderr)
-        return 1
+        raise FlowsegError(f"--workers must be at least 1, got {args.workers}")
     os.makedirs(args.out, exist_ok=True)
     marker = os.path.join(args.out, PARTIAL_MARKER)
     manifest_path = os.path.join(args.out, RUN_MANIFEST)
@@ -246,13 +242,11 @@ def cmd_run(args) -> int:
     except (FlowsegError, OSError, ValueError, BrokenProcessPool) as e:
         with open(marker, "w", encoding="utf-8") as f:
             f.write(f"failed at {step}\n")
-        print(f"error: {step}: {e}", file=sys.stderr)
-        return 1
+        raise FlowsegError(f"{step}: {e}") from e
     finally:
         pool.shutdown(cancel_futures=True)
     os.remove(marker)
     print(f"processed {len(pairs)} frame pairs into {args.out}")
-    return 0
 
 
 def _load_run(args):
@@ -260,7 +254,8 @@ def _load_run(args):
     ground-truth sequence ``args.data`` and the run's ``read_frame`` of each
     pair's ``ssf_NNNN.pcf``, both None without a sequence.  Refuses a run
     that failed or is still being written, whose outputs may mix old and
-    new files, and a sequence whose pair count is not the run's or whose
+    new files, a manifest that names other files than ``flowseg run``
+    writes, and a sequence whose pair count is not the run's or whose
     frame i holds other points than pair i's prediction: each ssf holds its
     source frame's points as the same f32 values, so a run of another
     sequence differs there."""
@@ -272,42 +267,46 @@ def _load_run(args):
         raise FlowsegError(f"{args.run} is not a complete run: no {RUN_MANIFEST}")
     with open(path, "r", encoding="utf-8") as f:
         manifest = json.load(f)
+    pairs = manifest.get("pairs") if isinstance(manifest, dict) else None
+    if not (isinstance(pairs, list)
+            and manifest.get("trajectory") == "trajectory_est.txt"
+            and all(isinstance(pair, dict)
+                    and [pair.get("index"), pair.get("ssf"), pair.get("report")]
+                    == [i, f"ssf_{i:04d}.pcf", f"report_{i:04d}.json"]
+                    for i, pair in enumerate(pairs))):
+        raise FlowsegError(f"{path}: not a manifest flowseg run writes")
     if not args.data:
         return manifest, None, None
     records = read_sequence(args.data)
-    if len(manifest["pairs"]) != len(records) - 1:
-        raise FlowsegError(f"run has {len(manifest['pairs'])} pairs but the "
+    if len(pairs) != len(records) - 1:
+        raise FlowsegError(f"run has {len(pairs)} pairs but the "
                            f"sequence has {len(records) - 1}")
     predictions = [read_frame(os.path.join(args.run, pair["ssf"]))
-                   for pair in manifest["pairs"]]
-    for pair, (points, _, _) in zip(manifest["pairs"], predictions):
-        frame = records[pair["index"]].cloud.points
+                   for pair in pairs]
+    for i, (points, _, _) in enumerate(predictions):
+        frame = records[i].cloud.points
         if not np.array_equal(points, frame):
             raise FlowsegError(
-                f"{pair['ssf']} holds {len(points)} points but ground-truth "
-                f"frame {pair['index']} of {args.data} holds {len(frame)} "
-                f"other points")
+                f"{pairs[i]['ssf']} holds {len(points)} points but ground-truth "
+                f"frame {i} of {args.data} holds {len(frame)} other points")
     return manifest, records, predictions
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     manifest, records, predictions = _load_run(args)
     dt = records[1].cloud.timestamp - records[0].cloud.timestamp
     print("# flow: epe3d in meters; acc_strict/acc_relaxed/outliers in percent")
     print("# seg_accuracy: binary static/dynamic point accuracy in percent; "
           "iou per GT dynamic cluster")
     pair_rows = []
-    for pair, (_, pred_flow, pred_labels) in zip(manifest["pairs"],
-                                                 predictions):
-        i = pair["index"]
+    for i, (_, pred_flow, pred_labels) in enumerate(predictions):
         if pred_flow is None or pred_labels is None:
-            print(f"error: {pair['ssf']} lacks flow or labels", file=sys.stderr)
-            return 1
+            raise FlowsegError(
+                f"{manifest['pairs'][i]['ssf']} lacks flow or labels")
         gt = records[i]
         if gt.gt_flow is None:
-            print(f"error: ground-truth frame {i} of {args.data} lacks flow",
-                  file=sys.stderr)
-            return 1
+            raise FlowsegError(
+                f"ground-truth frame {i} of {args.data} lacks flow")
         fm = flow_metrics(FlowField(pred_flow), gt.gt_flow)
         sm = seg_metrics(SegmentationMask(pred_labels), gt.gt_mask)
         row = {"index": i, **asdict(fm), "seg_accuracy": sm.accuracy,
@@ -342,10 +341,9 @@ def cmd_eval(args) -> int:
     }
     out_path = args.out or os.path.join(args.run, "eval.json")
     _write_json(out_path, payload)
-    return 0
 
 
-def cmd_plot(args) -> int:
+def cmd_plot(args) -> None:
     manifest, records, _ = _load_run(args)
     out_dir = args.out or args.run
     os.makedirs(out_dir, exist_ok=True)
@@ -363,10 +361,10 @@ def cmd_plot(args) -> int:
         "Ego trajectory (top-down)", "x [m]", "y [m]", t_series,
         equal_aspect=True))]
     iterations = []
-    for pair in manifest["pairs"]:
+    for i, pair in enumerate(manifest["pairs"]):
         with open(os.path.join(args.run, pair["report"]),
                   "r", encoding="utf-8") as f:
-            iterations.append((pair["index"], json.load(f)["iterations"]))
+            iterations.append((i, json.load(f)["iterations"]))
     for name, title, ylabel, key in ITERATION_CHARTS if iterations else ():
         charts.append((name, render_chart(title, "iteration", ylabel, [
             Series(f"pair {index}", [row["iteration"] for row in rows],
@@ -376,7 +374,6 @@ def cmd_plot(args) -> int:
             f.write(svg)
     for name, _ in charts:
         print(f"wrote {os.path.join(out_dir, name)}")
-    return 0
 
 
 def main(argv=None) -> int:
@@ -386,10 +383,11 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:
-        return args.func(args)
+        args.func(args)
     except (FlowsegError, OSError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    return 0
 
 
 def entrypoint() -> None:

@@ -327,7 +327,8 @@ class TestRun:
         assert main(["gen", "--seed", "3", "--frames", "1", "--points", "600",
                      "--objects", "1", "--out", seq]) == 0
         assert main(["run", "--input", seq, "--out", str(tmp_path / "o")]) == 1
-        assert "at least 2 frames" in capsys.readouterr().err
+        assert (capsys.readouterr().err
+                == "error: need at least 2 frames to run\n")
 
     def test_bad_settings_or_input_leave_out_untouched(self, seq_dir,
                                                        tmp_path, capsys):
@@ -338,14 +339,18 @@ class TestRun:
         frame = os.path.join(seq_dir, "frame_0000.pcf")
         for argv, message in (
                 (["--input", seq_dir, "--epsilon", "0"],
-                 "epsilon must be positive"),
-                (["--input", seq_dir, "--workers", "0"], "--workers"),
-                (["--input", seq_dir, "--workers", "-3"], "--workers"),
-                (["--input", missing], "does_not_exist"),
-                (["--input", frame], f"{frame}: bad manifest magic")):
+                 "epsilon must be positive and finite, got 0.0"),
+                (["--input", seq_dir, "--workers", "0"],
+                 "--workers must be at least 1, got 0"),
+                (["--input", seq_dir, "--workers", "-3"],
+                 "--workers must be at least 1, got -3"),
+                (["--input", missing],
+                 f"[Errno 2] No such file or directory: '{missing}'"),
+                (["--input", frame],
+                 f"{frame}: bad manifest magic on line 1")):
             capsys.readouterr()
             assert main(["run", *argv, "--out", out]) == 1
-            assert message in capsys.readouterr().err
+            assert capsys.readouterr().err == f"error: {message}\n"
             assert {name: read_bytes(out, name)
                     for name in os.listdir(out)} == before
         fresh = str(tmp_path / "fresh")
@@ -548,7 +553,8 @@ class TestEval:
         write_frame(os.path.join(broken, "ssf_0000.pcf"), pts)
         assert main(["eval", "--run", broken, "--data", seq_dir,
                      "--out", str(tmp_path / "e.json")]) == 1
-        assert "lacks flow or labels" in capsys.readouterr().err
+        assert (capsys.readouterr().err
+                == "error: ssf_0000.pcf lacks flow or labels\n")
 
     def test_out_of_range_label_exits_1(self, seq_dir, run_dir, tmp_path,
                                         capsys):
@@ -573,12 +579,48 @@ class TestEval:
         write_frame(os.path.join(data, "frame_0000.pcf"), pts, labels=labels)
         assert main(["eval", "--run", run_dir, "--data", data,
                      "--out", str(tmp_path / "e.json")]) == 1
-        err = capsys.readouterr().err
-        assert "frame 0" in err and "lacks flow" in err
+        assert (capsys.readouterr().err
+                == f"error: ground-truth frame 0 of {data} lacks flow\n")
 
     def test_missing_run_dir_exits_1(self, seq_dir, tmp_path):
         assert main(["eval", "--run", str(tmp_path / "nope"),
                      "--data", seq_dir]) == 1
+
+    @pytest.mark.parametrize("command", ["eval", "plot"])
+    @pytest.mark.parametrize("case", [
+        "not an object", "pairs not a list", "pair not an object",
+        "index 99", "no report", "ssf outside the run"])
+    def test_malformed_manifest_exits_1(self, seq_dir, run_dir, tmp_path,
+                                        capsys, command, case):
+        # only the names flowseg run writes pass: a manifest of another
+        # shape, or one naming a file outside the run, is one error line
+        broken = str(tmp_path / "broken")
+        shutil.copytree(run_dir, broken)
+        path = os.path.join(broken, RUN_MANIFEST)
+        manifest = read_json(path)
+        first, second = manifest["pairs"]
+        frame = os.path.relpath(os.path.join(seq_dir, "frame_0000.pcf"),
+                                broken)
+        manifest = {
+            "not an object": [],
+            "pairs not a list": {**manifest, "pairs": 5},
+            "pair not an object": {**manifest, "pairs": [5]},
+            "index 99": {**manifest,
+                         "pairs": [first, {**second, "index": 99}]},
+            "no report": {**manifest, "pairs": [
+                {k: v for k, v in first.items() if k != "report"}, second]},
+            "ssf outside the run": {**manifest,
+                                    "pairs": [{**first, "ssf": frame}, second]},
+        }[case]
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(manifest, f)
+        out = str(tmp_path / "out")
+        capsys.readouterr()
+        assert main([command, "--run", broken, "--data", seq_dir,
+                     "--out", out]) == 1
+        assert (capsys.readouterr().err
+                == f"error: {path}: not a manifest flowseg run writes\n")
+        assert not os.path.exists(out)
 
     def test_refuses_incomplete_run(self, seq_dir, run_dir, tmp_path, capsys):
         partial = str(tmp_path / "partial")

@@ -597,6 +597,40 @@ def test_every_import_is_used():
     assert unused == []
 
 
+def test_only_main_reports_a_failure():
+    # a command raises its failure, and cli.main alone prints the one
+    # "error: ..." line and picks the exit code: no other function reads
+    # sys.stderr, and no cmd_* returns a value (a nested helper may)
+    def own_nodes(func):
+        stack = list(func.body)
+        while stack:
+            node = stack.pop()
+            yield node
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                stack.extend(ast.iter_child_nodes(node))
+
+    def is_stderr(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "stderr"
+                and getattr(node.value, "id", None) == "sys")
+
+    stray = []
+    for path in sorted(pathlib.Path(flowseg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {id(node) for func in tree.body
+                   if isinstance(func, ast.FunctionDef)
+                   and (path.name, func.name) == ("cli.py", "main")
+                   for node in ast.walk(func)}
+        stray += [f"{path.name}:{node.lineno} sys.stderr"
+                  for node in ast.walk(tree)
+                  if is_stderr(node) and id(node) not in allowed]
+        stray += [f"{path.name}:{node.lineno} {func.name} returns a value"
+                  for func in tree.body if isinstance(func, ast.FunctionDef)
+                  and func.name.startswith("cmd_")
+                  for node in own_nodes(func)
+                  if isinstance(node, ast.Return) and node.value is not None]
+    assert stray == []
+
+
 def test_every_private_function_and_index_method_is_called():
     # a module-level _private function, or a public SpatialIndex method,
     # that no module of the package names is dead: a test calling it does
