@@ -40,6 +40,8 @@ EVAL_KEYS = ("epe3d", "acc_strict", "acc_relaxed", "outliers", "seg_accuracy")
 ITERATION_CHARTS = (
     ("losses.svg", "Total loss per iteration", "total loss", "total_loss"),
     ("deltas.svg", "State change per iteration", "delta_total", "delta_total"))
+# the report fields plot reads from every iteration row
+PLOTTED_KEYS = ("iteration", *(chart[-1] for chart in ITERATION_CHARTS))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,36 +131,32 @@ def _process_pair(payload):
 def _report_dict(ssf) -> dict:
     """The whole ``report_NNNN.json`` of one pair's result: reading its
     losses computes its loss history, unless a worker already did."""
-    report = ssf.report
-    return {
-        "alpha": report.alpha,
-        "beta": report.beta,
-        "epsilon": report.epsilon,
-        "converged": report.converged,
-        "n_unreliable": report.n_unreliable,
-        "n_disoccluded": report.n_disoccluded,
-        "iterations": [
-            {"iteration": r.iteration, "flow_delta": r.flow_delta,
-             "mask_delta": r.mask_delta, "delta_total": r.delta_total,
-             "l_mot": loss.l_mot, "l_sc": loss.l_sc, "l_cd": loss.l_cd,
-             "total_loss": loss.total, "n_clusters": r.n_clusters,
-             "strategy": r.strategy, "static_fallback": r.static_fallback,
-             "degenerate_clusters": r.degenerate_clusters, "v_ego": r.v_ego}
-            for r, loss in zip(report.records, ssf.losses)],
-        "transforms": [[float(v) for v in t.matrix[:3].ravel()]
-                       for t in ssf.transforms],
-        "clusters": [
-            {"cluster_id": s.cluster_id, "size": s.size,
-             "mean_speed": s.mean_speed,
-             "centroid": [float(v) for v in s.centroid]}
-            for s in ssf.stats],
-    }
+    payload = asdict(ssf.report)
+    payload["iterations"] = [
+        {**row, "l_mot": loss.l_mot, "l_sc": loss.l_sc, "l_cd": loss.l_cd,
+         "total_loss": loss.total}
+        for row, loss in zip(payload.pop("records"), ssf.losses)]
+    payload["transforms"] = [[float(v) for v in t.matrix[:3].ravel()]
+                             for t in ssf.transforms]
+    payload["clusters"] = [
+        {**asdict(s), "centroid": [float(v) for v in s.centroid]}
+        for s in ssf.stats]
+    return payload
 
 
 def _write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+def _read_json(path):
+    """A run file's JSON value; a file that does not decode is named."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except ValueError as e:
+            raise FlowsegError(f"{path}: not JSON: {e}") from e
 
 
 def cmd_run(args) -> None:
@@ -265,10 +263,9 @@ def _load_run(args):
     path = os.path.join(args.run, RUN_MANIFEST)
     if not os.path.exists(path):
         raise FlowsegError(f"{args.run} is not a complete run: no {RUN_MANIFEST}")
-    with open(path, "r", encoding="utf-8") as f:
-        manifest = json.load(f)
+    manifest = _read_json(path)
     pairs = manifest.get("pairs") if isinstance(manifest, dict) else None
-    if not (isinstance(pairs, list)
+    if not (isinstance(pairs, list) and pairs
             and manifest.get("trajectory") == "trajectory_est.txt"
             and all(isinstance(pair, dict)
                     and [pair.get("index"), pair.get("ssf"), pair.get("report")]
@@ -345,9 +342,18 @@ def cmd_eval(args) -> None:
 
 def cmd_plot(args) -> None:
     manifest, records, _ = _load_run(args)
-    out_dir = args.out or args.run
-    os.makedirs(out_dir, exist_ok=True)
     estimated = read_trajectory(os.path.join(args.run, manifest["trajectory"]))
+    iterations = []
+    for i, pair in enumerate(manifest["pairs"]):
+        path = os.path.join(args.run, pair["report"])
+        report = _read_json(path)
+        rows = report.get("iterations") if isinstance(report, dict) else None
+        if not (isinstance(rows, list) and rows and all(
+                isinstance(row, dict) and all(
+                    type(row.get(key)) in (int, float) for key in PLOTTED_KEYS)
+                for row in rows)):
+            raise FlowsegError(f"{path}: not a report flowseg run writes")
+        iterations.append((i, rows))
     t_series = [Series("estimate",
                        [p.transform.translation[0] for p in estimated.poses],
                        [p.transform.translation[1] for p in estimated.poses])]
@@ -360,15 +366,12 @@ def cmd_plot(args) -> None:
     charts = [("trajectory.svg", render_chart(
         "Ego trajectory (top-down)", "x [m]", "y [m]", t_series,
         equal_aspect=True))]
-    iterations = []
-    for i, pair in enumerate(manifest["pairs"]):
-        with open(os.path.join(args.run, pair["report"]),
-                  "r", encoding="utf-8") as f:
-            iterations.append((i, json.load(f)["iterations"]))
-    for name, title, ylabel, key in ITERATION_CHARTS if iterations else ():
+    for name, title, ylabel, key in ITERATION_CHARTS:
         charts.append((name, render_chart(title, "iteration", ylabel, [
             Series(f"pair {index}", [row["iteration"] for row in rows],
                    [row[key] for row in rows]) for index, rows in iterations])))
+    out_dir = args.out or args.run  # made once every input passed its check
+    os.makedirs(out_dir, exist_ok=True)
     for name, svg in charts:
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as f:
             f.write(svg)
@@ -384,7 +387,7 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else 2
     try:
         args.func(args)
-    except (FlowsegError, OSError, ValueError, KeyError) as e:
+    except (FlowsegError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

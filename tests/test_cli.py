@@ -67,6 +67,16 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_key_error_is_a_bug_not_a_refusal(self, tmp_path, monkeypatch):
+        # no malformed input reaches a KeyError, so one from a command
+        # shows its traceback instead of an error line
+        def cmd_gen(args):
+            raise KeyError("key")
+
+        monkeypatch.setattr(cli, "cmd_gen", cmd_gen)
+        with pytest.raises(KeyError, match="key"):
+            main(["gen", "--out", str(tmp_path / "o")])
+
 
 class TestGen:
     def test_writes_sequence_and_reports_count(self, tmp_path, capsys):
@@ -174,11 +184,19 @@ class TestRun:
         rows = report["iterations"]
         assert report["converged"] is True
         assert len(rows) >= 2
+        # exact key sets: a field added to or dropped from the dataclasses
+        # the report is built from shows here
+        assert set(report) == {"alpha", "beta", "epsilon", "converged",
+                               "n_unreliable", "n_disoccluded", "iterations",
+                               "transforms", "clusters"}
         keys = {"iteration", "flow_delta", "mask_delta", "delta_total",
                 "l_mot", "l_sc", "l_cd", "total_loss", "n_clusters",
                 "strategy", "static_fallback", "degenerate_clusters", "v_ego"}
         for row in rows:
-            assert keys <= set(row)
+            assert set(row) == keys
+        for cluster in report["clusters"]:
+            assert set(cluster) == {"cluster_id", "size", "mean_speed",
+                                    "centroid"}
         assert rows[-1]["delta_total"] < report["epsilon"]
         assert [r["iteration"] for r in rows] == list(range(1, len(rows) + 1))
         assert len(report["transforms"]) == rows[-1]["n_clusters"]
@@ -588,12 +606,13 @@ class TestEval:
 
     @pytest.mark.parametrize("command", ["eval", "plot"])
     @pytest.mark.parametrize("case", [
-        "not an object", "pairs not a list", "pair not an object",
-        "index 99", "no report", "ssf outside the run"])
+        "not an object", "pairs not a list", "no pairs", "pair not an object",
+        "index 99", "no report", "ssf outside the run", "not JSON"])
     def test_malformed_manifest_exits_1(self, seq_dir, run_dir, tmp_path,
                                         capsys, command, case):
         # only the names flowseg run writes pass: a manifest of another
-        # shape, or one naming a file outside the run, is one error line
+        # shape, one naming a file outside the run, or one that is not JSON
+        # is one error line naming the manifest
         broken = str(tmp_path / "broken")
         shutil.copytree(run_dir, broken)
         path = os.path.join(broken, RUN_MANIFEST)
@@ -604,6 +623,7 @@ class TestEval:
         manifest = {
             "not an object": [],
             "pairs not a list": {**manifest, "pairs": 5},
+            "no pairs": {**manifest, "pairs": []},
             "pair not an object": {**manifest, "pairs": [5]},
             "index 99": {**manifest,
                          "pairs": [first, {**second, "index": 99}]},
@@ -611,15 +631,17 @@ class TestEval:
                 {k: v for k, v in first.items() if k != "report"}, second]},
             "ssf outside the run": {**manifest,
                                     "pairs": [{**first, "ssf": frame}, second]},
-        }[case]
+        }.get(case)
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(manifest, f)
+            f.write("nope" if case == "not JSON" else json.dumps(manifest))
         out = str(tmp_path / "out")
         capsys.readouterr()
         assert main([command, "--run", broken, "--data", seq_dir,
                      "--out", out]) == 1
-        assert (capsys.readouterr().err
-                == f"error: {path}: not a manifest flowseg run writes\n")
+        assert capsys.readouterr().err == (
+            f"error: {path}: not JSON: Expecting value: line 1 column 1 "
+            "(char 0)\n" if case == "not JSON"
+            else f"error: {path}: not a manifest flowseg run writes\n")
         assert not os.path.exists(out)
 
     def test_refuses_incomplete_run(self, seq_dir, run_dir, tmp_path, capsys):
@@ -709,6 +731,39 @@ class TestPlot:
             "error: ssf_0000.pcf holds 1200 points but ground-truth frame 0 "
             f"of {other} holds 1200 other points\n")
         assert not os.path.exists(fig)
+
+    @pytest.mark.parametrize("case", [
+        "not an object", "iterations not a list", "no iterations",
+        "row not an object", "no total_loss", "iteration not a number",
+        "not JSON"])
+    def test_malformed_report_exits_1(self, run_dir, tmp_path, capsys, case):
+        # every iteration row plot draws is checked before --out is made:
+        # a report flowseg run would not write is one error line naming it
+        broken = str(tmp_path / "broken")
+        shutil.copytree(run_dir, broken)
+        path = os.path.join(broken, "report_0001.json")
+        report = read_json(path)
+        row = report["iterations"][0]
+        text = "garbage" if case == "not JSON" else json.dumps({
+            "not an object": [],
+            "iterations not a list": {**report, "iterations": 5},
+            "no iterations": {**report, "iterations": []},
+            "row not an object": {**report, "iterations": [5]},
+            "no total_loss": {**report, "iterations": [
+                {k: v for k, v in row.items() if k != "total_loss"}]},
+            "iteration not a number": {**report, "iterations": [
+                {**row, "iteration": "1"}]},
+        }.get(case))
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+        out = str(tmp_path / "out")
+        capsys.readouterr()
+        assert main(["plot", "--run", broken, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: not JSON: Expecting value: line 1 column 1 "
+            "(char 0)\n" if case == "not JSON"
+            else f"error: {path}: not a report flowseg run writes\n")
+        assert not os.path.exists(out)
 
     def test_refuses_incomplete_run(self, run_dir, tmp_path, capsys):
         partial = str(tmp_path / "partial")
